@@ -15,8 +15,7 @@ use std::sync::Arc;
 
 /// DFS-collect up to `cap` trie nodes from the top `max_depth` levels — a
 /// representative mix of wide and narrow SA ranges for rank-layer
-/// measurements (shared by the `rank_occ` bench and the harness `rank`
-/// experiment so both measure the same shape).
+/// measurements (the harness `rank` experiment's node set).
 pub fn collect_trie_nodes(
     index: &TextIndex,
     max_depth: usize,
@@ -41,8 +40,7 @@ pub fn collect_trie_nodes(
 
 /// Fold the alphabet codes of a text onto `sigma` codes (separator code 0
 /// stays 0), producing a reduced-alphabet text for the nibble rank layout
-/// (shared by the `rank_occ` bench and the harness `rank` experiment so
-/// both measure the same reduced text).
+/// (the harness `rank` experiment's reduced-protein text).
 pub fn reduce_alphabet(codes: &[u8], sigma: u8) -> Vec<u8> {
     codes
         .iter()
@@ -91,21 +89,8 @@ pub struct BenchWorkload {
 /// Build a benchmark workload of `text_len` DNA characters and one
 /// homologous query of `query_len` characters.
 pub fn dna_workload(text_len: usize, query_len: usize, seed: u64) -> BenchWorkload {
-    workload(Alphabet::Dna, text_len, query_len, seed)
-}
-
-/// Build a protein benchmark workload.
-pub fn protein_workload(text_len: usize, query_len: usize, seed: u64) -> BenchWorkload {
-    workload(Alphabet::Protein, text_len, query_len, seed)
-}
-
-fn workload(alphabet: Alphabet, text_len: usize, query_len: usize, seed: u64) -> BenchWorkload {
-    let text_spec = match alphabet {
-        Alphabet::Dna => TextSpec::dna(text_len, seed),
-        Alphabet::Protein => TextSpec::protein(text_len, seed),
-    };
     let built = WorkloadBuilder::new(
-        text_spec,
+        TextSpec::dna(text_len, seed),
         QuerySpec {
             count: 1,
             length: query_len,
@@ -126,11 +111,8 @@ fn workload(alphabet: Alphabet, text_len: usize, query_len: usize, seed: u64) ->
         database.text().to_vec(),
         database.alphabet().code_count(),
     ));
-    let scheme = match alphabet {
-        Alphabet::Dna => ScoringScheme::DEFAULT,
-        Alphabet::Protein => ScoringScheme::PROTEIN_DEFAULT,
-    };
-    let ka = alae_bioseq::KarlinAltschul::estimate(alphabet, &scheme).expect("statistics exist");
+    let ka = alae_bioseq::KarlinAltschul::estimate(Alphabet::Dna, &ScoringScheme::DEFAULT)
+        .expect("statistics exist");
     // E = 10 at micro-benchmark scale would give a very permissive threshold
     // (H ≈ 11) and drown every engine in barely-significant hits; clamp to
     // the stringency the paper's E = 10 corresponds to at its full scale.
@@ -155,7 +137,5 @@ mod tests {
         assert_eq!(w.database.character_count(), 5_000);
         assert!(w.threshold > 0);
         assert_eq!(w.index.len(), w.database.text_len());
-        let p = protein_workload(2_000, 100, 4);
-        assert_eq!(p.database.alphabet(), Alphabet::Protein);
     }
 }

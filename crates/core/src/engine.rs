@@ -38,7 +38,7 @@ use crate::fork::{
 use crate::qgram::QGramIndex;
 use alae_bioseq::guard::{GuardProbe, SearchGuard, Termination};
 use alae_bioseq::hits::{AlignmentHit, HitMap};
-use alae_bioseq::{Alphabet, Sequence, SequenceDatabase};
+use alae_bioseq::{Alphabet, SequenceDatabase};
 use alae_suffix::{IndexOptions, SuffixTrieCursor, TextIndex};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -134,18 +134,6 @@ impl AlaeAligner {
         self.domination
             .as_ref()
             .map_or(0, DominationIndex::size_in_bytes)
-    }
-
-    /// Align a query [`Sequence`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "drive the engine through the `alae::search` facade \
-                (`Searcher::search`), which resolves hits to records and \
-                supports every engine uniformly"
-    )]
-    pub fn align_sequence(&self, query: &Sequence) -> AlaeResult {
-        assert_eq!(query.alphabet(), self.alphabet, "query alphabet mismatch");
-        self.align(query.codes())
     }
 
     /// Align a query given as a code slice and report every end pair whose
@@ -968,7 +956,7 @@ mod tests {
     use super::*;
     use alae_align_baseline::local_alignment_hits;
     use alae_bioseq::hits::diff_hits;
-    use alae_bioseq::ScoringScheme;
+    use alae_bioseq::{ScoringScheme, Sequence};
 
     fn dna_db(ascii: &[u8]) -> SequenceDatabase {
         let seq = Sequence::from_ascii(Alphabet::Dna, ascii).unwrap();

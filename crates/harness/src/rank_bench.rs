@@ -1,18 +1,15 @@
 //! Occurrence-layer micro-benchmark: one `extend_all` fan-out versus the σ
 //! per-character `extend_left` loop it replaces, measured per rank layout —
-//! protein (σ = 21 codes) with two-level and flat-`u32` checkpoint rows, a
-//! reduced-protein nibble-packed layout versus its byte-layout twin, and the
-//! packed-vs-generic DNA comparison.  Writes the measurements (including
-//! per-layout occurrence-table bytes) to `BENCH_rank.json` so successive PRs
-//! accumulate a perf trajectory, and implements the `--check` mode the CI
-//! perf-regression gate runs against the committed snapshot.
+//! protein (σ = 21 codes, byte layout), a reduced-protein nibble-packed
+//! layout versus its byte-layout twin, and packed DNA.  Writes the
+//! measurements (including per-layout occurrence-table bytes) to
+//! `BENCH_rank.json` so successive PRs accumulate a perf trajectory, and
+//! implements the `--check` mode the CI perf-regression gate runs against
+//! the committed snapshot.
 
 use crate::experiments::ExperimentOptions;
 use alae_bioseq::Alphabet;
-use alae_suffix::{
-    simd, CheckpointScheme, ChildBuf, IndexOptions, RankLayout, ScanBackend, SuffixTrieCursor,
-    TextIndex,
-};
+use alae_suffix::{ChildBuf, IndexOptions, RankLayout, SuffixTrieCursor, TextIndex};
 use alae_workload::{generate_text, TextSpec};
 use std::time::Instant;
 
@@ -23,9 +20,6 @@ pub struct RankBenchEntry {
     pub name: String,
     /// `"before"` for the per-character loop, `"after"` for `extend_all`.
     pub role: &'static str,
-    /// The scan backend the configuration's index resolved to
-    /// (`"swar"` / `"sse2"` / `"avx2"`).
-    pub backend: &'static str,
     /// Mean wall-clock nanoseconds per trie-node expansion.
     pub ns_per_node: f64,
     /// Occurrence-table block scans per expansion (exact, from the counter;
@@ -37,15 +31,6 @@ pub struct RankBenchEntry {
     /// + checkpoint rows), in bytes.
     pub index_bytes: u64,
 }
-
-/// The `(default-backend, forced-SWAR)` configuration pairs whose
-/// `extend_all` throughput ratio is recorded as the SIMD-vs-SWAR speedup.
-const SIMD_VS_SWAR_PAIRS: &[(&str, &str)] = &[
-    ("protein_sigma21", "protein_sigma21_swar"),
-    ("protein_reduced15_nibble", "protein_reduced15_nibble_swar"),
-    ("dna_packed", "dna_packed_swar"),
-    ("dna_bytes", "dna_bytes_swar"),
-];
 
 /// The full report written to `BENCH_rank.json`.
 #[derive(Debug, Clone)]
@@ -61,14 +46,8 @@ pub struct RankBenchReport {
     pub code_count: usize,
     /// Number of trie nodes expanded per measured pass.
     pub nodes: usize,
-    /// Speedup of `extend_all` over the `extend_left` loop (protein,
-    /// two-level checkpoints).
+    /// Speedup of `extend_all` over the `extend_left` loop (protein).
     pub speedup: f64,
-    /// The scan backend the default (auto) configurations resolved to.
-    pub scan_backend: &'static str,
-    /// Per-layout `extend_all` speedup of the default backend over the
-    /// forced-SWAR twin (≈ 1.0 when the default backend *is* SWAR).
-    pub simd_vs_swar: Vec<(&'static str, f64)>,
     /// Per-configuration extend_all-vs-extend_left speedups as medians of
     /// per-repetition paired ratios (the gate's noise-robust statistic;
     /// see ROADMAP.md, "rank gate flakiness").
@@ -92,29 +71,14 @@ impl RankBenchReport {
             "  \"extend_all_speedup_vs_extend_left\": {:.2},\n",
             self.speedup
         ));
-        out.push_str(&format!("  \"scan_backend\": \"{}\",\n", self.scan_backend));
-        out.push_str("  \"simd_vs_swar\": {");
-        for (i, (config, ratio)) in self.simd_vs_swar.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{config}\": {ratio:.2}{}",
-                if i + 1 < self.simd_vs_swar.len() {
-                    ", "
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("},\n");
         out.push_str("  \"entries\": [\n");
         for (i, entry) in self.entries.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"role\": \"{}\", \"backend\": \"{}\", \
-                 \"ns_per_node\": {:.1}, \
+                "    {{\"name\": \"{}\", \"role\": \"{}\", \"ns_per_node\": {:.1}, \
                  \"block_scans_per_node\": {:.1}, \"bytes_scanned_per_node\": {:.1}, \
                  \"index_bytes\": {}}}{}\n",
                 entry.name,
                 entry.role,
-                entry.backend,
                 entry.ns_per_node,
                 entry.block_scans_per_node,
                 entry.bytes_scanned_per_node,
@@ -200,7 +164,6 @@ fn measure(
 ) -> f64 {
     let n = nodes.len() as f64;
     let index_bytes = index.occ_size_in_bytes() as u64;
-    let backend = index.scan_backend().name();
 
     // Before: the σ-scan per-character loop `children` used to perform.
     // After: the single-scan `extend_all` fan-out behind `children_into`.
@@ -236,7 +199,6 @@ fn measure(
     entries.push(RankBenchEntry {
         name: format!("{name_prefix}/extend_left_loop"),
         role: "before",
-        backend,
         ns_per_node: loop_ns,
         block_scans_per_node: loop_scans.block_scans as f64 / n,
         bytes_scanned_per_node: loop_scans.bytes_scanned as f64 / n,
@@ -245,7 +207,6 @@ fn measure(
     entries.push(RankBenchEntry {
         name: format!("{name_prefix}/extend_all"),
         role: "after",
-        backend,
         ns_per_node: all_ns,
         block_scans_per_node: all_scans.block_scans as f64 / n,
         bytes_scanned_per_node: all_scans.bytes_scanned as f64 / n,
@@ -263,9 +224,7 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
     let repetitions = 25;
 
     // Headline: protein alphabet (σ = 20 residues + separator = 21 codes),
-    // where the per-character loop pays 2σ block scans per node — measured
-    // with the default two-level checkpoint rows and with the flat u32 rows
-    // they replaced.
+    // where the per-character loop pays 2σ block scans per node.
     let text_len = (60_000_f64 * options.scale) as usize;
     let protein = generate_text(&TextSpec::protein(text_len.max(1_000), options.seed));
     let protein_codes = protein.codes().to_vec();
@@ -278,20 +237,6 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
         "protein_sigma21",
         &index,
         &nodes,
-        repetitions,
-        &mut entries,
-        &mut paired_speedups,
-    );
-
-    let flat_index = IndexOptions::new()
-        .layout(RankLayout::Auto)
-        .checkpoints(CheckpointScheme::FlatU32)
-        .build_text_index(protein_codes.clone(), Alphabet::Protein.code_count());
-    let flat_nodes = alae_bench::collect_trie_nodes(&flat_index, 2, 2_000);
-    measure(
-        "protein_flat_u32",
-        &flat_index,
-        &flat_nodes,
         repetitions,
         &mut entries,
         &mut paired_speedups,
@@ -319,111 +264,20 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
         );
     }
 
-    // Side-by-side: the DNA packed popcount path versus the generic byte
-    // path on the same text.
+    // DNA: the 2-bit packed popcount path `Auto` selects for σ ≤ 6.
     let dna = generate_text(&TextSpec::dna(text_len.max(1_000), options.seed + 1));
-    for (label, layout) in [
-        ("dna_packed", RankLayout::PackedDna),
-        ("dna_bytes", RankLayout::Bytes),
-    ] {
-        let dna_index = IndexOptions::new()
-            .layout(layout)
-            .build_text_index(dna.codes().to_vec(), Alphabet::Dna.code_count());
-        let dna_nodes = alae_bench::collect_trie_nodes(&dna_index, 4, 2_000);
-        measure(
-            label,
-            &dna_index,
-            &dna_nodes,
-            repetitions,
-            &mut entries,
-            &mut paired_speedups,
-        );
-    }
-
-    // Forced-SWAR twins of one configuration per layout: same text, same
-    // layout, SIMD dispatch disabled.  Each twin gets its own entries, and
-    // the SIMD-vs-SWAR ratio the gate tracks is the median of paired
-    // per-repetition ratios over *interleaved* extend_all passes (default,
-    // SWAR, default, SWAR, …) — machine drift between two measurements
-    // taken minutes apart would otherwise dominate the ratio, and a single
-    // outlier repetition used to flip the gate.
-    let mut simd_vs_swar = Vec::new();
-    for (label, config, codes, code_count, layout, trie_depth) in [
-        (
-            "protein_sigma21_swar",
-            "protein_sigma21",
-            protein_codes.as_slice(),
-            Alphabet::Protein.code_count(),
-            RankLayout::Auto,
-            2usize,
-        ),
-        (
-            "protein_reduced15_nibble_swar",
-            "protein_reduced15_nibble",
-            reduced.as_slice(),
-            16,
-            RankLayout::PackedNibble,
-            2,
-        ),
-        (
-            "dna_packed_swar",
-            "dna_packed",
-            dna.codes(),
-            Alphabet::Dna.code_count(),
-            RankLayout::PackedDna,
-            4,
-        ),
-        (
-            "dna_bytes_swar",
-            "dna_bytes",
-            dna.codes(),
-            Alphabet::Dna.code_count(),
-            RankLayout::Bytes,
-            4,
-        ),
-    ] {
-        let default_index = IndexOptions::new()
-            .layout(layout)
-            .backend(simd::default_backend())
-            .build_text_index(codes.to_vec(), code_count);
-        let swar_index = IndexOptions::new()
-            .layout(layout)
-            .backend(ScanBackend::Swar)
-            .build_text_index(codes.to_vec(), code_count);
-        // The SA ranges are backend-independent, so one node set serves
-        // both indexes.
-        let pair_nodes = alae_bench::collect_trie_nodes(&swar_index, trie_depth, 2_000);
-        measure(
-            label,
-            &swar_index,
-            &pair_nodes,
-            repetitions,
-            &mut entries,
-            &mut paired_speedups,
-        );
-        let mut buf = ChildBuf::new();
-        // Median of per-repetition *paired* ratios, not a ratio of two
-        // best-of-N aggregates: pairing measures both backends within the
-        // same scheduling quantum (so frequency scaling and background
-        // load cancel out of each ratio), and the median discards the
-        // outlier repetitions that used to make this gate flaky — a
-        // single descheduled SWAR pass could inflate a best-of ratio by
-        // tens of percent.  Policy recorded in ROADMAP.md.
-        let mut ratios: Vec<f64> = Vec::with_capacity(repetitions);
-        for _ in 0..repetitions {
-            let default_t = time_once(&mut || {
-                alae_bench::extend_all_pass(&default_index, &pair_nodes, &mut buf)
-            });
-            let swar_t =
-                time_once(&mut || alae_bench::extend_all_pass(&swar_index, &pair_nodes, &mut buf));
-            if default_t > 0.0 && swar_t.is_finite() {
-                ratios.push(swar_t / default_t);
-            }
-        }
-        if let Some(ratio) = median(&mut ratios) {
-            simd_vs_swar.push((config, ratio));
-        }
-    }
+    let dna_index = IndexOptions::new()
+        .layout(RankLayout::PackedDna)
+        .build_text_index(dna.codes().to_vec(), Alphabet::Dna.code_count());
+    let dna_nodes = alae_bench::collect_trie_nodes(&dna_index, 4, 2_000);
+    measure(
+        "dna_packed",
+        &dna_index,
+        &dna_nodes,
+        repetitions,
+        &mut entries,
+        &mut paired_speedups,
+    );
 
     RankBenchReport {
         scale: options.scale,
@@ -432,8 +286,6 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
         code_count: index.code_count(),
         nodes: nodes.len(),
         speedup,
-        scan_backend: index.scan_backend().name(),
-        simd_vs_swar,
         paired_speedups,
         entries,
     }
@@ -609,33 +461,9 @@ pub fn parse_entries(json: &str) -> Vec<ParsedEntry> {
 /// configuration simply skips it).
 const CHECKED_CONFIGS: &[&str] = &[
     "protein_sigma21",
-    "protein_flat_u32",
     "protein_reduced15_nibble",
     "protein_reduced15_bytes",
     "dna_packed",
-    "dna_bytes",
-    "protein_sigma21_swar",
-    "protein_reduced15_nibble_swar",
-    "dna_packed_swar",
-    "dna_bytes_swar",
-];
-
-/// Hard floors on the SIMD-vs-SWAR `extend_all` speedups when the run
-/// resolved to AVX2, checked regardless of the baseline.  The `dna_bytes`
-/// floor (small-alphabet byte layout, where the bit-plane tree is ≥ 1.3× on
-/// AVX2 hardware) asserts the SIMD dispatch stays load-bearing; the
-/// remaining floors assert the adaptive kernels never make the default
-/// backend meaningfully *slower* than forced SWAR (the wide-alphabet byte
-/// histogram deliberately falls back to the scalar pass, so its honest
-/// ratio is ~1.0).  All floors sit well below the committed ratios (≥ 10%
-/// headroom against the lowest observed value) to absorb machine-to-machine
-/// and run-to-run variance — unlike the tolerance-scaled baseline checks,
-/// crossing a floor fails outright.
-const AVX2_SIMD_FLOORS: &[(&str, f64)] = &[
-    ("dna_bytes", 1.1),
-    ("dna_packed", 0.9),
-    ("protein_sigma21", 0.9),
-    ("protein_reduced15_nibble", 0.85),
 ];
 
 /// Compare a fresh report against the committed baseline.
@@ -646,7 +474,8 @@ const AVX2_SIMD_FLOORS: &[(&str, f64)] = &[
 /// configuration: the fresh speedup must stay within `tolerance` of the
 /// baseline's.  Two machine-independent invariants are gated exactly:
 /// per-node block scans must not grow (deterministic for a fixed
-/// scale/seed), and the two-level/packed index-size orderings must hold.
+/// scale/seed), and the nibble-packed index must stay smaller than its
+/// byte-layout twin.
 pub fn check_against_baseline(
     baseline_json: &str,
     fresh: &RankBenchReport,
@@ -672,21 +501,12 @@ pub fn check_against_baseline(
                 .push(format!("{config}: not in baseline, skipped"));
             continue;
         };
-        // Forced-SWAR twins run the widest loop-vs-fan-out gap (the loop
-        // side is 5-6x slower), which amplifies any residual measurement
-        // noise in the ratio; they get double the tolerance.  Policy in
-        // ROADMAP.md ("rank gate flakiness").
-        let config_tolerance = if config.ends_with("_swar") {
-            (tolerance * 2.0).min(0.9)
-        } else {
-            tolerance
-        };
-        let floor = base * (1.0 - config_tolerance);
+        let floor = base * (1.0 - tolerance);
         if now < floor {
             outcome.failures.push(format!(
                 "{config}: extend_all speedup {now:.2}x fell below baseline {base:.2}x \
                  - {:.0}% tolerance ({floor:.2}x)",
-                config_tolerance * 100.0
+                tolerance * 100.0
             ));
         } else {
             outcome.notes.push(format!(
@@ -715,20 +535,8 @@ pub fn check_against_baseline(
         }
     }
 
-    // Index-size orderings within the fresh run (machine-independent).
+    // Index-size ordering within the fresh run (machine-independent).
     let size_of = |config: &str| fresh.after(config).map(|e| e.index_bytes);
-    if let (Some(two_level), Some(flat)) = (size_of("protein_sigma21"), size_of("protein_flat_u32"))
-    {
-        if two_level >= flat {
-            outcome.failures.push(format!(
-                "two-level protein index ({two_level} B) is not smaller than flat u32 ({flat} B)"
-            ));
-        } else {
-            outcome.notes.push(format!(
-                "protein index bytes: two-level {two_level} < flat {flat} ok"
-            ));
-        }
-    }
     if let (Some(nibble), Some(bytes)) = (
         size_of("protein_reduced15_nibble"),
         size_of("protein_reduced15_bytes"),
@@ -744,97 +552,23 @@ pub fn check_against_baseline(
         }
     }
 
-    // SIMD-vs-SWAR speedups.  These compare the default backend against the
-    // forced-SWAR twin *within* the fresh run, so they are machine-portable
-    // the same way the extend_all speedups are — but only comparable when
-    // both runs resolved the same backend, and meaningless when the fresh
-    // run resolved to SWAR (forced via env/feature, or no SIMD hardware).
-    let base_backend = field_str(baseline_json, "scan_backend");
-    if fresh.scan_backend == "swar" {
-        outcome.notes.push(
-            "simd-vs-swar: fresh run resolved to the SWAR backend; speedup checks skipped"
-                .to_string(),
-        );
-    } else {
-        for &(config, _) in SIMD_VS_SWAR_PAIRS {
-            let now = fresh
-                .simd_vs_swar
-                .iter()
-                .find(|(name, _)| *name == config)
-                .map(|&(_, ratio)| ratio);
-            let Some(now) = now else {
-                // A SIMD run must produce every tracked pair ratio; a
-                // missing one means the pair lists drifted apart and a gate
-                // check silently stopped running — fail loudly instead.
-                outcome.failures.push(format!(
-                    "{config}: simd-vs-swar ratio missing from the fresh run \
-                     (SIMD_VS_SWAR_PAIRS and the measured configurations are out of sync)"
-                ));
-                continue;
-            };
-            let base = field_num(baseline_json, config)
-                .filter(|_| base_backend.as_deref() == Some(fresh.scan_backend));
-            match base {
-                Some(base) => {
-                    let floor = base * (1.0 - tolerance);
-                    if now < floor {
-                        outcome.failures.push(format!(
-                            "{config}: simd-vs-swar speedup {now:.2}x fell below baseline \
-                             {base:.2}x - {:.0}% tolerance ({floor:.2}x) on {}",
-                            tolerance * 100.0,
-                            fresh.scan_backend
-                        ));
-                    } else {
-                        outcome.notes.push(format!(
-                            "{config}: simd-vs-swar {now:.2}x (baseline {base:.2}x, {}) ok",
-                            fresh.scan_backend
-                        ));
-                    }
-                }
-                None => outcome.notes.push(format!(
-                    "{config}: simd-vs-swar {now:.2}x on {} (baseline backend {}; not compared)",
-                    fresh.scan_backend,
-                    base_backend.as_deref().unwrap_or("absent")
-                )),
-            }
-        }
-        // The dispatch layer must stay load-bearing on AVX2 hardware
-        // regardless of what the baseline recorded.  Only meaningful at the
-        // baseline scale and above — sub-scale runs (unit tests) measure
-        // blocks too small for a stable ratio.
-        if fresh.scan_backend == "avx2" && fresh.scale >= 1.0 {
-            for &(config, floor) in AVX2_SIMD_FLOORS {
-                if let Some(&(_, ratio)) =
-                    fresh.simd_vs_swar.iter().find(|(name, _)| *name == config)
-                {
-                    if ratio < floor {
-                        outcome.failures.push(format!(
-                            "{config}: simd-vs-swar speedup {ratio:.2}x is below the AVX2 \
-                             floor {floor:.2}x"
-                        ));
-                    }
-                }
-            }
-        }
-    }
     outcome
 }
 
 fn print_report(report: &RankBenchReport) {
     println!(
-        "occurrence layer: {} nodes over {} protein characters (σ+1 = {}), scan backend {}",
-        report.nodes, report.text_len, report.code_count, report.scan_backend
+        "occurrence layer: {} nodes over {} protein characters (σ+1 = {})",
+        report.nodes, report.text_len, report.code_count
     );
     println!(
-        "{:<34} {:>6} {:>7} {:>12} {:>10} {:>10} {:>12}",
-        "configuration", "role", "kernel", "ns/node", "scans", "bytes", "index bytes"
+        "{:<34} {:>6} {:>12} {:>10} {:>10} {:>12}",
+        "configuration", "role", "ns/node", "scans", "bytes", "index bytes"
     );
     for entry in &report.entries {
         println!(
-            "{:<34} {:>6} {:>7} {:>12.1} {:>10.1} {:>10.1} {:>12}",
+            "{:<34} {:>6} {:>12.1} {:>10.1} {:>10.1} {:>12}",
             entry.name,
             entry.role,
-            entry.backend,
             entry.ns_per_node,
             entry.block_scans_per_node,
             entry.bytes_scanned_per_node,
@@ -845,12 +579,6 @@ fn print_report(report: &RankBenchReport) {
         "extend_all speedup over the extend_left loop (protein): {:.2}x",
         report.speedup
     );
-    for (config, ratio) in &report.simd_vs_swar {
-        println!(
-            "{config}: extend_all {} backend is {ratio:.2}x the forced-SWAR twin",
-            report.scan_backend
-        );
-    }
 }
 
 #[cfg(test)]
@@ -886,11 +614,8 @@ mod tests {
     }
 
     #[test]
-    fn two_level_protein_index_is_smaller_than_flat() {
+    fn nibble_index_is_smaller_than_its_byte_twin() {
         let report = run(&tiny_options());
-        let two_level = report.after("protein_sigma21").unwrap().index_bytes;
-        let flat = report.after("protein_flat_u32").unwrap().index_bytes;
-        assert!(two_level < flat, "two-level {two_level} vs flat {flat}");
         let nibble = report
             .after("protein_reduced15_nibble")
             .unwrap()
@@ -908,16 +633,15 @@ mod tests {
         assert!(json.contains("\"seed\": 5"));
         assert!(json.contains("extend_left_loop"));
         assert!(json.contains("extend_all"));
-        assert!(json.contains("protein_flat_u32"));
-        assert!(json.contains("protein_reduced15_nibble"));
+        for config in CHECKED_CONFIGS {
+            assert!(
+                json.contains(&format!("\"{config}/extend_all\"")),
+                "{config}"
+            );
+        }
         assert!(json.contains("\"index_bytes\""));
-        assert!(json.contains("\"scan_backend\""));
-        assert!(json.contains("\"simd_vs_swar\""));
-        assert!(json.contains("protein_sigma21_swar"));
-        assert!(json.contains("dna_packed_swar"));
-        assert!(json.contains("dna_bytes_swar"));
-        assert_eq!(json.matches("\"role\": \"before\"").count(), 10);
-        assert_eq!(json.matches("\"role\": \"after\"").count(), 10);
+        assert_eq!(json.matches("\"role\": \"before\"").count(), 4);
+        assert_eq!(json.matches("\"role\": \"after\"").count(), 4);
     }
 
     #[test]
@@ -939,55 +663,6 @@ mod tests {
         let outcome = check_against_baseline(&report.to_json(), &report, 0.15);
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
         assert!(!outcome.notes.is_empty());
-    }
-
-    #[test]
-    fn check_flags_a_simd_vs_swar_regression() {
-        let mut report = run(&tiny_options());
-        if report.scan_backend == "swar" {
-            // force-swar build or no SIMD hardware: nothing to flag.
-            return;
-        }
-        report.simd_vs_swar = SIMD_VS_SWAR_PAIRS
-            .iter()
-            .map(|&(config, _)| (config, 2.0))
-            .collect();
-        let baseline = report.to_json();
-        for (_, ratio) in &mut report.simd_vs_swar {
-            *ratio = 1.0; // collapsed speedup: dispatch stopped mattering
-        }
-        let outcome = check_against_baseline(&baseline, &report, 0.15);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("simd-vs-swar")),
-            "{:?}",
-            outcome.failures
-        );
-    }
-
-    #[test]
-    fn check_skips_simd_comparison_across_different_backends() {
-        let mut report = run(&tiny_options());
-        if report.scan_backend == "swar" {
-            return;
-        }
-        report.simd_vs_swar = SIMD_VS_SWAR_PAIRS
-            .iter()
-            .map(|&(config, _)| (config, 2.0))
-            .collect();
-        let baseline = report.to_json().replace(
-            &format!("\"scan_backend\": \"{}\"", report.scan_backend),
-            "\"scan_backend\": \"sse4-imaginary\"",
-        );
-        for (_, ratio) in &mut report.simd_vs_swar {
-            *ratio = 1.2; // would fail if compared against 2.0
-        }
-        let outcome = check_against_baseline(&baseline, &report, 0.15);
-        assert!(
-            !outcome.failures.iter().any(|f| f.contains("simd-vs-swar")),
-            "{:?}",
-            outcome.failures
-        );
-        assert!(outcome.notes.iter().any(|n| n.contains("not compared")));
     }
 
     #[test]

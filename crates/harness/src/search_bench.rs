@@ -20,8 +20,8 @@
 //! `alae-experiments search --check [--tolerance 0.20]` re-measures and
 //! fails (exit 1) when, on either workload, ALAE's speedup over
 //! Smith–Waterman or over BWT-SW falls below the committed baseline's
-//! beyond tolerance, when the exact engines stop agreeing on the result
-//! count, when ALAE is not faster than Smith–Waterman outright, or when
+//! beyond tolerance, when the exact engines stop agreeing on any query's
+//! hit set, when ALAE is not faster than Smith–Waterman outright, or when
 //! the hit-dense ALAE-vs-BWT-SW ratio drops below the absolute 1.0× floor
 //! (full-scale runs only).  Speedup *ratios* are gated (not raw
 //! queries/sec), the same machine-portability convention as `rank
@@ -32,6 +32,7 @@ use crate::rank_bench::{field_num, field_str, snapshot_path};
 use crate::runners::run_request;
 use crate::setup::{prepare_dna, prepare_dna_sparse, PreparedWorkload};
 use alae::search::{build_engine, CancelToken, EngineKind, SearchGuard, SearchRequest};
+use alae_bioseq::hits::{diff_hits, AlignmentHit};
 use alae_bioseq::ScoringScheme;
 use std::time::{Duration, Instant};
 
@@ -75,8 +76,15 @@ pub struct SearchBenchEntry {
     pub queries_per_sec: f64,
     /// Mean milliseconds per query within the best pass.
     pub ms_per_query: f64,
+    /// Each query's canonical hit set (what the exactness check compares).
+    pub query_hits: Vec<Vec<AlignmentHit>>,
+}
+
+impl SearchBenchEntry {
     /// Total reported alignments across the query set.
-    pub hits: usize,
+    pub fn hits(&self) -> usize {
+        self.query_hits.iter().map(Vec::len).sum()
+    }
 }
 
 /// One workload's measurements.
@@ -167,7 +175,7 @@ impl SearchBenchReport {
                     entry.engine,
                     entry.queries_per_sec,
                     entry.ms_per_query,
-                    entry.hits,
+                    entry.hits(),
                     if i + 1 < workload.entries.len() {
                         ","
                     } else {
@@ -191,24 +199,25 @@ impl SearchBenchReport {
 }
 
 /// Measure all four engines over one prepared workload (interleaved,
-/// best-of-N).
+/// best-of-N), keeping each query's hit set from the last repetition.
 fn run_workload(prepared: &PreparedWorkload) -> Vec<SearchBenchEntry> {
     let queries = prepared.queries.len().max(1) as f64;
     let mut best = [f64::INFINITY; EngineKind::ALL.len()];
-    let mut hits = [0usize; EngineKind::ALL.len()];
+    let mut query_hits: [Vec<Vec<AlignmentHit>>; EngineKind::ALL.len()] = Default::default();
     for _ in 0..REPETITIONS {
         for (k, kind) in EngineKind::ALL.into_iter().enumerate() {
             let request =
                 SearchRequest::with_threshold(ScoringScheme::DEFAULT, THRESHOLD).engine(kind);
             let (summary, runs) = run_request(prepared, request);
             best[k] = best[k].min(summary.total_time.as_secs_f64());
-            hits[k] = runs.iter().map(|run| run.hits.len()).sum();
+            query_hits[k] = runs.into_iter().map(|run| run.hits).collect();
         }
     }
     EngineKind::ALL
         .into_iter()
+        .zip(query_hits)
         .enumerate()
-        .map(|(k, kind)| SearchBenchEntry {
+        .map(|(k, (kind, query_hits))| SearchBenchEntry {
             engine: kind.name(),
             queries_per_sec: if best[k] > 0.0 {
                 queries / best[k]
@@ -216,9 +225,23 @@ fn run_workload(prepared: &PreparedWorkload) -> Vec<SearchBenchEntry> {
                 0.0
             },
             ms_per_query: best[k] * 1e3 / queries,
-            hits: hits[k],
+            query_hits,
         })
         .collect()
+}
+
+/// The first query whose hit set differs between two engines' runs, as a
+/// human-readable reason (`None` when every query agrees).  Both entries
+/// come from the same prepared query list, so their runs pair up one to one.
+fn first_hit_set_mismatch(left: &SearchBenchEntry, right: &SearchBenchEntry) -> Option<String> {
+    left.query_hits
+        .iter()
+        .zip(&right.query_hits)
+        .enumerate()
+        .find_map(|(q, (l, r))| {
+            diff_hits(l, r)
+                .map(|why| format!("query {q}: {} vs {}: {why}", left.engine, right.engine))
+        })
 }
 
 /// Measure the guard-poll overhead: ALAE over the hit-dense workload under
@@ -313,7 +336,10 @@ fn print_report(report: &SearchBenchReport) {
         for entry in &workload.entries {
             println!(
                 "{:<16} {:>14.3} {:>14.3} {:>8}",
-                entry.engine, entry.queries_per_sec, entry.ms_per_query, entry.hits
+                entry.engine,
+                entry.queries_per_sec,
+                entry.ms_per_query,
+                entry.hits()
             );
         }
         for engine in ["Smith-Waterman", "BWT-SW", "BLAST-like"] {
@@ -425,7 +451,8 @@ fn workload_section<'a>(json: &'a str, name: &str) -> Option<&'a str> {
 /// ALAE-vs-engine speedup ratios per workload: each fresh ratio must stay
 /// within `tolerance` of the committed one.  Three machine-independent
 /// invariants are checked exactly on every workload: the exact engines
-/// (ALAE, BWT-SW, Smith–Waterman) must report identical hit counts, ALAE
+/// (ALAE, BWT-SW, Smith–Waterman) must report identical canonical hit sets
+/// query by query, ALAE
 /// must actually be faster than Smith–Waterman (the paper's headline
 /// property), and — at full scale — the hit-dense ALAE-vs-BWT-SW ratio
 /// must hold the absolute [`HIT_DENSE_BWTSW_FLOOR`].
@@ -462,23 +489,21 @@ pub fn check_against_baseline(
     for workload in &fresh.workloads {
         let label = workload.workload;
 
-        // Exactness: the exact engines agree on the total result count.
+        // Exactness: the exact engines report the same hit set per query.
         if let (Some(alae), Some(bwtsw), Some(sw)) = (
             workload.entry("ALAE"),
             workload.entry("BWT-SW"),
             workload.entry("Smith-Waterman"),
         ) {
-            if alae.hits == bwtsw.hits && alae.hits == sw.hits {
-                outcome.notes.push(format!(
-                    "[{label}] exact engines agree on {} hits",
-                    alae.hits
-                ));
-            } else {
-                outcome.failures.push(format!(
-                    "[{label}] exact engines disagree: ALAE {} vs BWT-SW {} vs \
-                     Smith-Waterman {} hits",
-                    alae.hits, bwtsw.hits, sw.hits
-                ));
+            match first_hit_set_mismatch(alae, bwtsw).or_else(|| first_hit_set_mismatch(alae, sw)) {
+                None => outcome.notes.push(format!(
+                    "[{label}] exact engines agree hit-for-hit on {} queries ({} hits)",
+                    alae.query_hits.len(),
+                    alae.hits()
+                )),
+                Some(why) => outcome
+                    .failures
+                    .push(format!("[{label}] exact engines disagree on {why}")),
             }
         }
 
@@ -580,7 +605,7 @@ mod tests {
         let dense = report.workload("hit-dense").unwrap();
         let sparse = report.workload("sparse-hit").unwrap();
         assert!(
-            sparse.entry("ALAE").unwrap().hits <= dense.entry("ALAE").unwrap().hits,
+            sparse.entry("ALAE").unwrap().hits() <= dense.entry("ALAE").unwrap().hits(),
             "sparse workload should not out-hit the dense one"
         );
     }
@@ -589,13 +614,57 @@ mod tests {
     fn exact_engines_agree_and_check_passes_against_itself() {
         let report = run(&tiny_options());
         for workload in &report.workloads {
-            let alae = workload.entry("ALAE").unwrap().hits;
-            assert_eq!(workload.entry("BWT-SW").unwrap().hits, alae);
-            assert_eq!(workload.entry("Smith-Waterman").unwrap().hits, alae);
+            let alae = workload.entry("ALAE").unwrap();
+            for engine in ["BWT-SW", "Smith-Waterman"] {
+                let other = workload.entry(engine).unwrap();
+                assert_eq!(other.hits(), alae.hits());
+                assert_eq!(first_hit_set_mismatch(alae, other), None);
+            }
         }
         let outcome = check_against_baseline(&report.to_json(), &report, 0.20);
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-        assert!(!outcome.notes.is_empty());
+        assert!(outcome.notes.iter().any(|n| n.contains("hit-for-hit")));
+    }
+
+    #[test]
+    fn check_flags_one_differing_hit_despite_equal_totals() {
+        let mut report = run(&tiny_options());
+        let dense = report
+            .workloads
+            .iter_mut()
+            .find(|w| w.workload == "hit-dense")
+            .unwrap();
+        let engine = |name: &str| dense.entries.iter().position(|e| e.engine == name).unwrap();
+        let (alae, bwtsw, sw) = (engine("ALAE"), engine("BWT-SW"), engine("Smith-Waterman"));
+        // Every exact engine reports the same single hit for query 0 ...
+        let hit = AlignmentHit {
+            end_text: 10,
+            end_query: 5,
+            score: THRESHOLD,
+        };
+        for k in [alae, bwtsw, sw] {
+            dense.entries[k].query_hits[0] = vec![hit];
+        }
+        let outcome = check_against_baseline(&report.to_json(), &report, 0.20);
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        // ... then BWT-SW's hit moves by one text position: the totals
+        // still match, the hit sets do not.
+        let dense = report
+            .workloads
+            .iter_mut()
+            .find(|w| w.workload == "hit-dense")
+            .unwrap();
+        dense.entries[bwtsw].query_hits[0][0].end_text += 1;
+        assert_eq!(dense.entries[alae].hits(), dense.entries[bwtsw].hits());
+        let outcome = check_against_baseline(&report.to_json(), &report, 0.20);
+        assert!(
+            outcome
+                .failures
+                .iter()
+                .any(|f| f.contains("hit-dense") && f.contains("query 0")),
+            "{:?}",
+            outcome.failures
+        );
     }
 
     #[test]

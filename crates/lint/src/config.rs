@@ -176,7 +176,7 @@ exclude = ["target", "crates/lint/tests/fixtures"]
 
 [unsafe]
 allowed = [
-    "crates/suffix/src/simd.rs", # trailing comment
+    "crates/server/src/signals.rs", # trailing comment
     "crates/store/src/mmap.rs",
 ]
 

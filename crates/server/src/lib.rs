@@ -931,9 +931,11 @@ fn run_wave(shared: &Shared, wave: Vec<Pending>) {
     // guarantees it); the wave runs on that index even if a reload
     // publishes a newer one mid-flight.
     let db = wave[0].pinned.db.clone();
+    // Stamped before the per-wave engine build, so queue wait ends at
+    // pickup and the build counts as engine time.
+    let picked_up = Instant::now();
     let searcher = Searcher::new(db.clone(), request);
     let alphabet = db.alphabet();
-    let picked_up = Instant::now();
     let wave_size = wave.len();
     shared.metrics.wave_size.observe(wave_size as f64);
     for pending in &wave {

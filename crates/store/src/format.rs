@@ -36,8 +36,9 @@ pub const HEADER_LEN: usize = 16;
 pub const TABLE_ENTRY_LEN: usize = 32;
 
 /// Section identifiers.  Presence encodes shape: a file carries either
-/// `CHK_FLAT` or `CHK_SUPERS` + `CHK_DELTAS`, and either `OCC_BYTES` or
-/// `OCC_WORDS` (+ exception lists), mirroring the in-memory enums.
+/// `OCC_BYTES` or `OCC_WORDS` (+ exception lists), mirroring the in-memory
+/// storage enum.  Id 8 held the retired flat `u32` checkpoint rows and is
+/// never reused.
 pub mod section {
     /// Scalar metadata (see [`super::Meta`]).
     pub const META: u32 = 1;
@@ -53,8 +54,6 @@ pub mod section {
     pub const TEXT: u32 = 6;
     /// `u64` cumulative character counts (`C` array).
     pub const C_ARRAY: u32 = 7;
-    /// Flat `u32` occurrence checkpoint rows.
-    pub const CHK_FLAT: u32 = 8;
     /// Two-level checkpoints: `u64` superblock absolutes.
     pub const CHK_SUPERS: u32 = 9;
     /// Two-level checkpoints: `u16` per-block deltas.
@@ -80,9 +79,9 @@ pub mod storage_kind {
     pub const PACKED_NIBBLE: u64 = 2;
 }
 
-/// Checkpoint-kind tag stored in [`Meta`].
+/// Checkpoint-kind tag stored in [`Meta`].  Two-level rows are the only
+/// kind; 0 (the retired flat `u32` rows) is rejected on open.
 pub mod checkpoint_kind {
-    pub const FLAT: u64 = 0;
     pub const TWO_LEVEL: u64 = 1;
 }
 

@@ -12,8 +12,6 @@
 //!
 //! What is *not* stored, by design:
 //!
-//! * **Scan backend** — a property of the machine, not the data; resolved
-//!   fresh on open (so an index saved on an AVX2 box opens fine anywhere).
 //! * **Rank directories** — the bit-vector rank blocks and the exception
 //!   block-start rows are cheap derived data, rebuilt in one linear pass.
 //! * **Q-gram structures** — ALAE's q-gram inverted lists are built per
@@ -37,9 +35,7 @@ use alae_bioseq::{Alphabet, SequenceDatabase, SharedBytes};
 use alae_suffix::bitvec::RankBitVec;
 use alae_suffix::fm_index::FmIndex;
 use alae_suffix::rank::OccTable;
-use alae_suffix::{
-    simd, CheckpointRows, CheckpointRowsRef, StorageData, StorageDataRef, TextIndex,
-};
+use alae_suffix::{CheckpointRows, CheckpointRowsRef, StorageData, StorageDataRef, TextIndex};
 
 use format::{
     alphabet_tag, checkpoint_kind, checksum, section, storage_kind, Meta, TableEntry, ALIGN,
@@ -146,19 +142,7 @@ pub fn save_index(
     }
 
     // Occurrence checkpoint rows.
-    let (chk_kind, chk_sections): (u64, Vec<(u32, Vec<u8>)>) = match occ.checkpoint_rows() {
-        CheckpointRowsRef::Flat(rows) => (
-            checkpoint_kind::FLAT,
-            vec![(section::CHK_FLAT, format::encode_u32s(rows))],
-        ),
-        CheckpointRowsRef::TwoLevel { supers, deltas } => (
-            checkpoint_kind::TWO_LEVEL,
-            vec![
-                (section::CHK_SUPERS, format::encode_u64s(supers)),
-                (section::CHK_DELTAS, format::encode_u16s(deltas)),
-            ],
-        ),
-    };
+    let CheckpointRowsRef { supers, deltas } = occ.checkpoint_rows();
 
     // BWT storage.
     let (occ_kind, occ_sections): (u64, Vec<(u32, Vec<u8>)>) = match occ.storage_data() {
@@ -203,7 +187,7 @@ pub fn save_index(
         sample_rate: fm.sample_rate() as u64,
         sampled_bits: fm.sampled_rows().len() as u64,
         storage_kind: occ_kind,
-        checkpoint_kind: chk_kind,
+        checkpoint_kind: checkpoint_kind::TWO_LEVEL,
     };
 
     let mut sections: Vec<(u32, Vec<u8>)> = vec![
@@ -221,7 +205,8 @@ pub fn save_index(
         (section::TEXT, index.text().to_vec()),
         (section::C_ARRAY, format::encode_usizes(fm.c_array())),
     ];
-    sections.extend(chk_sections);
+    sections.push((section::CHK_SUPERS, format::encode_u64s(supers)));
+    sections.push((section::CHK_DELTAS, format::encode_u16s(deltas)));
     sections.extend(occ_sections);
     sections.push((
         section::SAMPLED_WORDS,
@@ -417,8 +402,7 @@ pub fn verify_index(path: &Path) -> Result<IndexSummary, StoreError> {
 ///
 /// Performs **no** build work: the suffix array, BWT and checkpoint rows
 /// come straight from the file.  Only cheap derived data is recomputed
-/// (bit-vector rank directories, exception block starts) and the scan
-/// backend is resolved for *this* machine.
+/// (bit-vector rank directories, exception block starts).
 pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
     let buffer = FileBuffer::open(path)?;
     let mapped = buffer.is_mapped();
@@ -486,18 +470,18 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
     // codes shifted up by one: `text_len + 1` rows, `code_count + 1` codes.
     let occ_len = text_len + 1;
     let occ_code_count = code_count + 1;
-    let rows = match meta.checkpoint_kind {
-        checkpoint_kind::FLAT => CheckpointRows::Flat(
-            format::decode_u32s(sections.bytes(section::CHK_FLAT)?)
-                .ok_or_else(|| corrupt("ragged CHK_FLAT section"))?,
-        ),
-        checkpoint_kind::TWO_LEVEL => CheckpointRows::TwoLevel {
-            supers: format::decode_u64s(sections.bytes(section::CHK_SUPERS)?)
-                .ok_or_else(|| corrupt("ragged CHK_SUPERS section"))?,
-            deltas: format::decode_u16s(sections.bytes(section::CHK_DELTAS)?)
-                .ok_or_else(|| corrupt("ragged CHK_DELTAS section"))?,
-        },
-        other => return Err(corrupt(format!("unknown checkpoint kind {other}"))),
+    if meta.checkpoint_kind != checkpoint_kind::TWO_LEVEL {
+        return Err(corrupt(format!(
+            "unsupported checkpoint kind {} (only two-level rows, kind {}, exist)",
+            meta.checkpoint_kind,
+            checkpoint_kind::TWO_LEVEL
+        )));
+    }
+    let rows = CheckpointRows {
+        supers: format::decode_u64s(sections.bytes(section::CHK_SUPERS)?)
+            .ok_or_else(|| corrupt("ragged CHK_SUPERS section"))?,
+        deltas: format::decode_u16s(sections.bytes(section::CHK_DELTAS)?)
+            .ok_or_else(|| corrupt("ragged CHK_DELTAS section"))?,
     };
     let storage = match meta.storage_kind {
         storage_kind::BYTES => StorageData::Bytes(sections.shared(section::OCC_BYTES)?),
@@ -523,14 +507,8 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
         }
         other => return Err(corrupt(format!("unknown storage kind {other}"))),
     };
-    let occ = OccTable::from_parts(
-        occ_len,
-        occ_code_count,
-        rows,
-        storage,
-        simd::default_backend(),
-    )
-    .map_err(StoreError::Corrupt)?;
+    let occ = OccTable::from_parts(occ_len, occ_code_count, rows, storage)
+        .map_err(StoreError::Corrupt)?;
 
     // --- FM-index ---------------------------------------------------------
     let c_array = format::decode_usizes(sections.bytes(section::C_ARRAY)?)
@@ -728,6 +706,43 @@ mod tests {
             open_index(&path),
             Err(StoreError::Truncated("header"))
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn retired_flat_checkpoint_kind_is_a_typed_corrupt_error() {
+        // A checksum-valid file whose META claims the retired flat u32
+        // checkpoint rows (kind 0) must come back as a typed error, never a
+        // panic or a misread of the two-level sections.
+        let path = temp_path("flat-kind");
+        let database = sample_database();
+        let index = build_index(&database, RankLayout::Auto);
+        save_index(&path, &database, &index).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let slot = (0..sections)
+            .map(|k| HEADER_LEN + k * TABLE_ENTRY_LEN)
+            .find(|&at| {
+                TableEntry::from_bytes(&bytes[at..at + TABLE_ENTRY_LEN])
+                    .is_some_and(|entry| entry.id == section::META)
+            })
+            .expect("META entry");
+        let mut entry = TableEntry::from_bytes(&bytes[slot..slot + TABLE_ENTRY_LEN]).unwrap();
+        let payload = entry.offset as usize..(entry.offset + entry.len) as usize;
+        let mut meta = Meta::from_bytes(&bytes[payload.clone()]).unwrap();
+        assert_eq!(meta.checkpoint_kind, checkpoint_kind::TWO_LEVEL);
+        meta.checkpoint_kind = 0;
+        bytes[payload.clone()].copy_from_slice(&meta.to_bytes());
+        // Re-stamp the checksum so the mutation reaches the META decoder.
+        entry.checksum = checksum(&bytes[payload]);
+        bytes[slot..slot + TABLE_ENTRY_LEN].copy_from_slice(&entry.to_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = open_index(&path);
+        assert!(
+            matches!(&opened, Err(StoreError::Corrupt(why)) if why.contains("checkpoint kind")),
+            "{:?}",
+            opened.err()
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

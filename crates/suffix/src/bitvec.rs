@@ -2,13 +2,13 @@
 //!
 //! Used to mark sampled suffix-array rows in the FM-index without spending a
 //! full word per row.  Rank checkpoints use the same two-level layout as the
-//! occurrence table's [`crate::rank::CheckpointScheme::TwoLevel`]: a `u32`
+//! occurrence table's checkpoint rows ([`crate::rank`]): a `u32`
 //! absolute count every `BLOCKS_PER_SUPER` blocks of 512 bits plus a `u16`
 //! per-block delta, i.e. 2.5 bytes per 512 bits (2 + 4/8) instead of the 4
 //! a flat `u32` checkpoint costs — which is what keeps the "BWT index"
 //! curve of Figure 11 close to the text size rather than a multiple of it.
 
-use crate::simd::popcount_words;
+use crate::swar::popcount_words;
 
 /// Bits per rank block (one `u16` delta per block).
 const BLOCK_BITS: usize = 512;

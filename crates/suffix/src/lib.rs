@@ -13,29 +13,17 @@
 //!
 //! * [`sais`] — linear-time suffix array construction (SA-IS),
 //! * [`bwt`] — Burrows–Wheeler transform and its inversion,
-//! * [`rank`] — byte-sequence rank structure (sampled occurrence counts),
-//! * [`simd`] — the in-block scan kernels behind [`rank`], in portable SWAR
-//!   and runtime-dispatched SSE2/AVX2 implementations,
+//! * [`rank`] — byte-sequence rank structure (two-level occurrence
+//!   checkpoints plus portable SWAR in-block scans),
 //! * [`fm_index`] — FM-index with backward search and a sampled suffix array,
 //! * [`trie`] — the suffix-trie emulation used by BWT-SW and ALAE
 //!   ([`trie::SuffixTrieCursor`] extends a represented substring one
 //!   character to the right).
 //!
-//! # Scan backends
-//!
-//! The hot in-block scans dispatch over a [`simd::ScanBackend`] resolved at
-//! index construction: `Auto` (the default) picks the widest kernels the CPU
-//! supports — AVX2 when `is_x86_feature_detected!` says so, SSE2 on any
-//! other x86-64, the portable SWAR fallback elsewhere.  Selection is
-//! forcible process-wide through the `ALAE_SCAN_BACKEND` environment
-//! variable (`auto` | `swar` | `simd`), per index through the
-//! `with_scan_backend` constructors, and at compile time through the
-//! `force-swar` cargo feature (which removes the SIMD paths entirely).  All
-//! backends produce bit-identical ranks and identical scan-counter values.
-//!
-//! `unsafe` is confined to the [`simd`] module (CI enforces this); the rest
-//! of the crate is `#![deny(unsafe_code)]`.
-#![deny(unsafe_code)]
+//! Index construction has two knobs, both on [`IndexOptions`]: the
+//! occurrence-table [`RankLayout`] and the suffix-array sampling rate.
+//! The crate contains no `unsafe` code.
+#![forbid(unsafe_code)]
 
 pub mod bitvec;
 pub mod bwt;
@@ -43,7 +31,7 @@ pub mod fm_index;
 pub mod options;
 pub mod rank;
 pub mod sais;
-pub mod simd;
+mod swar;
 pub mod trie;
 
 pub use fm_index::{FmIndex, SaRange, MAX_CODE_COUNT};
@@ -51,10 +39,9 @@ pub use options::IndexOptions;
 pub use sais::suffix_array_build_count;
 
 pub use rank::{
-    thread_scan_snapshot, CheckpointRows, CheckpointRowsRef, CheckpointScheme, RankLayout,
-    ScanSnapshot, StorageData, StorageDataRef,
+    thread_scan_snapshot, CheckpointRows, CheckpointRowsRef, RankLayout, ScanSnapshot, StorageData,
+    StorageDataRef,
 };
-pub use simd::{ActiveBackend, ScanBackend};
 pub use trie::{ChildBuf, SuffixTrieCursor, TextIndex, MAX_CHILDREN};
 
 /// The sentinel code appended to the text before suffix-array construction.

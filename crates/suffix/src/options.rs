@@ -1,12 +1,10 @@
 //! One builder for every index construction knob.
 //!
-//! Historically each index type grew its own constructor ladder
-//! (`with_layout`, `with_options`, `with_full_options`, `with_scan_backend`,
-//! `with_scan_backend_shared`, …) and adding a knob meant widening every
-//! rung.  [`IndexOptions`] replaces that zoo: one value carries the
-//! rank-storage layout, checkpoint scheme, scan backend and suffix-array
-//! sampling rate, and builds an [`OccTable`], [`FmIndex`] or [`TextIndex`]
-//! from it.  The old constructors survive as `#[deprecated]` shims.
+//! [`IndexOptions`] carries the two construction knobs — the rank-storage
+//! layout and the suffix-array sampling rate — and builds an [`OccTable`],
+//! [`FmIndex`] or [`TextIndex`] from them.  Everything else about the
+//! occurrence layer is fixed: two-level checkpoint rows and the portable
+//! SWAR scan kernels are the only implementations.
 //!
 //! # Why there is no `q` knob
 //!
@@ -18,8 +16,7 @@
 //! override it here.
 
 use crate::fm_index::{FmIndex, DEFAULT_SA_SAMPLE_RATE};
-use crate::rank::{CheckpointScheme, OccTable, RankLayout};
-use crate::simd::{self, ScanBackend};
+use crate::rank::{OccTable, RankLayout};
 use crate::trie::TextIndex;
 use alae_bioseq::SharedBytes;
 
@@ -37,20 +34,15 @@ use alae_bioseq::SharedBytes;
 #[derive(Debug, Clone, Copy)]
 pub struct IndexOptions {
     pub(crate) layout: RankLayout,
-    pub(crate) checkpoints: CheckpointScheme,
-    pub(crate) backend: ScanBackend,
     pub(crate) sample_rate: usize,
 }
 
 impl IndexOptions {
-    /// The defaults: auto layout, two-level checkpoints, the process-wide
-    /// default scan backend (`ALAE_SCAN_BACKEND`, else auto-detection) and
-    /// the default suffix-array sampling rate.
+    /// The defaults: auto layout and the default suffix-array sampling
+    /// rate.
     pub fn new() -> Self {
         Self {
             layout: RankLayout::Auto,
-            checkpoints: CheckpointScheme::default(),
-            backend: simd::default_backend(),
             sample_rate: DEFAULT_SA_SAMPLE_RATE,
         }
     }
@@ -58,19 +50,6 @@ impl IndexOptions {
     /// Rank-storage layout for the occurrence table.
     pub fn layout(mut self, layout: RankLayout) -> Self {
         self.layout = layout;
-        self
-    }
-
-    /// Checkpoint-row scheme for the occurrence table.
-    pub fn checkpoints(mut self, scheme: CheckpointScheme) -> Self {
-        self.checkpoints = scheme;
-        self
-    }
-
-    /// In-block scan backend (forced SWAR/SIMD for agreement tests and
-    /// per-backend benchmarks).
-    pub fn backend(mut self, backend: ScanBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -82,25 +61,12 @@ impl IndexOptions {
 
     /// Build an occurrence table for `data` (codes `< code_count`).
     pub fn build_occ_table(&self, data: Vec<u8>, code_count: usize) -> OccTable {
-        OccTable::build(
-            data,
-            code_count,
-            self.layout,
-            self.checkpoints,
-            self.backend,
-        )
+        OccTable::build(data, code_count, self.layout)
     }
 
     /// Build an FM-index for `text` (codes `< code_count`).
     pub fn build_fm_index(&self, text: &[u8], code_count: usize) -> FmIndex {
-        FmIndex::build(
-            text,
-            code_count,
-            self.sample_rate,
-            self.layout,
-            self.checkpoints,
-            self.backend,
-        )
+        FmIndex::build(text, code_count, self.sample_rate, self.layout)
     }
 
     /// Build a suffix-trie text index.  Accepts anything convertible into a
@@ -120,20 +86,16 @@ impl Default for IndexOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::ActiveBackend;
 
     #[test]
     fn builder_knobs_reach_the_built_index() {
         let text = vec![1u8, 2, 3, 4, 1, 2, 3, 4, 2, 2];
         let index = IndexOptions::new()
             .layout(RankLayout::Bytes)
-            .checkpoints(CheckpointScheme::FlatU32)
-            .backend(ScanBackend::Swar)
             .sample_rate(4)
             .build_text_index(text, 5);
         assert_eq!(index.rank_layout(), RankLayout::Bytes);
-        assert_eq!(index.checkpoint_scheme(), CheckpointScheme::FlatU32);
-        assert_eq!(index.scan_backend(), ActiveBackend::Swar);
+        assert_eq!(index.fm_index().sample_rate(), 4);
     }
 
     #[test]
@@ -142,8 +104,7 @@ mod tests {
         let a = IndexOptions::new().build_text_index(text.clone(), 5);
         let b = TextIndex::new(text.clone(), 5);
         assert_eq!(a.rank_layout(), b.rank_layout());
-        assert_eq!(a.checkpoint_scheme(), b.checkpoint_scheme());
-        assert_eq!(a.scan_backend(), b.scan_backend());
+        assert_eq!(a.size_in_bytes(), b.size_in_bytes());
         assert_eq!(a.find_occurrences(&[1, 2]), b.find_occurrences(&[1, 2]));
     }
 

@@ -22,31 +22,21 @@
 //!
 //! # Two-level checkpoint rows
 //!
-//! Checkpoint rows use a two-level scheme ([`CheckpointScheme::TwoLevel`],
-//! the default): a `u64` *super-block* row holding absolute counts every
-//! `BLOCKS_PER_SUPER` blocks, plus a `u16` *delta* row per block holding
-//! the count since the enclosing super-block.  A rank query reconstructs the
-//! absolute count as `super + delta`.  The hot per-block row shrinks from
-//! 4 bytes per code (the flat `u32` rows of
-//! [`CheckpointScheme::FlatU32`], kept for comparison benchmarks) to
-//! 2 bytes per code, so the row load touches half the bytes, and the
-//! amortized checkpoint footprint drops from 4 to 3 bytes per code per block
-//! — on the σ = 20 protein alphabet that is the difference between the
-//! checkpoint rows thrashing the cache and staying resident.  A super-block
-//! spans `8 × 128 = 1024` positions, so deltas always fit a `u16`.
+//! Checkpoint rows use a two-level scheme: a `u64` *super-block* row holding
+//! absolute counts every `BLOCKS_PER_SUPER` blocks, plus a `u16` *delta* row
+//! per block holding the count since the enclosing super-block.  A rank
+//! query reconstructs the absolute count as `super + delta`.  The hot
+//! per-block row is 2 bytes per code (half a flat `u32` row), so the row
+//! load touches half the bytes, and the amortized checkpoint footprint is
+//! 3 bytes per code per block — on the σ = 20 protein alphabet that is the
+//! difference between the checkpoint rows thrashing the cache and staying
+//! resident.  A super-block spans `8 × 128 = 1024` positions, so deltas
+//! always fit a `u16`.
 //!
-//! # Bit-parallel in-block scans and SIMD backends
+//! # Bit-parallel in-block scans
 //!
-//! Every in-block scan bottoms out in one of the kernels of
-//! [`crate::simd`], which exist in portable SWAR form and (on x86-64) as
-//! SSE2 and runtime-detected AVX2 implementations.  The implementation is
-//! chosen per table at construction — a [`crate::simd::ScanBackend`]
-//! resolved once to a [`crate::simd::ActiveBackend`] — defaulting to the
-//! widest the CPU supports (overridable process-wide via the
-//! `ALAE_SCAN_BACKEND` environment variable, per table via
-//! [`OccTable::with_backend`], and disabled entirely by the `force-swar`
-//! cargo feature).  All backends are bit-exact: the SWAR kernels are the
-//! reference the SIMD paths are property-tested against.
+//! Every in-block scan bottoms out in one of the portable SWAR kernels of
+//! `crate::swar` (`u64` equality folds plus `count_ones`).
 //!
 //! Three storage layouts are selected at construction ([`RankLayout`]):
 //!
@@ -80,7 +70,7 @@
 //! end-to-end.  Disabling the feature removes the two relaxed `fetch_add`s
 //! from every rank call (`scan_snapshot` then reports zeros).
 
-use crate::simd::{self, ActiveBackend, ScanBackend, CHARS_PER_WORD, NIBBLE_CHARS_PER_WORD};
+use crate::swar::{self, CHARS_PER_WORD, NIBBLE_CHARS_PER_WORD};
 use alae_bioseq::SharedBytes;
 #[cfg(feature = "occ-counters")]
 use std::cell::Cell;
@@ -131,19 +121,6 @@ pub enum RankLayout {
     /// scan.  Requires `code_count ≤ 18` (protein reduced alphabets,
     /// IUPAC DNA).
     PackedNibble,
-}
-
-/// Width of the checkpoint rows, chosen at construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointScheme {
-    /// `u64` absolute counts every `BLOCKS_PER_SUPER` blocks plus `u16`
-    /// per-block deltas: hot rows are half as wide as `FlatU32` and the
-    /// checkpoint footprint shrinks from 4 to 3 bytes per code per block.
-    #[default]
-    TwoLevel,
-    /// One flat `u32` absolute count per code per block (the pre-two-level
-    /// layout, kept for comparison benchmarks and tests).
-    FlatU32,
 }
 
 /// Running totals of the work performed by rank queries.
@@ -261,106 +238,65 @@ impl Clone for ScanCounter {
     }
 }
 
-/// Checkpoint rows in one of the two width schemes.
+/// Two-level checkpoint rows: `supers[(block / BLOCKS_PER_SUPER) *
+/// code_count + c] + deltas[block * code_count + c]` = absolute count of `c`
+/// before the block.
 #[derive(Debug, Clone)]
-enum Checkpoints {
-    /// `flat[block * code_count + c]` = absolute count of `c` before the
-    /// block.
-    Flat(Vec<u32>),
-    /// `supers[(block / BLOCKS_PER_SUPER) * code_count + c] +
-    /// deltas[block * code_count + c]` = absolute count of `c` before the
-    /// block.
-    TwoLevel { supers: Vec<u64>, deltas: Vec<u16> },
+struct Checkpoints {
+    supers: Vec<u64>,
+    deltas: Vec<u16>,
 }
 
 impl Checkpoints {
     /// Build the rows for `data`; one row per block plus the final partial
     /// row, so queries at `i == len` resolve without special cases.
-    fn build(data: &[u8], code_count: usize, scheme: CheckpointScheme) -> Self {
+    fn build(data: &[u8], code_count: usize) -> Self {
         let block_count = data.len() / BLOCK + 1;
+        let super_count = block_count.div_ceil(BLOCKS_PER_SUPER);
+        let mut supers = vec![0u64; super_count * code_count];
+        let mut deltas = vec![0u16; block_count * code_count];
         let mut running = vec![0u32; code_count];
-        match scheme {
-            CheckpointScheme::FlatU32 => {
-                let mut flat = vec![0u32; block_count * code_count];
-                for block in 0..block_count {
-                    flat[block * code_count..(block + 1) * code_count].copy_from_slice(&running);
-                    count_block(data, block, &mut running);
+        let mut super_base = vec![0u32; code_count];
+        for block in 0..block_count {
+            if block.is_multiple_of(BLOCKS_PER_SUPER) {
+                let s = block / BLOCKS_PER_SUPER;
+                for (c, &count) in running.iter().enumerate() {
+                    supers[s * code_count + c] = count as u64;
                 }
-                Checkpoints::Flat(flat)
+                super_base.copy_from_slice(&running);
             }
-            CheckpointScheme::TwoLevel => {
-                let super_count = block_count.div_ceil(BLOCKS_PER_SUPER);
-                let mut supers = vec![0u64; super_count * code_count];
-                let mut deltas = vec![0u16; block_count * code_count];
-                let mut super_base = vec![0u32; code_count];
-                for block in 0..block_count {
-                    if block.is_multiple_of(BLOCKS_PER_SUPER) {
-                        let s = block / BLOCKS_PER_SUPER;
-                        for (c, &count) in running.iter().enumerate() {
-                            supers[s * code_count + c] = count as u64;
-                        }
-                        super_base.copy_from_slice(&running);
-                    }
-                    for c in 0..code_count {
-                        deltas[block * code_count + c] = (running[c] - super_base[c]) as u16;
-                    }
-                    count_block(data, block, &mut running);
-                }
-                Checkpoints::TwoLevel { supers, deltas }
+            for c in 0..code_count {
+                deltas[block * code_count + c] = (running[c] - super_base[c]) as u16;
             }
+            count_block(data, block, &mut running);
         }
-    }
-
-    /// Which scheme the rows were built with.
-    fn scheme(&self) -> CheckpointScheme {
-        match self {
-            Checkpoints::Flat(_) => CheckpointScheme::FlatU32,
-            Checkpoints::TwoLevel { .. } => CheckpointScheme::TwoLevel,
-        }
+        Self { supers, deltas }
     }
 
     /// Absolute count of code `c` before `block`.
     #[inline]
     fn get(&self, block: usize, code_count: usize, c: usize) -> usize {
-        match self {
-            Checkpoints::Flat(flat) => flat[block * code_count + c] as usize,
-            Checkpoints::TwoLevel { supers, deltas } => {
-                let s = block / BLOCKS_PER_SUPER;
-                supers[s * code_count + c] as usize + deltas[block * code_count + c] as usize
-            }
-        }
+        let s = block / BLOCKS_PER_SUPER;
+        self.supers[s * code_count + c] as usize + self.deltas[block * code_count + c] as usize
     }
 
     /// Copy the whole absolute row for `block` into `counts`.
     #[inline]
     fn row_into(&self, block: usize, code_count: usize, counts: &mut [u32]) {
-        match self {
-            Checkpoints::Flat(flat) => {
-                counts.copy_from_slice(&flat[block * code_count..(block + 1) * code_count]);
-            }
-            Checkpoints::TwoLevel { supers, deltas } => {
-                let super_row = &supers[(block / BLOCKS_PER_SUPER) * code_count..][..code_count];
-                let delta_row = &deltas[block * code_count..][..code_count];
-                for ((slot, &base), &delta) in counts.iter_mut().zip(super_row).zip(delta_row) {
-                    // Counts fit u32 because indexed texts are capped at
-                    // u32 positions (the flat scheme and every rank_all
-                    // consumer are u32-wide); the u64 super rows only buy
-                    // headroom for a future >4G-position format.
-                    *slot = base as u32 + delta as u32;
-                }
-            }
+        let super_row = &self.supers[(block / BLOCKS_PER_SUPER) * code_count..][..code_count];
+        let delta_row = &self.deltas[block * code_count..][..code_count];
+        for ((slot, &base), &delta) in counts.iter_mut().zip(super_row).zip(delta_row) {
+            // Counts fit u32 because indexed texts are capped at u32
+            // positions (every rank_all consumer is u32-wide); the u64 super
+            // rows only buy headroom for a future >4G-position format.
+            *slot = base as u32 + delta as u32;
         }
     }
 
     /// Heap footprint in bytes.
     fn size_in_bytes(&self) -> usize {
-        match self {
-            Checkpoints::Flat(flat) => flat.len() * std::mem::size_of::<u32>(),
-            Checkpoints::TwoLevel { supers, deltas } => {
-                supers.len() * std::mem::size_of::<u64>()
-                    + deltas.len() * std::mem::size_of::<u16>()
-            }
-        }
+        self.supers.len() * std::mem::size_of::<u64>()
+            + self.deltas.len() * std::mem::size_of::<u16>()
     }
 }
 
@@ -500,34 +436,24 @@ enum OccStorage {
     Nibble(PackedNibble),
 }
 
-/// Owned checkpoint rows, as serialized by the `alae-store` crate.
+/// Owned two-level checkpoint rows, as serialized by the `alae-store`
+/// crate.
 #[derive(Debug, Clone)]
-pub enum CheckpointRows {
-    /// Flat `u32` absolute counts ([`CheckpointScheme::FlatU32`]).
-    Flat(Vec<u32>),
-    /// Two-level `u64` super rows + `u16` deltas
-    /// ([`CheckpointScheme::TwoLevel`]).
-    TwoLevel {
-        /// Absolute counts every `BLOCKS_PER_SUPER` blocks.
-        supers: Vec<u64>,
-        /// Per-block counts since the enclosing super row.
-        deltas: Vec<u16>,
-    },
+pub struct CheckpointRows {
+    /// Absolute counts every `BLOCKS_PER_SUPER` blocks.
+    pub supers: Vec<u64>,
+    /// Per-block counts since the enclosing super row.
+    pub deltas: Vec<u16>,
 }
 
 /// Borrowed view of the checkpoint rows (the save path's counterpart of
 /// [`CheckpointRows`]).
 #[derive(Debug, Clone, Copy)]
-pub enum CheckpointRowsRef<'a> {
-    /// Flat `u32` absolute counts.
-    Flat(&'a [u32]),
-    /// Two-level super rows + deltas.
-    TwoLevel {
-        /// Absolute counts every `BLOCKS_PER_SUPER` blocks.
-        supers: &'a [u64],
-        /// Per-block counts since the enclosing super row.
-        deltas: &'a [u16],
-    },
+pub struct CheckpointRowsRef<'a> {
+    /// Absolute counts every `BLOCKS_PER_SUPER` blocks.
+    pub supers: &'a [u64],
+    /// Per-block counts since the enclosing super row.
+    pub deltas: &'a [u16],
 }
 
 /// Owned storage payload, as serialized by the `alae-store` crate.  The
@@ -631,27 +557,15 @@ impl PackedDna {
     /// Occurrences of the 2-bit `pattern` in positions `[start, end)`;
     /// `start` must be word-aligned.  Exception slots count as pattern 0.
     #[inline]
-    fn count_pattern(
-        &self,
-        pattern: u64,
-        start: usize,
-        end: usize,
-        backend: ActiveBackend,
-    ) -> usize {
-        simd::count_pattern_2bit(&self.words, pattern, start, end, backend)
+    fn count_pattern(&self, pattern: u64, start: usize, end: usize) -> usize {
+        swar::count_pattern_2bit(&self.words, pattern, start, end)
     }
 
     /// Occurrence histogram of all four dense patterns over `[start, end)`
     /// in a single pass; `start` must be word-aligned.
     #[inline]
-    fn count_all(
-        &self,
-        start: usize,
-        end: usize,
-        out: &mut [u32; DENSE_CODES],
-        backend: ActiveBackend,
-    ) {
-        simd::count_all_2bit(&self.words, start, end, out, backend);
+    fn count_all(&self, start: usize, end: usize, out: &mut [u32; DENSE_CODES]) {
+        swar::count_all_2bit(&self.words, start, end, out);
     }
 
     fn size_in_bytes(&self) -> usize {
@@ -711,27 +625,18 @@ impl PackedNibble {
     /// Occurrences of the 4-bit `pattern` in positions `[start, end)`;
     /// `start` must be word-aligned.  Exception slots count as pattern 0.
     #[inline]
-    fn count_pattern(
-        &self,
-        pattern: u64,
-        start: usize,
-        end: usize,
-        backend: ActiveBackend,
-    ) -> usize {
-        simd::count_pattern_nibble(&self.words, pattern, start, end, backend)
+    fn count_pattern(&self, pattern: u64, start: usize, end: usize) -> usize {
+        swar::count_pattern_nibble(&self.words, pattern, start, end)
     }
 
     /// Occurrence histogram of every dense pattern over `[start, end)` in a
     /// single pass, accumulated straight into `out` (`out[pattern] += 1`,
-    /// so callers pass their counts slice offset by `dense_base`).  The SWAR
-    /// kernel loads each storage word once and shifts its nibbles out; the
-    /// SIMD kernels compare the low/high nibble planes of a whole vector
-    /// against every dense pattern.  `start` must be word-aligned; exception
-    /// slots count as pattern 0.
+    /// so callers pass their counts slice offset by `dense_base`).  `start`
+    /// must be word-aligned; exception slots count as pattern 0.
     #[inline]
-    fn count_into(&self, start: usize, end: usize, out: &mut [u32], backend: ActiveBackend) {
+    fn count_into(&self, start: usize, end: usize, out: &mut [u32]) {
         debug_assert!(out.len() >= self.dense_used);
-        simd::nibble_histogram_into(&self.words, start, end, out, backend);
+        swar::nibble_histogram_into(&self.words, start, end, out);
     }
 
     fn size_in_bytes(&self) -> usize {
@@ -750,78 +655,23 @@ pub struct OccTable {
     checkpoints: Checkpoints,
     /// The BWT characters in one of the scan layouts.
     storage: OccStorage,
-    /// The scan-kernel implementation resolved at construction.
-    backend: ActiveBackend,
     /// Scan-work accounting.
     scans: ScanCounter,
 }
 
 impl OccTable {
     /// Build the table for `data` where all codes are `< code_count`,
-    /// auto-selecting the storage layout and the default (two-level)
-    /// checkpoint scheme.
+    /// auto-selecting the storage layout.
     pub fn new(data: Vec<u8>, code_count: usize) -> Self {
-        Self::build(
-            data,
-            code_count,
-            RankLayout::Auto,
-            CheckpointScheme::default(),
-            simd::default_backend(),
-        )
+        Self::build(data, code_count, RankLayout::Auto)
     }
 
-    /// Build with an explicit storage layout (used by tests and benchmarks
-    /// to compare the scan paths).
-    #[deprecated(note = "use IndexOptions::new().layout(..).build_occ_table(..)")]
-    pub fn with_layout(data: Vec<u8>, code_count: usize, layout: RankLayout) -> Self {
-        Self::build(
-            data,
-            code_count,
-            layout,
-            CheckpointScheme::default(),
-            simd::default_backend(),
-        )
-    }
-
-    /// Build with an explicit storage layout *and* checkpoint scheme; the
-    /// scan backend comes from [`simd::default_backend`] (the
-    /// `ALAE_SCAN_BACKEND` environment variable, else auto-detection).
-    #[deprecated(note = "use IndexOptions::new().layout(..).checkpoints(..).build_occ_table(..)")]
-    pub fn with_options(
-        data: Vec<u8>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-    ) -> Self {
-        Self::build(data, code_count, layout, scheme, simd::default_backend())
-    }
-
-    /// Build with every knob explicit, including the scan backend (used by
-    /// the backend-agreement tests and the per-backend benchmark
-    /// configurations).
-    #[deprecated(note = "use IndexOptions::new().backend(..).build_occ_table(..)")]
-    pub fn with_backend(
-        data: Vec<u8>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-        backend: ScanBackend,
-    ) -> Self {
-        Self::build(data, code_count, layout, scheme, backend)
-    }
-
-    /// The one real constructor (every public constructor and
+    /// The one real constructor ([`OccTable::new`] and
     /// [`crate::IndexOptions`] funnel here).
-    pub(crate) fn build(
-        data: Vec<u8>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-        backend: ScanBackend,
-    ) -> Self {
+    pub(crate) fn build(data: Vec<u8>, code_count: usize, layout: RankLayout) -> Self {
         assert!(code_count > 0);
         debug_assert!(data.iter().all(|&c| (c as usize) < code_count));
-        let checkpoints = Checkpoints::build(&data, code_count, scheme);
+        let checkpoints = Checkpoints::build(&data, code_count);
         let layout = match layout {
             RankLayout::Auto => {
                 if code_count <= PACKED_MAX_CODES {
@@ -859,7 +709,6 @@ impl OccTable {
             len,
             checkpoints,
             storage,
-            backend: backend.resolve(),
             scans: ScanCounter::default(),
         }
     }
@@ -891,16 +740,6 @@ impl OccTable {
         }
     }
 
-    /// The checkpoint scheme selected at construction.
-    pub fn checkpoint_scheme(&self) -> CheckpointScheme {
-        self.checkpoints.scheme()
-    }
-
-    /// The scan-kernel implementation resolved at construction.
-    pub fn scan_backend(&self) -> ActiveBackend {
-        self.backend
-    }
-
     /// Character at position `i`.
     #[inline]
     pub fn get(&self, i: usize) -> u8 {
@@ -925,7 +764,7 @@ impl OccTable {
         match &self.storage {
             OccStorage::Bytes(data) => {
                 self.scans.record(i - start);
-                base + simd::count_eq_bytes(&data[start..i], c, self.backend)
+                base + swar::count_eq_bytes(&data[start..i], c)
             }
             OccStorage::Packed(packed) => {
                 if c < packed.dense_base {
@@ -934,12 +773,7 @@ impl OccTable {
                     base + packed.exc.count_code(block, i, c)
                 } else {
                     self.scans.record((i - start).div_ceil(4));
-                    let mut count = packed.count_pattern(
-                        (c - packed.dense_base) as u64,
-                        start,
-                        i,
-                        self.backend,
-                    );
+                    let mut count = packed.count_pattern((c - packed.dense_base) as u64, start, i);
                     if c == packed.dense_base {
                         // Exception slots packed as pattern 0.
                         let (lo, hi) = packed.exc.block_range(block, i);
@@ -953,12 +787,7 @@ impl OccTable {
                     base + nibble.exc.count_code(block, i, c)
                 } else {
                     self.scans.record((i - start).div_ceil(2));
-                    let mut count = nibble.count_pattern(
-                        (c - nibble.dense_base) as u64,
-                        start,
-                        i,
-                        self.backend,
-                    );
+                    let mut count = nibble.count_pattern((c - nibble.dense_base) as u64, start, i);
                     if c == nibble.dense_base {
                         // Exception slots packed as pattern 0.
                         let (lo, hi) = nibble.exc.block_range(block, i);
@@ -985,12 +814,12 @@ impl OccTable {
         match &self.storage {
             OccStorage::Bytes(data) => {
                 self.scans.record(i - start);
-                simd::byte_histogram_prefix(data, start, i, counts, self.backend);
+                swar::byte_histogram(&data[start..i], counts);
             }
             OccStorage::Packed(packed) => {
                 self.scans.record((i - start).div_ceil(4));
                 let mut dense = [0u32; DENSE_CODES];
-                packed.count_all(start, i, &mut dense, self.backend);
+                packed.count_all(start, i, &mut dense);
                 let (lo, hi) = packed.exc.block_range(block, i);
                 dense[0] -= (hi - lo) as u32; // Exception slots packed as 0.
                 for k in lo..hi {
@@ -1009,7 +838,7 @@ impl OccTable {
                 // Nibble patterns are `code - dense_base`, so offsetting the
                 // counts slice lets the histogram accumulate in place with
                 // no temporary.
-                nibble.count_into(start, i, &mut counts[dense_base..], self.backend);
+                nibble.count_into(start, i, &mut counts[dense_base..]);
                 let (lo, hi) = nibble.exc.block_range(block, i);
                 counts[dense_base] -= (hi - lo) as u32; // Exceptions packed as 0.
                 for k in lo..hi {
@@ -1057,11 +886,9 @@ impl OccTable {
 
     /// Borrowed view of the checkpoint rows (serialization support).
     pub fn checkpoint_rows(&self) -> CheckpointRowsRef<'_> {
-        match &self.checkpoints {
-            Checkpoints::Flat(flat) => CheckpointRowsRef::Flat(flat),
-            Checkpoints::TwoLevel { supers, deltas } => {
-                CheckpointRowsRef::TwoLevel { supers, deltas }
-            }
+        CheckpointRowsRef {
+            supers: &self.checkpoints.supers,
+            deltas: &self.checkpoints.deltas,
         }
     }
 
@@ -1086,49 +913,34 @@ impl OccTable {
     /// (the `alae-store` open path).  Derived quantities — the dense base,
     /// the per-block exception offsets — are reconstructed; the checkpoint
     /// rows are validated for shape (content integrity is the store's
-    /// per-section checksums' job).  The scan `backend` is resolved fresh
-    /// because it is machine-specific and never serialized.
+    /// per-section checksums' job).
     pub fn from_parts(
         len: usize,
         code_count: usize,
         rows: CheckpointRows,
         storage: StorageData,
-        backend: ScanBackend,
     ) -> Result<Self, String> {
         if code_count == 0 {
             return Err("code_count must be positive".into());
         }
         let block_count = len / BLOCK + 1;
-        let checkpoints = match rows {
-            CheckpointRows::Flat(flat) => {
-                if flat.len() != block_count * code_count {
-                    return Err(format!(
-                        "flat checkpoint rows hold {} entries, expected {}",
-                        flat.len(),
-                        block_count * code_count
-                    ));
-                }
-                Checkpoints::Flat(flat)
-            }
-            CheckpointRows::TwoLevel { supers, deltas } => {
-                let super_count = block_count.div_ceil(BLOCKS_PER_SUPER);
-                if deltas.len() != block_count * code_count {
-                    return Err(format!(
-                        "checkpoint deltas hold {} entries, expected {}",
-                        deltas.len(),
-                        block_count * code_count
-                    ));
-                }
-                if supers.len() != super_count * code_count {
-                    return Err(format!(
-                        "checkpoint super rows hold {} entries, expected {}",
-                        supers.len(),
-                        super_count * code_count
-                    ));
-                }
-                Checkpoints::TwoLevel { supers, deltas }
-            }
-        };
+        let CheckpointRows { supers, deltas } = rows;
+        let super_count = block_count.div_ceil(BLOCKS_PER_SUPER);
+        if deltas.len() != block_count * code_count {
+            return Err(format!(
+                "checkpoint deltas hold {} entries, expected {}",
+                deltas.len(),
+                block_count * code_count
+            ));
+        }
+        if supers.len() != super_count * code_count {
+            return Err(format!(
+                "checkpoint super rows hold {} entries, expected {}",
+                supers.len(),
+                super_count * code_count
+            ));
+        }
+        let checkpoints = Checkpoints { supers, deltas };
         let storage = match storage {
             StorageData::Bytes(data) => {
                 if data.len() != len {
@@ -1197,7 +1009,6 @@ impl OccTable {
             len,
             checkpoints,
             storage,
-            backend: backend.resolve(),
             scans: ScanCounter::default(),
         })
     }
@@ -1208,33 +1019,9 @@ mod tests {
     use super::*;
     use crate::options::IndexOptions;
 
-    fn table(
-        data: Vec<u8>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-    ) -> OccTable {
+    fn table(data: Vec<u8>, code_count: usize, layout: RankLayout) -> OccTable {
         IndexOptions::new()
             .layout(layout)
-            .checkpoints(scheme)
-            .build_occ_table(data, code_count)
-    }
-
-    fn table_with_layout(data: Vec<u8>, code_count: usize, layout: RankLayout) -> OccTable {
-        table(data, code_count, layout, CheckpointScheme::default())
-    }
-
-    fn table_with_backend(
-        data: Vec<u8>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-        backend: ScanBackend,
-    ) -> OccTable {
-        IndexOptions::new()
-            .layout(layout)
-            .checkpoints(scheme)
-            .backend(backend)
             .build_occ_table(data, code_count)
     }
 
@@ -1256,22 +1043,18 @@ mod tests {
         RankLayout::PackedNibble,
     ];
 
-    const SCHEMES: [CheckpointScheme; 2] = [CheckpointScheme::TwoLevel, CheckpointScheme::FlatU32];
-
     #[test]
     fn rank_matches_naive_on_small_input() {
         let data = vec![1u8, 2, 1, 3, 0, 1, 2, 2, 3, 1];
         for layout in LAYOUTS {
-            for scheme in SCHEMES {
-                let table = table(data.clone(), 4, layout, scheme);
-                for c in 0..4u8 {
-                    for i in 0..=data.len() {
-                        assert_eq!(
-                            table.rank(c, i),
-                            naive_rank(&data, c, i),
-                            "layout {layout:?} scheme {scheme:?} c={c} i={i}"
-                        );
-                    }
+            let table = table(data.clone(), 4, layout);
+            for c in 0..4u8 {
+                for i in 0..=data.len() {
+                    assert_eq!(
+                        table.rank(c, i),
+                        naive_rank(&data, c, i),
+                        "layout {layout:?} c={c} i={i}"
+                    );
                 }
             }
         }
@@ -1284,25 +1067,23 @@ mod tests {
             .map(|_| (xorshift(&mut state) % 5) as u8)
             .collect();
         for layout in LAYOUTS {
-            for scheme in SCHEMES {
-                let table = table(data.clone(), 5, layout, scheme);
-                for c in 0..5u8 {
-                    for i in (0..=data.len()).step_by(7) {
-                        assert_eq!(
-                            table.rank(c, i),
-                            naive_rank(&data, c, i),
-                            "layout {layout:?} scheme {scheme:?}"
-                        );
-                    }
-                    // Exactly at the boundaries.
-                    for block in 0..=3 {
-                        let i = (block * BLOCK).min(data.len());
-                        assert_eq!(
-                            table.rank(c, i),
-                            naive_rank(&data, c, i),
-                            "layout {layout:?} scheme {scheme:?}"
-                        );
-                    }
+            let table = table(data.clone(), 5, layout);
+            for c in 0..5u8 {
+                for i in (0..=data.len()).step_by(7) {
+                    assert_eq!(
+                        table.rank(c, i),
+                        naive_rank(&data, c, i),
+                        "layout {layout:?}"
+                    );
+                }
+                // Exactly at the boundaries.
+                for block in 0..=3 {
+                    let i = (block * BLOCK).min(data.len());
+                    assert_eq!(
+                        table.rank(c, i),
+                        naive_rank(&data, c, i),
+                        "layout {layout:?}"
+                    );
                 }
             }
         }
@@ -1311,25 +1092,35 @@ mod tests {
     #[test]
     fn rank_matches_naive_across_superblock_boundaries() {
         // Long enough to cross two super-block boundaries with a partial
-        // tail, so the u64 + u16 reconstruction is exercised end-to-end.
+        // tail, so the u64 + u16 reconstruction is exercised end-to-end in
+        // every storage layout.
         let mut state = 13u64;
         let data: Vec<u8> = (0..SUPER_SPAN * 2 + 3 * BLOCK + 41)
             .map(|_| (xorshift(&mut state) % 6) as u8)
             .collect();
-        let table = table(
-            data.clone(),
-            6,
+        for layout in [
             RankLayout::Bytes,
-            CheckpointScheme::TwoLevel,
-        );
-        for c in 0..6u8 {
-            for i in (0..=data.len()).step_by(97) {
-                assert_eq!(table.rank(c, i), naive_rank(&data, c, i), "c={c} i={i}");
-            }
-            for s in 0..=2 {
-                for b in 0..BLOCKS_PER_SUPER {
-                    let i = (s * SUPER_SPAN + b * BLOCK).min(data.len());
-                    assert_eq!(table.rank(c, i), naive_rank(&data, c, i), "c={c} i={i}");
+            RankLayout::PackedDna,
+            RankLayout::PackedNibble,
+        ] {
+            let table = table(data.clone(), 6, layout);
+            for c in 0..6u8 {
+                for i in (0..=data.len()).step_by(97) {
+                    assert_eq!(
+                        table.rank(c, i),
+                        naive_rank(&data, c, i),
+                        "{layout:?} c={c} i={i}"
+                    );
+                }
+                for s in 0..=2 {
+                    for b in 0..BLOCKS_PER_SUPER {
+                        let i = (s * SUPER_SPAN + b * BLOCK).min(data.len());
+                        assert_eq!(
+                            table.rank(c, i),
+                            naive_rank(&data, c, i),
+                            "{layout:?} c={c} i={i}"
+                        );
+                    }
                 }
             }
         }
@@ -1342,18 +1133,16 @@ mod tests {
             let data: Vec<u8> = (0..BLOCK * 2 + 61)
                 .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
                 .collect();
-            for scheme in SCHEMES {
-                let table = table(data.clone(), code_count, RankLayout::Auto, scheme);
-                let mut counts = vec![0u32; code_count];
-                for i in (0..=data.len()).step_by(13) {
-                    table.rank_all(i, &mut counts);
-                    for c in 0..code_count as u8 {
-                        assert_eq!(
-                            counts[c as usize] as usize,
-                            naive_rank(&data, c, i),
-                            "code_count={code_count} scheme={scheme:?} c={c} i={i}"
-                        );
-                    }
+            let table = table(data.clone(), code_count, RankLayout::Auto);
+            let mut counts = vec![0u32; code_count];
+            for i in (0..=data.len()).step_by(13) {
+                table.rank_all(i, &mut counts);
+                for c in 0..code_count as u8 {
+                    assert_eq!(
+                        counts[c as usize] as usize,
+                        naive_rank(&data, c, i),
+                        "code_count={code_count} c={c} i={i}"
+                    );
                 }
             }
         }
@@ -1366,8 +1155,8 @@ mod tests {
             let data: Vec<u8> = (0..BLOCK * 2 + 93)
                 .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
                 .collect();
-            let bytes = table_with_layout(data.clone(), code_count, RankLayout::Bytes);
-            let packed = table_with_layout(data.clone(), code_count, RankLayout::PackedDna);
+            let bytes = table(data.clone(), code_count, RankLayout::Bytes);
+            let packed = table(data.clone(), code_count, RankLayout::PackedDna);
             assert_eq!(bytes.layout(), RankLayout::Bytes);
             assert_eq!(packed.layout(), RankLayout::PackedDna);
             let mut counts_b = vec![0u32; code_count];
@@ -1394,8 +1183,8 @@ mod tests {
             let data: Vec<u8> = (0..BLOCK * 3 + 55)
                 .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
                 .collect();
-            let bytes = table_with_layout(data.clone(), code_count, RankLayout::Bytes);
-            let nibble = table_with_layout(data.clone(), code_count, RankLayout::PackedNibble);
+            let bytes = table(data.clone(), code_count, RankLayout::Bytes);
+            let nibble = table(data.clone(), code_count, RankLayout::PackedNibble);
             assert_eq!(nibble.layout(), RankLayout::PackedNibble);
             let mut counts_b = vec![0u32; code_count];
             let mut counts_n = vec![0u32; code_count];
@@ -1414,73 +1203,40 @@ mod tests {
     }
 
     #[test]
-    fn two_level_and_flat_checkpoints_agree() {
-        let mut state = 2024u64;
-        for code_count in [4usize, 18, 22] {
-            let data: Vec<u8> = (0..SUPER_SPAN + 5 * BLOCK + 7)
-                .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
-                .collect();
-            let flat = table(
-                data.clone(),
-                code_count,
-                RankLayout::Auto,
-                CheckpointScheme::FlatU32,
-            );
-            let two_level = table(
-                data.clone(),
-                code_count,
-                RankLayout::Auto,
-                CheckpointScheme::TwoLevel,
-            );
-            assert_eq!(flat.checkpoint_scheme(), CheckpointScheme::FlatU32);
-            assert_eq!(two_level.checkpoint_scheme(), CheckpointScheme::TwoLevel);
-            let mut counts_f = vec![0u32; code_count];
-            let mut counts_t = vec![0u32; code_count];
-            for i in (0..=data.len()).step_by(17) {
-                flat.rank_all(i, &mut counts_f);
-                two_level.rank_all(i, &mut counts_t);
-                assert_eq!(counts_f, counts_t, "code_count={code_count} i={i}");
-                for c in 0..code_count as u8 {
-                    assert_eq!(flat.rank(c, i), two_level.rank(c, i), "c={c} i={i}");
-                }
+    fn two_level_checkpoint_footprint_is_exact() {
+        // One u16 delta per code per block plus one u64 super row per code
+        // per BLOCKS_PER_SUPER blocks (rounded up), whatever the storage
+        // layout: `code_count · (8·⌈blocks/8⌉ + 2·blocks)`.
+        let mut state = 555u64;
+        for (layout, code_count) in [
+            (RankLayout::Bytes, 22usize),
+            (RankLayout::PackedDna, 6),
+            (RankLayout::PackedNibble, 18),
+        ] {
+            for len in [
+                0usize,
+                1,
+                BLOCK - 1,
+                BLOCK,
+                SUPER_SPAN,
+                SUPER_SPAN * 16 + 77,
+            ] {
+                let data: Vec<u8> = (0..len)
+                    .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
+                    .collect();
+                let table = table(data, code_count, layout);
+                let blocks = len / BLOCK + 1;
+                assert_eq!(
+                    table.checkpoint_bytes(),
+                    code_count * (8 * blocks.div_ceil(BLOCKS_PER_SUPER) + 2 * blocks),
+                    "{layout:?} len={len}"
+                );
+                assert_eq!(
+                    table.size_in_bytes(),
+                    table.storage_bytes() + table.checkpoint_bytes()
+                );
             }
         }
-    }
-
-    #[test]
-    fn two_level_checkpoints_are_smaller() {
-        // The headline size claim: on a protein-sized alphabet the two-level
-        // checkpoint rows take 3/4 of the flat u32 footprint (u16 rows plus
-        // the amortized u64 super rows), and the row actually loaded per
-        // rank is half as wide.
-        let mut state = 555u64;
-        let code_count = 22; // shifted protein: sentinel + separator + 20.
-        let data: Vec<u8> = (0..SUPER_SPAN * 16)
-            .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
-            .collect();
-        let flat = table(
-            data.clone(),
-            code_count,
-            RankLayout::Bytes,
-            CheckpointScheme::FlatU32,
-        );
-        let two_level = table(
-            data,
-            code_count,
-            RankLayout::Bytes,
-            CheckpointScheme::TwoLevel,
-        );
-        assert!(
-            two_level.checkpoint_bytes() < flat.checkpoint_bytes(),
-            "two-level {} vs flat {}",
-            two_level.checkpoint_bytes(),
-            flat.checkpoint_bytes()
-        );
-        assert!(two_level.size_in_bytes() < flat.size_in_bytes());
-        // ~3/4 of the flat rows (2 + 8/BLOCKS_PER_SUPER vs 4 bytes per code
-        // per block), within slack for the partial tail rows.
-        let ratio = two_level.checkpoint_bytes() as f64 / flat.checkpoint_bytes() as f64;
-        assert!((0.70..0.80).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
@@ -1512,7 +1268,7 @@ mod tests {
             data[37] = 1;
             data[BLOCK] = 1;
             data[BLOCK + 1] = 1;
-            let table = table_with_layout(data.clone(), code_count, layout);
+            let table = table(data.clone(), code_count, layout);
             assert_eq!(table.exception_count(), 4);
             for c in 0..code_count as u8 {
                 for i in (0..=data.len()).step_by(3) {
@@ -1546,7 +1302,7 @@ mod tests {
             })
             .collect();
         for layout in [RankLayout::PackedDna, RankLayout::PackedNibble] {
-            let table = table_with_layout(data.clone(), code_count, layout);
+            let table = table(data.clone(), code_count, layout);
             let mut counts = vec![0u32; code_count];
             for i in (0..=data.len()).step_by(5) {
                 table.rank_all(i, &mut counts);
@@ -1613,7 +1369,7 @@ mod tests {
     #[test]
     fn empty_sequence() {
         for layout in LAYOUTS {
-            let table = table_with_layout(Vec::new(), 3, layout);
+            let table = table(Vec::new(), 3, layout);
             assert!(table.is_empty());
             assert_eq!(table.rank(0, 0), 0);
             assert_eq!(table.len(), 0);
@@ -1634,29 +1390,19 @@ mod tests {
 
     #[test]
     fn size_accounting_is_positive() {
-        let bytes = table_with_layout(vec![1u8; 1000], 2, RankLayout::Bytes);
+        let bytes = table(vec![1u8; 1000], 2, RankLayout::Bytes);
         assert!(bytes.size_in_bytes() >= 1000);
         // The packed layouts store the same data in a fraction of the space.
-        let packed = table_with_layout(vec![1u8; 1000], 2, RankLayout::PackedDna);
+        let packed = table(vec![1u8; 1000], 2, RankLayout::PackedDna);
         assert!(packed.size_in_bytes() < bytes.size_in_bytes());
-        let nibble = table_with_layout(vec![1u8; 1000], 2, RankLayout::PackedNibble);
+        let nibble = table(vec![1u8; 1000], 2, RankLayout::PackedNibble);
         assert!(nibble.size_in_bytes() < bytes.size_in_bytes());
         assert!(packed.size_in_bytes() < nibble.size_in_bytes());
     }
 
-    /// Backends the running build can actually exercise (SWAR always;
-    /// SSE2/AVX2 when the build and CPU support them).
-    fn forced_backends() -> Vec<ScanBackend> {
-        let mut backends = vec![ScanBackend::Swar];
-        if ScanBackend::Simd.resolve().is_simd() {
-            backends.push(ScanBackend::Simd);
-        }
-        backends
-    }
-
     /// Random text over `code_count` codes, plus a separator-heavy twin
     /// (every third position is a low/sparse code).
-    fn backend_test_texts(code_count: usize, len: usize, seed: u64) -> [Vec<u8>; 2] {
+    fn random_and_separator_heavy_texts(code_count: usize, len: usize, seed: u64) -> [Vec<u8>; 2] {
         let mut state = seed;
         let random: Vec<u8> = (0..len)
             .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
@@ -1675,11 +1421,10 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_layout_scheme_combination_agrees() {
-        // The tentpole exactness proof at the table level: for every
-        // (layout × checkpoint scheme × backend) combination, ranks,
-        // rank_all histograms, stored characters and (when compiled in)
-        // scan-counter values are identical to the SWAR reference.
+    fn every_layout_matches_naive_on_random_and_separator_heavy_texts() {
+        // The table-level exactness proof: for every storage layout, over a
+        // random and a separator-heavy text spanning a super-block, ranks,
+        // rank_all histograms and stored characters equal a naive count.
         for (layout, code_count) in [
             (RankLayout::Bytes, 21usize),
             (RankLayout::Bytes, 5),
@@ -1687,80 +1432,39 @@ mod tests {
             (RankLayout::PackedNibble, 18),
             (RankLayout::PackedNibble, 9),
         ] {
-            for scheme in SCHEMES {
-                for data in backend_test_texts(code_count, SUPER_SPAN + 2 * BLOCK + 37, 0xA1AE) {
-                    let reference = table_with_backend(
-                        data.clone(),
-                        code_count,
-                        layout,
-                        scheme,
-                        ScanBackend::Swar,
-                    );
-                    for backend in forced_backends() {
-                        let table =
-                            table_with_backend(data.clone(), code_count, layout, scheme, backend);
-                        assert_eq!(table.layout(), layout);
-                        let ref_before = reference.scan_snapshot();
-                        let mut counts_ref = vec![0u32; code_count];
-                        let mut counts = vec![0u32; code_count];
-                        for i in (0..=data.len()).step_by(7) {
-                            reference.rank_all(i, &mut counts_ref);
-                            table.rank_all(i, &mut counts);
-                            assert_eq!(
-                                counts, counts_ref,
-                                "rank_all {layout:?} {scheme:?} {backend:?} i={i}"
-                            );
-                            for c in 0..code_count as u8 {
-                                assert_eq!(
-                                    table.rank(c, i),
-                                    reference.rank(c, i),
-                                    "rank {layout:?} {scheme:?} {backend:?} c={c} i={i}"
-                                );
-                            }
-                        }
-                        for (i, &expected) in data.iter().enumerate() {
-                            assert_eq!(table.get(i), expected);
-                        }
-                        // Scan accounting must not depend on the backend —
-                        // BENCH_rank.json's scans-per-node are gated exactly.
-                        // (The reference is re-queried per backend, so
-                        // compare its per-iteration delta with the fresh
-                        // table's total.)
+            for data in
+                random_and_separator_heavy_texts(code_count, SUPER_SPAN + 2 * BLOCK + 37, 0xA1AE)
+            {
+                let table = table(data.clone(), code_count, layout);
+                assert_eq!(table.layout(), layout);
+                let mut counts = vec![0u32; code_count];
+                for i in (0..=data.len()).step_by(7) {
+                    table.rank_all(i, &mut counts);
+                    for c in 0..code_count as u8 {
+                        let expected = naive_rank(&data, c, i);
                         assert_eq!(
-                            table.scan_snapshot(),
-                            reference.scan_snapshot().since(&ref_before)
+                            counts[c as usize] as usize, expected,
+                            "rank_all {layout:?} c={c} i={i}"
                         );
+                        assert_eq!(table.rank(c, i), expected, "rank {layout:?} c={c} i={i}");
                     }
+                }
+                for (i, &expected) in data.iter().enumerate() {
+                    assert_eq!(table.get(i), expected);
                 }
             }
         }
     }
 
     #[test]
-    fn forced_swar_tables_report_the_swar_backend() {
-        let table = table_with_backend(
-            vec![1u8; 300],
-            4,
-            RankLayout::Auto,
-            CheckpointScheme::default(),
-            ScanBackend::Swar,
-        );
-        assert_eq!(table.scan_backend(), ActiveBackend::Swar);
-        // The default constructor resolves Auto (possibly to a SIMD
-        // backend, depending on build/CPU/env).
-        let auto = OccTable::new(vec![1u8; 300], 4);
-        assert_eq!(auto.scan_backend(), simd::default_backend().resolve());
-    }
-
-    #[test]
     #[should_panic(expected = "packed layout")]
     fn packed_layout_rejects_large_alphabets() {
-        let _ = table_with_layout(vec![0u8; 10], 7, RankLayout::PackedDna);
+        let _ = table(vec![0u8; 10], 7, RankLayout::PackedDna);
     }
 
     #[test]
     #[should_panic(expected = "nibble layout")]
     fn nibble_layout_rejects_large_alphabets() {
-        let _ = table_with_layout(vec![0u8; 10], 19, RankLayout::PackedNibble);
+        let _ = table(vec![0u8; 10], 19, RankLayout::PackedNibble);
     }
 }

@@ -57,7 +57,7 @@ use alae_bioseq::{Alphabet, KarlinAltschul, ScoringScheme, Sequence, SequenceDat
 use alae_blast_like::{BlastConfig, BlastLikeAligner, BlastStats};
 use alae_bwtsw::{BwtswAligner, BwtswConfig, BwtswStats};
 use alae_core::{AlaeAligner, AlaeConfig, AlaeStats, FilterToggles, ThresholdSpec};
-use alae_suffix::{CheckpointScheme, IndexOptions, RankLayout, ScanBackend, TextIndex};
+use alae_suffix::{IndexOptions, RankLayout, TextIndex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -73,11 +73,8 @@ pub use alae_bioseq::guard::{CancelOnDrop, CancelToken, SearchError, SearchGuard
 
 /// The one way to turn a [`SequenceDatabase`] into an [`IndexedDatabase`].
 ///
-/// Every index-construction knob lives here — occurrence-table layout,
-/// checkpoint scheme, scan backend, suffix-array sample rate — replacing
-/// the former constructor zoo (`TextIndex::with_layout`,
-/// `with_scan_backend`, `FmIndex::with_sample_rate`, …), which survives
-/// only as `#[deprecated]` shims forwarding to
+/// Both index-construction knobs live here — occurrence-table layout and
+/// suffix-array sample rate — forwarding to
 /// [`alae_suffix::IndexOptions`].  There is deliberately **no** q-gram knob: `q` is a
 /// property of the scoring scheme (Equation 2 of the paper), derived per
 /// request from [`ScoringScheme::q`], and the q-gram inverted lists are
@@ -104,8 +101,8 @@ pub struct IndexBuilder {
 }
 
 impl IndexBuilder {
-    /// A builder with the default options (auto layout, default checkpoint
-    /// scheme, auto-detected scan backend, default sample rate).
+    /// A builder with the default options (auto layout, default sample
+    /// rate).
     pub fn new() -> Self {
         Self::default()
     }
@@ -113,18 +110,6 @@ impl IndexBuilder {
     /// Occurrence-table storage layout.
     pub fn layout(mut self, layout: RankLayout) -> Self {
         self.options = self.options.layout(layout);
-        self
-    }
-
-    /// Checkpoint (rank directory) scheme.
-    pub fn checkpoints(mut self, scheme: CheckpointScheme) -> Self {
-        self.options = self.options.checkpoints(scheme);
-        self
-    }
-
-    /// In-block scan backend.
-    pub fn backend(mut self, backend: ScanBackend) -> Self {
-        self.options = self.options.backend(backend);
         self
     }
 
@@ -164,16 +149,6 @@ pub struct IndexedDatabase {
 }
 
 impl IndexedDatabase {
-    /// Index a database (builds the compressed suffix array once).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `IndexBuilder::new().index(database)` — the one \
-                construction path with all layout/backend/sampling knobs"
-    )]
-    pub fn build(database: SequenceDatabase) -> Self {
-        IndexBuilder::new().index(database)
-    }
-
     /// Convenience: collect sequences into a database and index it with the
     /// default [`IndexBuilder`] options.
     pub fn from_sequences<I>(alphabet: Alphabet, sequences: I) -> Self

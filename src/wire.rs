@@ -25,7 +25,7 @@
 //! prefixes can share one `Searcher` and one `search_batch` wave.
 //!
 //! Deliberately **not** on the wire: the fault-injection plan (a test-only
-//! compile feature) and anything machine-specific (scan backends).
+//! compile feature).
 
 use crate::search::{
     EngineCounters, EngineKind, SearchError, SearchHit, SearchRequest, SearchResponse, Termination,

@@ -12,7 +12,7 @@ use alae::bioseq::{Alphabet, KarlinAltschul, ScoringScheme, Sequence, SequenceDa
 use alae::bwtsw::{BwtswAligner, BwtswConfig};
 use alae::core::{AlaeAligner, AlaeConfig, DominationIndex, QGramIndex};
 use alae::suffix::sais::{suffix_array, suffix_array_naive};
-use alae::suffix::{CheckpointScheme, ChildBuf, IndexOptions, RankLayout, TextIndex};
+use alae::suffix::{ChildBuf, IndexOptions, RankLayout, TextIndex};
 
 /// Deterministic case generator (xorshift64*).
 struct Gen(u64);
@@ -286,10 +286,10 @@ fn packed_and_generic_rank_paths_agree_on_random_texts() {
 
 #[test]
 fn nibble_and_two_level_agree_with_generic_on_random_texts() {
-    // The 4-bit nibble-packed path and the two-level checkpoint rows must
-    // compute identical ranks to the generic SWAR byte layout with flat u32
-    // checkpoints — on random texts, including separator/sentinel-heavy
-    // ones where the exception list carries a large share of positions.
+    // The 4-bit nibble-packed path must compute identical ranks to the
+    // generic SWAR byte layout (both over the two-level checkpoint rows) —
+    // on random texts, including separator/sentinel-heavy ones where the
+    // exception list carries a large share of positions.
     let mut g = Gen::new(0x5eed_000d);
     for case in 0..24 {
         let code_count = g.range(5, 19);
@@ -307,11 +307,9 @@ fn nibble_and_two_level_agree_with_generic_on_random_texts() {
             .collect();
         let reference = IndexOptions::new()
             .layout(RankLayout::Bytes)
-            .checkpoints(CheckpointScheme::FlatU32)
             .build_occ_table(data.clone(), code_count);
         let nibble = IndexOptions::new()
             .layout(RankLayout::PackedNibble)
-            .checkpoints(CheckpointScheme::TwoLevel)
             .build_occ_table(data.clone(), code_count);
         let mut counts_r = vec![0u32; code_count];
         let mut counts_n = vec![0u32; code_count];
@@ -335,37 +333,30 @@ fn nibble_and_two_level_agree_with_generic_on_random_texts() {
 }
 
 #[test]
-fn two_level_protein_index_is_smaller_than_flat_u32() {
-    // The tentpole size claim, asserted at the index level: the two-level
-    // checkpoint rows make a protein-alphabet occurrence table strictly
-    // smaller than the flat u32 rows it replaced, and the nibble packing
-    // makes a reduced-alphabet table smaller still than its byte twin.
+fn two_level_protein_index_has_the_exact_footprint() {
+    // The size claim, asserted at the index level: a protein-alphabet
+    // occurrence table carries exactly one u16 delta per code per block
+    // plus one u64 super row per code per 8 blocks, and the nibble packing
+    // makes a reduced-alphabet table smaller than its byte twin.
     let mut g = Gen::new(0x5eed_000e);
-    let protein: Vec<u8> = (0..40_000).map(|_| (g.next() % 22) as u8).collect();
-    let flat = IndexOptions::new()
+    let len: usize = 40_000;
+    let protein: Vec<u8> = (0..len).map(|_| (g.next() % 22) as u8).collect();
+    let table = IndexOptions::new()
         .layout(RankLayout::Bytes)
-        .checkpoints(CheckpointScheme::FlatU32)
-        .build_occ_table(protein.clone(), 22);
-    let two_level = IndexOptions::new()
-        .layout(RankLayout::Bytes)
-        .checkpoints(CheckpointScheme::TwoLevel)
         .build_occ_table(protein, 22);
-    assert!(
-        two_level.size_in_bytes() < flat.size_in_bytes(),
-        "two-level {} vs flat {}",
-        two_level.size_in_bytes(),
-        flat.size_in_bytes()
+    let blocks = len / 128 + 1;
+    assert_eq!(
+        table.checkpoint_bytes(),
+        22 * (8 * blocks.div_ceil(8) + 2 * blocks)
     );
-    assert!(two_level.checkpoint_bytes() < flat.checkpoint_bytes());
+    assert_eq!(table.size_in_bytes(), len + table.checkpoint_bytes());
 
-    let reduced: Vec<u8> = (0..40_000).map(|_| (g.next() % 16) as u8).collect();
+    let reduced: Vec<u8> = (0..len).map(|_| (g.next() % 16) as u8).collect();
     let bytes16 = IndexOptions::new()
         .layout(RankLayout::Bytes)
-        .checkpoints(CheckpointScheme::TwoLevel)
         .build_occ_table(reduced.clone(), 16);
     let nibble16 = IndexOptions::new()
         .layout(RankLayout::PackedNibble)
-        .checkpoints(CheckpointScheme::TwoLevel)
         .build_occ_table(reduced, 16);
     assert!(nibble16.size_in_bytes() < bytes16.size_in_bytes());
 }
@@ -461,72 +452,64 @@ fn alae_counters_are_internally_consistent() {
 }
 
 #[test]
-fn scan_backends_agree_through_the_text_index() {
-    // The SIMD dispatch must be invisible end-to-end: for every
-    // (layout × checkpoint scheme × backend) combination, over random and
-    // separator-heavy texts, a forced-SIMD index and a forced-SWAR index
-    // report identical trie expansions, identical occurrence sets, and
-    // identical scan-counter values (the numbers BENCH_rank.json gates).
-    use alae::suffix::ScanBackend;
+fn rank_layouts_agree_through_the_text_index() {
+    // Layout choice must be invisible end-to-end: over random and
+    // separator-heavy texts, a packed index and a byte-layout index report
+    // identical trie expansions, identical occurrence sets, and the same
+    // two block scans per expansion (the numbers BENCH_rank.json gates).
     let mut g = Gen::new(0x5eed_51f0);
     for (code_count, layout) in [
         (5usize, RankLayout::PackedDna),
-        (5, RankLayout::Bytes),
         (17, RankLayout::PackedNibble),
-        (22, RankLayout::Bytes),
     ] {
-        for scheme in [CheckpointScheme::TwoLevel, CheckpointScheme::FlatU32] {
-            for separator_heavy in [false, true] {
-                let len = g.range(900, 1800);
-                let mut text = Vec::with_capacity(len);
-                for i in 0..len {
-                    if separator_heavy && i % 7 == 0 {
-                        text.push(0); // record separator (sparse code)
-                    } else {
-                        text.push((g.next() % (code_count as u64 - 1)) as u8 + 1);
-                    }
+        for separator_heavy in [false, true] {
+            let len = g.range(900, 1800);
+            let mut text = Vec::with_capacity(len);
+            for i in 0..len {
+                if separator_heavy && i % 7 == 0 {
+                    text.push(0); // record separator (sparse code)
+                } else {
+                    text.push((g.next() % (code_count as u64 - 1)) as u8 + 1);
                 }
-                let reference = IndexOptions::new()
-                    .layout(layout)
-                    .checkpoints(scheme)
-                    .backend(ScanBackend::Swar)
-                    .build_text_index(text.clone(), code_count);
-                let simd = IndexOptions::new()
-                    .layout(layout)
-                    .checkpoints(scheme)
-                    .backend(ScanBackend::Simd)
-                    .build_text_index(text.clone(), code_count);
-                // DFS over the top of the trie: identical children at every
-                // node (ranges and labels), so identical walks everywhere.
-                let mut buf_ref = ChildBuf::new();
-                let mut buf_simd = ChildBuf::new();
-                let mut stack = vec![reference.root()];
-                let mut nodes = 0;
-                while let Some(cursor) = stack.pop() {
-                    reference.children_into(cursor, &mut buf_ref);
-                    simd.children_into(cursor, &mut buf_simd);
-                    assert_eq!(
-                        buf_ref.as_slice(),
-                        buf_simd.as_slice(),
-                        "layout {layout:?} scheme {scheme:?} separators {separator_heavy}"
-                    );
-                    nodes += 1;
-                    if cursor.depth < 3 {
-                        stack.extend(buf_ref.iter().map(|&(_, child)| child));
-                    }
-                }
-                assert!(nodes > 1);
-                // Identical occurrence sets for a sampled substring.
-                let start = g.range(0, text.len() - 8);
-                let pattern = text[start..start + 6].to_vec();
-                assert_eq!(
-                    reference.find_occurrences(&pattern),
-                    simd.find_occurrences(&pattern)
-                );
-                // Scan accounting is backend-independent — the exact counts
-                // the BENCH_rank.json gate tracks.
-                assert_eq!(reference.scan_snapshot(), simd.scan_snapshot());
             }
+            let reference = IndexOptions::new()
+                .layout(RankLayout::Bytes)
+                .build_text_index(text.clone(), code_count);
+            let packed = IndexOptions::new()
+                .layout(layout)
+                .build_text_index(text.clone(), code_count);
+            assert_eq!(packed.rank_layout(), layout);
+            // DFS over the top of the trie: identical children at every
+            // node (ranges and labels), so identical walks everywhere.
+            let mut buf_ref = ChildBuf::new();
+            let mut buf_packed = ChildBuf::new();
+            let mut stack = vec![reference.root()];
+            let mut nodes = 0;
+            while let Some(cursor) = stack.pop() {
+                reference.children_into(cursor, &mut buf_ref);
+                packed.children_into(cursor, &mut buf_packed);
+                assert_eq!(
+                    buf_ref.as_slice(),
+                    buf_packed.as_slice(),
+                    "layout {layout:?} separators {separator_heavy}"
+                );
+                nodes += 1;
+                if cursor.depth < 3 {
+                    stack.extend(buf_ref.iter().map(|&(_, child)| child));
+                }
+            }
+            assert!(nodes > 1);
+            assert_eq!(
+                reference.scan_snapshot().block_scans,
+                packed.scan_snapshot().block_scans
+            );
+            // Identical occurrence sets for a sampled substring.
+            let start = g.range(0, text.len() - 8);
+            let pattern = text[start..start + 6].to_vec();
+            assert_eq!(
+                reference.find_occurrences(&pattern),
+                packed.find_occurrences(&pattern)
+            );
         }
     }
 }
