@@ -1,11 +1,17 @@
 //! One function per paper artefact (table / figure), printing a plain-text
 //! table with the measured values.
 
-use crate::runners::{run_alae, run_blast, run_bwtsw, run_smith_waterman};
-use crate::setup::{prepare_dna, text_only};
+use crate::runners::{
+    first_hit_set_mismatch, run_alae, run_blast, run_bwtsw, run_request, run_smith_waterman,
+    RunSummary,
+};
+use crate::setup::{prepare_dna, text_only, PreparedWorkload};
+use crate::snapshot::{self, Report};
+use alae::search::{EngineKind, SearchRequest};
+use alae_bioseq::hits::AlignmentHit;
 use alae_bioseq::{Alphabet, ScoringScheme};
 use alae_core::analysis::blast_parameter_sweep;
-use alae_core::{AlaeAligner, AlaeConfig};
+use alae_core::{AlaeAligner, AlaeConfig, AlaeStats, FilterToggles};
 
 /// Names accepted by [`run_experiment`] (besides `all`).
 pub const EXPERIMENT_NAMES: &[&str] = &[
@@ -20,6 +26,7 @@ pub const EXPERIMENT_NAMES: &[&str] = &[
     "fig11",
     "bounds",
     "sw-anchor",
+    "ablation",
     "rank",
     "search",
     "store",
@@ -29,7 +36,7 @@ pub const EXPERIMENT_NAMES: &[&str] = &[
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentOptions {
     /// Multiplies every text and query length (1.0 = the scaled defaults
-    /// documented in EXPERIMENTS.md).
+    /// each experiment documents).
     pub scale: f64,
     /// Number of queries per workload point.
     pub queries_per_point: usize,
@@ -86,6 +93,7 @@ pub fn run_experiment(name: &str, options: &ExperimentOptions) -> bool {
         "fig11" => fig11(options),
         "bounds" => bounds(options),
         "sw-anchor" => sw_anchor(options),
+        "ablation" => ablation(options),
         "rank" => rank(options, true),
         "search" => search(options, true),
         "store" => store_timing(options),
@@ -94,46 +102,41 @@ pub fn run_experiment(name: &str, options: &ExperimentOptions) -> bool {
     true
 }
 
-/// Occurrence-layer micro-benchmark.  The committed `BENCH_rank.json`
-/// baseline is defined at the default `--scale`/`--seed`, so the snapshot is
-/// only written when the experiment was invoked directly (`direct`, never
-/// the `all` sweep) *and* the run used the defaults; anything else just
-/// prints.  With `bench_check` set (`--check`), the run is additionally
-/// compared against the committed baseline and the process exits non-zero
-/// on regression — the CI perf gate.
+/// Occurrence-layer micro-benchmark (`BENCH_rank.json`; the CI perf gate
+/// under `--check`).
 fn rank(options: &ExperimentOptions, direct: bool) {
     header("rank — occurrence-layer single-scan extend_all vs extend_left loop");
-    let defaults = ExperimentOptions::default();
-    let at_defaults = options.scale == defaults.scale && options.seed == defaults.seed;
-    if let Some(tolerance) = options.bench_check {
-        if !crate::rank_bench::run_and_check(options, tolerance, direct && at_defaults) {
-            std::process::exit(1);
-        }
-    } else if direct && at_defaults {
-        crate::rank_bench::run_and_write(options);
-    } else {
-        crate::rank_bench::run_and_print(options);
-        println!("(BENCH_rank.json not written: the committed baseline is only refreshed by a direct `rank` run at default --scale/--seed)");
-    }
+    snapshot_gate(
+        &crate::rank_bench::run(options),
+        "BENCH_rank.json",
+        options,
+        direct,
+    );
 }
 
-/// Facade-level search benchmark.  The committed `BENCH_search.json`
-/// baseline follows the same conventions as the rank snapshot: refreshed
-/// only by a direct run at the default `--scale`/`--seed`, gated by
-/// `--check` (the CI facade perf gate).
+/// Facade-level search benchmark (`BENCH_search.json`; the CI facade perf
+/// gate under `--check`).
 fn search(options: &ExperimentOptions, direct: bool) {
     header("search — facade-level queries/sec per engine (BENCH_search.json)");
+    snapshot_gate(
+        &crate::search_bench::run(options),
+        "BENCH_search.json",
+        options,
+        direct,
+    );
+}
+
+/// Print a benchmark report and, with `bench_check` set, gate it against
+/// its committed snapshot `file_name`, exiting 1 on regression.  The
+/// committed baselines are defined at the default `--scale`/`--seed`, so
+/// only a run invoked directly (`direct`, never the `all` sweep) at those
+/// defaults refreshes the snapshot.
+fn snapshot_gate(report: &impl Report, file_name: &str, options: &ExperimentOptions, direct: bool) {
     let defaults = ExperimentOptions::default();
-    let at_defaults = options.scale == defaults.scale && options.seed == defaults.seed;
-    if let Some(tolerance) = options.bench_check {
-        if !crate::search_bench::run_and_check(options, tolerance, direct && at_defaults) {
-            std::process::exit(1);
-        }
-    } else if direct && at_defaults {
-        crate::search_bench::run_and_write(options);
-    } else {
-        crate::search_bench::run_and_print(options);
-        println!("(BENCH_search.json not written: the committed baseline is only refreshed by a direct `search` run at default --scale/--seed)");
+    let refresh = direct && options.scale == defaults.scale && options.seed == defaults.seed;
+    let path = snapshot::snapshot_path(file_name);
+    if !snapshot::gate(report, &path, options.bench_check, refresh) {
+        std::process::exit(1);
     }
 }
 
@@ -158,8 +161,6 @@ fn default_config() -> AlaeConfig {
     AlaeConfig::with_threshold(ScoringScheme::DEFAULT, SCALED_DEFAULT_THRESHOLD)
 }
 
-/// Table 2: alignment time and number of results when varying the query
-/// length (paper: m = 1K … 10M against n = 1 billion).
 /// Open-vs-rebuild timing for the single-file index store: the point of
 /// `IndexedDatabase::save`/`open` is that reopening memory-maps the file
 /// and skips the O(n log n) suffix-array build entirely, so `open` should
@@ -221,6 +222,8 @@ fn store_timing(options: &ExperimentOptions) {
     );
 }
 
+/// Table 2: alignment time and number of results when varying the query
+/// length (paper: m = 1K … 10M against n = 1 billion).
 fn table2(options: &ExperimentOptions) {
     header("Table 2 - time and #results vs query length (scheme <1,-3,-5,-2>, H = 30)");
     let n = options.len(100_000);
@@ -671,7 +674,144 @@ fn sw_anchor(options: &ExperimentOptions) {
     }
 }
 
-/// Helper so the binary can validate experiment names.
-pub fn is_known_experiment(name: &str) -> bool {
-    name == "all" || EXPERIMENT_NAMES.contains(&name)
+/// The ablation's configurations: every technique on, each one off alone,
+/// and all off.  Every one of them is exact, so each must report the same
+/// hits as `all_on` and only the work differs.
+const ABLATION_CONFIGS: [(&str, FilterToggles); 6] = [
+    ("all_on", FilterToggles::ALL),
+    (
+        "no_length_filter",
+        FilterToggles {
+            length_filter: false,
+            ..FilterToggles::ALL
+        },
+    ),
+    (
+        "no_score_filter",
+        FilterToggles {
+            score_filter: false,
+            ..FilterToggles::ALL
+        },
+    ),
+    (
+        "no_domination",
+        FilterToggles {
+            domination_filter: false,
+            ..FilterToggles::ALL
+        },
+    ),
+    (
+        "no_reuse",
+        FilterToggles {
+            reuse: false,
+            ..FilterToggles::ALL
+        },
+    ),
+    ("all_off", FilterToggles::NONE),
+];
+
+/// One ablation row: ALAE under one [`ABLATION_CONFIGS`] entry.
+struct AblationRow {
+    label: &'static str,
+    summary: RunSummary,
+    stats: AlaeStats,
+    hits: Vec<Vec<AlignmentHit>>,
+}
+
+/// Run ALAE under every ablation configuration over the same workload.
+fn ablation_rows(prepared: &PreparedWorkload) -> Vec<AblationRow> {
+    ABLATION_CONFIGS
+        .into_iter()
+        .map(|(label, filters)| {
+            let request =
+                SearchRequest::with_threshold(ScoringScheme::DEFAULT, SCALED_DEFAULT_THRESHOLD)
+                    .engine(EngineKind::Alae)
+                    .filters(filters);
+            let (summary, runs) = run_request(prepared, request);
+            let mut stats = AlaeStats::default();
+            for run in &runs {
+                stats.merge(run.counters.as_alae().expect("ALAE ran"));
+            }
+            AblationRow {
+                label,
+                summary,
+                stats,
+                hits: runs.into_iter().map(|run| run.hits).collect(),
+            }
+        })
+        .collect()
+}
+
+/// Ablation: what each ALAE technique buys — length filtering, score
+/// filtering and q-prefix domination (Section 3) and score reuse
+/// (Section 4), each switched off alone, then all off.  Exits 1 when any
+/// configuration's per-query hit set differs from `all_on`'s.
+fn ablation(options: &ExperimentOptions) {
+    header("Ablation - each ALAE technique switched off (scheme <1,-3,-5,-2>, H = 30)");
+    let n = options.len(25_000);
+    let m = options.len(400);
+    let prepared = prepare_dna(n, m, options.queries_per_point, options.seed + 1100);
+    let rows = ablation_rows(&prepared);
+    println!(
+        "{:>18} {:>12} {:>14} {:>14} {:>14} {:>8}",
+        "configuration", "time (s)", "calculated", "reused", "cost", "results"
+    );
+    for row in &rows {
+        println!(
+            "{:>18} {:>12.4} {:>14} {:>14} {:>14} {:>8}",
+            row.label,
+            row.summary.avg_seconds(),
+            row.stats.calculated_entries(),
+            row.stats.reused_entries,
+            row.stats.computation_cost(),
+            row.summary.result_count,
+        );
+    }
+    println!(
+        "(n = {n}, m = {m}; times are averages per query over {} queries)",
+        options.queries_per_point
+    );
+    let mut exact = true;
+    for row in &rows[1..] {
+        if let Some(why) = first_hit_set_mismatch(&row.hits, &rows[0].hits) {
+            eprintln!("ablation FAILED: {} changed the hits of {why}", row.label);
+            exact = false;
+        }
+    }
+    if !exact {
+        std::process::exit(1);
+    }
+    println!("every configuration reports the all_on hit set on every query");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_ablation_configuration_reports_the_all_on_hits() {
+        let prepared = prepare_dna(4_000, 200, 2, 17);
+        let rows = ablation_rows(&prepared);
+        let labels: Vec<_> = rows.iter().map(|row| row.label).collect();
+        assert_eq!(
+            labels,
+            [
+                "all_on",
+                "no_length_filter",
+                "no_score_filter",
+                "no_domination",
+                "no_reuse",
+                "all_off"
+            ]
+        );
+        assert!(rows[0].summary.result_count > 0, "workload must yield hits");
+        for row in &rows {
+            assert_eq!(
+                first_hit_set_mismatch(&row.hits, &rows[0].hits),
+                None,
+                "{}",
+                row.label
+            );
+        }
+    }
 }

@@ -2,9 +2,9 @@
 //! (Section 7) on scaled synthetic workloads.
 //!
 //! The `alae-experiments` binary dispatches to one experiment per paper
-//! artefact:
+//! artefact, plus the ablation and the gated benchmarks:
 //!
-//! | Command | Paper artefact |
+//! | Command | Artefact |
 //! |---------|----------------|
 //! | `table2` | Table 2 — time / #results vs query length |
 //! | `table3` | Table 3 — time / #results vs text length |
@@ -17,11 +17,15 @@
 //! | `fig11`  | Figure 11 — index sizes (BWT index vs dominate index) |
 //! | `bounds` | Section 6 — analytic entry bounds |
 //! | `sw-anchor` | Section 7.1 — Smith-Waterman vs ALAE anchor point |
+//! | `ablation` | Sections 3–4 — what each filter and score reuse buys; exits 1 if any changes the hits |
+//! | `rank`   | Occurrence layer — `extend_all` vs the `extend_left` loop (`BENCH_rank.json`) |
+//! | `search` | Facade queries/sec per engine, hit-dense and sparse-hit (`BENCH_search.json`) |
+//! | `store`  | Opening a persisted index vs rebuilding it |
 //!
 //! Sizes are scaled down from the paper's (gigabase texts, megabase queries)
 //! to laptop-sized instances; the `--scale <factor>` flag grows or shrinks
-//! every length proportionally.  EXPERIMENTS.md records the mapping and the
-//! paper-vs-measured comparison.
+//! every length proportionally.  `rank` and `search` write committed
+//! snapshots and gate fresh runs against them through [`snapshot`].
 #![forbid(unsafe_code)]
 
 pub mod experiments;
@@ -29,5 +33,6 @@ pub mod rank_bench;
 pub mod runners;
 pub mod search_bench;
 pub mod setup;
+pub mod snapshot;
 
 pub use experiments::{run_experiment, ExperimentOptions, EXPERIMENT_NAMES};

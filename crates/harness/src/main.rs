@@ -6,7 +6,7 @@
 //!                               [--check] [--tolerance <fraction>]
 //!
 //! experiments: all, table2, table3, table4, table5, fig7, fig8, fig9,
-//!              fig10, fig11, bounds, sw-anchor, rank, search
+//!              fig10, fig11, bounds, sw-anchor, ablation, rank, search, store
 //! ```
 //!
 //! `--check` (rank and search experiments) compares the fresh measurements

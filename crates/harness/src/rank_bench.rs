@@ -4,10 +4,11 @@
 //! layout versus its byte-layout twin, and packed DNA.  Writes the
 //! measurements (including per-layout occurrence-table bytes) to
 //! `BENCH_rank.json` so successive PRs accumulate a perf trajectory, and
-//! implements the `--check` mode the CI perf-regression gate runs against
-//! the committed snapshot.
+//! implements the `--check` comparison the CI perf-regression gate runs
+//! against the committed snapshot.
 
 use crate::experiments::ExperimentOptions;
+use crate::snapshot::{field_num, CheckOutcome, Report};
 use alae_bioseq::Alphabet;
 use alae_suffix::{ChildBuf, IndexOptions, RankLayout, SuffixTrieCursor, TextIndex};
 use alae_workload::{generate_text, TextSpec};
@@ -30,6 +31,10 @@ pub struct RankBenchEntry {
     /// Occurrence-table footprint of the configuration's index (BWT storage
     /// + checkpoint rows), in bytes.
     pub index_bytes: u64,
+    /// On `after` entries, the configuration's `extend_all` speedup over
+    /// the `extend_left` loop as the median of per-repetition paired ratios
+    /// (the statistic the gate compares; see `measure`).
+    pub paired_speedup: Option<f64>,
 }
 
 /// The full report written to `BENCH_rank.json`.
@@ -48,17 +53,40 @@ pub struct RankBenchReport {
     pub nodes: usize,
     /// Speedup of `extend_all` over the `extend_left` loop (protein).
     pub speedup: f64,
-    /// Per-configuration extend_all-vs-extend_left speedups as medians of
-    /// per-repetition paired ratios (the gate's noise-robust statistic;
-    /// see ROADMAP.md, "rank gate flakiness").
-    pub paired_speedups: Vec<(String, f64)>,
     /// The measured configurations.
     pub entries: Vec<RankBenchEntry>,
 }
 
 impl RankBenchReport {
+    /// The `extend_all` ("after") entry of a configuration, if measured.
+    fn after(&self, config: &str) -> Option<&RankBenchEntry> {
+        let prefix = format!("{config}/");
+        self.entries
+            .iter()
+            .find(|e| e.role == "after" && e.name.starts_with(&prefix))
+    }
+}
+
+/// The committed `after` entry line of `config` in a `BENCH_rank.json`
+/// snapshot (one entry object per line), if present.
+fn baseline_after<'a>(json: &'a str, config: &str) -> Option<&'a str> {
+    let name = format!("\"name\": \"{config}/");
+    json.lines()
+        .find(|line| line.contains(&name) && line.contains("\"role\": \"after\""))
+}
+
+/// Configuration prefixes the gate tracks (a baseline predating a
+/// configuration simply skips it).
+const CHECKED_CONFIGS: &[&str] = &[
+    "protein_sigma21",
+    "protein_reduced15_nibble",
+    "protein_reduced15_bytes",
+    "dna_packed",
+];
+
+impl Report for RankBenchReport {
     /// Serialize as JSON (hand-rolled; the environment has no serde).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"benchmark\": \"rank_occ\",\n");
         out.push_str("  \"generated_by\": \"alae-experiments rank\",\n");
@@ -73,10 +101,14 @@ impl RankBenchReport {
         ));
         out.push_str("  \"entries\": [\n");
         for (i, entry) in self.entries.iter().enumerate() {
+            let paired = entry
+                .paired_speedup
+                .map(|speedup| format!(", \"paired_speedup\": {speedup:.2}"))
+                .unwrap_or_default();
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"role\": \"{}\", \"ns_per_node\": {:.1}, \
                  \"block_scans_per_node\": {:.1}, \"bytes_scanned_per_node\": {:.1}, \
-                 \"index_bytes\": {}}}{}\n",
+                 \"index_bytes\": {}{paired}}}{}\n",
                 entry.name,
                 entry.role,
                 entry.ns_per_node,
@@ -90,33 +122,89 @@ impl RankBenchReport {
         out
     }
 
-    /// The `extend_all` ("after") entry of a configuration, if measured.
-    fn after(&self, config: &str) -> Option<&RankBenchEntry> {
-        let prefix = format!("{config}/");
-        self.entries
-            .iter()
-            .find(|e| e.role == "after" && e.name.starts_with(&prefix))
+    fn print(&self) {
+        println!(
+            "occurrence layer: {} nodes over {} protein characters (σ+1 = {})",
+            self.nodes, self.text_len, self.code_count
+        );
+        println!(
+            "{:<34} {:>6} {:>12} {:>10} {:>10} {:>12}",
+            "configuration", "role", "ns/node", "scans", "bytes", "index bytes"
+        );
+        for entry in &self.entries {
+            println!(
+                "{:<34} {:>6} {:>12.1} {:>10.1} {:>10.1} {:>12}",
+                entry.name,
+                entry.role,
+                entry.ns_per_node,
+                entry.block_scans_per_node,
+                entry.bytes_scanned_per_node,
+                entry.index_bytes
+            );
+        }
+        println!(
+            "extend_all speedup over the extend_left loop (protein): {:.2}x",
+            self.speedup
+        );
     }
 
-    /// The within-run speedup of `extend_all` over the `extend_left` loop
-    /// for one configuration prefix — the paired-ratio median when this
-    /// report measured it, the entry-time ratio otherwise (reports parsed
-    /// back from older snapshots).
-    fn config_speedup(&self, config: &str) -> Option<f64> {
-        if let Some((_, paired)) = self.paired_speedups.iter().find(|(name, _)| name == config) {
-            return Some(*paired);
+    /// Compare against the committed baseline.
+    ///
+    /// Raw nanoseconds are not comparable across machines (the committed
+    /// baseline and a CI runner differ), so throughput is gated on the
+    /// *within-run* `extend_all`-vs-`extend_left` paired speedup of each
+    /// configuration: the fresh one must stay within `tolerance` of the
+    /// committed one.  Two machine-independent invariants are gated exactly:
+    /// per-node block scans must not grow (deterministic for a fixed
+    /// scale/seed), and the nibble-packed index must stay smaller than its
+    /// byte-layout twin.
+    fn check(&self, baseline_json: &str, tolerance: f64) -> CheckOutcome {
+        let mut outcome = CheckOutcome::default();
+        for config in CHECKED_CONFIGS {
+            let Some(fresh) = self.after(config) else {
+                continue;
+            };
+            let base = baseline_after(baseline_json, config);
+            if let Some(now) = fresh.paired_speedup {
+                let committed = base.and_then(|line| field_num(line, "paired_speedup"));
+                outcome.check_ratio(config, now, committed, tolerance);
+            }
+
+            // Scans per node are exact and deterministic for a fixed
+            // scale/seed; any growth is a real algorithmic regression.  Skip
+            // when either side was built without the occ-counters feature.
+            let base_scans = base
+                .and_then(|line| field_num(line, "block_scans_per_node"))
+                .unwrap_or(0.0);
+            if base_scans > 0.0
+                && fresh.block_scans_per_node > 0.0
+                && fresh.block_scans_per_node > base_scans + 1e-6
+            {
+                outcome.failures.push(format!(
+                    "{config}: block scans per node grew {base_scans:.2} -> {:.2}",
+                    fresh.block_scans_per_node
+                ));
+            }
         }
-        let prefix = format!("{config}/");
-        let before = self
-            .entries
-            .iter()
-            .find(|e| e.role == "before" && e.name.starts_with(&prefix))?;
-        let after = self.after(config)?;
-        if after.ns_per_node > 0.0 {
-            Some(before.ns_per_node / after.ns_per_node)
-        } else {
-            None
+
+        // Index-size ordering within the fresh run (machine-independent).
+        let size_of = |config: &str| self.after(config).map(|e| e.index_bytes);
+        if let (Some(nibble), Some(bytes)) = (
+            size_of("protein_reduced15_nibble"),
+            size_of("protein_reduced15_bytes"),
+        ) {
+            if nibble >= bytes {
+                outcome.failures.push(format!(
+                    "nibble-packed index ({nibble} B) is not smaller than the byte layout ({bytes} B)"
+                ));
+            } else {
+                outcome.notes.push(format!(
+                    "reduced-protein index bytes: nibble {nibble} < bytes {bytes} ok"
+                ));
+            }
         }
+
+        outcome
     }
 }
 
@@ -144,6 +232,61 @@ fn time_once(pass: &mut impl FnMut() -> usize) -> f64 {
     elapsed
 }
 
+/// DFS-collect up to `cap` trie nodes from the top `max_depth` levels — a
+/// representative mix of wide and narrow SA ranges.
+fn collect_trie_nodes(index: &TextIndex, max_depth: usize, cap: usize) -> Vec<SuffixTrieCursor> {
+    let mut nodes = Vec::new();
+    let mut buf = ChildBuf::new();
+    let mut stack = vec![index.root()];
+    while let Some(cursor) = stack.pop() {
+        if nodes.len() >= cap {
+            break;
+        }
+        nodes.push(cursor);
+        if cursor.depth >= max_depth {
+            continue;
+        }
+        index.children_into(cursor, &mut buf);
+        stack.extend(buf.iter().map(|&(_, child)| child));
+    }
+    nodes
+}
+
+/// Fold the alphabet codes of a text onto `sigma` codes (separator code 0
+/// stays 0), producing a reduced-alphabet text for the nibble rank layout.
+fn reduce_alphabet(codes: &[u8], sigma: u8) -> Vec<u8> {
+    codes
+        .iter()
+        .map(|&c| if c == 0 { 0 } else { (c - 1) % sigma + 1 })
+        .collect()
+}
+
+/// Expand every node with the σ per-character `extend` loop (the layer the
+/// single-scan `extend_all` replaced); returns the number of live children.
+fn extend_left_pass(index: &TextIndex, nodes: &[SuffixTrieCursor]) -> usize {
+    let code_count = index.code_count();
+    let mut live = 0usize;
+    for cursor in nodes {
+        for code in 1..code_count as u8 {
+            if index.extend(*cursor, code).is_some() {
+                live += 1;
+            }
+        }
+    }
+    live
+}
+
+/// Expand every node with the single-scan `children_into` fan-out; returns
+/// the number of live children.
+fn extend_all_pass(index: &TextIndex, nodes: &[SuffixTrieCursor], buf: &mut ChildBuf) -> usize {
+    let mut live = 0usize;
+    for cursor in nodes {
+        index.children_into(*cursor, buf);
+        live += buf.len();
+    }
+    live
+}
+
 /// Measure one (index, node set) configuration both ways.  The two passes
 /// are *interleaved* within each repetition (loop, then fan-out, N times)
 /// so slow machine drift — CPU frequency, a noisy co-tenant — hits both
@@ -160,16 +303,15 @@ fn measure(
     nodes: &[SuffixTrieCursor],
     repetitions: usize,
     entries: &mut Vec<RankBenchEntry>,
-    paired_speedups: &mut Vec<(String, f64)>,
 ) -> f64 {
     let n = nodes.len() as f64;
     let index_bytes = index.occ_size_in_bytes() as u64;
 
     // Before: the σ-scan per-character loop `children` used to perform.
     // After: the single-scan `extend_all` fan-out behind `children_into`.
-    let mut loop_pass = || alae_bench::extend_left_pass(index, nodes);
+    let mut loop_pass = || extend_left_pass(index, nodes);
     let mut buf = ChildBuf::new();
-    let mut all_pass = || alae_bench::extend_all_pass(index, nodes, &mut buf);
+    let mut all_pass = || extend_all_pass(index, nodes, &mut buf);
 
     // Warm-up passes double as the exact scan-count measurement.
     let scans_before = index.scan_snapshot();
@@ -194,7 +336,6 @@ fn measure(
     let loop_ns = median(&mut loop_times).unwrap_or(f64::INFINITY) / n;
     let all_ns = median(&mut all_times).unwrap_or(f64::INFINITY) / n;
     let paired = median(&mut ratios).unwrap_or(0.0);
-    paired_speedups.push((name_prefix.to_string(), paired));
 
     entries.push(RankBenchEntry {
         name: format!("{name_prefix}/extend_left_loop"),
@@ -203,6 +344,7 @@ fn measure(
         block_scans_per_node: loop_scans.block_scans as f64 / n,
         bytes_scanned_per_node: loop_scans.bytes_scanned as f64 / n,
         index_bytes,
+        paired_speedup: None,
     });
     entries.push(RankBenchEntry {
         name: format!("{name_prefix}/extend_all"),
@@ -211,6 +353,7 @@ fn measure(
         block_scans_per_node: all_scans.block_scans as f64 / n,
         bytes_scanned_per_node: all_scans.bytes_scanned as f64 / n,
         index_bytes,
+        paired_speedup: Some(paired),
     });
 
     paired
@@ -229,23 +372,15 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
     let protein = generate_text(&TextSpec::protein(text_len.max(1_000), options.seed));
     let protein_codes = protein.codes().to_vec();
     let index = TextIndex::new(protein_codes.clone(), Alphabet::Protein.code_count());
-    let nodes = alae_bench::collect_trie_nodes(&index, 2, 2_000);
+    let nodes = collect_trie_nodes(&index, 2, 2_000);
 
     let mut entries = Vec::new();
-    let mut paired_speedups = Vec::new();
-    let speedup = measure(
-        "protein_sigma21",
-        &index,
-        &nodes,
-        repetitions,
-        &mut entries,
-        &mut paired_speedups,
-    );
+    let speedup = measure("protein_sigma21", &index, &nodes, repetitions, &mut entries);
 
     // Reduced protein alphabet (σ = 15 + separator = 16 codes): the 4-bit
     // nibble-packed popcount path versus the generic byte path on the same
     // text.
-    let reduced = alae_bench::reduce_alphabet(&protein_codes, 15);
+    let reduced = reduce_alphabet(&protein_codes, 15);
     for (label, layout) in [
         ("protein_reduced15_nibble", RankLayout::PackedNibble),
         ("protein_reduced15_bytes", RankLayout::Bytes),
@@ -253,14 +388,13 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
         let reduced_index = IndexOptions::new()
             .layout(layout)
             .build_text_index(reduced.clone(), 16);
-        let reduced_nodes = alae_bench::collect_trie_nodes(&reduced_index, 2, 2_000);
+        let reduced_nodes = collect_trie_nodes(&reduced_index, 2, 2_000);
         measure(
             label,
             &reduced_index,
             &reduced_nodes,
             repetitions,
             &mut entries,
-            &mut paired_speedups,
         );
     }
 
@@ -269,14 +403,13 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
     let dna_index = IndexOptions::new()
         .layout(RankLayout::PackedDna)
         .build_text_index(dna.codes().to_vec(), Alphabet::Dna.code_count());
-    let dna_nodes = alae_bench::collect_trie_nodes(&dna_index, 4, 2_000);
+    let dna_nodes = collect_trie_nodes(&dna_index, 4, 2_000);
     measure(
         "dna_packed",
         &dna_index,
         &dna_nodes,
         repetitions,
         &mut entries,
-        &mut paired_speedups,
     );
 
     RankBenchReport {
@@ -286,299 +419,8 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
         code_count: index.code_count(),
         nodes: nodes.len(),
         speedup,
-        paired_speedups,
         entries,
     }
-}
-
-/// Where to write a committed benchmark snapshot named `file_name`:
-/// `$ALAE_BENCH_DIR` if set, else the enclosing workspace root (nearest
-/// ancestor of the CWD holding `Cargo.toml` and `crates/suffix/`) so runs
-/// from anywhere inside a checkout update its committed baseline, else the
-/// CWD.  Shared by the rank and search benchmarks.
-pub(crate) fn snapshot_path(file_name: &str) -> std::path::PathBuf {
-    if let Ok(dir) = std::env::var("ALAE_BENCH_DIR") {
-        return std::path::PathBuf::from(dir).join(file_name);
-    }
-    let cwd = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
-    let mut dir = cwd.as_path();
-    loop {
-        // `crates/suffix` is specific to this workspace, so the walk cannot
-        // stop at the root of some other repository that also has `crates/`.
-        if dir.join("Cargo.toml").is_file() && dir.join("crates/suffix").is_dir() {
-            return dir.join(file_name);
-        }
-        match dir.parent() {
-            Some(parent) => dir = parent,
-            None => break,
-        }
-    }
-    cwd.join(file_name)
-}
-
-/// The rank benchmark's committed snapshot location.
-fn bench_output_path() -> std::path::PathBuf {
-    snapshot_path("BENCH_rank.json")
-}
-
-/// Run and print a human-readable table without touching the committed
-/// `BENCH_rank.json` baseline (used by the `all` experiment sweep, whose
-/// scale/seed usually differ from the baseline's).
-pub fn run_and_print(options: &ExperimentOptions) {
-    let report = run(options);
-    print_report(&report);
-}
-
-/// Run, print, and write `BENCH_rank.json`.
-pub fn run_and_write(options: &ExperimentOptions) {
-    let report = run(options);
-    print_report(&report);
-    write_snapshot(&report);
-}
-
-fn write_snapshot(report: &RankBenchReport) {
-    let path = bench_output_path();
-    match std::fs::write(&path, report.to_json()) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("could not write {}: {error}", path.display()),
-    }
-}
-
-/// Run, compare against the committed `BENCH_rank.json`, optionally refresh
-/// the snapshot (`refresh` is only true for runs at the baseline's default
-/// scale/seed), and return `false` when the run regressed beyond `tolerance`
-/// (the CI perf gate; see [`check_against_baseline`] for the rules).
-pub fn run_and_check(options: &ExperimentOptions, tolerance: f64, refresh: bool) -> bool {
-    let path = bench_output_path();
-    let baseline = std::fs::read_to_string(&path).ok();
-    let report = run(options);
-    print_report(&report);
-    let Some(baseline) = baseline else {
-        println!(
-            "no committed baseline at {}; nothing to check against",
-            path.display()
-        );
-        if refresh {
-            write_snapshot(&report);
-        }
-        return true;
-    };
-    let outcome = check_against_baseline(&baseline, &report, tolerance);
-    for note in &outcome.notes {
-        println!("check: {note}");
-    }
-    if outcome.failures.is_empty() {
-        println!("check: OK (tolerance {:.0}%)", tolerance * 100.0);
-        // Refresh only after the gate passes: a failing run must leave the
-        // committed baseline in place, so re-running `--check` still
-        // compares against the pre-regression numbers.
-        if refresh {
-            write_snapshot(&report);
-        }
-        true
-    } else {
-        for failure in &outcome.failures {
-            eprintln!("check FAILED: {failure}");
-        }
-        eprintln!(
-            "check FAILED: baseline at {} left untouched",
-            path.display()
-        );
-        false
-    }
-}
-
-/// Result of comparing a fresh run against the committed baseline.
-#[derive(Debug, Default)]
-pub struct CheckOutcome {
-    /// Human-readable regressions; non-empty fails the gate.
-    pub failures: Vec<String>,
-    /// Informational per-configuration comparisons.
-    pub notes: Vec<String>,
-}
-
-/// A subset of one baseline entry parsed back out of `BENCH_rank.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedEntry {
-    /// Configuration name (e.g. `protein_sigma21/extend_all`).
-    pub name: String,
-    /// `"before"` or `"after"`.
-    pub role: String,
-    /// Mean wall-clock nanoseconds per node.
-    pub ns_per_node: f64,
-    /// Block scans per node (0 when counters were disabled).
-    pub block_scans_per_node: f64,
-    /// Occurrence-table bytes (absent in pre-two-level snapshots).
-    pub index_bytes: Option<f64>,
-}
-
-/// Extract a string field from one serialized entry object.
-pub(crate) fn field_str(object: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\": \"");
-    let start = object.find(&marker)? + marker.len();
-    let end = object[start..].find('"')? + start;
-    Some(object[start..end].to_string())
-}
-
-/// Extract a numeric field from one serialized entry object.
-pub(crate) fn field_num(object: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\": ");
-    let start = object.find(&marker)? + marker.len();
-    let end = object[start..]
-        .find([',', '}', '\n'])
-        .map_or(object.len(), |e| e + start);
-    object[start..end].trim().parse().ok()
-}
-
-/// Parse the `entries` array of a `BENCH_rank.json` snapshot.  The format is
-/// the workspace's own (one object per line, written by
-/// [`RankBenchReport::to_json`]), so a full JSON parser is unnecessary.
-pub fn parse_entries(json: &str) -> Vec<ParsedEntry> {
-    let mut entries = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !(line.starts_with('{') && line.contains("\"name\"")) {
-            continue;
-        }
-        let (Some(name), Some(role)) = (field_str(line, "name"), field_str(line, "role")) else {
-            continue;
-        };
-        let Some(ns_per_node) = field_num(line, "ns_per_node") else {
-            continue;
-        };
-        entries.push(ParsedEntry {
-            name,
-            role,
-            ns_per_node,
-            block_scans_per_node: field_num(line, "block_scans_per_node").unwrap_or(0.0),
-            index_bytes: field_num(line, "index_bytes"),
-        });
-    }
-    entries
-}
-
-/// Configuration prefixes the gate tracks (a baseline predating a
-/// configuration simply skips it).
-const CHECKED_CONFIGS: &[&str] = &[
-    "protein_sigma21",
-    "protein_reduced15_nibble",
-    "protein_reduced15_bytes",
-    "dna_packed",
-];
-
-/// Compare a fresh report against the committed baseline.
-///
-/// Raw nanoseconds are not comparable across machines (the committed
-/// baseline and a CI runner differ), so throughput is gated on the
-/// *within-run* `extend_all`-vs-`extend_left` speedup of each
-/// configuration: the fresh speedup must stay within `tolerance` of the
-/// baseline's.  Two machine-independent invariants are gated exactly:
-/// per-node block scans must not grow (deterministic for a fixed
-/// scale/seed), and the nibble-packed index must stay smaller than its
-/// byte-layout twin.
-pub fn check_against_baseline(
-    baseline_json: &str,
-    fresh: &RankBenchReport,
-    tolerance: f64,
-) -> CheckOutcome {
-    let baseline = parse_entries(baseline_json);
-    let mut outcome = CheckOutcome::default();
-    let base_speedup = |config: &str| -> Option<f64> {
-        let prefix = format!("{config}/");
-        let before = baseline
-            .iter()
-            .find(|e| e.role == "before" && e.name.starts_with(&prefix))?;
-        let after = baseline
-            .iter()
-            .find(|e| e.role == "after" && e.name.starts_with(&prefix))?;
-        (after.ns_per_node > 0.0).then(|| before.ns_per_node / after.ns_per_node)
-    };
-
-    for config in CHECKED_CONFIGS {
-        let (Some(base), Some(now)) = (base_speedup(config), fresh.config_speedup(config)) else {
-            outcome
-                .notes
-                .push(format!("{config}: not in baseline, skipped"));
-            continue;
-        };
-        let floor = base * (1.0 - tolerance);
-        if now < floor {
-            outcome.failures.push(format!(
-                "{config}: extend_all speedup {now:.2}x fell below baseline {base:.2}x \
-                 - {:.0}% tolerance ({floor:.2}x)",
-                tolerance * 100.0
-            ));
-        } else {
-            outcome.notes.push(format!(
-                "{config}: speedup {now:.2}x (baseline {base:.2}x) ok"
-            ));
-        }
-
-        // Scans per node are exact and deterministic for a fixed
-        // scale/seed; any growth is a real algorithmic regression.  Skip
-        // when either side was built without the occ-counters feature.
-        let prefix = format!("{config}/");
-        let base_after = baseline
-            .iter()
-            .find(|e| e.role == "after" && e.name.starts_with(&prefix));
-        let fresh_after = fresh.after(config);
-        if let (Some(base_after), Some(fresh_after)) = (base_after, fresh_after) {
-            if base_after.block_scans_per_node > 0.0
-                && fresh_after.block_scans_per_node > 0.0
-                && fresh_after.block_scans_per_node > base_after.block_scans_per_node + 1e-6
-            {
-                outcome.failures.push(format!(
-                    "{config}: block scans per node grew {:.2} -> {:.2}",
-                    base_after.block_scans_per_node, fresh_after.block_scans_per_node
-                ));
-            }
-        }
-    }
-
-    // Index-size ordering within the fresh run (machine-independent).
-    let size_of = |config: &str| fresh.after(config).map(|e| e.index_bytes);
-    if let (Some(nibble), Some(bytes)) = (
-        size_of("protein_reduced15_nibble"),
-        size_of("protein_reduced15_bytes"),
-    ) {
-        if nibble >= bytes {
-            outcome.failures.push(format!(
-                "nibble-packed index ({nibble} B) is not smaller than the byte layout ({bytes} B)"
-            ));
-        } else {
-            outcome.notes.push(format!(
-                "reduced-protein index bytes: nibble {nibble} < bytes {bytes} ok"
-            ));
-        }
-    }
-
-    outcome
-}
-
-fn print_report(report: &RankBenchReport) {
-    println!(
-        "occurrence layer: {} nodes over {} protein characters (σ+1 = {})",
-        report.nodes, report.text_len, report.code_count
-    );
-    println!(
-        "{:<34} {:>6} {:>12} {:>10} {:>10} {:>12}",
-        "configuration", "role", "ns/node", "scans", "bytes", "index bytes"
-    );
-    for entry in &report.entries {
-        println!(
-            "{:<34} {:>6} {:>12.1} {:>10.1} {:>10.1} {:>12}",
-            entry.name,
-            entry.role,
-            entry.ns_per_node,
-            entry.block_scans_per_node,
-            entry.bytes_scanned_per_node,
-            entry.index_bytes
-        );
-    }
-    println!(
-        "extend_all speedup over the extend_left loop (protein): {:.2}x",
-        report.speedup
-    );
 }
 
 #[cfg(test)]
@@ -642,48 +484,55 @@ mod tests {
         assert!(json.contains("\"index_bytes\""));
         assert_eq!(json.matches("\"role\": \"before\"").count(), 4);
         assert_eq!(json.matches("\"role\": \"after\"").count(), 4);
+        assert_eq!(json.matches("\"paired_speedup\"").count(), 4);
     }
 
     #[test]
     fn entries_round_trip_through_the_parser() {
+        // Everything the gate reads back from a snapshot: each
+        // configuration's paired speedup and scans per node.
         let report = run(&tiny_options());
-        let parsed = parse_entries(&report.to_json());
-        assert_eq!(parsed.len(), report.entries.len());
-        for (parsed, original) in parsed.iter().zip(&report.entries) {
-            assert_eq!(parsed.name, original.name);
-            assert_eq!(parsed.role, original.role);
-            assert!((parsed.ns_per_node - original.ns_per_node).abs() < 0.1);
-            assert_eq!(parsed.index_bytes, Some(original.index_bytes as f64));
+        let json = report.to_json();
+        for config in CHECKED_CONFIGS {
+            let original = report.after(config).unwrap();
+            let line = baseline_after(&json, config).unwrap();
+            let paired = field_num(line, "paired_speedup").unwrap();
+            assert!((paired - original.paired_speedup.unwrap()).abs() < 0.01);
+            let scans = format!("{:.1}", original.block_scans_per_node);
+            assert_eq!(field_num(line, "block_scans_per_node"), scans.parse().ok());
         }
     }
 
     #[test]
     fn check_passes_against_its_own_snapshot() {
         let report = run(&tiny_options());
-        let outcome = check_against_baseline(&report.to_json(), &report, 0.15);
+        let outcome = report.check(&report.to_json(), 0.15);
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-        assert!(!outcome.notes.is_empty());
+        assert!(outcome.notes.iter().filter(|n| n.ends_with(" ok")).count() >= 4);
     }
 
     #[test]
     fn check_flags_a_speedup_regression() {
         let report = run(&tiny_options());
-        // Inflate the baseline's recorded extend_all throughput so the fresh
-        // run's within-run speedup falls beyond any reasonable tolerance.
-        let mut inflated = report.clone();
-        for entry in &mut inflated.entries {
-            if entry.role == "after" {
-                entry.ns_per_node /= 10.0;
-            }
+        // A baseline whose committed paired speedups sit far above the fresh
+        // ones while its entry times reproduce the fresh speedups exactly:
+        // the gate must compare paired medians on both sides, so only the
+        // paired statistic can (and must) fail it.
+        let mut baseline = report.clone();
+        for pair in baseline.entries.chunks_mut(2) {
+            let paired = pair[1].paired_speedup.unwrap();
+            pair[0].ns_per_node = pair[1].ns_per_node * paired;
+            pair[1].paired_speedup = Some(paired * 2.0);
         }
-        let outcome = check_against_baseline(&inflated.to_json(), &report, 0.15);
-        assert!(!outcome.failures.is_empty());
+        let outcome = report.check(&baseline.to_json(), 0.15);
+        assert_eq!(outcome.failures.len(), 4, "{:?}", outcome.failures);
+        assert!(outcome.failures.iter().all(|f| f.contains("speedup")));
     }
 
     #[test]
     fn check_skips_configs_missing_from_the_baseline() {
         let report = run(&tiny_options());
-        let outcome = check_against_baseline("{\n  \"entries\": [\n  ]\n}\n", &report, 0.15);
+        let outcome = report.check("{\n  \"entries\": [\n  ]\n}\n", 0.15);
         assert!(outcome.failures.is_empty());
         assert!(outcome.notes.iter().any(|n| n.contains("not in baseline")));
     }

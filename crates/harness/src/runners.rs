@@ -9,6 +9,7 @@
 
 use crate::setup::PreparedWorkload;
 use alae::search::{build_engine, EngineKind, EngineRun, SearchRequest};
+use alae_bioseq::hits::{diff_hits, AlignmentHit};
 use alae_bioseq::ScoringScheme;
 use alae_bwtsw::BwtswStats;
 use alae_core::{AlaeConfig, AlaeStats, ThresholdSpec};
@@ -62,6 +63,18 @@ pub fn run_request(
         runs.push(run);
     }
     (summary, runs)
+}
+
+/// The first query whose hit set differs between two runs of the same query
+/// list, as a human-readable reason (`None` when every query agrees).
+pub fn first_hit_set_mismatch(
+    left: &[Vec<AlignmentHit>],
+    right: &[Vec<AlignmentHit>],
+) -> Option<String> {
+    left.iter()
+        .zip(right)
+        .enumerate()
+        .find_map(|(q, (l, r))| diff_hits(l, r).map(|why| format!("query {q}: {why}")))
 }
 
 /// Run ALAE over the workload.

@@ -28,11 +28,11 @@
 //! --check`.
 
 use crate::experiments::ExperimentOptions;
-use crate::rank_bench::{field_num, field_str, snapshot_path};
-use crate::runners::run_request;
+use crate::runners::{first_hit_set_mismatch, run_request};
 use crate::setup::{prepare_dna, prepare_dna_sparse, PreparedWorkload};
+use crate::snapshot::{field_num, field_str, CheckOutcome, Report};
 use alae::search::{build_engine, CancelToken, EngineKind, SearchGuard, SearchRequest};
-use alae_bioseq::hits::{diff_hits, AlignmentHit};
+use alae_bioseq::hits::AlignmentHit;
 use alae_bioseq::ScoringScheme;
 use std::time::{Duration, Instant};
 
@@ -138,64 +138,6 @@ impl SearchBenchReport {
     pub fn workload(&self, name: &str) -> Option<&WorkloadBench> {
         self.workloads.iter().find(|w| w.workload == name)
     }
-
-    /// Serialize as JSON (hand-rolled; the environment has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"benchmark\": \"search\",\n");
-        out.push_str("  \"generated_by\": \"alae-experiments search\",\n");
-        out.push_str(&format!("  \"scale\": {},\n", self.scale));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"threshold\": {},\n", self.threshold));
-        out.push_str(&format!(
-            "  \"guarded_vs_unguarded\": {:.3},\n",
-            self.guarded_vs_unguarded
-        ));
-        out.push_str("  \"workloads\": [\n");
-        for (w, workload) in self.workloads.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"workload\": \"{}\",\n", workload.workload));
-            out.push_str(&format!("      \"text_len\": {},\n", workload.text_len));
-            out.push_str(&format!("      \"query_len\": {},\n", workload.query_len));
-            out.push_str(&format!("      \"queries\": {},\n", workload.queries));
-            for (key, engine) in [
-                ("speedup_alae_vs_sw", "Smith-Waterman"),
-                ("speedup_alae_vs_bwtsw", "BWT-SW"),
-                ("speedup_alae_vs_blast", "BLAST-like"),
-            ] {
-                if let Some(ratio) = workload.alae_speedup_over(engine) {
-                    out.push_str(&format!("      \"{key}\": {ratio:.2},\n"));
-                }
-            }
-            out.push_str("      \"engines\": [\n");
-            for (i, entry) in workload.entries.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {{\"engine\": \"{}\", \"queries_per_sec\": {:.3}, \
-                     \"ms_per_query\": {:.3}, \"hits\": {}}}{}\n",
-                    entry.engine,
-                    entry.queries_per_sec,
-                    entry.ms_per_query,
-                    entry.hits(),
-                    if i + 1 < workload.entries.len() {
-                        ","
-                    } else {
-                        ""
-                    }
-                ));
-            }
-            out.push_str("      ]\n");
-            out.push_str(&format!(
-                "    }}{}\n",
-                if w + 1 < self.workloads.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 /// Measure all four engines over one prepared workload (interleaved,
@@ -228,20 +170,6 @@ fn run_workload(prepared: &PreparedWorkload) -> Vec<SearchBenchEntry> {
             query_hits,
         })
         .collect()
-}
-
-/// The first query whose hit set differs between two engines' runs, as a
-/// human-readable reason (`None` when every query agrees).  Both entries
-/// come from the same prepared query list, so their runs pair up one to one.
-fn first_hit_set_mismatch(left: &SearchBenchEntry, right: &SearchBenchEntry) -> Option<String> {
-    left.query_hits
-        .iter()
-        .zip(&right.query_hits)
-        .enumerate()
-        .find_map(|(q, (l, r))| {
-            diff_hits(l, r)
-                .map(|why| format!("query {q}: {} vs {}: {why}", left.engine, right.engine))
-        })
 }
 
 /// Measure the guard-poll overhead: ALAE over the hit-dense workload under
@@ -319,114 +247,6 @@ pub fn run(options: &ExperimentOptions) -> SearchBenchReport {
     }
 }
 
-fn print_report(report: &SearchBenchReport) {
-    for workload in &report.workloads {
-        println!(
-            "facade search [{}]: {} queries x {} chars against {} indexed chars (H = {})",
-            workload.workload,
-            workload.queries,
-            workload.query_len,
-            workload.text_len,
-            report.threshold
-        );
-        println!(
-            "{:<16} {:>14} {:>14} {:>8}",
-            "engine", "queries/sec", "ms/query", "hits"
-        );
-        for entry in &workload.entries {
-            println!(
-                "{:<16} {:>14.3} {:>14.3} {:>8}",
-                entry.engine,
-                entry.queries_per_sec,
-                entry.ms_per_query,
-                entry.hits()
-            );
-        }
-        for engine in ["Smith-Waterman", "BWT-SW", "BLAST-like"] {
-            if let Some(ratio) = workload.alae_speedup_over(engine) {
-                println!("ALAE speedup over {engine}: {ratio:.2}x");
-            }
-        }
-        println!();
-    }
-    println!(
-        "guarded-vs-unguarded ALAE throughput (hit-dense): {:.3}x",
-        report.guarded_vs_unguarded
-    );
-    println!();
-}
-
-fn write_snapshot(report: &SearchBenchReport) {
-    let path = snapshot_path("BENCH_search.json");
-    match std::fs::write(&path, report.to_json()) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("could not write {}: {error}", path.display()),
-    }
-}
-
-/// Run and print without touching the committed snapshot (the `all` sweep).
-pub fn run_and_print(options: &ExperimentOptions) {
-    let report = run(options);
-    print_report(&report);
-}
-
-/// Run, print, and refresh `BENCH_search.json` (direct runs at the default
-/// scale/seed).
-pub fn run_and_write(options: &ExperimentOptions) {
-    let report = run(options);
-    print_report(&report);
-    write_snapshot(&report);
-}
-
-/// Run, compare against the committed `BENCH_search.json`, optionally
-/// refresh the snapshot, and return `false` on regression beyond
-/// `tolerance` — the CI facade-level perf gate.
-pub fn run_and_check(options: &ExperimentOptions, tolerance: f64, refresh: bool) -> bool {
-    let path = snapshot_path("BENCH_search.json");
-    let baseline = std::fs::read_to_string(&path).ok();
-    let report = run(options);
-    print_report(&report);
-    let Some(baseline) = baseline else {
-        println!(
-            "no committed baseline at {}; nothing to check against",
-            path.display()
-        );
-        if refresh {
-            write_snapshot(&report);
-        }
-        return true;
-    };
-    let outcome = check_against_baseline(&baseline, &report, tolerance);
-    for note in &outcome.notes {
-        println!("check: {note}");
-    }
-    if outcome.failures.is_empty() {
-        println!("check: OK (tolerance {:.0}%)", tolerance * 100.0);
-        if refresh {
-            write_snapshot(&report);
-        }
-        true
-    } else {
-        for failure in &outcome.failures {
-            eprintln!("check FAILED: {failure}");
-        }
-        eprintln!(
-            "check FAILED: baseline at {} left untouched",
-            path.display()
-        );
-        false
-    }
-}
-
-/// Result of comparing a fresh run against the committed baseline.
-#[derive(Debug, Default)]
-pub struct CheckOutcome {
-    /// Human-readable regressions; non-empty fails the gate.
-    pub failures: Vec<String>,
-    /// Informational comparisons.
-    pub notes: Vec<String>,
-}
-
 /// The gated ALAE-vs-engine speedup ratios (JSON key + engine name).
 const CHECKED_SPEEDUPS: &[(&str, &str)] = &[
     ("speedup_alae_vs_sw", "Smith-Waterman"),
@@ -445,126 +265,199 @@ fn workload_section<'a>(json: &'a str, name: &str) -> Option<&'a str> {
     Some(&rest[..end])
 }
 
-/// Compare a fresh report against the committed baseline.
-///
-/// Raw queries/sec are machine-bound, so the gate tracks the *within-run*
-/// ALAE-vs-engine speedup ratios per workload: each fresh ratio must stay
-/// within `tolerance` of the committed one.  Three machine-independent
-/// invariants are checked exactly on every workload: the exact engines
-/// (ALAE, BWT-SW, Smith–Waterman) must report identical canonical hit sets
-/// query by query, ALAE
-/// must actually be faster than Smith–Waterman (the paper's headline
-/// property), and — at full scale — the hit-dense ALAE-vs-BWT-SW ratio
-/// must hold the absolute [`HIT_DENSE_BWTSW_FLOOR`].
-pub fn check_against_baseline(
-    baseline_json: &str,
-    fresh: &SearchBenchReport,
-    tolerance: f64,
-) -> CheckOutcome {
-    let mut outcome = CheckOutcome::default();
-
-    let base_scale = field_num(baseline_json, "scale");
-    let comparable = base_scale == Some(fresh.scale)
-        && field_str(baseline_json, "benchmark").as_deref() == Some("search");
-
-    // Guardrail polling must stay effectively free (full-scale runs only;
-    // tiny test scales are too noisy for an absolute ratio).  The committed
-    // baseline cannot grandfather a breach in: the floor is absolute.
-    if fresh.scale >= 1.0 {
-        if fresh.guarded_vs_unguarded < GUARD_OVERHEAD_FLOOR {
-            outcome.failures.push(format!(
-                "guarded-vs-unguarded ALAE throughput {:.3}x fell below the absolute \
-                 {GUARD_OVERHEAD_FLOOR:.2}x floor (guard polling costs > {:.0}%)",
-                fresh.guarded_vs_unguarded,
-                (1.0 - GUARD_OVERHEAD_FLOOR) * 100.0
-            ));
-        } else {
-            outcome.notes.push(format!(
-                "guarded-vs-unguarded {:.3}x holds the absolute {GUARD_OVERHEAD_FLOOR:.2}x floor",
-                fresh.guarded_vs_unguarded
+impl Report for SearchBenchReport {
+    /// Serialize as JSON (hand-rolled; the environment has no serde).
+    fn to_json(&self) -> String {
+        let mut out = String::from("{\n");
+        out.push_str("  \"benchmark\": \"search\",\n");
+        out.push_str("  \"generated_by\": \"alae-experiments search\",\n");
+        out.push_str(&format!("  \"scale\": {},\n", self.scale));
+        out.push_str(&format!("  \"seed\": {},\n", self.seed));
+        out.push_str(&format!("  \"threshold\": {},\n", self.threshold));
+        out.push_str(&format!(
+            "  \"guarded_vs_unguarded\": {:.3},\n",
+            self.guarded_vs_unguarded
+        ));
+        out.push_str("  \"workloads\": [\n");
+        for (w, workload) in self.workloads.iter().enumerate() {
+            out.push_str("    {\n");
+            out.push_str(&format!("      \"workload\": \"{}\",\n", workload.workload));
+            out.push_str(&format!("      \"text_len\": {},\n", workload.text_len));
+            out.push_str(&format!("      \"query_len\": {},\n", workload.query_len));
+            out.push_str(&format!("      \"queries\": {},\n", workload.queries));
+            for &(key, engine) in CHECKED_SPEEDUPS {
+                if let Some(ratio) = workload.alae_speedup_over(engine) {
+                    out.push_str(&format!("      \"{key}\": {ratio:.2},\n"));
+                }
+            }
+            out.push_str("      \"engines\": [\n");
+            for (i, entry) in workload.entries.iter().enumerate() {
+                out.push_str(&format!(
+                    "        {{\"engine\": \"{}\", \"queries_per_sec\": {:.3}, \
+                     \"ms_per_query\": {:.3}, \"hits\": {}}}{}\n",
+                    entry.engine,
+                    entry.queries_per_sec,
+                    entry.ms_per_query,
+                    entry.hits(),
+                    if i + 1 < workload.entries.len() {
+                        ","
+                    } else {
+                        ""
+                    }
+                ));
+            }
+            out.push_str("      ]\n");
+            out.push_str(&format!(
+                "    }}{}\n",
+                if w + 1 < self.workloads.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
+        out.push_str("  ]\n}\n");
+        out
     }
 
-    for workload in &fresh.workloads {
-        let label = workload.workload;
-
-        // Exactness: the exact engines report the same hit set per query.
-        if let (Some(alae), Some(bwtsw), Some(sw)) = (
-            workload.entry("ALAE"),
-            workload.entry("BWT-SW"),
-            workload.entry("Smith-Waterman"),
-        ) {
-            match first_hit_set_mismatch(alae, bwtsw).or_else(|| first_hit_set_mismatch(alae, sw)) {
-                None => outcome.notes.push(format!(
-                    "[{label}] exact engines agree hit-for-hit on {} queries ({} hits)",
-                    alae.query_hits.len(),
-                    alae.hits()
-                )),
-                Some(why) => outcome
-                    .failures
-                    .push(format!("[{label}] exact engines disagree on {why}")),
+    fn print(&self) {
+        for workload in &self.workloads {
+            println!(
+                "facade search [{}]: {} queries x {} chars against {} indexed chars (H = {})",
+                workload.workload,
+                workload.queries,
+                workload.query_len,
+                workload.text_len,
+                self.threshold
+            );
+            println!(
+                "{:<16} {:>14} {:>14} {:>8}",
+                "engine", "queries/sec", "ms/query", "hits"
+            );
+            for entry in &workload.entries {
+                println!(
+                    "{:<16} {:>14.3} {:>14.3} {:>8}",
+                    entry.engine,
+                    entry.queries_per_sec,
+                    entry.ms_per_query,
+                    entry.hits()
+                );
             }
+            for &(_, engine) in CHECKED_SPEEDUPS {
+                if let Some(ratio) = workload.alae_speedup_over(engine) {
+                    println!("ALAE speedup over {engine}: {ratio:.2}x");
+                }
+            }
+            println!();
         }
+        println!(
+            "guarded-vs-unguarded ALAE throughput (hit-dense): {:.3}x",
+            self.guarded_vs_unguarded
+        );
+        println!();
+    }
 
-        // ALAE must beat the full dynamic program outright (machine-free).
-        if let Some(ratio) = workload.alae_speedup_over("Smith-Waterman") {
-            if ratio <= 1.0 {
+    /// Compare against the committed baseline.
+    ///
+    /// Raw queries/sec are machine-bound, so the gate tracks the *within-run*
+    /// ALAE-vs-engine speedup ratios per workload: each fresh ratio must stay
+    /// within `tolerance` of the committed one.  Three machine-independent
+    /// invariants are checked exactly on every workload: the exact engines
+    /// (ALAE, BWT-SW, Smith–Waterman) must report identical canonical hit
+    /// sets query by query, ALAE must actually be faster than Smith–Waterman
+    /// (the paper's headline property), and — at full scale — the hit-dense
+    /// ALAE-vs-BWT-SW ratio must hold the absolute [`HIT_DENSE_BWTSW_FLOOR`].
+    fn check(&self, baseline_json: &str, tolerance: f64) -> CheckOutcome {
+        let mut outcome = CheckOutcome::default();
+
+        let base_scale = field_num(baseline_json, "scale");
+        let comparable = base_scale == Some(self.scale)
+            && field_str(baseline_json, "benchmark").as_deref() == Some("search");
+
+        // Guardrail polling must stay effectively free (full-scale runs only;
+        // tiny test scales are too noisy for an absolute ratio).  The committed
+        // baseline cannot grandfather a breach in: the floor is absolute.
+        if self.scale >= 1.0 {
+            if self.guarded_vs_unguarded < GUARD_OVERHEAD_FLOOR {
                 outcome.failures.push(format!(
-                    "[{label}] ALAE is not faster than Smith-Waterman ({ratio:.2}x)"
+                    "guarded-vs-unguarded ALAE throughput {:.3}x fell below the absolute \
+                     {GUARD_OVERHEAD_FLOOR:.2}x floor (guard polling costs > {:.0}%)",
+                    self.guarded_vs_unguarded,
+                    (1.0 - GUARD_OVERHEAD_FLOOR) * 100.0
+                ));
+            } else {
+                outcome.notes.push(format!(
+                    "guarded-vs-unguarded {:.3}x holds the absolute {GUARD_OVERHEAD_FLOOR:.2}x floor",
+                    self.guarded_vs_unguarded
                 ));
             }
         }
 
-        // Absolute hit-dense floor (full-scale runs only; tiny test scales
-        // are too noisy for an absolute ratio).
-        if label == "hit-dense" && fresh.scale >= 1.0 {
-            if let Some(ratio) = workload.alae_speedup_over("BWT-SW") {
-                if ratio < HIT_DENSE_BWTSW_FLOOR {
+        for workload in &self.workloads {
+            let label = workload.workload;
+
+            // Exactness: the exact engines report the same hit set per query.
+            if let (Some(alae), Some(bwtsw), Some(sw)) = (
+                workload.entry("ALAE"),
+                workload.entry("BWT-SW"),
+                workload.entry("Smith-Waterman"),
+            ) {
+                let mismatch = [bwtsw, sw].into_iter().find_map(|other| {
+                    first_hit_set_mismatch(&alae.query_hits, &other.query_hits)
+                        .map(|why| format!("{} vs {}, {why}", alae.engine, other.engine))
+                });
+                match mismatch {
+                    None => outcome.notes.push(format!(
+                        "[{label}] exact engines agree hit-for-hit on {} queries ({} hits)",
+                        alae.query_hits.len(),
+                        alae.hits()
+                    )),
+                    Some(why) => outcome
+                        .failures
+                        .push(format!("[{label}] exact engines disagree on {why}")),
+                }
+            }
+
+            // ALAE must beat the full dynamic program outright (machine-free).
+            if let Some(ratio) = workload.alae_speedup_over("Smith-Waterman") {
+                if ratio <= 1.0 {
                     outcome.failures.push(format!(
-                        "[{label}] ALAE-vs-BWT-SW speedup {ratio:.2}x fell below the \
-                         absolute {HIT_DENSE_BWTSW_FLOOR:.1}x floor"
-                    ));
-                } else {
-                    outcome.notes.push(format!(
-                        "[{label}] ALAE-vs-BWT-SW {ratio:.2}x holds the absolute \
-                         {HIT_DENSE_BWTSW_FLOOR:.1}x floor"
+                        "[{label}] ALAE is not faster than Smith-Waterman ({ratio:.2}x)"
                     ));
                 }
             }
-        }
 
-        // Baseline-relative ratio gates (machine-portable).
-        let section = comparable
-            .then(|| workload_section(baseline_json, label))
-            .flatten();
-        for &(key, engine) in CHECKED_SPEEDUPS {
-            let Some(now) = workload.alae_speedup_over(engine) else {
-                continue;
-            };
-            let base = section.and_then(|s| field_num(s, key));
-            match base {
-                Some(base) => {
-                    let floor = base * (1.0 - tolerance);
-                    if now < floor {
+            // Absolute hit-dense floor (full-scale runs only; tiny test scales
+            // are too noisy for an absolute ratio).
+            if label == "hit-dense" && self.scale >= 1.0 {
+                if let Some(ratio) = workload.alae_speedup_over("BWT-SW") {
+                    if ratio < HIT_DENSE_BWTSW_FLOOR {
                         outcome.failures.push(format!(
-                            "[{label}] {key}: ALAE speedup {now:.2}x fell below baseline \
-                             {base:.2}x - {:.0}% tolerance ({floor:.2}x)",
-                            tolerance * 100.0
+                            "[{label}] ALAE-vs-BWT-SW speedup {ratio:.2}x fell below the \
+                             absolute {HIT_DENSE_BWTSW_FLOOR:.1}x floor"
                         ));
                     } else {
                         outcome.notes.push(format!(
-                            "[{label}] {key}: {now:.2}x (baseline {base:.2}x) ok"
+                            "[{label}] ALAE-vs-BWT-SW {ratio:.2}x holds the absolute \
+                             {HIT_DENSE_BWTSW_FLOOR:.1}x floor"
                         ));
                     }
                 }
-                None => outcome.notes.push(format!(
-                    "[{label}] {key}: {now:.2}x (not in baseline, skipped)"
-                )),
+            }
+
+            // Baseline-relative ratio gates (machine-portable).
+            let section = comparable
+                .then(|| workload_section(baseline_json, label))
+                .flatten();
+            for &(key, engine) in CHECKED_SPEEDUPS {
+                if let Some(now) = workload.alae_speedup_over(engine) {
+                    let base = section.and_then(|s| field_num(s, key));
+                    outcome.check_ratio(&format!("[{label}] {key}"), now, base, tolerance);
+                }
             }
         }
+        outcome
     }
-    outcome
 }
 
 #[cfg(test)]
@@ -618,10 +511,13 @@ mod tests {
             for engine in ["BWT-SW", "Smith-Waterman"] {
                 let other = workload.entry(engine).unwrap();
                 assert_eq!(other.hits(), alae.hits());
-                assert_eq!(first_hit_set_mismatch(alae, other), None);
+                assert_eq!(
+                    first_hit_set_mismatch(&alae.query_hits, &other.query_hits),
+                    None
+                );
             }
         }
-        let outcome = check_against_baseline(&report.to_json(), &report, 0.20);
+        let outcome = report.check(&report.to_json(), 0.20);
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
         assert!(outcome.notes.iter().any(|n| n.contains("hit-for-hit")));
     }
@@ -645,7 +541,7 @@ mod tests {
         for k in [alae, bwtsw, sw] {
             dense.entries[k].query_hits[0] = vec![hit];
         }
-        let outcome = check_against_baseline(&report.to_json(), &report, 0.20);
+        let outcome = report.check(&report.to_json(), 0.20);
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
         // ... then BWT-SW's hit moves by one text position: the totals
         // still match, the hit sets do not.
@@ -656,7 +552,7 @@ mod tests {
             .unwrap();
         dense.entries[bwtsw].query_hits[0][0].end_text += 1;
         assert_eq!(dense.entries[alae].hits(), dense.entries[bwtsw].hits());
-        let outcome = check_against_baseline(&report.to_json(), &report, 0.20);
+        let outcome = report.check(&report.to_json(), 0.20);
         assert!(
             outcome
                 .failures
@@ -685,7 +581,7 @@ mod tests {
             1,
         );
         assert_ne!(inflated, json);
-        let outcome = check_against_baseline(&inflated, &report, 0.20);
+        let outcome = report.check(&inflated, 0.20);
         assert!(
             outcome
                 .failures
@@ -716,7 +612,7 @@ mod tests {
             .find(|e| e.engine == "ALAE")
             .unwrap()
             .queries_per_sec = bwtsw_qps * 0.8;
-        let outcome = check_against_baseline(&report.to_json(), &report, 0.20);
+        let outcome = report.check(&report.to_json(), 0.20);
         assert!(
             outcome
                 .failures
@@ -732,7 +628,7 @@ mod tests {
         let mut report = run(&tiny_options());
         report.scale = 1.0;
         report.guarded_vs_unguarded = 0.90;
-        let outcome = check_against_baseline(&report.to_json(), &report, 0.20);
+        let outcome = report.check(&report.to_json(), 0.20);
         assert!(
             outcome
                 .failures
@@ -743,7 +639,7 @@ mod tests {
         );
         // And a healthy ratio passes the same gate.
         report.guarded_vs_unguarded = 0.999;
-        let outcome = check_against_baseline(&report.to_json(), &report, 0.20);
+        let outcome = report.check(&report.to_json(), 0.20);
         assert!(
             !outcome
                 .failures
@@ -758,7 +654,7 @@ mod tests {
     fn check_skips_baselines_from_a_different_scale() {
         let report = run(&tiny_options());
         let json = report.to_json().replace("\"scale\": 0.05", "\"scale\": 7");
-        let outcome = check_against_baseline(&json, &report, 0.20);
+        let outcome = report.check(&json, 0.20);
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
         assert!(outcome.notes.iter().any(|n| n.contains("skipped")));
     }

@@ -41,7 +41,11 @@ pub fn prepare_dna(
     query_count: usize,
     seed: u64,
 ) -> PreparedWorkload {
-    prepare(Alphabet::Dna, text_len, query_len, query_count, seed)
+    // Segmented-homology queries: conserved segments embedded in random
+    // background, mirroring the structure of real cross-species queries
+    // (see `WorkloadBuilder::build_segmented`).
+    let segments = (query_len / 400).clamp(2, 8);
+    prepare_segmented(text_len, query_len, query_count, seed, segments)
 }
 
 /// Build a *sparse-hit* DNA workload: fully random queries (no homologous
@@ -55,55 +59,25 @@ pub fn prepare_dna_sparse(
     query_count: usize,
     seed: u64,
 ) -> PreparedWorkload {
-    let text_spec = TextSpec::dna(text_len, seed);
-    let query_spec = QuerySpec {
-        count: query_count,
-        length: query_len,
-        mutation: MutationProfile::HOMOLOGOUS,
-        seed: seed.wrapping_add(1),
-    };
     // segment_count = 0 degenerates to fully random queries.
-    let Workload { database, queries } =
-        WorkloadBuilder::new(text_spec, query_spec).build_segmented(0);
-    PreparedWorkload {
-        indexed: IndexBuilder::new().index(database),
-        queries,
-    }
+    prepare_segmented(text_len, query_len, query_count, seed, 0)
 }
 
-/// Build a protein workload (same shape as [`prepare_dna`]).
-pub fn prepare_protein(
+fn prepare_segmented(
     text_len: usize,
     query_len: usize,
     query_count: usize,
     seed: u64,
+    segments: usize,
 ) -> PreparedWorkload {
-    prepare(Alphabet::Protein, text_len, query_len, query_count, seed)
-}
-
-fn prepare(
-    alphabet: Alphabet,
-    text_len: usize,
-    query_len: usize,
-    query_count: usize,
-    seed: u64,
-) -> PreparedWorkload {
-    let text_spec = match alphabet {
-        Alphabet::Dna => TextSpec::dna(text_len, seed),
-        Alphabet::Protein => TextSpec::protein(text_len, seed),
-    };
     let query_spec = QuerySpec {
         count: query_count,
         length: query_len,
         mutation: MutationProfile::HOMOLOGOUS,
         seed: seed.wrapping_add(1),
     };
-    // Segmented-homology queries: conserved segments embedded in random
-    // background, mirroring the structure of real cross-species queries
-    // (see `WorkloadBuilder::build_segmented`).
-    let segments = (query_len / 400).clamp(2, 8);
     let Workload { database, queries } =
-        WorkloadBuilder::new(text_spec, query_spec).build_segmented(segments);
+        WorkloadBuilder::new(TextSpec::dna(text_len, seed), query_spec).build_segmented(segments);
     PreparedWorkload {
         indexed: IndexBuilder::new().index(database),
         queries,
@@ -131,12 +105,6 @@ mod tests {
         assert_eq!(prepared.index().len(), prepared.database().text_len());
         assert_eq!(prepared.queries.len(), 2);
         assert_eq!(prepared.text_len(), 5_000);
-    }
-
-    #[test]
-    fn protein_workload_uses_protein_alphabet() {
-        let prepared = prepare_protein(3_000, 150, 1, 3);
-        assert_eq!(prepared.database().alphabet(), Alphabet::Protein);
     }
 
     #[test]

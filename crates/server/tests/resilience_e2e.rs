@@ -12,7 +12,7 @@ use alae::client::{Client, RejectedError};
 use alae::search::{IndexBuilder, IndexedDatabase, SearchRequest, Searcher, Termination};
 use alae::wire::RejectReason;
 use alae::workload::{MutationProfile, QuerySpec, TextSpec, WorkloadBuilder};
-use alae_server::{Server, ServerConfig};
+use alae_server::{FairnessConfig, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -107,7 +107,21 @@ fn reload_under_load_preserves_hit_identity() {
     let local_a = Searcher::new(opened_a.clone(), request);
     let local_b = Searcher::new(opened_b, request);
 
-    let (server, addr) = spawn_server(opened_a, ServerConfig::default());
+    // The four clients share one loopback peer and query back to back, so
+    // under the default fairness gate (400 burst + 200/s) a fast host or a
+    // slow swap phase drains the bucket and a search fails with a typed
+    // `Fairness` rejection.  This test is about epochs, not fairness: open
+    // the gate wide, as the end-to-end benchmark does.
+    let config = ServerConfig {
+        fairness: FairnessConfig {
+            rate_per_sec: 1e9,
+            burst: 1e9,
+            ..FairnessConfig::default()
+        },
+        max_requests_per_conn: usize::MAX,
+        ..ServerConfig::default()
+    };
+    let (server, addr) = spawn_server(opened_a, config);
     assert_eq!(server.index_epoch(), 1);
     let stop = Arc::new(AtomicBool::new(false));
 
