@@ -169,6 +169,12 @@ pub enum SearchError {
         /// Its offset in the query.
         position: usize,
     },
+    /// The scoring scheme breaks the sign rules of Section 2.1, or (for
+    /// ALAE) its q-grams cannot be packed into a `u64` key.
+    InvalidScheme {
+        /// Which rule the scheme breaks.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for SearchError {
@@ -187,6 +193,7 @@ impl std::fmt::Display for SearchError {
                 f,
                 "query code {code} at position {position} is outside the database alphabet"
             ),
+            SearchError::InvalidScheme { reason } => write!(f, "invalid scoring scheme: {reason}"),
         }
     }
 }

@@ -164,10 +164,23 @@ impl ScoringScheme {
     ///
     /// A positive-scoring alignment must begin with `q` exact matches on the
     /// text side (Theorem 3), which is what makes q-gram seeding exact.
+    /// Panics where Equation 2 has no value (see [`ScoringScheme::checked_q`]).
     #[inline]
     pub fn q(&self) -> usize {
-        let min_penalty = self.sb.abs().min((self.sg + self.ss).abs());
-        (min_penalty / self.sa) as usize + 1
+        self.checked_q()
+            .expect("Equation 2 needs sa > 0 and penalties whose magnitudes fit i64")
+    }
+
+    /// [`ScoringScheme::q`], or `None` where Equation 2 has no value: when
+    /// `sa ≤ 0`, or when a penalty is so large that `|sb|` or `|sg + ss|`
+    /// overflows `i64`.  Use it for schemes from outside the process.
+    pub fn checked_q(&self) -> Option<usize> {
+        if self.sa <= 0 {
+            return None;
+        }
+        let gap = self.sg.checked_add(self.ss)?.checked_abs()?;
+        let min_penalty = self.sb.checked_abs()?.min(gap);
+        usize::try_from(min_penalty / self.sa).ok()?.checked_add(1)
     }
 
     /// Lower bound on meaningful text-substring lengths (Theorem 1):
@@ -261,6 +274,19 @@ mod tests {
         assert_eq!(ScoringScheme::new(1, -3, -2, -2).unwrap().q(), 4);
         // ⟨2,−3,−5,−2⟩: min(3, 7) = 3, q = 3/2 + 1 = 2.
         assert_eq!(ScoringScheme::new(2, -3, -5, -2).unwrap().q(), 2);
+    }
+
+    #[test]
+    fn checked_q_agrees_with_q_and_refuses_overflow() {
+        for scheme in ScoringScheme::FIGURE9_SCHEMES {
+            assert_eq!(scheme.checked_q(), Some(scheme.q()));
+        }
+        assert_eq!(ScoringScheme::PROTEIN_DEFAULT.checked_q(), Some(4));
+        let scheme = |sa, sb, sg, ss| ScoringScheme { sa, sb, sg, ss };
+        assert_eq!(scheme(0, -3, -5, -2).checked_q(), None);
+        assert_eq!(scheme(1, i64::MIN, -5, -2).checked_q(), None);
+        assert_eq!(scheme(1, -3, i64::MIN, -2).checked_q(), None);
+        assert_eq!(scheme(1, -100, -500, -200).checked_q(), Some(101));
     }
 
     #[test]

@@ -71,10 +71,14 @@ pub struct AlaeResult {
 
 /// The ALAE aligner: a compressed-suffix-array text index, the offline
 /// domination index, and a configuration.
+///
+/// Both indexes sit behind `Arc`s: they are functions of the text (and,
+/// for the domination index, of `q`), not of the request, so any number
+/// of aligners can share one copy.
 #[derive(Debug, Clone)]
 pub struct AlaeAligner {
     index: Arc<TextIndex>,
-    domination: Option<DominationIndex>,
+    domination: Option<Arc<DominationIndex>>,
     alphabet: Alphabet,
     config: AlaeConfig,
 }
@@ -94,16 +98,37 @@ impl AlaeAligner {
     }
 
     /// Build the aligner around an existing (possibly shared) text index.
+    ///
+    /// Builds a fresh domination index (one `O(n)` pass over the text)
+    /// when the configuration enables the domination filter; use
+    /// [`AlaeAligner::with_domination`] to share one instead.
     pub fn with_index(index: Arc<TextIndex>, alphabet: Alphabet, config: AlaeConfig) -> Self {
-        let domination = if config.filters.domination_filter {
-            Some(DominationIndex::build(
+        let domination = config.filters.domination_filter.then(|| {
+            Arc::new(DominationIndex::build(
                 index.text(),
                 config.scheme.q(),
                 alphabet.code_count(),
             ))
-        } else {
-            None
-        };
+        });
+        Self::with_domination(index, alphabet, config, domination)
+    }
+
+    /// Build the aligner around an existing text index and an already
+    /// built (possibly shared) domination index.
+    ///
+    /// `domination` must have been built over `index.text()` with the
+    /// alphabet's code count.  It is only kept when the configuration
+    /// enables the domination filter and its `q` is the scheme's: an index
+    /// for another `q` would answer for the wrong grams.  Without one the
+    /// filter skips no fork, which is slower but still exact.
+    pub fn with_domination(
+        index: Arc<TextIndex>,
+        alphabet: Alphabet,
+        config: AlaeConfig,
+        domination: Option<Arc<DominationIndex>>,
+    ) -> Self {
+        let domination = domination
+            .filter(|dom| config.filters.domination_filter && dom.q() == config.scheme.q());
         Self {
             index,
             domination,
@@ -133,7 +158,7 @@ impl AlaeAligner {
     pub fn domination_index_size_bytes(&self) -> usize {
         self.domination
             .as_ref()
-            .map_or(0, DominationIndex::size_in_bytes)
+            .map_or(0, |dom| dom.size_in_bytes())
     }
 
     /// Align a query given as a code slice and report every end pair whose
@@ -1166,6 +1191,26 @@ mod tests {
                 .filters(FilterToggles::LOCAL_ONLY),
         );
         assert_eq!(no_dom.domination_index_size_bytes(), 0);
+    }
+
+    #[test]
+    fn a_shared_domination_index_is_kept_only_when_it_fits() {
+        let db = dna_db(b"ACCGTTAGGCATCGATTGCAACCGGTTACGATCAGTACCGTTAGGC");
+        let index = Arc::new(IndexOptions::new().build_text_index(db.shared_text(), 5));
+        let built = |q| Some(Arc::new(DominationIndex::build(index.text(), q, 5)));
+        let config = AlaeConfig::with_threshold(ScoringScheme::DEFAULT, 8);
+        let with = |config, domination| {
+            AlaeAligner::with_domination(index.clone(), Alphabet::Dna, config, domination)
+        };
+        let fits = with(config, built(4));
+        assert!(fits.domination_index_size_bytes() > 0);
+        // An index for another q would skip the wrong forks; it is dropped.
+        assert_eq!(with(config, built(3)).domination_index_size_bytes(), 0);
+        let off = config.filters(FilterToggles::LOCAL_ONLY);
+        assert_eq!(with(off, built(4)).domination_index_size_bytes(), 0);
+        let query = encode(b"TTAGGCATCGATCCGGTTACG");
+        let fresh = AlaeAligner::with_index(index.clone(), Alphabet::Dna, config).align(&query);
+        assert!(diff_hits(&fits.align(&query).hits, &fresh.hits).is_none());
     }
 
     #[test]

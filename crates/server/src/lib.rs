@@ -105,6 +105,7 @@ use alae::wire::{
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{IpAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -261,9 +262,10 @@ pub(crate) enum Submission {
     /// Refused at admission with a typed reason (capacity, fairness,
     /// draining); the metric for the reason has been incremented.
     Rejected(Rejection),
-    /// The query codes do not fit the database alphabet; the typed
-    /// summary carries [`Termination::Invalid`] and the termination
-    /// counter has already been incremented.
+    /// The query codes do not fit the database alphabet, or the scoring
+    /// scheme fails [`SearchRequest::validate_scheme`]; the typed summary
+    /// carries [`Termination::Invalid`] and the termination counter has
+    /// already been incremented.
     Invalid(DoneSummary),
     /// Enqueued; events arrive on the receiver, ending with
     /// [`Event::Done`].
@@ -271,10 +273,10 @@ pub(crate) enum Submission {
 }
 
 /// The one admission path both fronts share: drain gate, per-peer
-/// fairness, capacity check, guardrail clamping, alphabet validation,
-/// then the queue.  Keeping TCP and HTTP on the same path is what makes
-/// their hits identical by construction and lets every metric apply
-/// uniformly.
+/// fairness, capacity check, guardrail clamping, alphabet and scoring
+/// scheme validation, then the queue.  Keeping TCP and HTTP on the same
+/// path is what makes their hits identical by construction and lets
+/// every metric apply uniformly.
 pub(crate) fn submit(
     shared: &Shared,
     request: SearchRequest,
@@ -324,13 +326,17 @@ pub(crate) fn submit(
     // Codes the database alphabet cannot represent never reach the
     // engines (`Sequence::from_codes` requires valid codes); answer
     // with the same typed rejection the in-process facade produces.
+    // Neither does a scheme the engines cannot run: it would divide by
+    // zero or overflow inside a worker.
     let alphabet = pinned.db.alphabet();
-    if let Some((position, &code)) = codes
+    let invalid = codes
         .iter()
         .enumerate()
         .find(|&(_, &code)| !alphabet.is_character(code))
-    {
-        let termination = Termination::Invalid(SearchError::InvalidCode { code, position });
+        .map(|(position, &code)| SearchError::InvalidCode { code, position })
+        .or_else(|| request.validate_scheme(alphabet).err());
+    if let Some(error) = invalid {
+        let termination = Termination::Invalid(error);
         shared.metrics.termination_counter(&termination).inc();
         shared.trace.record(QueryTrace {
             id: 0,
@@ -880,15 +886,17 @@ fn next_wave(shared: &Shared) -> Option<Vec<Pending>> {
 /// stream without disturbing the rest of the wave.
 struct ForwardingSink<'a> {
     reply: &'a mpsc::Sender<Event>,
-    client_gone: bool,
+    /// Hits forwarded so far (what the done frame reports if the run
+    /// panics mid-stream).
+    delivered: u64,
 }
 
 impl HitSink for ForwardingSink<'_> {
     fn accept(&mut self, hit: SearchHit) -> SinkFlow {
         if self.reply.send(Event::Hit(hit)).is_err() {
-            self.client_gone = true;
             return SinkFlow::Stop;
         }
+        self.delivered += 1;
         SinkFlow::Continue
     }
 }
@@ -931,8 +939,10 @@ fn run_wave(shared: &Shared, wave: Vec<Pending>) {
     // guarantees it); the wave runs on that index even if a reload
     // publishes a newer one mid-flight.
     let db = wave[0].pinned.db.clone();
-    // Stamped before the per-wave engine build, so queue wait ends at
-    // pickup and the build counts as engine time.
+    // Stamped before the engine build, so queue wait ends at pickup and
+    // the build counts as engine time.  The build is a few `Arc` clones,
+    // except in the epoch's first ALAE wave for a `q`, which builds the
+    // domination index (`IndexedDatabase::domination_index`).
     let picked_up = Instant::now();
     let searcher = Searcher::new(db.clone(), request);
     let alphabet = db.alphabet();
@@ -954,28 +964,42 @@ fn run_wave(shared: &Shared, wave: Vec<Pending>) {
         let query = Sequence::from_codes(alphabet, pending.codes.clone());
         let mut sink = ForwardingSink {
             reply: &pending.reply,
-            client_gone: false,
+            delivered: 0,
         };
-        let summary = searcher.search_into(&query, &mut sink);
+        // Panic-isolated like every query of a batch wave
+        // (`Searcher::search_batch`): a panicking engine ends this query
+        // with a typed outcome, and the worker lives on.
+        let outcome = catch_unwind(AssertUnwindSafe(|| searcher.search_into(&query, &mut sink)));
         let engine_time = picked_up.elapsed();
+        let done = match outcome {
+            Ok(summary) => DoneSummary {
+                engine: summary.engine,
+                threshold: summary.threshold,
+                delivered: summary.delivered as u64,
+                raw_hit_count: summary.raw_hit_count as u64,
+                termination: summary.termination,
+                counters: summary.counters,
+            },
+            Err(_) => DoneSummary {
+                engine: request.engine,
+                threshold: 0,
+                delivered: sink.delivered,
+                raw_hit_count: 0,
+                termination: Termination::EnginePanicked,
+                counters: EngineCounters::empty(request.engine),
+            },
+        };
         finish_query(
             shared,
             &pending,
-            summary.engine,
+            done.engine,
             1,
             queue_wait,
             engine_time,
-            summary.delivered,
-            &summary.termination,
+            done.delivered as usize,
+            &done.termination,
         );
-        let _ = pending.reply.send(Event::Done(DoneSummary {
-            engine: summary.engine,
-            threshold: summary.threshold,
-            delivered: summary.delivered as u64,
-            raw_hit_count: summary.raw_hit_count as u64,
-            termination: summary.termination,
-            counters: summary.counters,
-        }));
+        let _ = pending.reply.send(Event::Done(done));
         return;
     }
 
@@ -1018,5 +1042,69 @@ fn run_wave(shared: &Shared, wave: Vec<Pending>) {
                 counters: response.counters,
             }));
         }
+    }
+}
+
+#[cfg(all(test, feature = "fault-inject"))]
+mod tests {
+    use super::*;
+    use alae::bioseq::{Alphabet, ScoringScheme};
+
+    /// Collect one submission's answer: the hits streamed, then the done
+    /// summary (bounded, so a dead worker fails the test instead of
+    /// hanging it).
+    fn answer(submission: Submission) -> (usize, DoneSummary) {
+        let Submission::Enqueued(events) = submission else {
+            panic!("query was not enqueued");
+        };
+        let mut hits = 0;
+        loop {
+            match events.recv_timeout(Duration::from_secs(30)) {
+                Ok(Event::Hit(_)) => hits += 1,
+                Ok(Event::Done(done)) => return (hits, done),
+                Err(err) => panic!("no done frame: {err}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_single_query_wave_ends_typed_and_keeps_its_worker() {
+        let text = b"GCTAGCTAGGCATCGATCGGCTAGCATTTGCATCAGTACGG";
+        let db = IndexedDatabase::from_sequences(
+            Alphabet::Dna,
+            [Sequence::from_ascii(Alphabet::Dna, text).unwrap()],
+        );
+        // One worker: if the panic killed it, the clean query below would
+        // never be answered.
+        let server = Server::bind(
+            "127.0.0.1:0",
+            db,
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let codes = Alphabet::Dna.encode(b"GCTAGCATCGATCGG").unwrap();
+        let clean = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 8);
+        let poisoned = clean.fault(FaultPlan {
+            panic_at_node: Some(1),
+            ..FaultPlan::default()
+        });
+
+        let (hits, done) = answer(submit(&server.shared, poisoned, codes.clone(), "tcp", None));
+        assert_eq!(done.termination, Termination::EnginePanicked);
+        assert_eq!((hits, done.delivered), (0, 0));
+        let panicked = server
+            .metrics()
+            .termination_counter(&Termination::EnginePanicked);
+        assert_eq!(panicked.get(), 1);
+        assert_eq!(server.shared.live_workers.load(Ordering::SeqCst), 1);
+
+        let (hits, done) = answer(submit(&server.shared, clean, codes, "tcp", None));
+        assert_eq!(done.termination, Termination::Complete);
+        assert!(hits > 0);
+        assert_eq!(done.delivered, hits as u64);
+        server.shutdown();
     }
 }

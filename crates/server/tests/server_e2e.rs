@@ -5,13 +5,15 @@
 
 use alae::bioseq::{Alphabet, ScoringScheme, Sequence};
 use alae::client::Client;
-use alae::search::{IndexBuilder, IndexedDatabase, SearchRequest, Searcher, Termination};
+use alae::search::{
+    IndexBuilder, IndexedDatabase, SearchError, SearchRequest, Searcher, Termination,
+};
 use alae::wire::{encode_request, write_frame, FrameKind};
 use alae::workload::{MutationProfile, QuerySpec, TextSpec, WorkloadBuilder};
 use alae_server::{Server, ServerConfig};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn workload(text_len: usize, queries: usize) -> (IndexedDatabase, Vec<Sequence>) {
     let built = WorkloadBuilder::new(
@@ -212,5 +214,53 @@ fn malformed_request_gets_an_error_frame() {
         matches!(rejected.termination, Termination::Invalid(_)),
         "an empty query must surface the facade's typed rejection, got {:?}",
         rejected.termination
+    );
+}
+
+/// Scoring schemes the engines cannot run are refused at admission with a
+/// typed `InvalidScheme`, promptly and without costing a worker: `sa = 0`
+/// would divide by zero computing q, q = 101 cannot pack its grams into
+/// 64 bits, and an E-value needs Karlin–Altschul statistics that
+/// `<4,-1,-5,-2>` lacks on DNA.  With both workers still alive, a valid
+/// query on the same connection completes.
+#[test]
+fn invalid_schemes_are_refused_typed_and_cost_no_worker() {
+    let (db, queries) = workload(3_000, 1);
+    let addr = spawn_server(db.clone(), ServerConfig::default());
+    let long_query = Sequence::from_codes(Alphabet::Dna, queries[0].codes().repeat(5));
+    assert!(long_query.len() >= 150);
+
+    let mut client = Client::connect(addr).expect("connect");
+    let scheme = |sa, sb, sg, ss| ScoringScheme { sa, sb, sg, ss };
+    for hostile in [
+        SearchRequest::with_threshold(scheme(0, -3, -5, -2), 30),
+        SearchRequest::with_threshold(scheme(1, -100, -500, -200), 30),
+        SearchRequest::with_evalue(scheme(4, -1, -5, -2), 10.0),
+    ] {
+        let scheme = hostile.scheme;
+        let started = Instant::now();
+        let response = client.search(&hostile, &long_query).expect("search");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{scheme}: answered after {:?}",
+            started.elapsed()
+        );
+        assert!(
+            matches!(
+                response.termination,
+                Termination::Invalid(SearchError::InvalidScheme { .. })
+            ),
+            "{scheme}: expected InvalidScheme, got {:?}",
+            response.termination
+        );
+        assert!(response.hits.is_empty());
+    }
+
+    let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12);
+    let response = client.search(&request, &queries[0]).expect("search");
+    assert!(matches!(response.termination, Termination::Complete));
+    assert_eq!(
+        response.hits,
+        Searcher::new(db, request).search(&queries[0]).hits
     );
 }

@@ -9,8 +9,9 @@
 //! many queries against one shared index:
 //!
 //! * [`IndexedDatabase`] — a cheaply-cloneable handle bundling the record
-//!   table, the concatenated text and the compressed-suffix-array index.
-//!   Build it once, share it everywhere (all clones share the same memory).
+//!   table, the concatenated text, the compressed-suffix-array index and
+//!   the lazily built domination index.  Build it once, share it
+//!   everywhere (all clones share the same memory).
 //! * [`LocalAligner`] — the engine-agnostic trait implemented by all four
 //!   engines; [`EngineKind`] selects one.
 //! * [`SearchRequest`] — a builder covering threshold-or-E-value reporting,
@@ -53,14 +54,18 @@
 
 use alae_align_baseline::{local_alignment_hits_guarded, LocalDpStats};
 use alae_bioseq::hits::AlignmentHit;
-use alae_bioseq::{Alphabet, KarlinAltschul, ScoringScheme, Sequence, SequenceDatabase};
+use alae_bioseq::{
+    Alphabet, BioseqError, KarlinAltschul, ScoringScheme, Sequence, SequenceDatabase,
+};
 use alae_blast_like::{BlastConfig, BlastLikeAligner, BlastStats};
 use alae_bwtsw::{BwtswAligner, BwtswConfig, BwtswStats};
-use alae_core::{AlaeAligner, AlaeConfig, AlaeStats, FilterToggles, ThresholdSpec};
+use alae_core::{
+    AlaeAligner, AlaeConfig, AlaeStats, DominationIndex, FilterToggles, ThresholdSpec,
+};
 use alae_suffix::{IndexOptions, RankLayout, TextIndex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "fault-inject")]
@@ -77,8 +82,9 @@ pub use alae_bioseq::guard::{CancelOnDrop, CancelToken, SearchError, SearchGuard
 /// suffix-array sample rate — forwarding to
 /// [`alae_suffix::IndexOptions`].  There is deliberately **no** q-gram knob: `q` is a
 /// property of the scoring scheme (Equation 2 of the paper), derived per
-/// request from [`ScoringScheme::q`], and the q-gram inverted lists are
-/// built per *query*, not stored with the database.
+/// request from [`ScoringScheme::q`].  The q-gram inverted lists are
+/// built per *query*; the domination index, which depends on `q`, is
+/// built on first use (see [`IndexedDatabase::domination_index`]).
 ///
 /// ```
 /// use alae::bioseq::{Alphabet, Sequence, SequenceDatabase};
@@ -135,17 +141,27 @@ impl IndexBuilder {
             self.options
                 .build_text_index(database.shared_text(), database.alphabet().code_count()),
         );
-        IndexedDatabase { database, index }
+        IndexedDatabase::from_parts(database, index)
     }
 }
 
-/// A sequence database bundled with its suffix-trie index, behind `Arc`s so
-/// clones are cheap and every engine (and every thread) shares one copy of
-/// the text and index memory.
+/// A sequence database bundled with its suffix-trie index and its
+/// domination index, behind `Arc`s so clones are cheap and every engine
+/// (and every thread) shares one copy of the text and index memory.
+///
+/// The domination index (the paper's offline "dominate index", Section
+/// 3.2.2) is a function of the text and of `q`, which comes from the
+/// request's scoring scheme.  It is therefore not built with the rest:
+/// the first ALAE engine that needs it builds it, and every later engine
+/// over this handle or any clone of it shares that copy.  The memo holds
+/// one index; an engine asking for another `q` replaces it.  A handle
+/// from [`IndexedDatabase::open`] starts with an empty memo.
 #[derive(Debug, Clone)]
 pub struct IndexedDatabase {
     database: Arc<SequenceDatabase>,
     index: Arc<TextIndex>,
+    /// Single-slot memo of the domination index, keyed by its `q`.
+    domination: Arc<Mutex<Option<Arc<DominationIndex>>>>,
 }
 
 impl IndexedDatabase {
@@ -166,7 +182,11 @@ impl IndexedDatabase {
             index.text(),
             "index must cover the database text"
         );
-        Self { database, index }
+        Self {
+            database,
+            index,
+            domination: Arc::default(),
+        }
     }
 
     /// The record table and concatenated text.
@@ -194,6 +214,40 @@ impl IndexedDatabase {
         self.database.record_count()
     }
 
+    /// The domination index of the text for gram length `q`.
+    ///
+    /// Built with one `O(n)` pass on the first call for a `q`, then shared
+    /// by every caller over this handle and its clones until a call with
+    /// another `q` replaces it.  The build runs without the memo's lock
+    /// held; two threads racing on an empty memo may both build, and the
+    /// loser adopts the winner's copy.
+    pub fn domination_index(&self, q: usize) -> Arc<DominationIndex> {
+        if let Some(resident) = self.domination_slot().as_ref().filter(|dom| dom.q() == q) {
+            return Arc::clone(resident);
+        }
+        let built = Arc::new(DominationIndex::build(
+            self.index.text(),
+            q,
+            self.alphabet().code_count(),
+        ));
+        let mut slot = self.domination_slot();
+        match slot.as_ref() {
+            Some(resident) if resident.q() == q => Arc::clone(resident),
+            _ => {
+                *slot = Some(Arc::clone(&built));
+                built
+            }
+        }
+    }
+
+    /// The memo's slot.  A poisoned lock still holds a whole `Option`
+    /// (nothing panics while it is held), so poisoning is ignored.
+    fn domination_slot(&self) -> MutexGuard<'_, Option<Arc<DominationIndex>>> {
+        self.domination
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Persist the database and index to a single file (see `alae-store`
     /// for the format).  The file can be reopened with
     /// [`IndexedDatabase::open`] without rebuilding the suffix array.
@@ -210,10 +264,7 @@ impl IndexedDatabase {
     /// [`alae_store::StoreError`].
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, alae_store::StoreError> {
         let opened = alae_store::open_index(path.as_ref())?;
-        Ok(Self {
-            database: opened.database,
-            index: opened.index,
-        })
+        Ok(Self::from_parts(opened.database, opened.index))
     }
 }
 
@@ -453,6 +504,43 @@ impl SearchRequest {
         }
     }
 
+    /// Check the request's scoring scheme before any engine is built: it
+    /// must keep the sign rules of Section 2.1 ([`ScoringScheme::validate`])
+    /// and have a q ([`ScoringScheme::checked_q`]; every engine's threshold
+    /// floor `q·sa` needs it).  For ALAE `code_count^q` must fit a `u64`,
+    /// the packing rule of the q-gram and domination indexes, and an
+    /// E-value threshold needs the scheme's Karlin–Altschul statistics.  A
+    /// server calls this on every scheme a client sends; a scheme that
+    /// fails it would divide by zero, overflow or panic inside the engine.
+    pub fn validate_scheme(&self, alphabet: Alphabet) -> Result<(), SearchError> {
+        let invalid = |reason: String| SearchError::InvalidScheme { reason };
+        self.scheme.validate().map_err(|err| match err {
+            BioseqError::InvalidScoringScheme(reason) => invalid(reason),
+            other => invalid(other.to_string()),
+        })?;
+        let q = self
+            .scheme
+            .checked_q()
+            .ok_or_else(|| invalid("q overflows 64-bit arithmetic".to_string()))?;
+        if self.engine == EngineKind::Alae {
+            let code_count = alphabet.code_count() as u64;
+            if u32::try_from(q)
+                .ok()
+                .and_then(|q| code_count.checked_pow(q))
+                .is_none()
+            {
+                return Err(invalid(format!(
+                    "q = {q}: {code_count}^{q} q-gram keys exceed 64 bits"
+                )));
+            }
+        }
+        if let ThresholdSpec::EValue(_) = self.threshold {
+            KarlinAltschul::estimate(alphabet, &self.scheme)
+                .map_err(|err| invalid(err.to_string()))?;
+        }
+        Ok(())
+    }
+
     /// Resolve the reporting threshold `H` for a query of length `m`
     /// against a text of length `n` — the same resolution (including the
     /// `q·sa` exactness floor of Theorem 3) for every engine, so the exact
@@ -585,6 +673,9 @@ pub trait LocalAligner: Send + Sync {
 ///
 /// The returned trait object is self-contained (it shares the index/text
 /// via `Arc`) and reusable across any number of queries and threads.
+/// Building one costs a few `Arc` clones: ALAE takes the database's shared
+/// domination index ([`IndexedDatabase::domination_index`]), so only the
+/// first ALAE engine for a `q` over a database pays its `O(n)` build.
 pub fn build_engine(db: &IndexedDatabase, request: &SearchRequest) -> Box<dyn LocalAligner> {
     let shared = EngineShared {
         request: *request,
@@ -592,14 +683,22 @@ pub fn build_engine(db: &IndexedDatabase, request: &SearchRequest) -> Box<dyn Lo
         text_len: db.text_len(),
     };
     match request.engine {
-        EngineKind::Alae => Box::new(AlaeEngine {
-            aligner: AlaeAligner::with_index(
-                db.index.clone(),
-                db.alphabet(),
-                request.to_alae_config(),
-            ),
-            shared,
-        }),
+        EngineKind::Alae => {
+            let config = request.to_alae_config();
+            let domination = config
+                .filters
+                .domination_filter
+                .then(|| db.domination_index(config.scheme.q()));
+            Box::new(AlaeEngine {
+                aligner: AlaeAligner::with_domination(
+                    db.index.clone(),
+                    db.alphabet(),
+                    config,
+                    domination,
+                ),
+                shared,
+            })
+        }
         EngineKind::Bwtsw => Box::new(BwtswEngine {
             index: db.index.clone(),
             shared,
@@ -902,7 +1001,9 @@ pub struct Searcher {
 }
 
 impl Searcher {
-    /// Build the engine selected by `request` over `db`.
+    /// Build the engine selected by `request` over `db` (see
+    /// [`build_engine`]: after the first ALAE searcher for a `q` over a
+    /// database, this costs a few `Arc` clones).
     pub fn new(db: IndexedDatabase, request: SearchRequest) -> Self {
         let engine = build_engine(&db, &request);
         Self::with_engine(db, request, engine)
@@ -1337,6 +1438,156 @@ mod tests {
         assert!(summary.stopped_early);
         assert_eq!(summary.delivered, 1);
         assert_eq!(first.as_ref(), eager.hits.first());
+    }
+
+    /// What the domination memo holds right now, without building.
+    fn resident(db: &IndexedDatabase) -> Option<Arc<DominationIndex>> {
+        db.domination.lock().unwrap().clone()
+    }
+
+    #[test]
+    fn searchers_over_one_database_share_one_domination_index() {
+        let db = tiny_db();
+        let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 5);
+        assert!(
+            resident(&db).is_none(),
+            "indexing builds no domination index"
+        );
+        let first = Searcher::new(db.clone(), request);
+        let shared = resident(&db).expect("the first ALAE searcher fills the memo");
+        assert_eq!(shared.q(), ScoringScheme::DEFAULT.q());
+        let second = Searcher::new(db.clone(), request);
+        let clone = db.clone();
+        let over_clone = Searcher::new(clone.clone(), request);
+        assert!(Arc::ptr_eq(&resident(&db).unwrap(), &shared));
+        assert!(Arc::ptr_eq(&resident(&clone).unwrap(), &shared));
+        // The memo, `shared` and the three engines: each searcher holds this
+        // very index rather than a copy of its own.
+        assert_eq!(Arc::strong_count(&shared), 5);
+        let query = Sequence::from_ascii(Alphabet::Dna, b"GCTAGC").unwrap();
+        assert_eq!(first.search(&query).hits, over_clone.search(&query).hits);
+        drop((first, second, over_clone));
+        assert_eq!(Arc::strong_count(&shared), 2);
+    }
+
+    #[test]
+    fn another_q_replaces_the_slot_and_old_engines_keep_their_index() {
+        let db = tiny_db();
+        let query = Sequence::from_ascii(Alphabet::Dna, b"GCTAGCTT").unwrap();
+        let q4 = Searcher::new(
+            db.clone(),
+            SearchRequest::with_threshold(ScoringScheme::DEFAULT, 5),
+        );
+        let before = q4.search(&query);
+        let old = resident(&db).unwrap();
+        assert_eq!(old.q(), 4);
+
+        let q2_scheme = ScoringScheme::new(1, -1, -5, -2).unwrap();
+        let _q2 = Searcher::new(db.clone(), SearchRequest::with_threshold(q2_scheme, 5));
+        let new = resident(&db).unwrap();
+        assert_eq!(new.q(), 2);
+        assert!(!Arc::ptr_eq(&old, &new));
+        // Only `old` and the q = 4 engine still hold the replaced index.
+        assert_eq!(Arc::strong_count(&old), 2);
+
+        let after = q4.search(&query);
+        assert_eq!(after.hits, before.hits);
+        let (a, b) = (
+            after.counters.as_alae().unwrap(),
+            before.counters.as_alae().unwrap(),
+        );
+        assert_eq!(
+            (a.forks_started, a.forks_dominated),
+            (b.forks_started, b.forks_dominated)
+        );
+    }
+
+    #[test]
+    fn only_alae_with_the_domination_filter_builds_the_index() {
+        let db = tiny_db();
+        let query = Sequence::from_ascii(Alphabet::Dna, b"GCTAGC").unwrap();
+        let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 5);
+        let off = request.filters(FilterToggles {
+            domination_filter: false,
+            ..FilterToggles::ALL
+        });
+        assert!(Searcher::new(db.clone(), off).search(&query).is_complete());
+        for kind in [
+            EngineKind::Bwtsw,
+            EngineKind::BlastLike,
+            EngineKind::SmithWaterman,
+        ] {
+            Searcher::new(db.clone(), request.engine(kind)).search(&query);
+        }
+        assert!(resident(&db).is_none());
+    }
+
+    #[test]
+    fn a_reopened_index_starts_with_an_empty_memo() {
+        let db = tiny_db();
+        let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 5);
+        let query = Sequence::from_ascii(Alphabet::Dna, b"GCTAGC").unwrap();
+        let expected = Searcher::new(db.clone(), request).search(&query);
+        assert!(resident(&db).is_some());
+
+        let mut path = std::env::temp_dir();
+        path.push(format!("alae-memo-reopen-{}.idx", std::process::id()));
+        db.save(&path).unwrap();
+        let reopened = IndexedDatabase::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(resident(&reopened).is_none());
+        let response = Searcher::new(reopened.clone(), request).search(&query);
+        assert_eq!(response.hits, expected.hits);
+        assert!(!Arc::ptr_eq(
+            &resident(&reopened).unwrap(),
+            &resident(&db).unwrap()
+        ));
+    }
+
+    #[test]
+    fn scheme_validation_refuses_what_the_engines_cannot_run() {
+        let request = |scheme| SearchRequest::with_threshold(scheme, 30);
+        // q = 27 packs DNA grams (5^27 < 2^64); q = 28 does not.
+        let with_q = |q: i64| ScoringScheme::new(1, 1 - q, -50, -2).unwrap();
+        assert!(request(with_q(27)).validate_scheme(Alphabet::Dna).is_ok());
+        let too_long = request(with_q(28));
+        assert!(matches!(
+            too_long.validate_scheme(Alphabet::Dna),
+            Err(SearchError::InvalidScheme { .. })
+        ));
+        // Only ALAE packs q-grams.
+        assert!(too_long
+            .engine(EngineKind::Bwtsw)
+            .validate_scheme(Alphabet::Dna)
+            .is_ok());
+        // An E-value needs Karlin–Altschul statistics, which do not exist
+        // when the expected column score is not negative (DNA: 4·¼ − 1·¾).
+        let positive_drift = ScoringScheme::new(4, -1, -5, -2).unwrap();
+        assert!(request(positive_drift)
+            .validate_scheme(Alphabet::Dna)
+            .is_ok());
+        let evalue = SearchRequest::with_evalue(positive_drift, 10.0);
+        assert!(matches!(
+            evalue.validate_scheme(Alphabet::Dna),
+            Err(SearchError::InvalidScheme { .. })
+        ));
+        assert!(SearchRequest::with_evalue(ScoringScheme::DEFAULT, 10.0)
+            .validate_scheme(Alphabet::Dna)
+            .is_ok());
+        // The sign rules bind every engine.
+        let zero_match = ScoringScheme {
+            sa: 0,
+            ..ScoringScheme::DEFAULT
+        };
+        for kind in EngineKind::ALL {
+            let error = request(zero_match)
+                .engine(kind)
+                .validate_scheme(Alphabet::Protein);
+            assert!(
+                matches!(&error, Err(SearchError::InvalidScheme { reason }) if reason.contains("sa")),
+                "{kind}: {error:?}"
+            );
+        }
     }
 
     #[test]

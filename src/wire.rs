@@ -671,6 +671,10 @@ fn encode_termination(w: &mut PayloadWriter, termination: &Termination) {
                     w.put_u8(*code);
                     w.put_u64(*position as u64);
                 }
+                SearchError::InvalidScheme { reason } => {
+                    w.put_u8(4);
+                    w.put_bytes(reason.as_bytes());
+                }
             }
         }
     }
@@ -696,6 +700,11 @@ fn decode_termination(r: &mut PayloadReader<'_>) -> Result<Termination, WireErro
             3 => SearchError::InvalidCode {
                 code: r.get_u8()?,
                 position: r.get_usize()?,
+            },
+            4 => SearchError::InvalidScheme {
+                reason: std::str::from_utf8(r.get_bytes()?)
+                    .map_err(|_| WireError::new("scheme error reason is not UTF-8"))?
+                    .to_string(),
             },
             other => return Err(WireError::new(format!("unknown error tag {other}"))),
         }),
@@ -1036,6 +1045,28 @@ mod tests {
             }
             other => panic!("wrong counters {other:?}"),
         }
+    }
+
+    #[test]
+    fn done_round_trips_an_invalid_scheme() {
+        let summary = DoneSummary {
+            engine: EngineKind::Alae,
+            threshold: 0,
+            delivered: 0,
+            raw_hit_count: 0,
+            termination: Termination::Invalid(SearchError::InvalidScheme {
+                reason: "match score sa must be positive, got 0".into(),
+            }),
+            counters: EngineCounters::empty(EngineKind::Alae),
+        };
+        let encoded = encode_done(&summary);
+        let decoded = decode_done(&encoded).unwrap();
+        assert_eq!(decoded.termination, summary.termination);
+        // A reason that is not UTF-8 is malformed, not a panic.
+        let mut bad = encoded;
+        let reason_at = bad.windows(5).position(|w| w == b"match").unwrap();
+        bad[reason_at] = 0xff;
+        assert!(decode_done(&bad).is_err());
     }
 
     #[test]

@@ -10,7 +10,8 @@ use alae::baseline::{global_similarity, local_alignment_hits};
 use alae::bioseq::hits::diff_hits;
 use alae::bioseq::{Alphabet, KarlinAltschul, ScoringScheme, Sequence, SequenceDatabase};
 use alae::bwtsw::{BwtswAligner, BwtswConfig};
-use alae::core::{AlaeAligner, AlaeConfig, DominationIndex, QGramIndex};
+use alae::core::{AlaeAligner, AlaeConfig, DominationIndex, FilterToggles, QGramIndex};
+use alae::search::{IndexedDatabase, SearchRequest, Searcher};
 use alae::suffix::sais::{suffix_array, suffix_array_naive};
 use alae::suffix::{ChildBuf, IndexOptions, RankLayout, TextIndex};
 
@@ -122,6 +123,77 @@ fn domination_index_respects_the_definition() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn shared_domination_index_answers_like_a_fresh_build() {
+    // `Searcher` takes the domination index from the database's memo
+    // (one slot, replaced as q changes); `AlaeAligner::with_index` builds
+    // its own.  Both must report the same hits and make the same
+    // domination decisions for every q and filter combination.
+    let mut g = Gen::new(0x5eed_000f);
+    for alphabet in [Alphabet::Dna, Alphabet::Protein] {
+        let sigma = alphabet.code_count() as u64 - 1;
+        let len = g.range(300, 600);
+        let text: Vec<u8> = (0..len).map(|_| (g.next() % sigma) as u8 + 1).collect();
+        let db = IndexedDatabase::from_sequences(
+            alphabet,
+            [Sequence::from_codes(alphabet, text.clone())],
+        );
+        let (mut hits, mut dominated) = (0, 0);
+        for q in 2..=6 {
+            // Equation 2: min(|sb|, |sg + ss|) = q - 1 with sa = 1.
+            let scheme = ScoringScheme::new(1, 1 - q as i64, -5, -2).unwrap();
+            assert_eq!(scheme.q(), q);
+            let start = g.range(0, len - 40);
+            let mut query = text[start..start + 40].to_vec();
+            let pos = g.range(0, query.len());
+            query[pos] = (g.next() % sigma) as u8 + 1;
+            let threshold = (q as i64).max(8);
+            for bits in 0..16u8 {
+                let toggles = FilterToggles {
+                    length_filter: bits & 1 != 0,
+                    score_filter: bits & 2 != 0,
+                    domination_filter: bits & 4 != 0,
+                    reuse: bits & 8 != 0,
+                };
+                let request = SearchRequest::with_threshold(scheme, threshold).filters(toggles);
+                let served = Searcher::new(db.clone(), request).search_codes(&query);
+                let fresh = AlaeAligner::with_index(
+                    db.index().clone(),
+                    alphabet,
+                    AlaeConfig::with_threshold(scheme, threshold).filters(toggles),
+                )
+                .align(&query);
+                let context = format!("{alphabet:?} q={q} {toggles:?}");
+                let served_hits: Vec<_> = served
+                    .hits
+                    .iter()
+                    .map(|h| (h.text_end, h.query_end - 1, h.score))
+                    .collect();
+                let fresh_hits: Vec<_> = fresh
+                    .hits
+                    .iter()
+                    .map(|h| (h.end_text, h.end_query, h.score))
+                    .collect();
+                assert_eq!(served_hits, fresh_hits, "{context}");
+                let stats = served.counters.as_alae().unwrap();
+                assert_eq!(
+                    (stats.forks_started, stats.forks_dominated),
+                    (fresh.stats.forks_started, fresh.stats.forks_dominated),
+                    "{context}"
+                );
+                hits += fresh_hits.len();
+                dominated += stats.forks_dominated;
+            }
+        }
+        // The comparison is not vacuous: hits were found and the filter
+        // skipped forks.
+        assert!(
+            hits > 0 && dominated > 0,
+            "{alphabet:?}: {hits} {dominated}"
+        );
     }
 }
 
