@@ -23,8 +23,7 @@ pub struct RankBenchEntry {
     pub role: &'static str,
     /// Mean wall-clock nanoseconds per trie-node expansion.
     pub ns_per_node: f64,
-    /// Occurrence-table block scans per expansion (exact, from the counter;
-    /// zero when the `occ-counters` feature is disabled).
+    /// Occurrence-table block scans per expansion (exact, from the counter).
     pub block_scans_per_node: f64,
     /// Storage bytes examined per expansion (exact, from the counter).
     pub bytes_scanned_per_node: f64,
@@ -172,14 +171,11 @@ impl Report for RankBenchReport {
 
             // Scans per node are exact and deterministic for a fixed
             // scale/seed; any growth is a real algorithmic regression.  Skip
-            // when either side was built without the occ-counters feature.
+            // when the committed snapshot carries no scan count.
             let base_scans = base
                 .and_then(|line| field_num(line, "block_scans_per_node"))
                 .unwrap_or(0.0);
-            if base_scans > 0.0
-                && fresh.block_scans_per_node > 0.0
-                && fresh.block_scans_per_node > base_scans + 1e-6
-            {
+            if base_scans > 0.0 && fresh.block_scans_per_node > base_scans + 1e-6 {
                 outcome.failures.push(format!(
                     "{config}: block scans per node grew {base_scans:.2} -> {:.2}",
                     fresh.block_scans_per_node
@@ -436,7 +432,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "occ-counters")]
     #[test]
     fn scan_counts_match_the_analytic_model() {
         let report = run(&tiny_options());

@@ -162,13 +162,6 @@ fn run() -> Result<(), String> {
     eprintln!("alae-serve: listening on {local}");
 
     if let Some(path) = trace_log {
-        if !server.trace_log().enabled() {
-            return Err(
-                "--trace-log needs the `trace` feature (on by default; this binary \
-                        was built with --no-default-features)"
-                    .to_string(),
-            );
-        }
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)

@@ -8,11 +8,11 @@
 //! * `GET /healthz` — 200 when the index is loaded and the worker pool
 //!   is alive, 503 otherwise.
 //! * `GET /debug/last-queries` — the [`crate::trace`] ring, one line per
-//!   query (reports tracing disabled when built without the feature).
+//!   query.
 //! * `POST /search` — a minimal JSON body mapped onto the existing
 //!   [`alae::search::SearchRequest`] clamping path; the query runs
-//!   through the **same** admission queue and wave coalescing as TCP
-//!   frame requests, so the hits are identical by construction.
+//!   through the **same** admission queue and workers as TCP frame
+//!   requests, so the hits are identical by construction.
 //! * `POST /admin/reload` — hot-swap the index (optional JSON body
 //!   `{"path": "..."}`, else the path the server was started with);
 //!   the file is fully validated before the epoch flips.
@@ -481,12 +481,6 @@ fn healthz(shared: &Shared) -> Response {
 }
 
 fn last_queries(shared: &Shared) -> Response {
-    if !shared.trace.enabled() {
-        return Response::text(
-            200,
-            "# tracing disabled: alae-server built without the `trace` feature\n",
-        );
-    }
     let mut body = String::new();
     for event in shared.trace.events_snapshot() {
         body.push_str(&event.render_line());

@@ -8,21 +8,18 @@
 //!   request frames, applies the server-side guardrail caps
 //!   ([`ServerConfig::max_deadline`], `max_top_k`, `max_work_budget`) and
 //!   enqueues the query for the worker pool.
-//! * A bounded pool of **search workers** drains the queue in *waves*:
-//!   requests whose clamped configuration prefixes are byte-identical
-//!   (same engine, scheme, threshold, shaping and guardrails) **and**
-//!   whose queries are pinned to the same index epoch are coalesced into
-//!   one [`Searcher`] and, when more than one query is waiting, one
-//!   [`Searcher::search_batch`] call.
-//! * Hits stream back incrementally: single-query waves run through
-//!   [`Searcher::search_into`] with a [`HitSink`] that forwards each hit to
-//!   the connection as its own frame the moment the engine shapes it.
+//! * A bounded pool of **search workers** drains the queue oldest first.
+//!   A worker takes one query, builds its [`Searcher`] on the index epoch
+//!   the query pinned at admission (a few `Arc` clones), and runs it
+//!   through [`Searcher::search_into`] with a [`HitSink`] that forwards
+//!   each hit to the connection as its own frame the moment the engine
+//!   shapes it.
 //! * Guardrail outcomes ([`Termination::DeadlineExceeded`], budget
 //!   exhaustion) travel in the closing done frame next to the partial hits,
 //!   exactly as the in-process facade reports them.
 //! * A client that disconnects mid-query only stops its own delivery: the
 //!   forwarding sink observes the closed channel, returns
-//!   [`SinkFlow::Stop`], and every other request in the wave is untouched.
+//!   [`SinkFlow::Stop`], and every other query is untouched.
 //!
 //! On top of that serving core sits the **resilience layer**:
 //!
@@ -31,8 +28,7 @@
 //!   ALAEIDX file — checksums, version — *before* publishing it as a new
 //!   epoch.  Queries pin their epoch at admission: in-flight queries
 //!   finish on the old index, new queries land on the new one, and the
-//!   old index deallocates when its last pin releases.  Zero downtime,
-//!   zero mixed-epoch waves.
+//!   old index deallocates when its last pin releases.  Zero downtime.
 //! * [`fairness`] — a per-peer-IP token bucket and concurrent-query cap
 //!   enforced at admission.  Refusals are typed
 //!   ([`alae::wire::FrameKind::Rejected`] on TCP, HTTP 429 with
@@ -65,10 +61,9 @@
 //!   serving `GET /metrics`, `GET /healthz`, `GET /debug/last-queries`,
 //!   `POST /search` and the admin routes `POST /admin/reload` and
 //!   `POST /admin/drain`; search requests go through the *same* admission
-//!   queue, clamping and coalescing as TCP frame requests.
-//! * [`trace`] — a feature-gated (default-on) ring buffer of per-query
-//!   span records plus a separate ring of server lifecycle events
-//!   (reloads, drains, evictions).
+//!   queue, clamping and workers as TCP frame requests.
+//! * [`trace`] — a ring buffer of per-query span records plus a separate
+//!   ring of server lifecycle events (reloads, drains, evictions).
 //!
 //! The crate map and the life of a query across these layers are drawn
 //! in `docs/architecture.md`; the operational contract (signals, drain
@@ -94,13 +89,12 @@ use crate::reload::{IndexSlot, PinnedIndex};
 use crate::trace::{QueryTrace, TraceLog, DEFAULT_TRACE_CAPACITY};
 use alae::bioseq::Sequence;
 use alae::search::{
-    EngineCounters, EngineKind, HitSink, IndexedDatabase, SearchError, SearchHit, SearchRequest,
-    Searcher, SinkFlow, Termination,
+    EngineCounters, HitSink, IndexedDatabase, SearchError, SearchHit, SearchRequest, Searcher,
+    SinkFlow, Termination,
 };
 use alae::wire::{
-    decode_request, encode_done, encode_error, encode_hit, encode_rejection, encode_request_config,
-    read_frame, write_frame, CountingReader, CountingWriter, DoneSummary, FrameKind, RejectReason,
-    Rejection,
+    decode_request, encode_done, encode_error, encode_hit, encode_rejection, read_frame,
+    write_frame, CountingReader, CountingWriter, DoneSummary, FrameKind, RejectReason, Rejection,
 };
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -135,11 +129,7 @@ pub struct ServerConfig {
     /// Cap applied to every request's `work_budget` (`None` = client's
     /// choice).
     pub max_work_budget: Option<u64>,
-    /// How long a worker holds the first request of a wave open for
-    /// compatible stragglers before running it.
-    pub batch_window: Duration,
-    /// Queries retained in the [`trace`] ring buffer (ignored when the
-    /// crate is built without the `trace` feature).
+    /// Queries retained in the [`trace`] ring buffer.
     pub trace_capacity: usize,
     /// Per-peer token bucket and concurrency cap.
     pub fairness: FairnessConfig,
@@ -169,7 +159,6 @@ impl Default for ServerConfig {
             max_deadline: None,
             max_top_k: None,
             max_work_budget: None,
-            batch_window: Duration::from_millis(1),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             fairness: FairnessConfig::default(),
             max_connections: 256,
@@ -185,7 +174,6 @@ impl Default for ServerConfig {
 /// One queued query: the clamped request plus the channel its frames go
 /// back through, and what the observability layer needs to describe it.
 pub(crate) struct Pending {
-    config_key: Vec<u8>,
     request: SearchRequest,
     codes: Vec<u8>,
     reply: mpsc::Sender<Event>,
@@ -199,7 +187,7 @@ pub(crate) struct Pending {
     /// this index regardless of reloads.
     pinned: Arc<PinnedIndex>,
     /// The per-peer concurrency lease, released when the query finishes
-    /// (this struct drops at the end of its wave).
+    /// (this struct drops once its done event is sent).
     #[allow(dead_code)]
     permit: Option<PeerPermit>,
 }
@@ -220,7 +208,7 @@ pub(crate) struct Shared {
     queue_cv: Condvar,
     shutdown: AtomicBool,
     pending_count: AtomicUsize,
-    /// Waves currently executing in workers (incremented under the queue
+    /// Queries currently executing in workers (incremented under the queue
     /// lock at pickup, so `pending_count + busy_workers` never blips to
     /// zero while a query is in flight — the drain loop keys off both).
     busy_workers: AtomicUsize,
@@ -315,9 +303,6 @@ pub(crate) fn submit(
     let clamped = request.deadline != original.deadline
         || request.top_k != original.top_k
         || request.work_budget != original.work_budget;
-    // Batch on the *clamped* configuration: two clients may send
-    // different deadlines yet land in the same wave once capped.
-    let config_key = encode_request_config(&request);
 
     // Pin the index epoch the query will run on; reloads published after
     // this point do not affect it.
@@ -344,7 +329,6 @@ pub(crate) fn submit(
             engine: request.engine.label(),
             query_len: codes.len(),
             clamped,
-            wave_size: 0,
             queue_wait_us: 0,
             engine_us: 0,
             hits: 0,
@@ -371,7 +355,6 @@ pub(crate) fn submit(
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
         .push_back(Pending {
-            config_key,
             request,
             codes,
             reply: reply_tx,
@@ -450,8 +433,7 @@ impl Server {
         &self.shared.metrics
     }
 
-    /// The per-query trace ring (`GET /debug/last-queries`); a no-op
-    /// stand-in when built without the `trace` feature.
+    /// The per-query trace ring (`GET /debug/last-queries`).
     pub fn trace_log(&self) -> &TraceLog {
         &self.shared.trace
     }
@@ -594,7 +576,7 @@ impl Server {
     }
 
     /// Stop the worker pool.  Connections already streaming finish their
-    /// in-flight waves; queued requests are drained and run first.
+    /// in-flight queries; queued requests are drained and run first.
     pub fn shutdown(self) {
         self.stop_workers();
     }
@@ -748,7 +730,7 @@ fn serve_one_frame(
         Submission::Enqueued(rx) => rx,
     };
 
-    // Forward events until the wave finishes.  A write failure means
+    // Forward events until the query finishes.  A write failure means
     // the client went away: stop forwarding (dropping the receiver
     // tells the worker's sink to stop) and give up on the connection.
     let mut result = Ok(());
@@ -789,7 +771,7 @@ fn clamp_request(mut request: SearchRequest, config: &ServerConfig) -> SearchReq
 // ---------------------------------------------------------------------------
 
 /// Decrements the live-worker count however the worker exits — normal
-/// shutdown or a panic unwinding through `run_wave` — so `GET /healthz`
+/// shutdown or a panic unwinding through `run_query` — so `GET /healthz`
 /// reports a dead pool instead of a healthy façade.
 struct WorkerAlive<'a>(&'a Shared);
 
@@ -799,12 +781,12 @@ impl Drop for WorkerAlive<'_> {
     }
 }
 
-/// Decrements `busy_workers` however the wave exits (including a panic
-/// unwinding through `run_wave`), so a crashed wave cannot wedge a
+/// Decrements `busy_workers` however the query exits (including a panic
+/// unwinding through `run_query`), so a crashed query cannot wedge a
 /// drain forever.
-struct WaveBusy<'a>(&'a Shared);
+struct QueryBusy<'a>(&'a Shared);
 
-impl Drop for WaveBusy<'_> {
+impl Drop for QueryBusy<'_> {
     fn drop(&mut self) {
         self.0.busy_workers.fetch_sub(1, Ordering::SeqCst);
     }
@@ -812,25 +794,19 @@ impl Drop for WaveBusy<'_> {
 
 fn worker_loop(shared: &Shared) {
     let _alive = WorkerAlive(shared);
-    loop {
-        let Some(wave) = next_wave(shared) else {
-            return;
-        };
-        // `busy_workers` was incremented inside `next_wave` while the
+    while let Some(pending) = next_query(shared) {
+        // `busy_workers` was incremented inside `next_query` while the
         // queue lock was still held; pair it with a drop guard here.
-        let _busy = WaveBusy(shared);
-        shared.pending_count.fetch_sub(wave.len(), Ordering::SeqCst);
-        shared.metrics.queue_depth.add(-(wave.len() as i64));
-        run_wave(shared, wave);
+        let _busy = QueryBusy(shared);
+        shared.pending_count.fetch_sub(1, Ordering::SeqCst);
+        shared.metrics.queue_depth.add(-1);
+        run_query(shared, pending);
     }
 }
 
-/// Block until at least one request is queued, hold the wave open for
-/// [`ServerConfig::batch_window`] so compatible stragglers can join, then
-/// drain every request sharing the head request's configuration key
-/// **and** index epoch (queries pinned to different epochs never share
-/// a wave — that is what makes hot swaps invisible to in-flight work).
-fn next_wave(shared: &Shared) -> Option<Vec<Pending>> {
+/// Block until a query is queued and take the oldest one; `None` once
+/// shutdown is set and the queue is empty.
+fn next_query(shared: &Shared) -> Option<Pending> {
     // Poisoning is recovered everywhere in this loop: the queue stays
     // structurally valid across a worker panic and service must continue.
     let mut queue = shared
@@ -838,52 +814,26 @@ fn next_wave(shared: &Shared) -> Option<Vec<Pending>> {
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     loop {
-        if queue.is_empty() {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            queue = shared
-                .queue_cv
-                .wait(queue)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            continue;
+        if let Some(pending) = queue.pop_front() {
+            // Mark the worker busy before the queue lock releases: the
+            // drain loop must never observe "queue empty, nobody busy"
+            // while this query is in hand.
+            shared.busy_workers.fetch_add(1, Ordering::SeqCst);
+            return Some(pending);
         }
-        if !shared.config.batch_window.is_zero() && !shared.shutdown.load(Ordering::SeqCst) {
-            // One bounded wait: lets a burst of concurrent clients coalesce
-            // without adding latency when traffic is sparse.
-            let (q, _) = shared
-                .queue_cv
-                .wait_timeout(queue, shared.config.batch_window)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            queue = q;
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return None;
         }
-        let Some(head) = queue.pop_front() else {
-            // Emptied while we held the batch window open; wait again.
-            continue;
-        };
-        let key = head.config_key.clone();
-        let epoch = Arc::clone(&head.pinned);
-        let mut wave = vec![head];
-        let mut rest = VecDeque::with_capacity(queue.len());
-        while let Some(pending) = queue.pop_front() {
-            if pending.config_key == key && Arc::ptr_eq(&pending.pinned, &epoch) {
-                wave.push(pending);
-            } else {
-                rest.push_back(pending);
-            }
-        }
-        *queue = rest;
-        // Mark the worker busy before the queue lock releases: the drain
-        // loop must never observe "queue empty, nobody busy" while this
-        // wave is in hand.
-        shared.busy_workers.fetch_add(1, Ordering::SeqCst);
-        return Some(wave);
+        queue = shared
+            .queue_cv
+            .wait(queue)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
     }
 }
 
 /// A [`HitSink`] forwarding each shaped hit to the connection handler the
 /// moment the engine emits it.  A closed channel (client gone) stops the
-/// stream without disturbing the rest of the wave.
+/// stream without disturbing any other query.
 struct ForwardingSink<'a> {
     reply: &'a mpsc::Sender<Event>,
     /// Hits forwarded so far (what the done frame reports if the run
@@ -901,154 +851,93 @@ impl HitSink for ForwardingSink<'_> {
     }
 }
 
-/// The single place a completed query is accounted: exactly one
-/// termination counter, one latency observation, one trace record.
-#[allow(clippy::too_many_arguments)]
-fn finish_query(
-    shared: &Shared,
-    pending: &Pending,
-    engine: EngineKind,
-    wave_size: usize,
-    queue_wait: Duration,
-    engine_time: Duration,
-    hits: usize,
-    termination: &Termination,
-) {
-    shared.metrics.termination_counter(termination).inc();
+/// Run one query on the index epoch it pinned at admission (even if a
+/// reload has published a newer one since), streaming its hits, then
+/// account for it: exactly one termination counter, one latency
+/// observation, one trace record.
+fn run_query(shared: &Shared, pending: Pending) {
+    let request = pending.request;
+    let db = &pending.pinned.db;
+    // Stamped before the engine build, so queue wait ends at pickup and
+    // the build counts as engine time.  The build is a few `Arc` clones,
+    // except in the epoch's first ALAE query for a `q`, which builds the
+    // domination index (`IndexedDatabase::domination_index`).
+    let picked_up = Instant::now();
+    let queue_wait = picked_up.duration_since(pending.enqueued);
     shared
         .metrics
-        .latency_histogram(engine)
+        .queue_wait_seconds
+        .observe_duration(queue_wait);
+    let searcher = Searcher::new(db.clone(), request);
+    let query_len = pending.codes.len();
+    let query = Sequence::from_codes(db.alphabet(), pending.codes);
+    let mut sink = ForwardingSink {
+        reply: &pending.reply,
+        delivered: 0,
+    };
+    // Panic-isolated: a panicking engine ends this query with a typed
+    // outcome, and the worker lives on.
+    let outcome = catch_unwind(AssertUnwindSafe(|| searcher.search_into(&query, &mut sink)));
+    let engine_time = picked_up.elapsed();
+    let done = match outcome {
+        Ok(summary) => DoneSummary {
+            engine: summary.engine,
+            threshold: summary.threshold,
+            delivered: summary.delivered as u64,
+            raw_hit_count: summary.raw_hit_count as u64,
+            termination: summary.termination,
+            counters: summary.counters,
+        },
+        Err(_) => DoneSummary {
+            engine: request.engine,
+            threshold: 0,
+            delivered: sink.delivered,
+            raw_hit_count: 0,
+            termination: Termination::EnginePanicked,
+            counters: EngineCounters::empty(request.engine),
+        },
+    };
+    shared.metrics.termination_counter(&done.termination).inc();
+    shared
+        .metrics
+        .latency_histogram(done.engine)
         .observe_duration(engine_time);
     shared.trace.record(QueryTrace {
         id: 0,
         proto: pending.proto,
-        engine: engine.label(),
-        query_len: pending.codes.len(),
+        engine: done.engine.label(),
+        query_len,
         clamped: pending.clamped,
-        wave_size,
         queue_wait_us: queue_wait.as_micros().min(u128::from(u64::MAX)) as u64,
         engine_us: engine_time.as_micros().min(u128::from(u64::MAX)) as u64,
-        hits,
-        termination: termination.label(),
+        hits: done.delivered as usize,
+        termination: done.termination.label(),
     });
+    let _ = pending.reply.send(Event::Done(done));
 }
 
-fn run_wave(shared: &Shared, wave: Vec<Pending>) {
-    let request = wave[0].request;
-    // Every member of the wave is pinned to the same epoch (next_wave
-    // guarantees it); the wave runs on that index even if a reload
-    // publishes a newer one mid-flight.
-    let db = wave[0].pinned.db.clone();
-    // Stamped before the engine build, so queue wait ends at pickup and
-    // the build counts as engine time.  The build is a few `Arc` clones,
-    // except in the epoch's first ALAE wave for a `q`, which builds the
-    // domination index (`IndexedDatabase::domination_index`).
-    let picked_up = Instant::now();
-    let searcher = Searcher::new(db.clone(), request);
-    let alphabet = db.alphabet();
-    let wave_size = wave.len();
-    shared.metrics.wave_size.observe(wave_size as f64);
-    for pending in &wave {
-        shared
-            .metrics
-            .queue_wait_seconds
-            .observe_duration(picked_up.duration_since(pending.enqueued));
-    }
-
-    if wave_size == 1 {
-        // Stream hits as the engine shapes them.
-        let Some(pending) = wave.into_iter().next() else {
-            return;
-        };
-        let queue_wait = picked_up.duration_since(pending.enqueued);
-        let query = Sequence::from_codes(alphabet, pending.codes.clone());
-        let mut sink = ForwardingSink {
-            reply: &pending.reply,
-            delivered: 0,
-        };
-        // Panic-isolated like every query of a batch wave
-        // (`Searcher::search_batch`): a panicking engine ends this query
-        // with a typed outcome, and the worker lives on.
-        let outcome = catch_unwind(AssertUnwindSafe(|| searcher.search_into(&query, &mut sink)));
-        let engine_time = picked_up.elapsed();
-        let done = match outcome {
-            Ok(summary) => DoneSummary {
-                engine: summary.engine,
-                threshold: summary.threshold,
-                delivered: summary.delivered as u64,
-                raw_hit_count: summary.raw_hit_count as u64,
-                termination: summary.termination,
-                counters: summary.counters,
-            },
-            Err(_) => DoneSummary {
-                engine: request.engine,
-                threshold: 0,
-                delivered: sink.delivered,
-                raw_hit_count: 0,
-                termination: Termination::EnginePanicked,
-                counters: EngineCounters::empty(request.engine),
-            },
-        };
-        finish_query(
-            shared,
-            &pending,
-            done.engine,
-            1,
-            queue_wait,
-            engine_time,
-            done.delivered as usize,
-            &done.termination,
-        );
-        let _ = pending.reply.send(Event::Done(done));
-        return;
-    }
-
-    // A coalesced wave: one Searcher, one multi-threaded batch over the
-    // shared index, then per-client delivery.
-    let queries: Vec<Sequence> = wave
-        .iter()
-        .map(|p| Sequence::from_codes(alphabet, p.codes.clone()))
-        .collect();
-    let threads = wave_size.min(shared.config.workers.max(1) * 2);
-    let responses = searcher.search_batch(&queries, threads);
-    let engine_time = picked_up.elapsed();
-    for (pending, response) in wave.into_iter().zip(responses) {
-        let queue_wait = picked_up.duration_since(pending.enqueued);
-        let delivered = response.hits.len() as u64;
-        finish_query(
-            shared,
-            &pending,
-            response.engine,
-            wave_size,
-            queue_wait,
-            engine_time,
-            response.hits.len(),
-            &response.termination,
-        );
-        let mut client_gone = false;
-        for hit in response.hits {
-            if pending.reply.send(Event::Hit(hit)).is_err() {
-                client_gone = true;
-                break;
-            }
-        }
-        if !client_gone {
-            let _ = pending.reply.send(Event::Done(DoneSummary {
-                engine: response.engine,
-                threshold: response.threshold,
-                delivered,
-                raw_hit_count: response.raw_hit_count as u64,
-                termination: response.termination,
-                counters: response.counters,
-            }));
-        }
-    }
-}
-
-#[cfg(all(test, feature = "fault-inject"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use alae::bioseq::{Alphabet, ScoringScheme};
+
+    const TEXT: &[u8] = b"GCTAGCTAGGCATCGATCGGCTAGCATTTGCATCAGTACGG";
+
+    fn one_worker_server() -> Server {
+        let db = IndexedDatabase::from_sequences(
+            Alphabet::Dna,
+            [Sequence::from_ascii(Alphabet::Dna, TEXT).unwrap()],
+        );
+        Server::bind(
+            "127.0.0.1:0",
+            db,
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap()
+    }
 
     /// Collect one submission's answer: the hits streamed, then the done
     /// summary (bounded, so a dead worker fails the test instead of
@@ -1067,24 +956,49 @@ mod tests {
         }
     }
 
+    /// One worker serves queries in admission order, whatever their
+    /// configurations: the third query shares the first one's request,
+    /// the second does not, and none of them overtakes another.
     #[test]
-    fn a_panicking_single_query_wave_ends_typed_and_keeps_its_worker() {
-        let text = b"GCTAGCTAGGCATCGATCGGCTAGCATTTGCATCAGTACGG";
-        let db = IndexedDatabase::from_sequences(
-            Alphabet::Dna,
-            [Sequence::from_ascii(Alphabet::Dna, text).unwrap()],
-        );
+    fn one_worker_serves_queries_in_admission_order() {
+        let server = one_worker_server();
+        let shared = &server.shared;
+        let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 8);
+        let other = request.top_k(3);
+        // Distinct query lengths tell the three records apart.
+        let queries = [
+            (request, &b"GCTAGCATCGATCGG"[..]),
+            (other, &b"GCTAGCATCGATCGGC"[..]),
+            (request, &b"GCTAGCATCGATCGGCT"[..]),
+        ];
+        let submissions: Vec<Submission> = queries
+            .iter()
+            .map(|&(request, ascii)| {
+                let codes = Alphabet::Dna.encode(ascii).unwrap();
+                submit(shared, request, codes, "tcp", None)
+            })
+            .collect();
+        for submission in submissions {
+            let (_, done) = answer(submission);
+            assert_eq!(done.termination, Termination::Complete);
+        }
+        let served: Vec<usize> = server
+            .trace_log()
+            .snapshot()
+            .iter()
+            .map(|record| record.query_len)
+            .collect();
+        let admitted: Vec<usize> = queries.iter().map(|(_, ascii)| ascii.len()).collect();
+        assert_eq!(served, admitted);
+        server.shutdown();
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn a_panicking_query_ends_typed_and_keeps_its_worker() {
         // One worker: if the panic killed it, the clean query below would
         // never be answered.
-        let server = Server::bind(
-            "127.0.0.1:0",
-            db,
-            ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+        let server = one_worker_server();
         let codes = Alphabet::Dna.encode(b"GCTAGCATCGATCGG").unwrap();
         let clean = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 8);
         let poisoned = clean.fault(FaultPlan {

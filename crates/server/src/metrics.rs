@@ -102,10 +102,6 @@ pub const LATENCY_BOUNDS: &[f64] = &[
 pub const QUEUE_WAIT_BOUNDS: &[f64] =
     &[0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0];
 
-/// Wave-size bucket upper bounds (a wave of 1 means no coalescing
-/// happened; powers of two up to the practical queue bound).
-pub const WAVE_SIZE_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-
 /// A fixed-bucket histogram (cumulative rendering, Prometheus-style).
 #[derive(Debug)]
 pub struct Histogram {
@@ -203,10 +199,8 @@ pub struct Metrics {
     /// Requests currently waiting in the admission queue.
     pub queue_depth: Gauge,
     /// Time requests spent in the admission queue before a worker picked
-    /// them up (includes the deliberate batch window).
+    /// them up.
     pub queue_wait_seconds: Histogram,
-    /// Size of each coalesced wave a worker ran (1 = no coalescing).
-    pub wave_size: Histogram,
     /// One counter per [`Termination`] outcome; every query that reaches
     /// the server increments exactly one of these.
     pub terminations: [Counter; Termination::LABELS.len()],
@@ -273,7 +267,6 @@ impl Metrics {
             rejected_malformed: Counter::new(),
             queue_depth: Gauge::new(),
             queue_wait_seconds: Histogram::new(QUEUE_WAIT_BOUNDS),
-            wave_size: Histogram::new(WAVE_SIZE_BOUNDS),
             terminations: std::array::from_fn(|_| Counter::new()),
             query_latency: std::array::from_fn(|_| Histogram::new(LATENCY_BOUNDS)),
             tcp_bytes_read: Arc::new(AtomicU64::new(0)),
@@ -425,13 +418,6 @@ impl Metrics {
             "Seconds requests waited in the admission queue before a worker picked them up.",
             &[],
             &self.queue_wait_seconds,
-        );
-        histogram(
-            &mut out,
-            "alae_wave_size",
-            "Number of coalesced requests per worker wave (1 = no coalescing).",
-            &[],
-            &self.wave_size,
         );
 
         family(

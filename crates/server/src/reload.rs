@@ -16,9 +16,8 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One published index epoch.  Queries pin this at admission and hold
-/// it through the wave; wave coalescing only merges queries pinned to
-/// the same epoch.
+/// One published index epoch.  Queries pin this at admission and run on
+/// it to the end, whatever a reload publishes meanwhile.
 pub(crate) struct PinnedIndex {
     /// 1 at startup, +1 per successful reload.
     pub(crate) epoch: u64,

@@ -1,16 +1,16 @@
-//! Per-query trace records (feature `trace`, on by default).
+//! Per-query trace records.
 //!
 //! Every query that reaches the admission queue leaves one
 //! [`QueryTrace`] describing its path through the pipeline — admission →
-//! clamp → wave → engine → sink — in a fixed-capacity ring buffer.  The
+//! clamp → queue → engine → sink — in a fixed-capacity ring buffer.  The
 //! newest records are dumpable over HTTP (`GET /debug/last-queries`) and
 //! appendable to a file via `alae-serve --trace-log`.
-//!
-//! Building with `--no-default-features` compiles the no-op stub below:
-//! the serving path calls the same API, records vanish, and the debug
-//! endpoint reports tracing as disabled.
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Default number of queries the ring buffer retains.
 pub const DEFAULT_TRACE_CAPACITY: usize = 64;
@@ -18,7 +18,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 64;
 /// One query's path through the server, admission to sink.
 #[derive(Debug, Clone)]
 pub struct QueryTrace {
-    /// Monotone id assigned at record time (0 when tracing is disabled).
+    /// Monotone id assigned at record time.
     pub id: u64,
     /// Which front admitted the query: `"tcp"` or `"http"`.
     pub proto: &'static str,
@@ -28,11 +28,10 @@ pub struct QueryTrace {
     pub query_len: usize,
     /// Whether server-side clamping tightened any guardrail field.
     pub clamped: bool,
-    /// Size of the coalesced wave this query ran in (1 = alone).
-    pub wave_size: usize,
-    /// Microseconds spent in the admission queue before wave pickup.
+    /// Microseconds spent in the admission queue before a worker took
+    /// the query.
     pub queue_wait_us: u64,
-    /// Microseconds of engine wall-clock, wave pickup to termination.
+    /// Microseconds of engine wall-clock, pickup to termination.
     pub engine_us: u64,
     /// Hits delivered to the sink.
     pub hits: usize,
@@ -45,7 +44,7 @@ pub struct QueryTrace {
 /// ring so a query flood cannot wash recent operational history away.
 #[derive(Debug, Clone)]
 pub struct ServerEvent {
-    /// Monotone id sharing the query-trace sequence (0 when disabled).
+    /// Monotone id sharing the query-trace sequence.
     pub id: u64,
     /// Stable event kind: `reload`, `drain`, `evict`, `signal`, ….
     pub kind: &'static str,
@@ -74,13 +73,12 @@ impl QueryTrace {
         let mut line = String::with_capacity(128);
         let _ = write!(
             line,
-            "query id={} proto={} engine={} len={} clamped={} wave={} queue_wait_us={} engine_us={} hits={} termination={}",
+            "query id={} proto={} engine={} len={} clamped={} queue_wait_us={} engine_us={} hits={} termination={}",
             self.id,
             self.proto,
             self.engine,
             self.query_len,
             self.clamped,
-            self.wave_size,
             self.queue_wait_us,
             self.engine_us,
             self.hits,
@@ -93,188 +91,125 @@ impl QueryTrace {
 /// Server lifecycle events retained alongside the query ring.
 pub const EVENT_RING_CAPACITY: usize = 32;
 
-#[cfg(feature = "trace")]
-mod enabled {
-    use super::{QueryTrace, ServerEvent, EVENT_RING_CAPACITY};
-    use std::collections::VecDeque;
-    use std::io::Write;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
+/// Fixed-capacity ring of the most recent [`QueryTrace`] records,
+/// with an optional line-per-query sink (`alae-serve --trace-log`).
+pub struct TraceLog {
+    capacity: usize,
+    next_id: AtomicU64,
+    ring: Mutex<VecDeque<QueryTrace>>,
+    events: Mutex<VecDeque<ServerEvent>>,
+    sink: Mutex<Option<Box<dyn Write + Send>>>,
+}
 
-    /// Fixed-capacity ring of the most recent [`QueryTrace`] records,
-    /// with an optional line-per-query sink (`alae-serve --trace-log`).
-    pub struct TraceLog {
-        capacity: usize,
-        next_id: AtomicU64,
-        ring: Mutex<VecDeque<QueryTrace>>,
-        events: Mutex<VecDeque<ServerEvent>>,
-        sink: Mutex<Option<Box<dyn Write + Send>>>,
+impl std::fmt::Debug for TraceLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceLog")
+            .field("capacity", &self.capacity)
+            .finish_non_exhaustive()
+    }
+}
+
+impl TraceLog {
+    /// A ring retaining the last `capacity` queries (at least 1).
+    pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        Self {
+            capacity,
+            next_id: AtomicU64::new(1),
+            ring: Mutex::new(VecDeque::with_capacity(capacity)),
+            events: Mutex::new(VecDeque::with_capacity(EVENT_RING_CAPACITY)),
+            sink: Mutex::new(None),
+        }
     }
 
-    impl std::fmt::Debug for TraceLog {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("TraceLog")
-                .field("capacity", &self.capacity)
-                .finish_non_exhaustive()
-        }
+    /// Mirror every record as one [`QueryTrace::render_line`] line to
+    /// `sink` (pass `None` to stop mirroring).
+    pub fn set_sink(&self, sink: Option<Box<dyn Write + Send>>) {
+        let mut slot = self
+            .sink
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        *slot = sink;
     }
 
-    impl TraceLog {
-        /// A ring retaining the last `capacity` queries (at least 1).
-        pub fn new(capacity: usize) -> Self {
-            let capacity = capacity.max(1);
-            Self {
-                capacity,
-                next_id: AtomicU64::new(1),
-                ring: Mutex::new(VecDeque::with_capacity(capacity)),
-                events: Mutex::new(VecDeque::with_capacity(EVENT_RING_CAPACITY)),
-                sink: Mutex::new(None),
-            }
-        }
-
-        /// Whether this build records traces.
-        pub fn enabled(&self) -> bool {
-            true
-        }
-
-        /// Mirror every record as one [`QueryTrace::render_line`] line to
-        /// `sink` (pass `None` to stop mirroring).
-        pub fn set_sink(&self, sink: Option<Box<dyn Write + Send>>) {
-            let mut slot = self
+    /// Record one query, assigning and returning its id.
+    pub fn record(&self, mut trace: QueryTrace) -> u64 {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        trace.id = id;
+        {
+            let mut sink = self
                 .sink
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            *slot = sink;
-        }
-
-        /// Record one query, assigning and returning its id.
-        pub fn record(&self, mut trace: QueryTrace) -> u64 {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            trace.id = id;
-            {
-                let mut sink = self
-                    .sink
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                if let Some(out) = sink.as_mut() {
-                    // Formatted writes are the one I/O the lock-discipline
-                    // lint allows under a guard; a full trace line is one
-                    // short buffered write.
-                    let _ = writeln!(out, "{}", trace.render_line());
-                    let _ = out.flush();
-                }
+            if let Some(out) = sink.as_mut() {
+                // Formatted writes are the one I/O the lock-discipline
+                // lint allows under a guard; a full trace line is one
+                // short buffered write.
+                let _ = writeln!(out, "{}", trace.render_line());
+                let _ = out.flush();
             }
-            let mut ring = self
-                .ring
+        }
+        let mut ring = self
+            .ring
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if ring.len() == self.capacity {
+            ring.pop_front();
+        }
+        ring.push_back(trace);
+        id
+    }
+
+    /// The retained records, oldest first.
+    pub fn snapshot(&self) -> Vec<QueryTrace> {
+        let ring = self
+            .ring
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        ring.iter().cloned().collect()
+    }
+
+    /// Record one server lifecycle event (reload, drain, eviction,
+    /// signal), assigning and returning its id.
+    pub fn record_event(&self, kind: &'static str, detail: impl Into<String>) -> u64 {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let event = ServerEvent {
+            id,
+            kind,
+            detail: detail.into(),
+        };
+        {
+            let mut sink = self
+                .sink
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if ring.len() == self.capacity {
-                ring.pop_front();
+            if let Some(out) = sink.as_mut() {
+                let _ = writeln!(out, "{}", event.render_line());
+                let _ = out.flush();
             }
-            ring.push_back(trace);
-            id
         }
+        let mut events = self
+            .events
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if events.len() == EVENT_RING_CAPACITY {
+            events.pop_front();
+        }
+        events.push_back(event);
+        id
+    }
 
-        /// The retained records, oldest first.
-        pub fn snapshot(&self) -> Vec<QueryTrace> {
-            let ring = self
-                .ring
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            ring.iter().cloned().collect()
-        }
-
-        /// Record one server lifecycle event (reload, drain, eviction,
-        /// signal), assigning and returning its id.
-        pub fn record_event(&self, kind: &'static str, detail: impl Into<String>) -> u64 {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let event = ServerEvent {
-                id,
-                kind,
-                detail: detail.into(),
-            };
-            {
-                let mut sink = self
-                    .sink
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                if let Some(out) = sink.as_mut() {
-                    let _ = writeln!(out, "{}", event.render_line());
-                    let _ = out.flush();
-                }
-            }
-            let mut events = self
-                .events
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if events.len() == EVENT_RING_CAPACITY {
-                events.pop_front();
-            }
-            events.push_back(event);
-            id
-        }
-
-        /// The retained lifecycle events, oldest first.
-        pub fn events_snapshot(&self) -> Vec<ServerEvent> {
-            let events = self
-                .events
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            events.iter().cloned().collect()
-        }
+    /// The retained lifecycle events, oldest first.
+    pub fn events_snapshot(&self) -> Vec<ServerEvent> {
+        let events = self
+            .events
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        events.iter().cloned().collect()
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod enabled {
-    use super::{QueryTrace, ServerEvent};
-    use std::io::Write;
-
-    /// No-op stand-in compiled when the `trace` feature is off; the
-    /// serving path calls the same API and nothing is retained.
-    #[derive(Debug)]
-    pub struct TraceLog;
-
-    impl TraceLog {
-        /// Accepts (and ignores) the capacity so callers are identical
-        /// across feature configurations.
-        pub fn new(_capacity: usize) -> Self {
-            Self
-        }
-
-        /// Always `false` in this build.
-        pub fn enabled(&self) -> bool {
-            false
-        }
-
-        /// Drops the sink; nothing is ever written in this build.
-        pub fn set_sink(&self, _sink: Option<Box<dyn Write + Send>>) {}
-
-        /// Drops the record; the id is always 0.
-        pub fn record(&self, _trace: QueryTrace) -> u64 {
-            0
-        }
-
-        /// Always empty in this build.
-        pub fn snapshot(&self) -> Vec<QueryTrace> {
-            Vec::new()
-        }
-
-        /// Drops the event; the id is always 0.
-        pub fn record_event(&self, _kind: &'static str, _detail: impl Into<String>) -> u64 {
-            0
-        }
-
-        /// Always empty in this build.
-        pub fn events_snapshot(&self) -> Vec<ServerEvent> {
-            Vec::new()
-        }
-    }
-}
-
-pub use enabled::TraceLog;
-
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -285,7 +220,6 @@ mod tests {
             engine,
             query_len: 32,
             clamped: false,
-            wave_size: 1,
             queue_wait_us: 10,
             engine_us: 250,
             hits: 2,

@@ -176,7 +176,6 @@ fn metrics_render_and_counters_move_after_search() {
         sample_value(&after, "alae_query_latency_seconds_count{engine=\"alae\"}").expect("series")
             >= 1.0
     );
-    assert!(sample_value(&after, "alae_wave_size_count").expect("series") >= 1.0);
     assert!(
         sample_value(
             &after,
@@ -304,9 +303,7 @@ fn http_search_hits_match_tcp_client() {
     }
 }
 
-/// The trace ring sees every HTTP query with its termination and engine
-/// (only meaningful with the default `trace` feature).
-#[cfg(feature = "trace")]
+/// The trace ring sees every HTTP query with its termination and engine.
 #[test]
 fn debug_last_queries_records_http_searches() {
     let (db, queries) = workload(3_000, 1);

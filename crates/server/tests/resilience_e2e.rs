@@ -10,7 +10,7 @@ use alae::bioseq::{ScoringScheme, Sequence};
 use alae::client::RetryPolicy;
 use alae::client::{Client, RejectedError};
 use alae::search::{IndexBuilder, IndexedDatabase, SearchRequest, Searcher, Termination};
-use alae::wire::RejectReason;
+use alae::wire::{RejectReason, Rejection};
 use alae::workload::{MutationProfile, QuerySpec, TextSpec, WorkloadBuilder};
 use alae_server::{FairnessConfig, Server, ServerConfig};
 use std::io::{Read, Write};
@@ -19,9 +19,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
-#[cfg(feature = "fault-inject")]
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn workload(text_len: usize, queries: usize, seed: u64) -> (IndexedDatabase, Vec<Sequence>) {
     let built = WorkloadBuilder::new(
@@ -255,13 +253,7 @@ fn fairness_rejects_the_flooder_not_the_polite_client() {
         match flooder.search(&request, &queries[0]) {
             Ok(response) => assert!(matches!(response.termination, Termination::Complete)),
             Err(err) => {
-                let error = err
-                    .get_ref()
-                    .and_then(|e| e.downcast_ref::<RejectedError>())
-                    .expect("a typed RejectedError, not a transport error")
-                    .rejection()
-                    .clone();
-                rejected = Some(error);
+                rejected = Some(rejection_of(&err));
                 break;
             }
         }
@@ -302,67 +294,106 @@ fn fairness_rejects_the_flooder_not_the_polite_client() {
     assert!(server.metrics().fairness_rejection_counter("rate").get() >= 2);
 }
 
-/// A graceful drain lets the in-flight query finish (Complete, exact
-/// hits) while a latecomer gets a typed `draining` rejection; the drain
+/// A graceful drain lets in-flight queries finish (Complete, exact hits)
+/// while a latecomer gets a typed `draining` rejection; the drain
 /// duration lands on the gauge.
 #[test]
 fn drain_completes_in_flight_and_refuses_new_work() {
     let (db, queries) = workload(4_000, 2, 7);
     let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12);
     let expected = Searcher::new(db.clone(), request).search(&queries[0]);
+    // All load comes from one loopback peer: open the fairness gate, so
+    // the only refusal a client can meet is the drain's.
     let (server, addr) = spawn_server(
         db,
         ServerConfig {
             workers: 1,
-            // A wide window keeps the in-flight query in hand while the
-            // drain begins.
-            batch_window: Duration::from_millis(300),
+            fairness: FairnessConfig {
+                rate_per_sec: 1e9,
+                burst: 1e9,
+                ..FairnessConfig::default()
+            },
             ..ServerConfig::default()
         },
     );
 
-    let in_flight = {
-        let query = queries[0].clone();
-        thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("connect");
-            client.search(&request, &query).expect("in-flight search")
-        })
-    };
-    // The latecomer arrives while the drain is in progress.
-    let latecomer = {
-        let query = queries[1].clone();
-        thread::spawn(move || {
-            thread::sleep(Duration::from_millis(120));
-            let mut client = Client::connect(addr).expect("connect latecomer");
-            client.set_read_timeout(Some(Duration::from_secs(5))).ok();
-            client.search(&request, &query)
-        })
-    };
+    // The latecomer opens its connection and completes one search before
+    // the drain, so its next search meets the admission queue's draining
+    // gate rather than the accept loop's.
+    let mut latecomer = Client::connect(addr).expect("connect latecomer");
+    latecomer
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .ok();
+    let before = latecomer
+        .search(&request, &queries[1])
+        .expect("search before the drain");
+    assert!(matches!(before.termination, Termination::Complete));
 
-    thread::sleep(Duration::from_millis(60));
+    // The in-flight side: four clients keep the one worker busy, each
+    // searching back to back until the drain refuses it.  Every answer
+    // they get must be exact; a query the drain dropped instead would
+    // leave its client waiting out the read timeout.
+    let in_flight: Vec<_> = (0..4)
+        .map(|_| {
+            let query = queries[0].clone();
+            let expected = expected.hits.clone();
+            thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                client.set_read_timeout(Some(Duration::from_secs(30))).ok();
+                let mut completed = 0usize;
+                loop {
+                    match client.search(&request, &query) {
+                        Ok(response) => {
+                            assert!(matches!(response.termination, Termination::Complete));
+                            assert_eq!(response.hits, expected, "drained query lost hits");
+                            completed += 1;
+                        }
+                        Err(err) => return (completed, err),
+                    }
+                }
+            })
+        })
+        .collect();
+    // The drain starts only once a query is still waiting in the queue.
+    let waiting = Instant::now();
+    while server.metrics().queue_depth.get() == 0 {
+        assert!(
+            waiting.elapsed() < Duration::from_secs(30),
+            "no query ever waited behind the worker"
+        );
+        thread::yield_now();
+    }
     let took = server.drain(Duration::from_secs(10));
     assert!(
         took < Duration::from_secs(10),
         "drain hit the hard deadline"
     );
 
-    let response = in_flight.join().expect("in-flight thread");
-    assert!(matches!(response.termination, Termination::Complete));
-    assert_eq!(response.hits, expected.hits, "drained query lost hits");
+    let mut completed = 0;
+    for handle in in_flight {
+        let (answers, refused) = handle.join().expect("in-flight thread");
+        assert_eq!(rejection_of(&refused).reason, RejectReason::Draining);
+        completed += answers;
+    }
+    assert!(completed >= 1, "the queued query must finish");
 
     let refused = latecomer
-        .join()
-        .expect("latecomer thread")
+        .search(&request, &queries[1])
         .expect_err("the latecomer must be refused while draining");
-    let rejection = refused
-        .get_ref()
-        .and_then(|e| e.downcast_ref::<RejectedError>())
-        .expect("a typed RejectedError")
-        .rejection();
-    assert_eq!(rejection.reason, RejectReason::Draining);
+    assert_eq!(rejection_of(&refused).reason, RejectReason::Draining);
 
     assert!(server.metrics().drain_seconds.get() > 0.0);
     assert!(server.metrics().render().contains("alae_drain_seconds"));
+}
+
+/// The server's typed refusal inside a client error (not a transport
+/// error).
+fn rejection_of(err: &std::io::Error) -> Rejection {
+    err.get_ref()
+        .and_then(|e| e.downcast_ref::<RejectedError>())
+        .expect("a typed RejectedError, not a transport error")
+        .rejection()
+        .clone()
 }
 
 /// Server-side fault injection: a connection dropped mid-stream is

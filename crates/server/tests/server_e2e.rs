@@ -41,8 +41,7 @@ fn spawn_server(db: IndexedDatabase, config: ServerConfig) -> SocketAddr {
 
 /// Four clients searching concurrently must each get responses identical
 /// to a local in-process `Searcher` over the same index — hits, threshold
-/// and termination alike — whether or not the server coalesced their
-/// requests into one batch wave.
+/// and termination alike.
 #[test]
 fn concurrent_clients_match_local_search() {
     let (db, queries) = workload(6_000, 4);
@@ -51,8 +50,6 @@ fn concurrent_clients_match_local_search() {
         db.clone(),
         ServerConfig {
             workers: 2,
-            // A wide window so the concurrent burst actually coalesces.
-            batch_window: Duration::from_millis(20),
             ..ServerConfig::default()
         },
     );
@@ -151,13 +148,7 @@ fn server_deadline_cap_overrides_client() {
 fn mid_query_disconnect_does_not_affect_other_clients() {
     let (db, queries) = workload(6_000, 2);
     let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12);
-    let addr = spawn_server(
-        db.clone(),
-        ServerConfig {
-            batch_window: Duration::from_millis(10),
-            ..ServerConfig::default()
-        },
-    );
+    let addr = spawn_server(db.clone(), ServerConfig::default());
 
     // The vanishing client: send a request frame, then slam the connection
     // shut before reading a single response frame.

@@ -585,7 +585,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "occ-counters")]
     #[test]
     fn extend_all_costs_two_block_scans_regardless_of_alphabet() {
         for code_count in [5usize, 21] {

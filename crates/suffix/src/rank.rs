@@ -63,18 +63,14 @@
 //! list, which matters for million-record databases with one separator per
 //! record.
 //!
-//! When the on-by-default `occ-counters` cargo feature is enabled, the table
-//! counts the block scans and storage bytes it touches
+//! Every table counts the block scans and storage bytes it touches
 //! ([`OccTable::scan_snapshot`]); the engines surface the deltas in their
 //! work counters so the `O(σ)` → `O(1)` scan reduction is measurable
-//! end-to-end.  Disabling the feature removes the two relaxed `fetch_add`s
-//! from every rank call (`scan_snapshot` then reports zeros).
+//! end-to-end.
 
 use crate::swar::{self, CHARS_PER_WORD, NIBBLE_CHARS_PER_WORD};
 use alae_bioseq::SharedBytes;
-#[cfg(feature = "occ-counters")]
 use std::cell::Cell;
-#[cfg(feature = "occ-counters")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of positions per sampled checkpoint block.
@@ -145,7 +141,6 @@ impl ScanSnapshot {
     }
 }
 
-#[cfg(feature = "occ-counters")]
 thread_local! {
     /// Per-thread scan totals across every table the thread queries.
     ///
@@ -159,8 +154,7 @@ thread_local! {
 }
 
 /// Scan-work counters accumulated by the **calling thread**, across every
-/// table it has queried (all zeros when the `occ-counters` feature is
-/// disabled).
+/// table it has queried.
 ///
 /// This is the per-run attribution primitive: an engine snapshots before and
 /// after one alignment, and because each query runs on exactly one thread,
@@ -169,72 +163,47 @@ thread_local! {
 /// (Table-wide aggregates are still available from
 /// [`OccTable::scan_snapshot`].)
 pub fn thread_scan_snapshot() -> ScanSnapshot {
-    #[cfg(feature = "occ-counters")]
-    {
-        ScanSnapshot {
-            block_scans: THREAD_BLOCK_SCANS.with(Cell::get),
-            bytes_scanned: THREAD_BYTES_SCANNED.with(Cell::get),
-        }
+    ScanSnapshot {
+        block_scans: THREAD_BLOCK_SCANS.with(Cell::get),
+        bytes_scanned: THREAD_BYTES_SCANNED.with(Cell::get),
     }
-    #[cfg(not(feature = "occ-counters"))]
-    ScanSnapshot::default()
 }
 
 /// Interior-mutable scan counters (`OccTable` is shared behind `Arc`).
-///
-/// With the `occ-counters` feature disabled this is a zero-sized no-op, so
-/// the per-call accounting disappears entirely.
 #[derive(Debug, Default)]
 struct ScanCounter {
-    #[cfg(feature = "occ-counters")]
     block_scans: AtomicU64,
-    #[cfg(feature = "occ-counters")]
     bytes_scanned: AtomicU64,
 }
 
 impl ScanCounter {
     #[inline]
     fn record(&self, bytes: usize) {
-        #[cfg(feature = "occ-counters")]
-        {
-            // Index-wide totals (any thread may observe them) ...
-            self.block_scans.fetch_add(1, Ordering::Relaxed);
-            self.bytes_scanned
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-            // ... plus the per-thread totals behind `thread_scan_snapshot`,
-            // which make per-query attribution exact under concurrency.
-            THREAD_BLOCK_SCANS.with(|c| c.set(c.get() + 1));
-            THREAD_BYTES_SCANNED.with(|c| c.set(c.get() + bytes as u64));
-        }
-        #[cfg(not(feature = "occ-counters"))]
-        let _ = bytes;
+        // Index-wide totals (any thread may observe them) ...
+        self.block_scans.fetch_add(1, Ordering::Relaxed);
+        self.bytes_scanned
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+        // ... plus the per-thread totals behind `thread_scan_snapshot`,
+        // which make per-query attribution exact under concurrency.
+        THREAD_BLOCK_SCANS.with(|c| c.set(c.get() + 1));
+        THREAD_BYTES_SCANNED.with(|c| c.set(c.get() + bytes as u64));
     }
 
     fn snapshot(&self) -> ScanSnapshot {
-        #[cfg(feature = "occ-counters")]
-        {
-            ScanSnapshot {
-                block_scans: self.block_scans.load(Ordering::Relaxed),
-                bytes_scanned: self.bytes_scanned.load(Ordering::Relaxed),
-            }
+        ScanSnapshot {
+            block_scans: self.block_scans.load(Ordering::Relaxed),
+            bytes_scanned: self.bytes_scanned.load(Ordering::Relaxed),
         }
-        #[cfg(not(feature = "occ-counters"))]
-        ScanSnapshot::default()
     }
 }
 
 impl Clone for ScanCounter {
     fn clone(&self) -> Self {
-        #[cfg(feature = "occ-counters")]
-        {
-            let snapshot = self.snapshot();
-            Self {
-                block_scans: AtomicU64::new(snapshot.block_scans),
-                bytes_scanned: AtomicU64::new(snapshot.bytes_scanned),
-            }
+        let snapshot = self.snapshot();
+        Self {
+            block_scans: AtomicU64::new(snapshot.block_scans),
+            bytes_scanned: AtomicU64::new(snapshot.bytes_scanned),
         }
-        #[cfg(not(feature = "occ-counters"))]
-        Self::default()
     }
 }
 
@@ -848,8 +817,7 @@ impl OccTable {
         }
     }
 
-    /// Scan-work counters accumulated since construction (all zeros when the
-    /// `occ-counters` feature is disabled).
+    /// Scan-work counters accumulated since construction.
     pub fn scan_snapshot(&self) -> ScanSnapshot {
         self.scans.snapshot()
     }
@@ -1321,7 +1289,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "occ-counters")]
     #[test]
     fn scan_counters_track_rank_all_calls() {
         let data = vec![1u8; BLOCK + 40];
@@ -1335,7 +1302,6 @@ mod tests {
         assert!(delta.bytes_scanned > 0);
     }
 
-    #[cfg(feature = "occ-counters")]
     #[test]
     fn thread_scan_snapshot_attributes_per_thread_work_exactly() {
         // Two threads querying the *same* table: each thread's snapshot

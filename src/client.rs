@@ -221,9 +221,9 @@ struct Conn {
 /// A connection to a running `alae-serve` instance.
 ///
 /// The connection is used serially: one in-flight request at a time.  Open
-/// several clients for concurrency — the server batches compatible
-/// in-flight requests across connections into shared search waves.  The
-/// client reconnects transparently when its [`RetryPolicy`] allows.
+/// several clients for concurrency — the server's workers search requests
+/// from different connections in parallel.  The client reconnects
+/// transparently when its [`RetryPolicy`] allows.
 #[derive(Debug)]
 pub struct Client {
     addrs: Vec<SocketAddr>,
@@ -310,7 +310,7 @@ impl Client {
 
     /// Run one search against the server's index.
     ///
-    /// Hits stream in best-first within each record wave and are returned
+    /// Hits stream in canonical best-first order and are returned
     /// as a regular [`SearchResponse`]; server-side guardrail outcomes
     /// (deadline, budget) arrive through the response's `termination`.
     /// Requests the server refuses outright surface as [`io::Error`]s —

@@ -20,9 +20,7 @@
 //!
 //! The request payload opens with a fixed-order encoding of every
 //! [`SearchRequest`] field (the *configuration prefix*), followed by the
-//! query codes.  Servers use the raw configuration-prefix bytes as the
-//! batching fingerprint: two in-flight requests with byte-identical
-//! prefixes can share one `Searcher` and one `search_batch` wave.
+//! query codes.
 //!
 //! Deliberately **not** on the wire: the fault-injection plan (a test-only
 //! compile feature).
@@ -457,9 +455,8 @@ fn alphabet_from_u8(byte: u8) -> Result<Alphabet, WireError> {
 // ---------------------------------------------------------------------------
 
 /// Encode the configuration prefix alone (every request field, fixed
-/// order).  Byte-identical prefixes ⇔ behaviorally identical requests —
-/// servers key their searcher cache and batch waves on these bytes.
-pub fn encode_request_config(request: &SearchRequest) -> Vec<u8> {
+/// order).
+fn encode_request_config(request: &SearchRequest) -> Vec<u8> {
     let mut w = PayloadWriter::new();
     w.put_u8(engine_to_u8(request.engine));
     w.put_i64(request.scheme.sa);
@@ -500,15 +497,12 @@ pub fn encode_request(request: &SearchRequest, query_codes: &[u8]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// A decoded request frame: the rebuilt [`SearchRequest`], the raw
-/// configuration-prefix bytes (the batching fingerprint) and the query
+/// A decoded request frame: the rebuilt [`SearchRequest`] and the query
 /// codes.
 #[derive(Debug, Clone)]
 pub struct DecodedRequest {
     /// The request, reconstructed field by field.
     pub request: SearchRequest,
-    /// The configuration prefix exactly as received.
-    pub config_key: Vec<u8>,
     /// The query, as alphabet codes.
     pub query_codes: Vec<u8>,
 }
@@ -557,7 +551,6 @@ pub fn decode_request(payload: &[u8]) -> Result<DecodedRequest, WireError> {
         }
         None => None,
     };
-    let config_len = payload.len() - r.remaining();
     let query_codes = r.get_bytes()?.to_vec();
     if r.remaining() != 0 {
         return Err(WireError::new("trailing bytes after query"));
@@ -585,7 +578,6 @@ pub fn decode_request(payload: &[u8]) -> Result<DecodedRequest, WireError> {
 
     Ok(DecodedRequest {
         request,
-        config_key: payload[..config_len].to_vec(),
         query_codes,
     })
 }
@@ -987,16 +979,6 @@ mod tests {
         assert_eq!(decoded.request.deadline, request.deadline);
         assert_eq!(decoded.request.work_budget, request.work_budget);
         assert_eq!(decoded.request.poll_interval, request.poll_interval);
-        assert_eq!(decoded.config_key, encode_request_config(&request));
-    }
-
-    #[test]
-    fn config_key_distinguishes_requests() {
-        let a = encode_request_config(&sample_request());
-        let b = encode_request_config(&sample_request().top_k(6));
-        assert_ne!(a, b);
-        let c = encode_request_config(&sample_request());
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -185,7 +185,6 @@ fn all_rank_layouts_report_identical_hits() {
                 diff_hits(&bwtsw.hits, &oracle).is_none(),
                 "layout {layout:?} query {i}: BWT-SW vs oracle"
             );
-            #[cfg(feature = "occ-counters")]
             assert!(alae.stats.occ_block_scans > 0, "scan counter populated");
         }
     }

@@ -433,7 +433,6 @@ fn two_level_protein_index_has_the_exact_footprint() {
     assert!(nibble16.size_in_bytes() < bytes16.size_in_bytes());
 }
 
-#[cfg(feature = "occ-counters")]
 #[test]
 fn trie_expansion_performs_two_block_scans_per_node() {
     let mut g = Gen::new(0x5eed_000c);
