@@ -10,7 +10,7 @@ use crate::stats::BwtswStats;
 use alae_bioseq::guard::{SearchGuard, Termination};
 use alae_bioseq::hits::{AlignmentHit, HitMap};
 use alae_bioseq::{ScoringScheme, SequenceDatabase};
-use alae_suffix::{ChildBuf, IndexOptions, SuffixTrieCursor, TextIndex};
+use alae_suffix::{ChildBuf, SuffixTrieCursor, TextIndex};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -136,8 +136,7 @@ impl BwtswAligner {
     ///
     /// The database's text is shared with the new index, not copied.
     pub fn build(database: &SequenceDatabase, config: BwtswConfig) -> Self {
-        let index = IndexOptions::new()
-            .build_text_index(database.shared_text(), database.alphabet().code_count());
+        let index = TextIndex::new(database.shared_text(), database.alphabet().code_count());
         Self {
             index: Arc::new(index),
             config,

@@ -35,7 +35,10 @@ use alae_suffix::{ChildBuf, SuffixTrieCursor};
 #[derive(Debug, Clone, Default)]
 pub struct ForkSlot {
     /// 0-based query columns where the member forks' EMRs start (ascending;
-    /// the first is the representative).
+    /// the first is the representative).  The representative is the
+    /// smallest start column, the member with the most query characters
+    /// left: its score-filter bound is the most permissive, so sharing its
+    /// state with the other members never prunes a cell they still need.
     pub start_cols: Vec<u32>,
     /// Gap-region cells (meaningful when `is_gap`; empty otherwise).
     pub cells: Vec<GapCell>,

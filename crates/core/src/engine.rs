@@ -39,7 +39,7 @@ use crate::qgram::QGramIndex;
 use alae_bioseq::guard::{GuardProbe, SearchGuard, Termination};
 use alae_bioseq::hits::{AlignmentHit, HitMap};
 use alae_bioseq::{Alphabet, SequenceDatabase};
-use alae_suffix::{IndexOptions, SuffixTrieCursor, TextIndex};
+use alae_suffix::{SuffixTrieCursor, TextIndex};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -90,10 +90,10 @@ impl AlaeAligner {
     /// hold the same `Arc`), not copied — constructing an aligner over a
     /// 30 MB database does not duplicate the text.
     pub fn build(database: &SequenceDatabase, config: AlaeConfig) -> Self {
-        let index = Arc::new(
-            IndexOptions::new()
-                .build_text_index(database.shared_text(), database.alphabet().code_count()),
-        );
+        let index = Arc::new(TextIndex::new(
+            database.shared_text(),
+            database.alphabet().code_count(),
+        ));
         Self::with_index(index, database.alphabet(), config)
     }
 
@@ -1196,7 +1196,7 @@ mod tests {
     #[test]
     fn a_shared_domination_index_is_kept_only_when_it_fits() {
         let db = dna_db(b"ACCGTTAGGCATCGATTGCAACCGGTTACGATCAGTACCGTTAGGC");
-        let index = Arc::new(IndexOptions::new().build_text_index(db.shared_text(), 5));
+        let index = Arc::new(TextIndex::new(db.shared_text(), 5));
         let built = |q| Some(Arc::new(DominationIndex::build(index.text(), q, 5)));
         let config = AlaeConfig::with_threshold(ScoringScheme::DEFAULT, 8);
         let with = |config, domination| {

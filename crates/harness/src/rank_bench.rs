@@ -1,16 +1,15 @@
 //! Occurrence-layer micro-benchmark: one `extend_all` fan-out versus the σ
-//! per-character `extend_left` loop it replaces, measured per rank layout —
-//! protein (σ = 21 codes, byte layout), a reduced-protein nibble-packed
-//! layout versus its byte-layout twin, and packed DNA.  Writes the
-//! measurements (including per-layout occurrence-table bytes) to
-//! `BENCH_rank.json` so successive PRs accumulate a perf trajectory, and
-//! implements the `--check` comparison the CI perf-regression gate runs
-//! against the committed snapshot.
+//! per-character `extend_left` loop it replaces, measured on the two rank
+//! layouts the index builds — protein (σ = 21 codes, byte layout) and DNA
+//! (2-bit packed).  Writes the measurements (including per-layout
+//! occurrence-table bytes) to `BENCH_rank.json` so successive PRs
+//! accumulate a perf trajectory, and implements the `--check` comparison
+//! the CI perf-regression gate runs against the committed snapshot.
 
 use crate::experiments::ExperimentOptions;
 use crate::snapshot::{field_num, CheckOutcome, Report};
 use alae_bioseq::Alphabet;
-use alae_suffix::{ChildBuf, IndexOptions, RankLayout, SuffixTrieCursor, TextIndex};
+use alae_suffix::{ChildBuf, SuffixTrieCursor, TextIndex};
 use alae_workload::{generate_text, TextSpec};
 use std::time::Instant;
 
@@ -76,12 +75,7 @@ fn baseline_after<'a>(json: &'a str, config: &str) -> Option<&'a str> {
 
 /// Configuration prefixes the gate tracks (a baseline predating a
 /// configuration simply skips it).
-const CHECKED_CONFIGS: &[&str] = &[
-    "protein_sigma21",
-    "protein_reduced15_nibble",
-    "protein_reduced15_bytes",
-    "dna_packed",
-];
+const CHECKED_CONFIGS: &[&str] = &["protein_sigma21", "dna_packed"];
 
 impl Report for RankBenchReport {
     /// Serialize as JSON (hand-rolled; the environment has no serde).
@@ -153,10 +147,9 @@ impl Report for RankBenchReport {
     /// baseline and a CI runner differ), so throughput is gated on the
     /// *within-run* `extend_all`-vs-`extend_left` paired speedup of each
     /// configuration: the fresh one must stay within `tolerance` of the
-    /// committed one.  Two machine-independent invariants are gated exactly:
-    /// per-node block scans must not grow (deterministic for a fixed
-    /// scale/seed), and the nibble-packed index must stay smaller than its
-    /// byte-layout twin.
+    /// committed one.  Per-node block scans, a machine-independent
+    /// invariant, are gated exactly: they must not grow (deterministic for a
+    /// fixed scale/seed).
     fn check(&self, baseline_json: &str, tolerance: f64) -> CheckOutcome {
         let mut outcome = CheckOutcome::default();
         for config in CHECKED_CONFIGS {
@@ -182,24 +175,6 @@ impl Report for RankBenchReport {
                 ));
             }
         }
-
-        // Index-size ordering within the fresh run (machine-independent).
-        let size_of = |config: &str| self.after(config).map(|e| e.index_bytes);
-        if let (Some(nibble), Some(bytes)) = (
-            size_of("protein_reduced15_nibble"),
-            size_of("protein_reduced15_bytes"),
-        ) {
-            if nibble >= bytes {
-                outcome.failures.push(format!(
-                    "nibble-packed index ({nibble} B) is not smaller than the byte layout ({bytes} B)"
-                ));
-            } else {
-                outcome.notes.push(format!(
-                    "reduced-protein index bytes: nibble {nibble} < bytes {bytes} ok"
-                ));
-            }
-        }
-
         outcome
     }
 }
@@ -246,15 +221,6 @@ fn collect_trie_nodes(index: &TextIndex, max_depth: usize, cap: usize) -> Vec<Su
         stack.extend(buf.iter().map(|&(_, child)| child));
     }
     nodes
-}
-
-/// Fold the alphabet codes of a text onto `sigma` codes (separator code 0
-/// stays 0), producing a reduced-alphabet text for the nibble rank layout.
-fn reduce_alphabet(codes: &[u8], sigma: u8) -> Vec<u8> {
-    codes
-        .iter()
-        .map(|&c| if c == 0 { 0 } else { (c - 1) % sigma + 1 })
-        .collect()
 }
 
 /// Expand every node with the σ per-character `extend` loop (the layer the
@@ -366,39 +332,15 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
     // where the per-character loop pays 2σ block scans per node.
     let text_len = (60_000_f64 * options.scale) as usize;
     let protein = generate_text(&TextSpec::protein(text_len.max(1_000), options.seed));
-    let protein_codes = protein.codes().to_vec();
-    let index = TextIndex::new(protein_codes.clone(), Alphabet::Protein.code_count());
+    let index = TextIndex::new(protein.codes().to_vec(), Alphabet::Protein.code_count());
     let nodes = collect_trie_nodes(&index, 2, 2_000);
 
     let mut entries = Vec::new();
     let speedup = measure("protein_sigma21", &index, &nodes, repetitions, &mut entries);
 
-    // Reduced protein alphabet (σ = 15 + separator = 16 codes): the 4-bit
-    // nibble-packed popcount path versus the generic byte path on the same
-    // text.
-    let reduced = reduce_alphabet(&protein_codes, 15);
-    for (label, layout) in [
-        ("protein_reduced15_nibble", RankLayout::PackedNibble),
-        ("protein_reduced15_bytes", RankLayout::Bytes),
-    ] {
-        let reduced_index = IndexOptions::new()
-            .layout(layout)
-            .build_text_index(reduced.clone(), 16);
-        let reduced_nodes = collect_trie_nodes(&reduced_index, 2, 2_000);
-        measure(
-            label,
-            &reduced_index,
-            &reduced_nodes,
-            repetitions,
-            &mut entries,
-        );
-    }
-
-    // DNA: the 2-bit packed popcount path `Auto` selects for σ ≤ 6.
+    // DNA: the 2-bit packed popcount path the index builds for σ ≤ 6.
     let dna = generate_text(&TextSpec::dna(text_len.max(1_000), options.seed + 1));
-    let dna_index = IndexOptions::new()
-        .layout(RankLayout::PackedDna)
-        .build_text_index(dna.codes().to_vec(), Alphabet::Dna.code_count());
+    let dna_index = TextIndex::new(dna.codes().to_vec(), Alphabet::Dna.code_count());
     let dna_nodes = collect_trie_nodes(&dna_index, 4, 2_000);
     measure(
         "dna_packed",
@@ -451,17 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn nibble_index_is_smaller_than_its_byte_twin() {
-        let report = run(&tiny_options());
-        let nibble = report
-            .after("protein_reduced15_nibble")
-            .unwrap()
-            .index_bytes;
-        let bytes = report.after("protein_reduced15_bytes").unwrap().index_bytes;
-        assert!(nibble < bytes, "nibble {nibble} vs bytes {bytes}");
-    }
-
-    #[test]
     fn json_is_well_formed_enough() {
         let report = run(&tiny_options());
         let json = report.to_json();
@@ -477,9 +408,9 @@ mod tests {
             );
         }
         assert!(json.contains("\"index_bytes\""));
-        assert_eq!(json.matches("\"role\": \"before\"").count(), 4);
-        assert_eq!(json.matches("\"role\": \"after\"").count(), 4);
-        assert_eq!(json.matches("\"paired_speedup\"").count(), 4);
+        assert_eq!(json.matches("\"role\": \"before\"").count(), 2);
+        assert_eq!(json.matches("\"role\": \"after\"").count(), 2);
+        assert_eq!(json.matches("\"paired_speedup\"").count(), 2);
     }
 
     #[test]
@@ -503,7 +434,7 @@ mod tests {
         let report = run(&tiny_options());
         let outcome = report.check(&report.to_json(), 0.15);
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-        assert!(outcome.notes.iter().filter(|n| n.ends_with(" ok")).count() >= 4);
+        assert!(outcome.notes.iter().filter(|n| n.ends_with(" ok")).count() >= 2);
     }
 
     #[test]
@@ -520,7 +451,7 @@ mod tests {
             pair[1].paired_speedup = Some(paired * 2.0);
         }
         let outcome = report.check(&baseline.to_json(), 0.15);
-        assert_eq!(outcome.failures.len(), 4, "{:?}", outcome.failures);
+        assert_eq!(outcome.failures.len(), 2, "{:?}", outcome.failures);
         assert!(outcome.failures.iter().all(|f| f.contains("speedup")));
     }
 

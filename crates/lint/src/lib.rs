@@ -16,8 +16,7 @@
 //! ```
 //!
 //! Findings print as `file:line: rule: message` and the process exits
-//! nonzero when any are found.  `scripts/lint_unsafe.sh` is a thin wrapper
-//! around the same binary, and CI runs it as the lint gate.
+//! nonzero when any are found.  CI runs the binary as the lint gate.
 
 #![forbid(unsafe_code)]
 

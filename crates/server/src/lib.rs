@@ -89,8 +89,8 @@ use crate::reload::{IndexSlot, PinnedIndex};
 use crate::trace::{QueryTrace, TraceLog, DEFAULT_TRACE_CAPACITY};
 use alae::bioseq::Sequence;
 use alae::search::{
-    EngineCounters, HitSink, IndexedDatabase, SearchError, SearchHit, SearchRequest, Searcher,
-    SinkFlow, Termination,
+    EngineCounters, HitSink, IndexedDatabase, SearchError, SearchGuard, SearchHit, SearchRequest,
+    Searcher, SinkFlow, Termination,
 };
 use alae::wire::{
     decode_request, encode_done, encode_error, encode_hit, encode_rejection, read_frame,
@@ -207,6 +207,8 @@ pub(crate) struct Shared {
     queue: Mutex<VecDeque<Pending>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
+    /// Queries being admitted or waiting in the queue (counted before the
+    /// drain gate, given back on refusal; see [`submit`]).
     pending_count: AtomicUsize,
     /// Queries currently executing in workers (incremented under the queue
     /// lock at pickup, so `pending_count + busy_workers` never blips to
@@ -272,6 +274,30 @@ pub(crate) fn submit(
     proto: &'static str,
     peer: Option<IpAddr>,
 ) -> Submission {
+    // Count the query before the drain gate looks at it.  `Server::drain`
+    // sets `draining` and then waits for `pending_count` to reach zero, so
+    // a query counted here is either refused by the gate or waited for.
+    // Counted any later, a drain starting in between could stop the
+    // workers while the query was still on its way into the queue.
+    let ahead = shared.pending_count.fetch_add(1, Ordering::SeqCst);
+    let submission = admit(shared, ahead, request, codes, proto, peer);
+    if !matches!(submission, Submission::Enqueued(_)) {
+        // Every refusal gives the count back.
+        shared.pending_count.fetch_sub(1, Ordering::SeqCst);
+    }
+    submission
+}
+
+/// [`submit`]'s checks and enqueue, for a query already counted in
+/// `pending_count` behind `ahead` others.
+fn admit(
+    shared: &Shared,
+    ahead: usize,
+    request: SearchRequest,
+    codes: Vec<u8>,
+    proto: &'static str,
+    peer: Option<IpAddr>,
+) -> Submission {
     if shared.draining.load(Ordering::SeqCst) {
         shared.metrics.rejected_draining.inc();
         return Submission::Rejected(Rejection {
@@ -279,6 +305,10 @@ pub(crate) fn submit(
             retry_after: Some(Duration::from_secs(1)),
             message: "server is draining, not accepting new queries".into(),
         });
+    }
+    #[cfg(test)]
+    if let Some(hook) = tests::AFTER_DRAIN_GATE.with(std::cell::Cell::take) {
+        hook();
     }
 
     let permit = match peer {
@@ -289,7 +319,7 @@ pub(crate) fn submit(
         None => None,
     };
 
-    if shared.pending_count.load(Ordering::SeqCst) >= shared.config.max_pending {
+    if ahead >= shared.config.max_pending {
         shared.metrics.rejected_capacity.inc();
         return Submission::Rejected(Rejection {
             reason: RejectReason::Capacity,
@@ -302,7 +332,8 @@ pub(crate) fn submit(
     let request = clamp_request(request, &shared.config);
     let clamped = request.deadline != original.deadline
         || request.top_k != original.top_k
-        || request.work_budget != original.work_budget;
+        || request.work_budget != original.work_budget
+        || request.poll_interval != original.poll_interval;
 
     // Pin the index epoch the query will run on; reloads published after
     // this point do not affect it.
@@ -345,7 +376,6 @@ pub(crate) fn submit(
     }
 
     let (reply_tx, reply_rx) = mpsc::channel();
-    shared.pending_count.fetch_add(1, Ordering::SeqCst);
     shared.metrics.queue_depth.add(1);
     // A poisoned queue only means another worker panicked while
     // holding it; the VecDeque itself is still structurally sound, so
@@ -493,11 +523,18 @@ impl Server {
         self.shared
             .trace
             .record_event("drain", "phase=start".to_string());
+        let mut waiting = false;
         while started.elapsed() < hard_deadline {
-            if self.shared.pending_count.load(Ordering::SeqCst) == 0
-                && self.shared.busy_workers.load(Ordering::SeqCst) == 0
-            {
+            let pending = self.shared.pending_count.load(Ordering::SeqCst);
+            let busy = self.shared.busy_workers.load(Ordering::SeqCst);
+            if pending == 0 && busy == 0 {
                 break;
+            }
+            if !waiting {
+                waiting = true;
+                self.shared
+                    .trace
+                    .record_event("drain", format!("phase=wait pending={pending} busy={busy}"));
             }
             thread::sleep(Duration::from_millis(10));
         }
@@ -763,6 +800,12 @@ fn clamp_request(mut request: SearchRequest, config: &ServerConfig) -> SearchReq
     if let Some(cap) = config.max_work_budget {
         request.work_budget = Some(request.work_budget.map_or(cap, |b| b.min(cap)));
     }
+    // The guard reads the clock only once every `poll_interval` node
+    // expansions, so a sparse interval would outrun the deadline cap: a
+    // client may poll more often than the default, never less.
+    request.poll_interval = request
+        .poll_interval
+        .map(|n| n.min(SearchGuard::DEFAULT_POLL_INTERVAL));
     request
 }
 
@@ -920,8 +963,16 @@ fn run_query(shared: &Shared, pending: Pending) {
 mod tests {
     use super::*;
     use alae::bioseq::{Alphabet, ScoringScheme};
+    use std::cell::Cell;
 
     const TEXT: &[u8] = b"GCTAGCTAGGCATCGATCGGCTAGCATTTGCATCAGTACGG";
+
+    thread_local! {
+        /// Run once by [`submit`] on this thread, right after the drain
+        /// gate lets a query through.
+        pub(super) static AFTER_DRAIN_GATE: Cell<Option<Box<dyn FnOnce()>>> =
+            const { Cell::new(None) };
+    }
 
     fn one_worker_server() -> Server {
         let db = IndexedDatabase::from_sequences(
@@ -991,6 +1042,50 @@ mod tests {
         let admitted: Vec<usize> = queries.iter().map(|(_, ascii)| ascii.len()).collect();
         assert_eq!(served, admitted);
         server.shutdown();
+    }
+
+    /// A drain that starts while a query stands between the drain gate and
+    /// the queue must wait for that query's `Done`, not stop the workers
+    /// under it.  The hook holds the submission right after the gate until
+    /// the drain has decided: either it finished (it saw nothing in
+    /// flight) or it logged that it is waiting.
+    #[test]
+    fn drain_waits_for_a_query_admitted_as_it_starts() {
+        let server = Arc::new(one_worker_server());
+        let drainer = Arc::clone(&server);
+        let watched = Arc::clone(&server);
+        let (drain_tx, drain_rx) = mpsc::channel();
+        let hook: Box<dyn FnOnce()> = Box::new(move || {
+            let drain = thread::spawn(move || drainer.drain(Duration::from_secs(60)));
+            let waiting =
+                || {
+                    watched.trace_log().events_snapshot().iter().any(|event| {
+                        event.kind == "drain" && event.detail.starts_with("phase=wait")
+                    })
+                };
+            while !drain.is_finished() && !waiting() {
+                thread::sleep(Duration::from_millis(1));
+            }
+            let _ = drain_tx.send(drain);
+        });
+        AFTER_DRAIN_GATE.with(|slot| slot.set(Some(hook)));
+
+        let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 8);
+        let codes = Alphabet::Dna.encode(b"GCTAGCATCGATCGG").unwrap();
+        let (_, done) = answer(submit(&server.shared, request, codes, "tcp", None));
+        assert_eq!(done.termination, Termination::Complete);
+        let drain = drain_rx.recv().expect("the hook ran");
+        drain.join().expect("drain thread");
+        let events = server.trace_log().events_snapshot();
+        let finished = events
+            .iter()
+            .find(|event| event.detail.starts_with("phase=done"))
+            .expect("drain finished");
+        assert!(
+            finished.detail.ends_with("completed_in_flight=true"),
+            "{}",
+            finished.detail
+        );
     }
 
     #[cfg(feature = "fault-inject")]

@@ -121,7 +121,9 @@ fn deadline_capped_request_reports_partial_results() {
 }
 
 /// The server-side deadline cap applies even when the client asks for no
-/// deadline at all.
+/// deadline at all, and a client's poll interval cannot outrun it: the
+/// guard reads the clock only once every `poll_interval` node expansions,
+/// so the server caps the interval at the default cadence.
 #[test]
 fn server_deadline_cap_overrides_client() {
     let (db, queries) = workload(20_000, 1);
@@ -132,14 +134,18 @@ fn server_deadline_cap_overrides_client() {
             ..ServerConfig::default()
         },
     );
-    let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12).poll_interval(1);
     let mut client = Client::connect(addr).expect("connect");
-    let response = client.search(&request, &queries[0]).expect("search");
-    assert!(
-        matches!(response.termination, Termination::DeadlineExceeded),
-        "server must cap the deadline; got {:?}",
-        response.termination
-    );
+    for poll_interval in [1, u32::MAX] {
+        let request =
+            SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12).poll_interval(poll_interval);
+        let response = client.search(&request, &queries[0]).expect("search");
+        assert!(
+            matches!(response.termination, Termination::DeadlineExceeded),
+            "server must cap the deadline (poll interval {poll_interval}); got {:?} with {} hits",
+            response.termination,
+            response.hits.len()
+        );
+    }
 }
 
 /// A client that vanishes mid-query must not disturb the others: its

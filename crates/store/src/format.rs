@@ -72,11 +72,13 @@ pub mod section {
     pub const SAMPLES: u32 = 16;
 }
 
-/// Storage-kind tag stored in [`Meta`].
+/// Storage-kind tag stored in [`Meta`].  The builder writes packed DNA
+/// storage for DNA and byte storage for protein; open accepts byte storage
+/// for any code count.  Kind 2 named the retired nibble-packed words: it is
+/// refused on open and never reused.
 pub mod storage_kind {
     pub const BYTES: u64 = 0;
     pub const PACKED_DNA: u64 = 1;
-    pub const PACKED_NIBBLE: u64 = 2;
 }
 
 /// Checkpoint-kind tag stored in [`Meta`].  Two-level rows are the only
@@ -304,7 +306,7 @@ mod tests {
             record_count: 7,
             sample_rate: 16,
             sampled_bits: 123_458,
-            storage_kind: storage_kind::PACKED_NIBBLE,
+            storage_kind: storage_kind::BYTES,
             checkpoint_kind: checkpoint_kind::TWO_LEVEL,
         };
         assert_eq!(Meta::from_bytes(&meta.to_bytes()).unwrap(), meta);

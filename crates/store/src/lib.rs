@@ -109,7 +109,7 @@ impl From<std::io::Error> for StoreError {
 ///
 /// The index must have been built over exactly the database's concatenated
 /// text (which is how every [`TextIndex`] built through the facade or
-/// `IndexOptions` comes to be).
+/// [`TextIndex::new`] comes to be).
 pub fn save_index(
     path: &Path,
     database: &SequenceDatabase,
@@ -156,18 +156,6 @@ pub fn save_index(
             exc_code,
         } => (
             storage_kind::PACKED_DNA,
-            vec![
-                (section::OCC_WORDS, format::encode_u64s(words)),
-                (section::EXC_POS, format::encode_u32s(exc_pos)),
-                (section::EXC_CODE, exc_code.to_vec()),
-            ],
-        ),
-        StorageDataRef::PackedNibble {
-            words,
-            exc_pos,
-            exc_code,
-        } => (
-            storage_kind::PACKED_NIBBLE,
             vec![
                 (section::OCC_WORDS, format::encode_u64s(words)),
                 (section::EXC_POS, format::encode_u32s(exc_pos)),
@@ -485,27 +473,21 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
     };
     let storage = match meta.storage_kind {
         storage_kind::BYTES => StorageData::Bytes(sections.shared(section::OCC_BYTES)?),
-        storage_kind::PACKED_DNA | storage_kind::PACKED_NIBBLE => {
-            let words = format::decode_u64s(sections.bytes(section::OCC_WORDS)?)
-                .ok_or_else(|| corrupt("ragged OCC_WORDS section"))?;
-            let exc_pos = format::decode_u32s(sections.bytes(section::EXC_POS)?)
-                .ok_or_else(|| corrupt("ragged EXC_POS section"))?;
-            let exc_code = sections.bytes(section::EXC_CODE)?.to_vec();
-            if meta.storage_kind == storage_kind::PACKED_DNA {
-                StorageData::PackedDna {
-                    words,
-                    exc_pos,
-                    exc_code,
-                }
-            } else {
-                StorageData::PackedNibble {
-                    words,
-                    exc_pos,
-                    exc_code,
-                }
-            }
+        storage_kind::PACKED_DNA => StorageData::PackedDna {
+            words: format::decode_u64s(sections.bytes(section::OCC_WORDS)?)
+                .ok_or_else(|| corrupt("ragged OCC_WORDS section"))?,
+            exc_pos: format::decode_u32s(sections.bytes(section::EXC_POS)?)
+                .ok_or_else(|| corrupt("ragged EXC_POS section"))?,
+            exc_code: sections.bytes(section::EXC_CODE)?.to_vec(),
+        },
+        other => {
+            return Err(corrupt(format!(
+                "unsupported storage kind {other} (only bytes, kind {}, and packed DNA, \
+                 kind {}, exist; kind 2 is retired)",
+                storage_kind::BYTES,
+                storage_kind::PACKED_DNA
+            )))
         }
-        other => return Err(corrupt(format!("unknown storage kind {other}"))),
     };
     let occ = OccTable::from_parts(occ_len, occ_code_count, rows, storage)
         .map_err(StoreError::Corrupt)?;
@@ -547,7 +529,7 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
 mod tests {
     use super::*;
     use alae_bioseq::Sequence;
-    use alae_suffix::{IndexOptions, RankLayout};
+    use alae_suffix::RankLayout;
     use std::io::{Read, Seek, SeekFrom, Write as IoWrite};
     use std::path::PathBuf;
 
@@ -571,24 +553,33 @@ mod tests {
         )
     }
 
-    fn build_index(database: &SequenceDatabase, layout: RankLayout) -> TextIndex {
-        IndexOptions::new()
-            .layout(layout)
-            .build_text_index(database.shared_text(), database.alphabet().code_count())
+    fn build_index(database: &SequenceDatabase) -> TextIndex {
+        TextIndex::new(database.shared_text(), database.alphabet().code_count())
     }
 
     #[test]
     fn round_trips_across_layouts() {
-        for (tag, layout) in [
-            ("bytes", RankLayout::Bytes),
-            ("packed", RankLayout::PackedDna),
-            ("auto", RankLayout::Auto),
+        // Byte storage for any code count a DNA file may still carry is
+        // covered end to end by `tests/store_roundtrip.rs`.
+        let protein = SequenceDatabase::from_sequences(
+            Alphabet::Protein,
+            [
+                Sequence::from_ascii_named(Alphabet::Protein, "chr1", b"MKTAYIAKQRQISFVKSHFSRQ")
+                    .unwrap(),
+                Sequence::from_ascii_named(Alphabet::Protein, "chr2", b"GIVEQCCTSICSLYQLENYCN")
+                    .unwrap(),
+            ],
+        );
+        for (tag, database, layout) in [
+            ("packed", sample_database(), RankLayout::PackedDna),
+            ("bytes", protein, RankLayout::Bytes),
         ] {
+            let index = build_index(&database);
+            assert_eq!(index.rank_layout(), layout);
             let path = temp_path(&format!("roundtrip-{tag}"));
-            let database = sample_database();
-            let index = build_index(&database, layout);
             save_index(&path, &database, &index).unwrap();
             let opened = open_index(&path).unwrap();
+            assert_eq!(opened.index.rank_layout(), layout);
             assert_eq!(opened.database.text(), database.text());
             assert_eq!(opened.database.record_count(), 2);
             assert_eq!(opened.database.record_names()[0].as_ref(), "chr1");
@@ -605,7 +596,7 @@ mod tests {
     fn open_is_zero_copy_into_the_mapping() {
         let path = temp_path("zerocopy");
         let database = sample_database();
-        let index = build_index(&database, RankLayout::Bytes);
+        let index = build_index(&database);
         save_index(&path, &database, &index).unwrap();
         let opened = open_index(&path).unwrap();
         #[cfg(unix)]
@@ -630,7 +621,7 @@ mod tests {
     fn verify_summarizes_a_good_file_and_rejects_a_torn_one() {
         let path = temp_path("verify");
         let database = sample_database();
-        let index = build_index(&database, RankLayout::Bytes);
+        let index = build_index(&database);
         save_index(&path, &database, &index).unwrap();
 
         let summary = verify_index(&path).unwrap();
@@ -661,7 +652,7 @@ mod tests {
     fn rejects_wrong_version() {
         let path = temp_path("version");
         let database = sample_database();
-        let index = build_index(&database, RankLayout::Bytes);
+        let index = build_index(&database);
         save_index(&path, &database, &index).unwrap();
         let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.seek(SeekFrom::Start(8)).unwrap();
@@ -678,7 +669,7 @@ mod tests {
     fn rejects_truncation_and_corruption() {
         let path = temp_path("truncate");
         let database = sample_database();
-        let index = build_index(&database, RankLayout::Bytes);
+        let index = build_index(&database);
         save_index(&path, &database, &index).unwrap();
         let mut bytes = Vec::new();
         File::open(&path).unwrap().read_to_end(&mut bytes).unwrap();
@@ -711,38 +702,59 @@ mod tests {
 
     #[test]
     fn retired_flat_checkpoint_kind_is_a_typed_corrupt_error() {
-        // A checksum-valid file whose META claims the retired flat u32
-        // checkpoint rows (kind 0) must come back as a typed error, never a
-        // panic or a misread of the two-level sections.
-        let path = temp_path("flat-kind");
+        // A checksum-valid file whose META claims a retired kind — the flat
+        // u32 checkpoint rows (checkpoint kind 0) or the nibble-packed words
+        // (storage kind 2) — must come back as a typed error, never a panic
+        // or a misread of the sections that are there.
+        let path = temp_path("retired-kinds");
         let database = sample_database();
-        let index = build_index(&database, RankLayout::Auto);
-        save_index(&path, &database, &index).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let sections = u32::from_le_bytes(pristine[12..16].try_into().unwrap()) as usize;
         let slot = (0..sections)
             .map(|k| HEADER_LEN + k * TABLE_ENTRY_LEN)
             .find(|&at| {
-                TableEntry::from_bytes(&bytes[at..at + TABLE_ENTRY_LEN])
+                TableEntry::from_bytes(&pristine[at..at + TABLE_ENTRY_LEN])
                     .is_some_and(|entry| entry.id == section::META)
             })
             .expect("META entry");
-        let mut entry = TableEntry::from_bytes(&bytes[slot..slot + TABLE_ENTRY_LEN]).unwrap();
+        let entry = TableEntry::from_bytes(&pristine[slot..slot + TABLE_ENTRY_LEN]).unwrap();
         let payload = entry.offset as usize..(entry.offset + entry.len) as usize;
-        let mut meta = Meta::from_bytes(&bytes[payload.clone()]).unwrap();
+        let meta = Meta::from_bytes(&pristine[payload.clone()]).unwrap();
         assert_eq!(meta.checkpoint_kind, checkpoint_kind::TWO_LEVEL);
-        meta.checkpoint_kind = 0;
-        bytes[payload.clone()].copy_from_slice(&meta.to_bytes());
-        // Re-stamp the checksum so the mutation reaches the META decoder.
-        entry.checksum = checksum(&bytes[payload]);
-        bytes[slot..slot + TABLE_ENTRY_LEN].copy_from_slice(&entry.to_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let opened = open_index(&path);
-        assert!(
-            matches!(&opened, Err(StoreError::Corrupt(why)) if why.contains("checkpoint kind")),
-            "{:?}",
-            opened.err()
-        );
+        assert_eq!(meta.storage_kind, storage_kind::PACKED_DNA);
+        for (retired, expected) in [
+            (
+                Meta {
+                    checkpoint_kind: 0,
+                    ..meta
+                },
+                "checkpoint kind",
+            ),
+            (
+                Meta {
+                    storage_kind: 2,
+                    ..meta
+                },
+                "storage kind 2",
+            ),
+        ] {
+            let mut bytes = pristine.clone();
+            bytes[payload.clone()].copy_from_slice(&retired.to_bytes());
+            // Re-stamp the checksum so the mutation reaches the META decoder.
+            let stamped = TableEntry {
+                checksum: checksum(&bytes[payload.clone()]),
+                ..entry
+            };
+            bytes[slot..slot + TABLE_ENTRY_LEN].copy_from_slice(&stamped.to_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let opened = open_index(&path);
+            assert!(
+                matches!(&opened, Err(StoreError::Corrupt(why)) if why.contains(expected)),
+                "{expected}: {:?}",
+                opened.err()
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -754,7 +766,7 @@ mod tests {
             Alphabet::Dna,
             [Sequence::from_ascii(Alphabet::Dna, b"TTTT").unwrap()],
         );
-        let index = build_index(&other, RankLayout::Bytes);
+        let index = build_index(&other);
         assert!(matches!(
             save_index(&path, &database, &index),
             Err(StoreError::Corrupt(_))

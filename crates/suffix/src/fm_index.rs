@@ -40,9 +40,10 @@ impl SaRange {
     }
 }
 
-/// Default suffix-array sampling rate (one sampled row per this many text
-/// positions).
-pub const DEFAULT_SA_SAMPLE_RATE: usize = 16;
+/// Suffix-array sampling rate of every built index (one sampled row per this
+/// many text positions).  [`FmIndex::from_parts`] accepts any rate a file
+/// records: `locate` walks to the next marked row whatever the spacing.
+pub const SA_SAMPLE_RATE: usize = 16;
 
 /// An FM-index over a code sequence.
 #[derive(Debug, Clone)]
@@ -60,25 +61,14 @@ pub struct FmIndex {
     sampled_rows: RankBitVec,
     /// Sampled suffix-array values, indexed by `sampled_rows.rank1(row)`.
     samples: Vec<u32>,
-    /// Sampling rate used at construction time.
+    /// Sampling rate of the marked rows ([`SA_SAMPLE_RATE`] unless reopened
+    /// from a file that records another).
     sample_rate: usize,
 }
 
 impl FmIndex {
     /// Build an FM-index for `text`, whose codes must all be `< code_count`.
     pub fn new(text: &[u8], code_count: usize) -> Self {
-        Self::build(text, code_count, DEFAULT_SA_SAMPLE_RATE, RankLayout::Auto)
-    }
-
-    /// The one real constructor ([`FmIndex::new`] and
-    /// [`crate::IndexOptions`] funnel here).
-    pub(crate) fn build(
-        text: &[u8],
-        code_count: usize,
-        sample_rate: usize,
-        layout: RankLayout,
-    ) -> Self {
-        assert!(sample_rate >= 1);
         assert!(code_count >= 1);
         assert!(
             code_count <= MAX_CODE_COUNT,
@@ -107,7 +97,7 @@ impl FmIndex {
         for &c in &shifted_bwt {
             counts[c as usize] += 1;
         }
-        let occ = OccTable::build(shifted_bwt, shifted_code_count, layout);
+        let occ = OccTable::new(shifted_bwt, shifted_code_count);
         let mut c_array = vec![0usize; shifted_code_count];
         let mut running = 0usize;
         for c in 1..shifted_code_count {
@@ -115,25 +105,7 @@ impl FmIndex {
             c_array[c] = running;
         }
 
-        // Sample suffix-array rows whose text position is a multiple of the
-        // sampling rate (position n — the sentinel suffix — is always
-        // sampled so locate() terminates).  The predicate is evaluated once
-        // per row and drives both the marker bitvec and the sample values.
-        let n_rows = sa.len();
-        let is_sampled: Vec<bool> = sa
-            .iter()
-            .map(|&pos| {
-                let pos = pos as usize;
-                pos.is_multiple_of(sample_rate) || pos == text.len()
-            })
-            .collect();
-        let sampled_rows = RankBitVec::from_bits(is_sampled.iter().copied());
-        let mut samples = Vec::with_capacity(n_rows / sample_rate + 2);
-        for (row, &sampled) in is_sampled.iter().enumerate() {
-            if sampled {
-                samples.push(sa[row]);
-            }
-        }
+        let (sampled_rows, samples) = sample_suffix_array(&sa, SA_SAMPLE_RATE);
 
         Self {
             text_len: text.len(),
@@ -142,7 +114,7 @@ impl FmIndex {
             c_array,
             sampled_rows,
             samples,
-            sample_rate,
+            sample_rate: SA_SAMPLE_RATE,
         }
     }
 
@@ -218,7 +190,7 @@ impl FmIndex {
         self.occ.scan_snapshot()
     }
 
-    /// The rank-storage layout selected at construction.
+    /// The storage layout of the occurrence table.
     pub fn rank_layout(&self) -> RankLayout {
         self.occ.layout()
     }
@@ -289,7 +261,7 @@ impl FmIndex {
             + self.samples.len() * std::mem::size_of::<u32>()
     }
 
-    /// The sampling rate the index was built with.
+    /// The suffix-array sampling rate of the marked rows.
     pub fn sample_rate(&self) -> usize {
         self.sample_rate
     }
@@ -395,10 +367,28 @@ impl FmIndex {
     }
 }
 
+/// Mark the suffix-array rows whose text position is a multiple of `rate`,
+/// plus the sentinel suffix's row (so `locate` always terminates), and
+/// collect their positions in row order.
+fn sample_suffix_array(sa: &[u32], rate: usize) -> (RankBitVec, Vec<u32>) {
+    let text_len = sa.len() - 1;
+    // One predicate evaluation per row drives both outputs.
+    let is_sampled: Vec<bool> = sa
+        .iter()
+        .map(|&pos| (pos as usize).is_multiple_of(rate) || pos as usize == text_len)
+        .collect();
+    let sampled_rows = RankBitVec::from_bits(is_sampled.iter().copied());
+    let samples = sa
+        .iter()
+        .zip(&is_sampled)
+        .filter_map(|(&pos, &sampled)| sampled.then_some(pos))
+        .collect();
+    (sampled_rows, samples)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::IndexOptions;
 
     fn naive_occurrences(text: &[u8], pattern: &[u8]) -> Vec<usize> {
         if pattern.is_empty() || pattern.len() > text.len() {
@@ -476,6 +466,23 @@ mod tests {
         }
     }
 
+    /// `fm` with its suffix array re-sampled at `rate` and reassembled
+    /// through `from_parts`: the shape `open` reads from a file that
+    /// records another sampling rate.
+    fn resampled(fm: &FmIndex, text: &[u8], rate: usize) -> FmIndex {
+        let (sampled_rows, samples) = sample_suffix_array(&suffix_array(text), rate);
+        FmIndex::from_parts(
+            fm.text_len(),
+            fm.code_count(),
+            fm.occ_table().clone(),
+            fm.c_array().to_vec(),
+            sampled_rows,
+            samples,
+            rate,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn random_text_occurrences_match_naive() {
         let mut state = 42u64;
@@ -486,7 +493,7 @@ mod tests {
             state
         };
         let text: Vec<u8> = (0..800).map(|_| (next() % 4) as u8 + 1).collect();
-        let fm = IndexOptions::new().sample_rate(8).build_fm_index(&text, 5);
+        let fm = resampled(&FmIndex::new(&text, 5), &text, 8);
         for len in [1usize, 2, 3, 5, 8] {
             for _ in 0..20 {
                 let start = (next() as usize) % (text.len() - len);
@@ -535,10 +542,9 @@ mod tests {
     #[test]
     fn locate_every_row_is_a_permutation() {
         let text: Vec<u8> = (0..100).map(|i| (i % 4) as u8 + 1).collect();
+        let built = FmIndex::new(&text, 5);
         for rate in [1usize, 4, 16, 64] {
-            let fm = IndexOptions::new()
-                .sample_rate(rate)
-                .build_fm_index(&text, 5);
+            let fm = resampled(&built, &text, rate);
             let mut positions: Vec<usize> = (0..fm.row_count()).map(|row| fm.locate(row)).collect();
             positions.sort_unstable();
             let expected: Vec<usize> = (0..=text.len()).collect();
@@ -606,6 +612,6 @@ mod tests {
         let small = FmIndex::new(&vec![1u8; 1_000], 5);
         let large = FmIndex::new(&vec![1u8; 10_000], 5);
         assert!(large.size_in_bytes() > small.size_in_bytes());
-        assert_eq!(small.sample_rate(), DEFAULT_SA_SAMPLE_RATE);
+        assert_eq!(small.sample_rate(), SA_SAMPLE_RATE);
     }
 }

@@ -20,22 +20,25 @@
 //!   ([`trie::SuffixTrieCursor`] extends a represented substring one
 //!   character to the right).
 //!
-//! Index construction has two knobs, both on [`IndexOptions`]: the
-//! occurrence-table [`RankLayout`] and the suffix-array sampling rate.
+//! Index construction has no options: [`TextIndex::new`] takes the text and
+//! its code count.  The code count picks the occurrence-table layout
+//! ([`RankLayout::PackedDna`] for DNA's 6 shifted codes,
+//! [`RankLayout::Bytes`] for protein's 22), and every index samples its
+//! suffix array at the one rate [`fm_index::SA_SAMPLE_RATE`].  The
+//! [`rank`] module docs give the reasons for both layouts.
+//!
 //! The crate contains no `unsafe` code.
 #![forbid(unsafe_code)]
 
 pub mod bitvec;
 pub mod bwt;
 pub mod fm_index;
-pub mod options;
 pub mod rank;
 pub mod sais;
 mod swar;
 pub mod trie;
 
 pub use fm_index::{FmIndex, SaRange, MAX_CODE_COUNT};
-pub use options::IndexOptions;
 pub use sais::suffix_array_build_count;
 
 pub use rank::{

@@ -38,9 +38,10 @@
 //! Every in-block scan bottoms out in one of the portable SWAR kernels of
 //! `crate::swar` (`u64` equality folds plus `count_ones`).
 //!
-//! Three storage layouts are selected at construction ([`RankLayout`]):
+//! The code count alone picks one of two storage layouts at construction
+//! ([`RankLayout`] reports which):
 //!
-//! * **`Bytes`** (generic, any `σ ≤ 30`): one byte per BWT character.
+//! * **`Bytes`** (`σ > 6`, the protein case): one byte per BWT character.
 //!   Single-code `rank` compares eight characters per step with a SWAR
 //!   equality mask and `u64::count_ones`; `rank_all` performs one byte
 //!   histogram pass.
@@ -49,26 +50,26 @@
 //!   the packed words and are counted with mask + popcount; the at-most-two
 //!   *sparse* codes (BWT sentinel and record separators, which are rare by
 //!   construction) live in an exception list — no scan at all.
-//! * **`PackedNibble`** (`σ ≤ 18`: protein reduced alphabets, IUPAC DNA):
-//!   4 bits per character, 16 characters per `u64`.  Up to 16 dense codes
-//!   are counted with a SWAR nibble-equality mask + popcount
-//!   (`eq4`); sparse codes use the same exception list as `PackedDna`.
 //!
-//! Both packed layouts encode exception slots as the dense pattern `0` and
-//! subtract the in-range exception count from the first dense code, so ranks
-//! stay exact.  The exception list keeps a cumulative per-block count (one
-//! `u32` per checkpoint row, `ExceptionList::block_starts`), so locating
-//! the exceptions of a block is O(1) plus a search bounded by the handful of
-//! exceptions inside that one block — never a binary search over the whole
-//! list, which matters for million-record databases with one separator per
-//! record.
+//! The packed layout encodes exception slots as the dense pattern `0` and
+//! subtracts the in-range exception count from the first dense code, so
+//! ranks stay exact.  The exception list keeps a cumulative per-block count
+//! (one `u32` per checkpoint row, `ExceptionList::block_starts`), so
+//! locating the exceptions of a block is O(1) plus a search bounded by the
+//! handful of exceptions inside that one block — never a binary search over
+//! the whole list, which matters for million-record databases with one
+//! separator per record.
+//!
+//! [`OccTable::from_parts`] also accepts byte storage for a code count
+//! [`OccTable::new`] would pack, so byte-layout DNA files written by earlier
+//! builds still open.
 //!
 //! Every table counts the block scans and storage bytes it touches
 //! ([`OccTable::scan_snapshot`]); the engines surface the deltas in their
 //! work counters so the `O(σ)` → `O(1)` scan reduction is measurable
 //! end-to-end.
 
-use crate::swar::{self, CHARS_PER_WORD, NIBBLE_CHARS_PER_WORD};
+use crate::swar::{self, CHARS_PER_WORD};
 use alae_bioseq::SharedBytes;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,34 +90,20 @@ const DENSE_CODES: usize = 4;
 /// 2 sparse).
 const PACKED_MAX_CODES: usize = DENSE_CODES + 2;
 
-/// Number of codes kept in the nibble-packed words.
-const NIBBLE_DENSE_CODES: usize = 16;
-
-/// Largest code count eligible for the nibble layout (16 dense + 2 sparse).
-const NIBBLE_MAX_CODES: usize = NIBBLE_DENSE_CODES + 2;
-
 // The packed scans assume checkpoint blocks start on a word boundary, and
 // the two-level deltas assume a super-block span fits a u16.
 const _: () = assert!(BLOCK.is_multiple_of(CHARS_PER_WORD));
-const _: () = assert!(BLOCK.is_multiple_of(NIBBLE_CHARS_PER_WORD));
 const _: () = assert!(SUPER_SPAN <= u16::MAX as usize);
 
-/// Storage layout for the in-block scan, chosen at construction.
+/// The storage layout of a table's in-block scans, as reported by
+/// [`OccTable::layout`].  [`OccTable::new`] derives it from the code count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankLayout {
-    /// Pick the narrowest layout the alphabet fits:
-    /// [`RankLayout::PackedDna`] for `σ ≤ 6`, [`RankLayout::PackedNibble`]
-    /// for `σ ≤ 18`, [`RankLayout::Bytes`] otherwise.
-    Auto,
     /// One byte per character; SWAR equality scan.  Works for any alphabet.
     Bytes,
     /// 2 bits per character plus an exception list; popcount scan.
     /// Requires `code_count ≤ 6`.
     PackedDna,
-    /// 4 bits per character plus an exception list; SWAR nibble-popcount
-    /// scan.  Requires `code_count ≤ 18` (protein reduced alphabets,
-    /// IUPAC DNA).
-    PackedNibble,
 }
 
 /// Running totals of the work performed by rank queries.
@@ -126,8 +113,8 @@ pub struct ScanSnapshot {
     /// that touched storage).
     pub block_scans: u64,
     /// Storage bytes covered by the scanned prefixes (logical footprint:
-    /// one byte per character for the byte layout, a quarter/half byte for
-    /// the packed layouts — not word-granular cache traffic).
+    /// one byte per character for the byte layout, a quarter byte for the
+    /// packed layout — not word-granular cache traffic).
     pub bytes_scanned: u64,
 }
 
@@ -280,7 +267,7 @@ fn count_block(data: &[u8], block: usize, running: &mut [u32]) {
     }
 }
 
-/// Sparse-code exceptions of a packed layout: positions holding codes below
+/// Sparse-code exceptions of the packed layout: positions holding codes below
 /// the dense base, kept sorted with a cumulative per-block count.
 #[derive(Debug, Clone, Default)]
 struct ExceptionList {
@@ -402,7 +389,6 @@ impl ExceptionList {
 enum OccStorage {
     Bytes(SharedBytes),
     Packed(PackedDna),
-    Nibble(PackedNibble),
 }
 
 /// Owned two-level checkpoint rows, as serialized by the `alae-store`
@@ -442,15 +428,6 @@ pub enum StorageData {
         /// The sparse code at each exception position.
         exc_code: Vec<u8>,
     },
-    /// 4-bit packed words plus the sparse-code exception list.
-    PackedNibble {
-        /// 16 characters per word, 4 bits each.
-        words: Vec<u64>,
-        /// Exception positions, sorted ascending.
-        exc_pos: Vec<u32>,
-        /// The sparse code at each exception position.
-        exc_code: Vec<u8>,
-    },
 }
 
 /// Borrowed view of the storage payload (the save path's counterpart of
@@ -462,15 +439,6 @@ pub enum StorageDataRef<'a> {
     /// 2-bit packed words plus the exception list.
     PackedDna {
         /// 32 characters per word, 2 bits each.
-        words: &'a [u64],
-        /// Exception positions, sorted ascending.
-        exc_pos: &'a [u32],
-        /// The sparse code at each exception position.
-        exc_code: &'a [u8],
-    },
-    /// 4-bit packed words plus the exception list.
-    PackedNibble {
-        /// 16 characters per word, 4 bits each.
         words: &'a [u64],
         /// Exception positions, sorted ascending.
         exc_pos: &'a [u32],
@@ -542,77 +510,6 @@ impl PackedDna {
     }
 }
 
-/// 4-bit packed characters plus an exception list for sparse codes.
-#[derive(Debug, Clone)]
-struct PackedNibble {
-    /// 16 characters per word, 4 bits each, little-endian within the word.
-    words: Vec<u64>,
-    /// Smallest dense code; packed nibble = `code - dense_base`.
-    dense_base: u8,
-    /// Number of dense codes actually in use (`code_count - dense_base`).
-    dense_used: usize,
-    /// Positions holding sparse codes (`code < dense_base`).
-    exc: ExceptionList,
-}
-
-impl PackedNibble {
-    fn build(data: &[u8], code_count: usize) -> Self {
-        let dense_base = code_count.saturating_sub(NIBBLE_DENSE_CODES) as u8;
-        let dense_used = code_count - dense_base as usize;
-        let mut words = vec![0u64; data.len().div_ceil(NIBBLE_CHARS_PER_WORD)];
-        let mut exc = ExceptionList::default();
-        for (i, &c) in data.iter().enumerate() {
-            let pattern = if c >= dense_base {
-                (c - dense_base) as u64
-            } else {
-                exc.pos.push(i as u32);
-                exc.code.push(c);
-                0 // Filler; queries subtract the exception count from code 0.
-            };
-            words[i / NIBBLE_CHARS_PER_WORD] |= pattern << (4 * (i % NIBBLE_CHARS_PER_WORD));
-        }
-        exc.finish(data.len());
-        Self {
-            words,
-            dense_base,
-            dense_used,
-            exc,
-        }
-    }
-
-    /// Character at position `i`.
-    #[inline]
-    fn get(&self, i: usize) -> u8 {
-        if let Some(code) = self.exc.code_at(i) {
-            return code;
-        }
-        let pattern =
-            (self.words[i / NIBBLE_CHARS_PER_WORD] >> (4 * (i % NIBBLE_CHARS_PER_WORD))) & 0xF;
-        self.dense_base + pattern as u8
-    }
-
-    /// Occurrences of the 4-bit `pattern` in positions `[start, end)`;
-    /// `start` must be word-aligned.  Exception slots count as pattern 0.
-    #[inline]
-    fn count_pattern(&self, pattern: u64, start: usize, end: usize) -> usize {
-        swar::count_pattern_nibble(&self.words, pattern, start, end)
-    }
-
-    /// Occurrence histogram of every dense pattern over `[start, end)` in a
-    /// single pass, accumulated straight into `out` (`out[pattern] += 1`,
-    /// so callers pass their counts slice offset by `dense_base`).  `start`
-    /// must be word-aligned; exception slots count as pattern 0.
-    #[inline]
-    fn count_into(&self, start: usize, end: usize, out: &mut [u32]) {
-        debug_assert!(out.len() >= self.dense_used);
-        swar::nibble_histogram_into(&self.words, start, end, out);
-    }
-
-    fn size_in_bytes(&self) -> usize {
-        self.words.len() * 8 + self.exc.size_in_bytes()
-    }
-}
-
 /// Sampled occurrence counts over a byte sequence.
 #[derive(Debug, Clone)]
 pub struct OccTable {
@@ -629,49 +526,18 @@ pub struct OccTable {
 }
 
 impl OccTable {
-    /// Build the table for `data` where all codes are `< code_count`,
-    /// auto-selecting the storage layout.
+    /// Build the table for `data` where all codes are `< code_count`.
+    /// Alphabets of at most 6 codes (DNA) are packed 2 bits per character;
+    /// every larger one (protein) is stored one byte per character.
     pub fn new(data: Vec<u8>, code_count: usize) -> Self {
-        Self::build(data, code_count, RankLayout::Auto)
-    }
-
-    /// The one real constructor ([`OccTable::new`] and
-    /// [`crate::IndexOptions`] funnel here).
-    pub(crate) fn build(data: Vec<u8>, code_count: usize, layout: RankLayout) -> Self {
         assert!(code_count > 0);
         debug_assert!(data.iter().all(|&c| (c as usize) < code_count));
         let checkpoints = Checkpoints::build(&data, code_count);
-        let layout = match layout {
-            RankLayout::Auto => {
-                if code_count <= PACKED_MAX_CODES {
-                    RankLayout::PackedDna
-                } else if code_count <= NIBBLE_MAX_CODES {
-                    RankLayout::PackedNibble
-                } else {
-                    RankLayout::Bytes
-                }
-            }
-            RankLayout::PackedDna => {
-                assert!(
-                    code_count <= PACKED_MAX_CODES,
-                    "packed layout supports at most {PACKED_MAX_CODES} codes, got {code_count}"
-                );
-                RankLayout::PackedDna
-            }
-            RankLayout::PackedNibble => {
-                assert!(
-                    code_count <= NIBBLE_MAX_CODES,
-                    "nibble layout supports at most {NIBBLE_MAX_CODES} codes, got {code_count}"
-                );
-                RankLayout::PackedNibble
-            }
-            RankLayout::Bytes => RankLayout::Bytes,
-        };
         let len = data.len();
-        let storage = match layout {
-            RankLayout::PackedDna => OccStorage::Packed(PackedDna::build(&data, code_count)),
-            RankLayout::PackedNibble => OccStorage::Nibble(PackedNibble::build(&data, code_count)),
-            _ => OccStorage::Bytes(SharedBytes::from_vec(data)),
+        let storage = if code_count <= PACKED_MAX_CODES {
+            OccStorage::Packed(PackedDna::build(&data, code_count))
+        } else {
+            OccStorage::Bytes(SharedBytes::from_vec(data))
         };
         Self {
             code_count,
@@ -700,12 +566,11 @@ impl OccTable {
         self.code_count
     }
 
-    /// The layout actually selected at construction.
+    /// The storage layout of this table.
     pub fn layout(&self) -> RankLayout {
         match self.storage {
             OccStorage::Bytes(_) => RankLayout::Bytes,
             OccStorage::Packed(_) => RankLayout::PackedDna,
-            OccStorage::Nibble(_) => RankLayout::PackedNibble,
         }
     }
 
@@ -716,7 +581,6 @@ impl OccTable {
         match &self.storage {
             OccStorage::Bytes(data) => data[i],
             OccStorage::Packed(packed) => packed.get(i),
-            OccStorage::Nibble(nibble) => nibble.get(i),
         }
     }
 
@@ -746,20 +610,6 @@ impl OccTable {
                     if c == packed.dense_base {
                         // Exception slots packed as pattern 0.
                         let (lo, hi) = packed.exc.block_range(block, i);
-                        count -= hi - lo;
-                    }
-                    base + count
-                }
-            }
-            OccStorage::Nibble(nibble) => {
-                if c < nibble.dense_base {
-                    base + nibble.exc.count_code(block, i, c)
-                } else {
-                    self.scans.record((i - start).div_ceil(2));
-                    let mut count = nibble.count_pattern((c - nibble.dense_base) as u64, start, i);
-                    if c == nibble.dense_base {
-                        // Exception slots packed as pattern 0.
-                        let (lo, hi) = nibble.exc.block_range(block, i);
                         count -= hi - lo;
                     }
                     base + count
@@ -801,19 +651,6 @@ impl OccTable {
                     }
                 }
             }
-            OccStorage::Nibble(nibble) => {
-                self.scans.record((i - start).div_ceil(2));
-                let dense_base = nibble.dense_base as usize;
-                // Nibble patterns are `code - dense_base`, so offsetting the
-                // counts slice lets the histogram accumulate in place with
-                // no temporary.
-                nibble.count_into(start, i, &mut counts[dense_base..]);
-                let (lo, hi) = nibble.exc.block_range(block, i);
-                counts[dense_base] -= (hi - lo) as u32; // Exceptions packed as 0.
-                for k in lo..hi {
-                    counts[nibble.exc.code[k] as usize] += 1;
-                }
-            }
         }
     }
 
@@ -834,7 +671,6 @@ impl OccTable {
         match &self.storage {
             OccStorage::Bytes(data) => data.len(),
             OccStorage::Packed(packed) => packed.size_in_bytes(),
-            OccStorage::Nibble(nibble) => nibble.size_in_bytes(),
         }
     }
 
@@ -848,7 +684,6 @@ impl OccTable {
         match &self.storage {
             OccStorage::Bytes(_) => 0,
             OccStorage::Packed(packed) => packed.exc.len(),
-            OccStorage::Nibble(nibble) => nibble.exc.len(),
         }
     }
 
@@ -868,11 +703,6 @@ impl OccTable {
                 words: &packed.words,
                 exc_pos: &packed.exc.pos,
                 exc_code: &packed.exc.code,
-            },
-            OccStorage::Nibble(nibble) => StorageDataRef::PackedNibble {
-                words: &nibble.words,
-                exc_pos: &nibble.exc.pos,
-                exc_code: &nibble.exc.code,
             },
         }
     }
@@ -944,33 +774,6 @@ impl OccTable {
                     exc,
                 })
             }
-            StorageData::PackedNibble {
-                words,
-                exc_pos,
-                exc_code,
-            } => {
-                if code_count > NIBBLE_MAX_CODES {
-                    return Err(format!(
-                        "nibble layout supports at most {NIBBLE_MAX_CODES} codes, got {code_count}"
-                    ));
-                }
-                if words.len() != len.div_ceil(NIBBLE_CHARS_PER_WORD) {
-                    return Err(format!(
-                        "nibble storage holds {} words, expected {}",
-                        words.len(),
-                        len.div_ceil(NIBBLE_CHARS_PER_WORD)
-                    ));
-                }
-                let dense_base = code_count.saturating_sub(NIBBLE_DENSE_CODES) as u8;
-                let dense_used = code_count - dense_base as usize;
-                let exc = ExceptionList::from_parts(exc_pos, exc_code, len, dense_base)?;
-                OccStorage::Nibble(PackedNibble {
-                    words,
-                    dense_base,
-                    dense_used,
-                    exc,
-                })
-            }
         };
         Ok(Self {
             code_count,
@@ -985,13 +788,6 @@ impl OccTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::IndexOptions;
-
-    fn table(data: Vec<u8>, code_count: usize, layout: RankLayout) -> OccTable {
-        IndexOptions::new()
-            .layout(layout)
-            .build_occ_table(data, code_count)
-    }
 
     fn naive_rank(data: &[u8], c: u8, i: usize) -> usize {
         data[..i].iter().filter(|&&b| b == c).count()
@@ -1004,18 +800,42 @@ mod tests {
         *state
     }
 
-    const LAYOUTS: [RankLayout; 4] = [
-        RankLayout::Auto,
-        RankLayout::Bytes,
-        RankLayout::PackedDna,
-        RankLayout::PackedNibble,
-    ];
+    /// Byte storage of `data` over the checkpoint rows of `table` (which
+    /// must have been built from `data`), reassembled by `from_parts`.  For
+    /// a DNA-sized code count this is the table `open` reads from a
+    /// byte-layout file.
+    fn byte_twin(table: &OccTable, data: &[u8]) -> OccTable {
+        let rows = table.checkpoint_rows();
+        OccTable::from_parts(
+            table.len(),
+            table.code_count(),
+            CheckpointRows {
+                supers: rows.supers.to_vec(),
+                deltas: rows.deltas.to_vec(),
+            },
+            StorageData::Bytes(SharedBytes::from_vec(data.to_vec())),
+        )
+        .unwrap()
+    }
+
+    /// Every table shape `data` can be queried through: the one `new`
+    /// builds, plus its byte twin when `new` packed it.
+    fn tables(data: &[u8], code_count: usize) -> Vec<OccTable> {
+        let built = OccTable::new(data.to_vec(), code_count);
+        match built.layout() {
+            RankLayout::PackedDna => {
+                let twin = byte_twin(&built, data);
+                vec![built, twin]
+            }
+            RankLayout::Bytes => vec![built],
+        }
+    }
 
     #[test]
     fn rank_matches_naive_on_small_input() {
         let data = vec![1u8, 2, 1, 3, 0, 1, 2, 2, 3, 1];
-        for layout in LAYOUTS {
-            let table = table(data.clone(), 4, layout);
+        for table in tables(&data, 4) {
+            let layout = table.layout();
             for c in 0..4u8 {
                 for i in 0..=data.len() {
                     assert_eq!(
@@ -1034,8 +854,8 @@ mod tests {
         let data: Vec<u8> = (0..BLOCK * 3 + 17)
             .map(|_| (xorshift(&mut state) % 5) as u8)
             .collect();
-        for layout in LAYOUTS {
-            let table = table(data.clone(), 5, layout);
+        for table in tables(&data, 5) {
+            let layout = table.layout();
             for c in 0..5u8 {
                 for i in (0..=data.len()).step_by(7) {
                     assert_eq!(
@@ -1061,17 +881,13 @@ mod tests {
     fn rank_matches_naive_across_superblock_boundaries() {
         // Long enough to cross two super-block boundaries with a partial
         // tail, so the u64 + u16 reconstruction is exercised end-to-end in
-        // every storage layout.
+        // both storage layouts.
         let mut state = 13u64;
         let data: Vec<u8> = (0..SUPER_SPAN * 2 + 3 * BLOCK + 41)
             .map(|_| (xorshift(&mut state) % 6) as u8)
             .collect();
-        for layout in [
-            RankLayout::Bytes,
-            RankLayout::PackedDna,
-            RankLayout::PackedNibble,
-        ] {
-            let table = table(data.clone(), 6, layout);
+        for table in tables(&data, 6) {
+            let layout = table.layout();
             for c in 0..6u8 {
                 for i in (0..=data.len()).step_by(97) {
                     assert_eq!(
@@ -1101,7 +917,7 @@ mod tests {
             let data: Vec<u8> = (0..BLOCK * 2 + 61)
                 .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
                 .collect();
-            let table = table(data.clone(), code_count, RankLayout::Auto);
+            let table = OccTable::new(data.clone(), code_count);
             let mut counts = vec![0u32; code_count];
             for i in (0..=data.len()).step_by(13) {
                 table.rank_all(i, &mut counts);
@@ -1123,8 +939,8 @@ mod tests {
             let data: Vec<u8> = (0..BLOCK * 2 + 93)
                 .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
                 .collect();
-            let bytes = table(data.clone(), code_count, RankLayout::Bytes);
-            let packed = table(data.clone(), code_count, RankLayout::PackedDna);
+            let packed = OccTable::new(data.clone(), code_count);
+            let bytes = byte_twin(&packed, &data);
             assert_eq!(bytes.layout(), RankLayout::Bytes);
             assert_eq!(packed.layout(), RankLayout::PackedDna);
             let mut counts_b = vec![0u32; code_count];
@@ -1145,42 +961,12 @@ mod tests {
     }
 
     #[test]
-    fn nibble_and_bytes_layouts_agree() {
-        let mut state = 31337u64;
-        for code_count in [1usize, 5, 8, 12, 16, 17, 18] {
-            let data: Vec<u8> = (0..BLOCK * 3 + 55)
-                .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
-                .collect();
-            let bytes = table(data.clone(), code_count, RankLayout::Bytes);
-            let nibble = table(data.clone(), code_count, RankLayout::PackedNibble);
-            assert_eq!(nibble.layout(), RankLayout::PackedNibble);
-            let mut counts_b = vec![0u32; code_count];
-            let mut counts_n = vec![0u32; code_count];
-            for i in (0..=data.len()).step_by(9) {
-                bytes.rank_all(i, &mut counts_b);
-                nibble.rank_all(i, &mut counts_n);
-                assert_eq!(counts_b, counts_n, "i={i} code_count={code_count}");
-                for c in 0..code_count as u8 {
-                    assert_eq!(bytes.rank(c, i), nibble.rank(c, i), "c={c} i={i}");
-                }
-            }
-            for (i, &expected) in data.iter().enumerate() {
-                assert_eq!(nibble.get(i), expected, "i={i}");
-            }
-        }
-    }
-
-    #[test]
     fn two_level_checkpoint_footprint_is_exact() {
         // One u16 delta per code per block plus one u64 super row per code
         // per BLOCKS_PER_SUPER blocks (rounded up), whatever the storage
         // layout: `code_count · (8·⌈blocks/8⌉ + 2·blocks)`.
         let mut state = 555u64;
-        for (layout, code_count) in [
-            (RankLayout::Bytes, 22usize),
-            (RankLayout::PackedDna, 6),
-            (RankLayout::PackedNibble, 18),
-        ] {
+        for code_count in [22usize, 6, 18] {
             for len in [
                 0usize,
                 1,
@@ -1192,12 +978,12 @@ mod tests {
                 let data: Vec<u8> = (0..len)
                     .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
                     .collect();
-                let table = table(data, code_count, layout);
+                let table = OccTable::new(data, code_count);
                 let blocks = len / BLOCK + 1;
                 assert_eq!(
                     table.checkpoint_bytes(),
                     code_count * (8 * blocks.div_ceil(BLOCKS_PER_SUPER) + 2 * blocks),
-                    "{layout:?} len={len}"
+                    "code_count={code_count} len={len}"
                 );
                 assert_eq!(
                     table.size_in_bytes(),
@@ -1208,26 +994,21 @@ mod tests {
     }
 
     #[test]
-    fn auto_layout_picks_the_narrowest_fit() {
-        let small = OccTable::new(vec![0u8, 1, 2, 3, 4, 5], 6);
-        assert_eq!(small.layout(), RankLayout::PackedDna);
-        let mid = OccTable::new((0u8..7).collect(), 7);
-        assert_eq!(mid.layout(), RankLayout::PackedNibble);
-        let nibble_edge = OccTable::new((0u8..18).collect(), 18);
-        assert_eq!(nibble_edge.layout(), RankLayout::PackedNibble);
-        let large = OccTable::new((0u8..19).collect(), 19);
-        assert_eq!(large.layout(), RankLayout::Bytes);
+    fn layout_follows_the_code_count() {
+        let dna = OccTable::new(vec![0u8, 1, 2, 3, 4, 5], 6);
+        assert_eq!(dna.layout(), RankLayout::PackedDna);
+        for code_count in [7u8, 18, 19, 22] {
+            let table = OccTable::new((0..code_count).collect(), code_count as usize);
+            assert_eq!(table.layout(), RankLayout::Bytes, "{code_count} codes");
+        }
     }
 
     #[test]
-    fn sparse_codes_are_exact_in_the_packed_layouts() {
+    fn sparse_codes_are_exact_in_every_layout() {
         // Mostly-dense data with rare sentinel/separator codes, mirroring a
         // real BWT (the lowest shifted codes are the sparse ones).
         let mut state = 31u64;
-        for (layout, code_count, dense) in [
-            (RankLayout::PackedDna, 6usize, 4usize),
-            (RankLayout::PackedNibble, 18, 16),
-        ] {
+        for (code_count, dense) in [(6usize, 4usize), (18, 16)] {
             let sparse = code_count - dense;
             let mut data: Vec<u8> = (0..BLOCK * 2)
                 .map(|_| (xorshift(&mut state) % dense as u64) as u8 + sparse as u8)
@@ -1236,19 +1017,26 @@ mod tests {
             data[37] = 1;
             data[BLOCK] = 1;
             data[BLOCK + 1] = 1;
-            let table = table(data.clone(), code_count, layout);
-            assert_eq!(table.exception_count(), 4);
-            for c in 0..code_count as u8 {
-                for i in (0..=data.len()).step_by(3) {
-                    assert_eq!(
-                        table.rank(c, i),
-                        naive_rank(&data, c, i),
-                        "layout {layout:?} c={c} i={i}"
-                    );
+            for table in tables(&data, code_count) {
+                let layout = table.layout();
+                let exceptions = if layout == RankLayout::PackedDna {
+                    4
+                } else {
+                    0
+                };
+                assert_eq!(table.exception_count(), exceptions, "layout {layout:?}");
+                for c in 0..code_count as u8 {
+                    for i in (0..=data.len()).step_by(3) {
+                        assert_eq!(
+                            table.rank(c, i),
+                            naive_rank(&data, c, i),
+                            "layout {layout:?} c={c} i={i}"
+                        );
+                    }
                 }
-            }
-            for (i, &c) in data.iter().enumerate() {
-                assert_eq!(table.get(i), c);
+                for (i, &c) in data.iter().enumerate() {
+                    assert_eq!(table.get(i), c);
+                }
             }
         }
     }
@@ -1269,8 +1057,8 @@ mod tests {
                 }
             })
             .collect();
-        for layout in [RankLayout::PackedDna, RankLayout::PackedNibble] {
-            let table = table(data.clone(), code_count, layout);
+        for table in tables(&data, code_count) {
+            let layout = table.layout();
             let mut counts = vec![0u32; code_count];
             for i in (0..=data.len()).step_by(5) {
                 table.rank_all(i, &mut counts);
@@ -1334,8 +1122,7 @@ mod tests {
 
     #[test]
     fn empty_sequence() {
-        for layout in LAYOUTS {
-            let table = table(Vec::new(), 3, layout);
+        for table in tables(&[], 3) {
             assert!(table.is_empty());
             assert_eq!(table.rank(0, 0), 0);
             assert_eq!(table.len(), 0);
@@ -1356,14 +1143,12 @@ mod tests {
 
     #[test]
     fn size_accounting_is_positive() {
-        let bytes = table(vec![1u8; 1000], 2, RankLayout::Bytes);
+        let data = vec![1u8; 1000];
+        let packed = OccTable::new(data.clone(), 2);
+        let bytes = byte_twin(&packed, &data);
         assert!(bytes.size_in_bytes() >= 1000);
-        // The packed layouts store the same data in a fraction of the space.
-        let packed = table(vec![1u8; 1000], 2, RankLayout::PackedDna);
+        // The packed layout stores the same data in a fraction of the space.
         assert!(packed.size_in_bytes() < bytes.size_in_bytes());
-        let nibble = table(vec![1u8; 1000], 2, RankLayout::PackedNibble);
-        assert!(nibble.size_in_bytes() < bytes.size_in_bytes());
-        assert!(packed.size_in_bytes() < nibble.size_in_bytes());
     }
 
     /// Random text over `code_count` codes, plus a separator-heavy twin
@@ -1388,49 +1173,65 @@ mod tests {
 
     #[test]
     fn every_layout_matches_naive_on_random_and_separator_heavy_texts() {
-        // The table-level exactness proof: for every storage layout, over a
+        // The table-level exactness proof: for both storage layouts, over a
         // random and a separator-heavy text spanning a super-block, ranks,
         // rank_all histograms and stored characters equal a naive count.
-        for (layout, code_count) in [
-            (RankLayout::Bytes, 21usize),
-            (RankLayout::Bytes, 5),
-            (RankLayout::PackedDna, 6),
-            (RankLayout::PackedNibble, 18),
-            (RankLayout::PackedNibble, 9),
-        ] {
+        for code_count in [21usize, 5, 6, 18, 9] {
             for data in
                 random_and_separator_heavy_texts(code_count, SUPER_SPAN + 2 * BLOCK + 37, 0xA1AE)
             {
-                let table = table(data.clone(), code_count, layout);
-                assert_eq!(table.layout(), layout);
-                let mut counts = vec![0u32; code_count];
-                for i in (0..=data.len()).step_by(7) {
-                    table.rank_all(i, &mut counts);
-                    for c in 0..code_count as u8 {
-                        let expected = naive_rank(&data, c, i);
-                        assert_eq!(
-                            counts[c as usize] as usize, expected,
-                            "rank_all {layout:?} c={c} i={i}"
-                        );
-                        assert_eq!(table.rank(c, i), expected, "rank {layout:?} c={c} i={i}");
+                for table in tables(&data, code_count) {
+                    let layout = table.layout();
+                    let mut counts = vec![0u32; code_count];
+                    for i in (0..=data.len()).step_by(7) {
+                        table.rank_all(i, &mut counts);
+                        for c in 0..code_count as u8 {
+                            let expected = naive_rank(&data, c, i);
+                            assert_eq!(
+                                counts[c as usize] as usize, expected,
+                                "rank_all {layout:?} c={c} i={i}"
+                            );
+                            assert_eq!(table.rank(c, i), expected, "rank {layout:?} c={c} i={i}");
+                        }
                     }
-                }
-                for (i, &expected) in data.iter().enumerate() {
-                    assert_eq!(table.get(i), expected);
+                    for (i, &expected) in data.iter().enumerate() {
+                        assert_eq!(table.get(i), expected);
+                    }
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "packed layout")]
-    fn packed_layout_rejects_large_alphabets() {
-        let _ = table(vec![0u8; 10], 7, RankLayout::PackedDna);
-    }
-
-    #[test]
-    #[should_panic(expected = "nibble layout")]
-    fn nibble_layout_rejects_large_alphabets() {
-        let _ = table(vec![0u8; 10], 19, RankLayout::PackedNibble);
+    fn from_parts_refuses_packed_storage_for_seven_codes() {
+        // Checkpoint rows shaped for 7 codes, so only the packed layout's
+        // code-count limit can refuse the parts.
+        let packed = OccTable::new(vec![0u8; 10], 6);
+        let StorageDataRef::PackedDna {
+            words,
+            exc_pos,
+            exc_code,
+        } = packed.storage_data()
+        else {
+            panic!("6 codes are packed");
+        };
+        let blocks = packed.len() / BLOCK + 1;
+        let refused = OccTable::from_parts(
+            packed.len(),
+            7,
+            CheckpointRows {
+                supers: vec![0; blocks.div_ceil(BLOCKS_PER_SUPER) * 7],
+                deltas: vec![0; blocks * 7],
+            },
+            StorageData::PackedDna {
+                words: words.to_vec(),
+                exc_pos: exc_pos.to_vec(),
+                exc_code: exc_code.to_vec(),
+            },
+        );
+        assert!(
+            matches!(&refused, Err(why) if why.contains("at most 6 codes, got 7")),
+            "{refused:?}"
+        );
     }
 }

@@ -12,7 +12,6 @@
 //! occurrences.
 
 use crate::fm_index::{FmIndex, SaRange, MAX_CODE_COUNT};
-use crate::options::IndexOptions;
 use crate::rank::{RankLayout, ScanSnapshot};
 use alae_bioseq::SharedBytes;
 
@@ -91,8 +90,8 @@ impl Default for ChildBuf {
 /// A searchable text: the forward code sequence plus the FM-index of its
 /// reversal.
 ///
-/// The forward text is a [`SharedBytes`] view, so an index built through
-/// [`IndexOptions::build_text_index`] shares the caller's copy (e.g. a
+/// The forward text is a [`SharedBytes`] view, so an index built by
+/// [`TextIndex::new`] shares the caller's copy (e.g. a
 /// `SequenceDatabase`'s concatenated text, or a window of a memory-mapped
 /// index file) instead of duplicating a multi-megabyte buffer, and
 /// [`TextIndex::shared_text`] lets further consumers share it onward.
@@ -123,15 +122,23 @@ impl SuffixTrieCursor {
 
 impl TextIndex {
     /// Build the index for a code sequence whose codes are `< code_count`.
-    pub fn new(text: Vec<u8>, code_count: usize) -> Self {
-        IndexOptions::new().build_text_index(text, code_count)
-    }
-
-    /// The one real constructor ([`TextIndex::new`] and
-    /// [`IndexOptions::build_text_index`] funnel here).
-    pub(crate) fn build(text: SharedBytes, code_count: usize, options: &IndexOptions) -> Self {
+    ///
+    /// Accepts anything convertible into a [`SharedBytes`] — a `Vec<u8>`,
+    /// an `Arc<Vec<u8>>`, or a view into a mapped file — so callers share
+    /// the text instead of copying it.  The occurrence-table layout follows
+    /// from `code_count` (see [`crate::rank`]) and the suffix array is
+    /// sampled every [`crate::fm_index::SA_SAMPLE_RATE`] positions; there
+    /// is nothing else to choose.
+    ///
+    /// There is deliberately no q-gram length here: Equation 2 of the paper
+    /// derives `q` from the scoring scheme (`ScoringScheme::q` in
+    /// `alae-bioseq`), and the exactness proof depends on using exactly that
+    /// value, so it is resolved per query and the index stays
+    /// scheme-agnostic.
+    pub fn new(text: impl Into<SharedBytes>, code_count: usize) -> Self {
+        let text = text.into();
         let reversed: Vec<u8> = text.iter().rev().copied().collect();
-        let fm_reverse = FmIndex::build(&reversed, code_count, options.sample_rate, options.layout);
+        let fm_reverse = FmIndex::new(&reversed, code_count);
         Self {
             text,
             code_count,
@@ -179,7 +186,7 @@ impl TextIndex {
         &self.fm_reverse
     }
 
-    /// The rank-storage layout selected at construction.
+    /// The storage layout of the occurrence table.
     pub fn rank_layout(&self) -> RankLayout {
         self.fm_reverse.rank_layout()
     }

@@ -62,7 +62,7 @@ use alae_bwtsw::{BwtswAligner, BwtswConfig, BwtswStats};
 use alae_core::{
     AlaeAligner, AlaeConfig, AlaeStats, DominationIndex, FilterToggles, ThresholdSpec,
 };
-use alae_suffix::{IndexOptions, RankLayout, TextIndex};
+use alae_suffix::TextIndex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -76,15 +76,16 @@ pub use alae_bioseq::guard::{CancelOnDrop, CancelToken, SearchError, SearchGuard
 // Shared index
 // ---------------------------------------------------------------------------
 
-/// The one way to turn a [`SequenceDatabase`] into an [`IndexedDatabase`].
+/// Turns a [`SequenceDatabase`] into an [`IndexedDatabase`].
 ///
-/// Both index-construction knobs live here — occurrence-table layout and
-/// suffix-array sample rate — forwarding to
-/// [`alae_suffix::IndexOptions`].  There is deliberately **no** q-gram knob: `q` is a
-/// property of the scoring scheme (Equation 2 of the paper), derived per
-/// request from [`ScoringScheme::q`].  The q-gram inverted lists are
-/// built per *query*; the domination index, which depends on `q`, is
-/// built on first use (see [`IndexedDatabase::domination_index`]).
+/// Index construction has no options: the alphabet picks the
+/// occurrence-table layout and the suffix-array sample rate is fixed (see
+/// [`alae_suffix::TextIndex::new`]).  There is deliberately **no** q-gram
+/// knob either: `q` is a property of the scoring scheme (Equation 2 of the
+/// paper), derived per request from [`ScoringScheme::q`].  The q-gram
+/// inverted lists are built per *query*; the domination index, which
+/// depends on `q`, is built on first use (see
+/// [`IndexedDatabase::domination_index`]).
 ///
 /// ```
 /// use alae::bioseq::{Alphabet, Sequence, SequenceDatabase};
@@ -95,34 +96,17 @@ pub use alae_bioseq::guard::{CancelOnDrop, CancelToken, SearchError, SearchGuard
 ///     Alphabet::Dna,
 ///     [Sequence::from_ascii(Alphabet::Dna, b"GCTAGCTAGG").unwrap()],
 /// );
-/// let indexed = IndexBuilder::new()
-///     .layout(RankLayout::Bytes)
-///     .sample_rate(8)
-///     .index(db);
+/// let indexed = IndexBuilder::new().index(db);
 /// assert_eq!(indexed.record_count(), 1);
+/// assert_eq!(indexed.index().rank_layout(), RankLayout::PackedDna);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct IndexBuilder {
-    options: IndexOptions,
-}
+pub struct IndexBuilder;
 
 impl IndexBuilder {
-    /// A builder with the default options (auto layout, default sample
-    /// rate).
+    /// A builder.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Occurrence-table storage layout.
-    pub fn layout(mut self, layout: RankLayout) -> Self {
-        self.options = self.options.layout(layout);
-        self
-    }
-
-    /// Suffix-array sample rate (every `rate`-th row is sampled).
-    pub fn sample_rate(mut self, rate: usize) -> Self {
-        self.options = self.options.sample_rate(rate);
-        self
+        Self
     }
 
     /// Build the index over `database` (consuming it into an `Arc`).
@@ -137,10 +121,10 @@ impl IndexBuilder {
 
     /// Build the index over an already-shared database.
     pub fn index_shared(self, database: Arc<SequenceDatabase>) -> IndexedDatabase {
-        let index = Arc::new(
-            self.options
-                .build_text_index(database.shared_text(), database.alphabet().code_count()),
-        );
+        let index = Arc::new(TextIndex::new(
+            database.shared_text(),
+            database.alphabet().code_count(),
+        ));
         IndexedDatabase::from_parts(database, index)
     }
 }
@@ -165,8 +149,8 @@ pub struct IndexedDatabase {
 }
 
 impl IndexedDatabase {
-    /// Convenience: collect sequences into a database and index it with the
-    /// default [`IndexBuilder`] options.
+    /// Convenience: collect sequences into a database and index it with
+    /// [`IndexBuilder`].
     pub fn from_sequences<I>(alphabet: Alphabet, sequences: I) -> Self
     where
         I: IntoIterator<Item = Sequence>,

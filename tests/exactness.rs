@@ -7,6 +7,7 @@ use alae::bioseq::hits::diff_hits;
 use alae::bioseq::{Alphabet, ScoringScheme, Sequence, SequenceDatabase};
 use alae::bwtsw::{BwtswAligner, BwtswConfig};
 use alae::core::{AlaeAligner, AlaeConfig, FilterToggles};
+use alae::suffix::{RankLayout, TextIndex};
 use alae::workload::{random_database, MutationProfile, QuerySpec, TextSpec, WorkloadBuilder};
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ fn check_instance(
     threshold: i64,
     context: &str,
 ) {
-    let index = Arc::new(alae::suffix::TextIndex::new(
+    let index = Arc::new(TextIndex::new(
         database.text().to_vec(),
         database.alphabet().code_count(),
     ));
@@ -138,32 +139,38 @@ fn all_figure9_schemes_are_exact_on_the_same_workload() {
 
 #[test]
 fn all_rank_layouts_report_identical_hits() {
-    // The packed popcount paths (2-bit and nibble) and the generic SWAR
-    // path must drive the engines to identical results (and to the oracle)
-    // on the same workload.
-    let workload = WorkloadBuilder::new(
-        TextSpec::dna(3_000, 87),
-        QuerySpec {
-            count: 2,
-            length: 180,
-            mutation: MutationProfile::HOMOLOGOUS,
-            seed: 88,
-        },
-    )
-    .build();
-    let database = &workload.database;
-    let scheme = ScoringScheme::DEFAULT;
-    let threshold = 18;
-    for layout in [
-        alae::suffix::RankLayout::PackedDna,
-        alae::suffix::RankLayout::PackedNibble,
-        alae::suffix::RankLayout::Bytes,
-    ] {
-        let index = Arc::new(
-            alae::suffix::IndexOptions::new()
-                .layout(layout)
-                .build_text_index(database.text().to_vec(), database.alphabet().code_count()),
-        );
+    // Each layout the index builds — 2-bit packed words for DNA, bytes for
+    // protein — must drive both engines to the Smith–Waterman oracle's hits.
+    let cases = [
+        (
+            TextSpec::dna(3_000, 87),
+            ScoringScheme::DEFAULT,
+            18,
+            RankLayout::PackedDna,
+        ),
+        (
+            TextSpec::protein(3_000, 87),
+            ScoringScheme::PROTEIN_DEFAULT,
+            25,
+            RankLayout::Bytes,
+        ),
+    ];
+    for (text, scheme, threshold, layout) in cases {
+        let workload = WorkloadBuilder::new(
+            text,
+            QuerySpec {
+                count: 2,
+                length: 180,
+                mutation: MutationProfile::HOMOLOGOUS,
+                seed: 88,
+            },
+        )
+        .build();
+        let database = &workload.database;
+        let index = Arc::new(TextIndex::new(
+            database.text().to_vec(),
+            database.alphabet().code_count(),
+        ));
         assert_eq!(index.rank_layout(), layout);
         for (i, query) in workload.queries.iter().enumerate() {
             let alae = AlaeAligner::with_index(

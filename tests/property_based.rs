@@ -12,8 +12,12 @@ use alae::bioseq::{Alphabet, KarlinAltschul, ScoringScheme, Sequence, SequenceDa
 use alae::bwtsw::{BwtswAligner, BwtswConfig};
 use alae::core::{AlaeAligner, AlaeConfig, DominationIndex, FilterToggles, QGramIndex};
 use alae::search::{IndexedDatabase, SearchRequest, Searcher};
+use alae::suffix::rank::OccTable;
 use alae::suffix::sais::{suffix_array, suffix_array_naive};
-use alae::suffix::{ChildBuf, IndexOptions, RankLayout, TextIndex};
+use alae::suffix::{CheckpointRows, ChildBuf, RankLayout, StorageData, TextIndex};
+
+mod common;
+use common::byte_twin;
 
 /// Deterministic case generator (xorshift64*).
 struct Gen(u64);
@@ -264,23 +268,25 @@ fn bwtsw_equals_oracle_on_random_instances() {
 fn extend_all_agrees_with_extend_left_on_random_dfs() {
     // Tentpole invariant: for every trie node reached by a random DFS, the
     // single-scan `extend_all` fan-out reports exactly the ranges the σ
-    // per-character `extend_left` steps report — on both rank layouts and on
-    // a protein-sized alphabet.
+    // per-character `extend_left` steps report — on both rank layouts (DNA
+    // packed, and its byte twin) and on a protein-sized alphabet.
     let mut g = Gen::new(0x5eed_000a);
     for case in 0..24 {
         let (code_count, layout) = match case % 3 {
             0 => (5usize, RankLayout::PackedDna),
             1 => (5usize, RankLayout::Bytes),
-            _ => (21usize, RankLayout::Auto),
+            _ => (21usize, RankLayout::Bytes),
         };
         let sigma = code_count - 1;
         let len = g.range(100, 400);
         let text: Vec<u8> = (0..len)
             .map(|_| (g.next() % sigma as u64) as u8 + 1)
             .collect();
-        let index = IndexOptions::new()
-            .layout(layout)
-            .build_text_index(text, code_count);
+        let mut index = TextIndex::new(text, code_count);
+        if index.rank_layout() != layout {
+            index = byte_twin(&index);
+        }
+        assert_eq!(index.rank_layout(), layout, "case {case}");
         let mut buf = ChildBuf::new();
         let mut stack = vec![index.root()];
         let mut visited = 0usize;
@@ -329,12 +335,19 @@ fn packed_and_generic_rank_paths_agree_on_random_texts() {
                 }
             })
             .collect();
-        let bytes = IndexOptions::new()
-            .layout(RankLayout::Bytes)
-            .build_occ_table(data.clone(), code_count);
-        let packed = IndexOptions::new()
-            .layout(RankLayout::PackedDna)
-            .build_occ_table(data.clone(), code_count);
+        let packed = OccTable::new(data.clone(), code_count);
+        assert_eq!(packed.layout(), RankLayout::PackedDna, "case {case}");
+        let rows = packed.checkpoint_rows();
+        let bytes = OccTable::from_parts(
+            len,
+            code_count,
+            CheckpointRows {
+                supers: rows.supers.to_vec(),
+                deltas: rows.deltas.to_vec(),
+            },
+            StorageData::Bytes(data.clone().into()),
+        )
+        .unwrap();
         let mut counts_b = vec![0u32; code_count];
         let mut counts_p = vec![0u32; code_count];
         for _ in 0..40 {
@@ -357,11 +370,11 @@ fn packed_and_generic_rank_paths_agree_on_random_texts() {
 }
 
 #[test]
-fn nibble_and_two_level_agree_with_generic_on_random_texts() {
-    // The 4-bit nibble-packed path must compute identical ranks to the
-    // generic SWAR byte layout (both over the two-level checkpoint rows) —
-    // on random texts, including separator/sentinel-heavy ones where the
-    // exception list carries a large share of positions.
+fn occ_tables_agree_with_naive_counts_on_random_texts() {
+    // Whatever layout the code count picks, ranks over the two-level
+    // checkpoint rows must equal a naive count — on random texts, including
+    // separator/sentinel-heavy ones where the packed layout's exception list
+    // carries a large share of positions.
     let mut g = Gen::new(0x5eed_000d);
     for case in 0..24 {
         let code_count = g.range(5, 19);
@@ -377,60 +390,46 @@ fn nibble_and_two_level_agree_with_generic_on_random_texts() {
                 }
             })
             .collect();
-        let reference = IndexOptions::new()
-            .layout(RankLayout::Bytes)
-            .build_occ_table(data.clone(), code_count);
-        let nibble = IndexOptions::new()
-            .layout(RankLayout::PackedNibble)
-            .build_occ_table(data.clone(), code_count);
-        let mut counts_r = vec![0u32; code_count];
-        let mut counts_n = vec![0u32; code_count];
+        let table = OccTable::new(data.clone(), code_count);
+        let mut counts = vec![0u32; code_count];
         for _ in 0..60 {
             let i = g.range(0, len + 1);
-            reference.rank_all(i, &mut counts_r);
-            nibble.rank_all(i, &mut counts_n);
-            assert_eq!(counts_r, counts_n, "case {case} i={i}");
+            table.rank_all(i, &mut counts);
             for c in 0..code_count as u8 {
+                let naive = data[..i].iter().filter(|&&b| b == c).count();
                 assert_eq!(
-                    reference.rank(c, i),
-                    nibble.rank(c, i),
+                    counts[c as usize] as usize, naive,
                     "case {case} c={c} i={i}"
                 );
+                assert_eq!(table.rank(c, i), naive, "case {case} c={c} i={i}");
             }
         }
-        for i in 0..len {
-            assert_eq!(reference.get(i), nibble.get(i), "case {case} i={i}");
+        for (i, &c) in data.iter().enumerate() {
+            assert_eq!(table.get(i), c, "case {case} i={i}");
         }
     }
 }
 
 #[test]
 fn two_level_protein_index_has_the_exact_footprint() {
-    // The size claim, asserted at the index level: a protein-alphabet
-    // occurrence table carries exactly one u16 delta per code per block
-    // plus one u64 super row per code per 8 blocks, and the nibble packing
-    // makes a reduced-alphabet table smaller than its byte twin.
+    // The size claim, asserted at the index level: a protein-sized
+    // occurrence table stores one byte per character plus exactly one u16
+    // delta per code per block and one u64 super row per code per 8 blocks.
     let mut g = Gen::new(0x5eed_000e);
     let len: usize = 40_000;
-    let protein: Vec<u8> = (0..len).map(|_| (g.next() % 22) as u8).collect();
-    let table = IndexOptions::new()
-        .layout(RankLayout::Bytes)
-        .build_occ_table(protein, 22);
     let blocks = len / 128 + 1;
-    assert_eq!(
-        table.checkpoint_bytes(),
-        22 * (8 * blocks.div_ceil(8) + 2 * blocks)
-    );
-    assert_eq!(table.size_in_bytes(), len + table.checkpoint_bytes());
-
-    let reduced: Vec<u8> = (0..len).map(|_| (g.next() % 16) as u8).collect();
-    let bytes16 = IndexOptions::new()
-        .layout(RankLayout::Bytes)
-        .build_occ_table(reduced.clone(), 16);
-    let nibble16 = IndexOptions::new()
-        .layout(RankLayout::PackedNibble)
-        .build_occ_table(reduced, 16);
-    assert!(nibble16.size_in_bytes() < bytes16.size_in_bytes());
+    for code_count in [22usize, 16] {
+        let data: Vec<u8> = (0..len)
+            .map(|_| (g.next() % code_count as u64) as u8)
+            .collect();
+        let table = OccTable::new(data, code_count);
+        assert_eq!(table.layout(), RankLayout::Bytes);
+        assert_eq!(
+            table.checkpoint_bytes(),
+            code_count * (8 * blocks.div_ceil(8) + 2 * blocks)
+        );
+        assert_eq!(table.size_in_bytes(), len + table.checkpoint_bytes());
+    }
 }
 
 #[test]
@@ -439,16 +438,18 @@ fn trie_expansion_performs_two_block_scans_per_node() {
     for (code_count, layout) in [
         (5usize, RankLayout::PackedDna),
         (5, RankLayout::Bytes),
-        (16, RankLayout::PackedNibble),
+        (16, RankLayout::Bytes),
         (21, RankLayout::Bytes),
     ] {
         let sigma = code_count - 1;
         let text: Vec<u8> = (0..300)
             .map(|_| (g.next() % sigma as u64) as u8 + 1)
             .collect();
-        let index = IndexOptions::new()
-            .layout(layout)
-            .build_text_index(text, code_count);
+        let mut index = TextIndex::new(text, code_count);
+        if index.rank_layout() != layout {
+            index = byte_twin(&index);
+        }
+        assert_eq!(index.rank_layout(), layout);
         let mut buf = ChildBuf::new();
         let mut nodes = 0u64;
         let mut stack = vec![index.root()];
@@ -525,14 +526,12 @@ fn alae_counters_are_internally_consistent() {
 #[test]
 fn rank_layouts_agree_through_the_text_index() {
     // Layout choice must be invisible end-to-end: over random and
-    // separator-heavy texts, a packed index and a byte-layout index report
-    // identical trie expansions, identical occurrence sets, and the same
-    // two block scans per expansion (the numbers BENCH_rank.json gates).
+    // separator-heavy texts, the index `new` builds and its byte twin (for
+    // DNA, what a byte-layout file opens as) report identical trie
+    // expansions, identical occurrence sets, and the same two block scans
+    // per expansion (the numbers BENCH_rank.json gates).
     let mut g = Gen::new(0x5eed_51f0);
-    for (code_count, layout) in [
-        (5usize, RankLayout::PackedDna),
-        (17, RankLayout::PackedNibble),
-    ] {
+    for (code_count, layout) in [(5usize, RankLayout::PackedDna), (17, RankLayout::Bytes)] {
         for separator_heavy in [false, true] {
             let len = g.range(900, 1800);
             let mut text = Vec::with_capacity(len);
@@ -543,13 +542,10 @@ fn rank_layouts_agree_through_the_text_index() {
                     text.push((g.next() % (code_count as u64 - 1)) as u8 + 1);
                 }
             }
-            let reference = IndexOptions::new()
-                .layout(RankLayout::Bytes)
-                .build_text_index(text.clone(), code_count);
-            let packed = IndexOptions::new()
-                .layout(layout)
-                .build_text_index(text.clone(), code_count);
+            let packed = TextIndex::new(text.clone(), code_count);
+            let reference = byte_twin(&packed);
             assert_eq!(packed.rank_layout(), layout);
+            assert_eq!(reference.rank_layout(), RankLayout::Bytes);
             // DFS over the top of the trie: identical children at every
             // node (ranges and labels), so identical walks everywhere.
             let mut buf_ref = ChildBuf::new();
