@@ -3,11 +3,10 @@
 //!
 //! The std `HashMap` default (SipHash 1-3) is keyed and DoS-resistant but
 //! costs tens of cycles per small key; the maps on the alignment hot paths
-//! ([`crate::hits::HitMap`]'s per-end-pair maxima, the domination index's
-//! predecessor probes) are keyed by trusted integers derived from the
-//! sequences themselves, so a two-instruction multiply-mix is safe and
-//! measurably faster on hit-dense workloads.  No external crates (the build
-//! environment is offline) and no unsafe.
+//! ([`crate::hits::HitMap`]'s per-end-pair maxima) are keyed by trusted
+//! integers derived from the sequences themselves, so a two-instruction
+//! multiply-mix is safe and measurably faster on hit-dense workloads.  No
+//! external crates (the build environment is offline) and no unsafe.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

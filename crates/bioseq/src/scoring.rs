@@ -11,6 +11,20 @@ use crate::{BioseqError, Result};
 /// never overflow.
 pub const SEPARATOR_PENALTY: i64 = -1_000_000_000;
 
+/// Largest magnitude [`ScoringScheme::validate`] accepts for each of `sa`,
+/// `sb`, `sg` and `ss` (2^20).
+///
+/// The engines add and multiply scores in unchecked `i64` arithmetic.  A
+/// query holds at most 2^26 codes (`MAX_FRAME_LEN` of `alae::wire`) and a
+/// text fewer than 2^32 characters (the suffix array stores `u32`
+/// positions), so an alignment has fewer than 2^33 columns.  Within a
+/// record each column scores at most `|sg| + |ss| ≤ 2^21` in magnitude,
+/// so every alignment score, and every product such as `q·sa`, `sa·m` or
+/// `r·ss`, stays below 2^54 in magnitude: far inside `i64`, and far from
+/// the `i64::MIN / 4` (−2^61) sentinel the dynamic programs add penalties
+/// to.  Published schemes use single digits.
+pub const MAX_SCORE_MAGNITUDE: i64 = 1 << 20;
+
 /// The affine-gap scoring scheme `⟨sa, sb, sg, ss⟩` of Section 2.1.
 ///
 /// * `sa` — positive score for an identical mapping,
@@ -104,7 +118,8 @@ impl ScoringScheme {
         Ok(scheme)
     }
 
-    /// Check the sign constraints of Section 2.1.
+    /// Check the sign constraints of Section 2.1 and the magnitude bound
+    /// [`MAX_SCORE_MAGNITUDE`].
     pub fn validate(&self) -> Result<()> {
         if self.sa <= 0 {
             return Err(BioseqError::InvalidScoringScheme(format!(
@@ -129,6 +144,18 @@ impl ScoringScheme {
                 "gap extension penalty ss must be negative, got {}",
                 self.ss
             )));
+        }
+        for (name, value) in [
+            ("sa", self.sa),
+            ("sb", self.sb),
+            ("sg", self.sg),
+            ("ss", self.ss),
+        ] {
+            if value.unsigned_abs() > MAX_SCORE_MAGNITUDE.unsigned_abs() {
+                return Err(BioseqError::InvalidScoringScheme(format!(
+                    "|{name}| must not exceed {MAX_SCORE_MAGNITUDE}, got {value}"
+                )));
+            }
         }
         Ok(())
     }
@@ -332,6 +359,16 @@ mod tests {
         assert!(ScoringScheme::new(1, -3, 5, -2).is_err());
         assert!(ScoringScheme::new(1, -3, -5, 2).is_err());
         assert!(ScoringScheme::new(1, -3, -5, -2).is_ok());
+    }
+
+    #[test]
+    fn validation_bounds_every_magnitude() {
+        let max = MAX_SCORE_MAGNITUDE;
+        assert!(ScoringScheme::new(max, -max, -max, -max).is_ok());
+        assert!(ScoringScheme::new(max + 1, -3, -5, -2).is_err());
+        assert!(ScoringScheme::new(1, -max - 1, -5, -2).is_err());
+        assert!(ScoringScheme::new(1, -3, -max - 1, -2).is_err());
+        assert!(ScoringScheme::new(1, -3, -5, i64::MIN).is_err());
     }
 
     #[test]

@@ -82,21 +82,13 @@ pub struct BwtswConfig {
     /// Report every end pair whose best score is at least this threshold
     /// (`H` in the paper; must be positive).
     pub threshold: i64,
-    /// Optional hard cap on the trie depth (text-substring length).  BWT-SW
-    /// itself needs no cap — the positivity pruning bounds the depth — but a
-    /// cap is useful for stress tests.
-    pub max_depth: Option<usize>,
 }
 
 impl BwtswConfig {
     /// Create a configuration with the given scheme and threshold.
     pub fn new(scheme: ScoringScheme, threshold: i64) -> Self {
         assert!(threshold > 0, "threshold must be positive");
-        Self {
-            scheme,
-            threshold,
-            max_depth: None,
-        }
+        Self { scheme, threshold }
     }
 }
 
@@ -202,7 +194,6 @@ impl BwtswAligner {
         let mut probe = guard.probe(m);
         let scheme = &self.config.scheme;
         let threshold = self.config.threshold;
-        let depth_cap = self.config.max_depth.unwrap_or(usize::MAX);
 
         scratch.reset();
         // Row 0: every column (including column 0, the empty query prefix)
@@ -234,12 +225,10 @@ impl BwtswAligner {
             advance_row_into(&scratch.root_row, c, query, scheme, &mut stats, &mut row);
             probe.add_work(stats.calculated_entries - entries_before);
             self.visit(child, &row, &mut scratch.occ_buf, &mut hits, &mut stats);
-            if !row.is_empty() && child.depth < depth_cap {
+            if !row.is_empty() {
                 scratch.stack.push((child, row));
             } else {
-                if row.is_empty() {
-                    stats.pruned_subtrees += 1;
-                }
+                stats.pruned_subtrees += 1;
                 scratch.release_row(row);
             }
         }
@@ -266,12 +255,10 @@ impl BwtswAligner {
                     &mut hits,
                     &mut stats,
                 );
-                if !child_row.is_empty() && child.depth < depth_cap {
+                if !child_row.is_empty() {
                     scratch.stack.push((child, child_row));
                 } else {
-                    if child_row.is_empty() {
-                        stats.pruned_subtrees += 1;
-                    }
+                    stats.pruned_subtrees += 1;
                     scratch.release_row(child_row);
                 }
             }

@@ -18,7 +18,8 @@
 //! * single reusable **advance / pending / occurrence / child buffers**
 //!   serve every node expansion;
 //! * the query's **q-gram index** is rebuilt in place
-//!   ([`crate::qgram::QGramIndex::rebuild`]).
+//!   ([`crate::qgram::QGramIndex::rebuild`]), and so is the buffer of
+//!   per-column gram nodes that the q-prefix and domination filters read.
 //!
 //! One arena serves one alignment at a time; its internal `reset` (called
 //! by `align_with_arena`) reclaims every slot without releasing memory, so
@@ -91,6 +92,9 @@ pub struct ForkArena {
     pub(crate) occ_buf: Vec<usize>,
     /// The query's q-gram inverted lists, rebuilt in place per query.
     pub(crate) qgram: QGramIndex,
+    /// The suffix-trie node of the q-gram at every query column (`None`
+    /// where the gram is not in the text), refilled per query.
+    pub(crate) gram_nodes: Vec<Option<SuffixTrieCursor>>,
     /// Slots handed out from the free list this run.
     pub(crate) slots_reused: u64,
     /// Slots newly created (slab growth) this run.
@@ -195,6 +199,7 @@ impl ForkArena {
             + self.advance.cells.capacity() * std::mem::size_of::<GapCell>()
             + self.advance.consulted.capacity() * std::mem::size_of::<(u32, u8)>()
             + self.qgram.size_in_bytes()
+            + self.gram_nodes.capacity() * std::mem::size_of::<Option<SuffixTrieCursor>>()
     }
 }
 

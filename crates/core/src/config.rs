@@ -22,8 +22,9 @@ pub struct FilterToggles {
     /// Score filtering (Theorem 2): prune cells that can no longer reach the
     /// threshold.
     pub score_filter: bool,
-    /// q-prefix domination (Section 3.2.2): skip forks whose q-gram is
-    /// dominated by the preceding q-gram of the query.
+    /// q-prefix domination (Section 3.2.2, Lemma 1): skip forks whose
+    /// q-gram is dominated by the preceding q-gram of the query, decided
+    /// from the text index.
     pub domination_filter: bool,
     /// Score reuse across forks (Section 4): copy identical columns instead
     /// of recomputing them.
@@ -45,14 +46,6 @@ impl FilterToggles {
         reuse: true,
     };
 
-    /// Only the techniques that never need auxiliary indexes.
-    pub const LOCAL_ONLY: FilterToggles = FilterToggles {
-        length_filter: true,
-        score_filter: true,
-        domination_filter: false,
-        reuse: false,
-    };
-
     /// Everything off: the engine degenerates to a q-prefix-seeded version
     /// of the BWT-SW dynamic program (used as an ablation baseline).
     pub const NONE: FilterToggles = FilterToggles {
@@ -72,8 +65,6 @@ pub struct AlaeConfig {
     pub threshold: ThresholdSpec,
     /// Technique toggles.
     pub filters: FilterToggles,
-    /// Optional hard cap on the trie depth, overriding `Lmax` (testing aid).
-    pub max_depth: Option<usize>,
 }
 
 impl AlaeConfig {
@@ -84,7 +75,6 @@ impl AlaeConfig {
             scheme,
             threshold: ThresholdSpec::Score(threshold),
             filters: FilterToggles::ALL,
-            max_depth: None,
         }
     }
 
@@ -96,7 +86,6 @@ impl AlaeConfig {
             scheme,
             threshold: ThresholdSpec::EValue(evalue),
             filters: FilterToggles::ALL,
-            max_depth: None,
         }
     }
 
@@ -162,8 +151,12 @@ mod tests {
 
     #[test]
     fn filter_toggles_builder() {
-        let config = AlaeConfig::with_threshold(ScoringScheme::DEFAULT, 20)
-            .filters(FilterToggles::LOCAL_ONLY);
+        let config =
+            AlaeConfig::with_threshold(ScoringScheme::DEFAULT, 20).filters(FilterToggles {
+                domination_filter: false,
+                reuse: false,
+                ..FilterToggles::ALL
+            });
         assert!(!config.filters.domination_filter);
         assert!(config.filters.length_filter);
         assert_eq!(FilterToggles::default(), FilterToggles::ALL);

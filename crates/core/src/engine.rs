@@ -5,7 +5,8 @@
 //! 1. build the q-gram inverted lists of the query (Section 3.1.3),
 //! 2. for every distinct query q-gram that also occurs in the text, start a
 //!    fork group at each of its (undominated) query positions — the q-prefix
-//!    filter of Theorem 3 plus the global domination filter of Lemma 1,
+//!    filter of Theorem 3 plus the q-prefix domination filter of Lemma 1,
+//!    both answered from the text index itself,
 //! 3. walk the suffix-trie subtree below that q-prefix (via the compressed
 //!    suffix array of Section 5), advancing each fork group one text
 //!    character at a time with the EMR/NGR/gap-region dynamic programming of
@@ -29,7 +30,6 @@
 use crate::arena::{ForkArena, ForkSlot, Frame};
 use crate::config::{AlaeConfig, FilterToggles};
 use crate::counters::AlaeStats;
-use crate::domination::DominationIndex;
 use crate::filters::LengthBounds;
 use crate::fork::{
     advance_fork, advance_fork_into, open_gap_region_into, AdvanceContext, Consulted, ForkGroup,
@@ -69,22 +69,22 @@ pub struct AlaeResult {
     pub termination: Termination,
 }
 
-/// The ALAE aligner: a compressed-suffix-array text index, the offline
-/// domination index, and a configuration.
+/// The ALAE aligner: a compressed-suffix-array text index and a
+/// configuration.
 ///
-/// Both indexes sit behind `Arc`s: they are functions of the text (and,
-/// for the domination index, of `q`), not of the request, so any number
-/// of aligners can share one copy.
+/// The index sits behind an `Arc`: it is a function of the text, not of
+/// the request, so any number of aligners share one copy.  It answers
+/// every question the engine asks of the text, the q-prefix domination
+/// test of Lemma 1 included, so there is nothing else to build.
 #[derive(Debug, Clone)]
 pub struct AlaeAligner {
     index: Arc<TextIndex>,
-    domination: Option<Arc<DominationIndex>>,
     alphabet: Alphabet,
     config: AlaeConfig,
 }
 
 impl AlaeAligner {
-    /// Build the aligner (indexes included) from a sequence database.
+    /// Build the aligner (text index included) from a sequence database.
     ///
     /// The database's concatenated text is shared with the new index (both
     /// hold the same `Arc`), not copied — constructing an aligner over a
@@ -98,40 +98,10 @@ impl AlaeAligner {
     }
 
     /// Build the aligner around an existing (possibly shared) text index.
-    ///
-    /// Builds a fresh domination index (one `O(n)` pass over the text)
-    /// when the configuration enables the domination filter; use
-    /// [`AlaeAligner::with_domination`] to share one instead.
+    /// Costs nothing beyond the `Arc` it takes.
     pub fn with_index(index: Arc<TextIndex>, alphabet: Alphabet, config: AlaeConfig) -> Self {
-        let domination = config.filters.domination_filter.then(|| {
-            Arc::new(DominationIndex::build(
-                index.text(),
-                config.scheme.q(),
-                alphabet.code_count(),
-            ))
-        });
-        Self::with_domination(index, alphabet, config, domination)
-    }
-
-    /// Build the aligner around an existing text index and an already
-    /// built (possibly shared) domination index.
-    ///
-    /// `domination` must have been built over `index.text()` with the
-    /// alphabet's code count.  It is only kept when the configuration
-    /// enables the domination filter and its `q` is the scheme's: an index
-    /// for another `q` would answer for the wrong grams.  Without one the
-    /// filter skips no fork, which is slower but still exact.
-    pub fn with_domination(
-        index: Arc<TextIndex>,
-        alphabet: Alphabet,
-        config: AlaeConfig,
-        domination: Option<Arc<DominationIndex>>,
-    ) -> Self {
-        let domination = domination
-            .filter(|dom| config.filters.domination_filter && dom.q() == config.scheme.q());
         Self {
             index,
-            domination,
             alphabet,
             config,
         }
@@ -153,12 +123,64 @@ impl AlaeAligner {
         self.index.fm_size_in_bytes()
     }
 
-    /// Size of the offline domination index in bytes (the "dominate index"
-    /// series of Figure 11); zero when the filter is disabled.
-    pub fn domination_index_size_bytes(&self) -> usize {
-        self.domination
-            .as_ref()
-            .map_or(0, |dom| dom.size_in_bytes())
+    /// Record the suffix-trie node of the q-gram at every query column in
+    /// `nodes` (`None` where the window holds a separator or the gram does
+    /// not occur in the text), one `cursor_for` per distinct gram, and
+    /// return how many distinct grams have no text match (the q-prefix
+    /// filter of Theorem 3).
+    fn gram_nodes_into(
+        &self,
+        qgram: &QGramIndex,
+        query: &[u8],
+        q: usize,
+        nodes: &mut Vec<Option<SuffixTrieCursor>>,
+    ) -> u64 {
+        nodes.clear();
+        nodes.resize(query.len(), None);
+        let mut without_match = 0;
+        for (_, positions) in qgram.iter() {
+            let first = positions[0] as usize;
+            let node = self.index.cursor_for(&query[first..first + q]);
+            if node.is_none() {
+                without_match += 1;
+            }
+            for &col in positions {
+                nodes[col as usize] = node;
+            }
+        }
+        without_match
+    }
+
+    /// Lemma 1, answered from the text index: is the fork start at query
+    /// column `col`, whose q-gram `X = P[col, col+q−1]` has the trie node
+    /// `node`, dominated, i.e. is every text occurrence of `X` preceded by
+    /// `P[col−1]`?
+    ///
+    /// The occurrences of the (q+1)-gram `P[col−1, col+q−1]` are exactly
+    /// the occurrences of `X` at some `t ≥ 1` with `text[t−1] = P[col−1]`,
+    /// so `X` is dominated when both occur equally often.  That (q+1)-gram
+    /// is one `extend` below the node of the gram at `col − 1`, which
+    /// `nodes` already holds; when that gram is absent, or occurs less
+    /// often than `X`, no extension is needed.  An occurrence of `X` at
+    /// text position 0 or right after a record separator has no matching
+    /// predecessor, so it keeps `X` undominated.
+    fn is_dominated(
+        &self,
+        nodes: &[Option<SuffixTrieCursor>],
+        query: &[u8],
+        q: usize,
+        col: usize,
+        node: SuffixTrieCursor,
+    ) -> bool {
+        let Some(left) = col.checked_sub(1).and_then(|left| nodes[left]) else {
+            return false;
+        };
+        let count = node.occurrence_count();
+        left.occurrence_count() >= count
+            && self
+                .index
+                .extend(left, query[col + q - 1])
+                .is_some_and(|wider| wider.occurrence_count() == count)
     }
 
     /// Align a query given as a code slice and report every end pair whose
@@ -224,15 +246,11 @@ impl AlaeAligner {
         let q = scheme.q();
         let filters = self.config.filters;
         let bounds = LengthBounds::new(&scheme, m, threshold);
-        let fallback_cap = LengthBounds::fallback_cap(&scheme, m);
-        let mut max_depth = if filters.length_filter {
+        let max_depth = if filters.length_filter {
             bounds.max_len
         } else {
-            fallback_cap
+            LengthBounds::fallback_cap(&scheme, m)
         };
-        if let Some(cap) = self.config.max_depth {
-            max_depth = max_depth.min(cap);
-        }
 
         arena.reset();
         // Take the q-gram index out of the arena for the duration of the
@@ -240,6 +258,8 @@ impl AlaeAligner {
         // arena is mutated), and put it back so its buffers stay warm.
         let mut qgram = std::mem::take(&mut arena.qgram);
         qgram.rebuild(query, q, self.alphabet.code_count());
+        stats.grams_without_text_match =
+            self.gram_nodes_into(&qgram, query, q, &mut arena.gram_nodes);
         let ctx = AdvanceContext {
             query,
             scheme: &scheme,
@@ -248,13 +268,13 @@ impl AlaeAligner {
             score_filter: filters.score_filter,
         };
 
-        for (gram_key, positions) in qgram.iter() {
+        for (_, positions) in qgram.iter() {
             if probe.is_tripped() {
                 break;
             }
             self.process_gram(
-                gram_key, positions, &qgram, q, threshold, max_depth, &filters, &ctx, arena,
-                &mut hits, &mut stats, &mut probe,
+                positions, q, threshold, max_depth, &filters, &ctx, arena, &mut hits, &mut stats,
+                &mut probe,
             );
         }
         arena.qgram = qgram;
@@ -279,9 +299,7 @@ impl AlaeAligner {
     #[allow(clippy::too_many_arguments)]
     fn process_gram(
         &self,
-        gram_key: u64,
         positions: &[u32],
-        qgram: &QGramIndex,
         q: usize,
         threshold: i64,
         max_depth: usize,
@@ -294,11 +312,9 @@ impl AlaeAligner {
     ) {
         let query = ctx.query;
         let m = query.len();
-        // The q-prefix filter (Theorem 3): the q-gram must occur in the text.
-        let first_pos = positions[0] as usize;
-        let window = &query[first_pos..first_pos + q];
-        let Some(root_cursor) = self.index.cursor_for(window) else {
-            stats.grams_without_text_match += 1;
+        // The q-prefix filter (Theorem 3): the q-gram must occur in the text
+        // (grams that do not were counted when the nodes were filled).
+        let Some(root_cursor) = arena.gram_nodes[positions[0] as usize] else {
             return;
         };
         // One poll per gram root (the per-node polls cover the descent).
@@ -306,23 +322,14 @@ impl AlaeAligner {
             return;
         }
 
-        // Global filtering via q-prefix domination (Lemma 1): skip fork
-        // starts whose q-gram is dominated by the q-gram one column to the
-        // left in the query.  The left-neighbour key comes from the rolling
-        // update (`key_left_of`), not from re-packing the window.
+        // q-prefix domination (Lemma 1): skip fork starts whose q-gram is
+        // always preceded in the text by the query character one column to
+        // the left.
         arena.active.clear();
         for &col in positions {
-            let keep = if !filters.domination_filter || col == 0 {
-                true
-            } else if let Some(dom) = &self.domination {
-                match qgram.key_left_of(gram_key, query[col as usize - 1]) {
-                    Some(prev_key) => !dom.dominates(prev_key, gram_key),
-                    None => true,
-                }
-            } else {
-                true
-            };
-            if keep {
+            if !filters.domination_filter
+                || !self.is_dominated(&arena.gram_nodes, query, q, col as usize, root_cursor)
+            {
                 arena.active.push(col);
             }
         }
@@ -716,17 +723,15 @@ impl AlaeAligner {
         let q = scheme.q();
         let filters = self.config.filters;
         let bounds = LengthBounds::new(&scheme, m, threshold);
-        let fallback_cap = LengthBounds::fallback_cap(&scheme, m);
-        let mut max_depth = if filters.length_filter {
+        let max_depth = if filters.length_filter {
             bounds.max_len
         } else {
-            fallback_cap
+            LengthBounds::fallback_cap(&scheme, m)
         };
-        if let Some(cap) = self.config.max_depth {
-            max_depth = max_depth.min(cap);
-        }
 
         let qgram_index = QGramIndex::build(query, q, self.alphabet.code_count());
+        let mut nodes = Vec::new();
+        stats.grams_without_text_match = self.gram_nodes_into(&qgram_index, query, q, &mut nodes);
         let ctx = AdvanceContext {
             query,
             scheme: &scheme,
@@ -735,10 +740,9 @@ impl AlaeAligner {
             score_filter: filters.score_filter,
         };
 
-        for (gram_key, positions) in qgram_index.iter() {
+        for (_, positions) in qgram_index.iter() {
             self.process_gram_reference(
-                gram_key, positions, query, q, threshold, max_depth, &filters, &ctx, &mut hits,
-                &mut stats,
+                positions, &nodes, q, threshold, max_depth, &filters, &ctx, &mut hits, &mut stats,
             );
         }
 
@@ -758,9 +762,8 @@ impl AlaeAligner {
     #[allow(clippy::too_many_arguments)]
     fn process_gram_reference(
         &self,
-        gram_key: u64,
         positions: &[u32],
-        query: &[u8],
+        nodes: &[Option<SuffixTrieCursor>],
         q: usize,
         threshold: i64,
         max_depth: usize,
@@ -769,33 +772,19 @@ impl AlaeAligner {
         hits: &mut HitMap,
         stats: &mut AlaeStats,
     ) {
+        let query = ctx.query;
         // The q-prefix filter (Theorem 3): the q-gram must occur in the text.
-        let first_pos = positions[0] as usize;
-        let window = &query[first_pos..first_pos + q];
-        let Some(root_cursor) = self.index.cursor_for(window) else {
-            stats.grams_without_text_match += 1;
+        let Some(root_cursor) = nodes[positions[0] as usize] else {
             return;
         };
 
-        // Global filtering via q-prefix domination (Lemma 1), re-packing the
-        // left-neighbour window from scratch (the rolling-key equivalence is
-        // what the arena path's property tests assert).
+        // q-prefix domination (Lemma 1), decided as on the arena path.
         let active: Vec<u32> = positions
             .iter()
             .copied()
             .filter(|&col| {
-                if !filters.domination_filter || col == 0 {
-                    return true;
-                }
-                let Some(dom) = &self.domination else {
-                    return true;
-                };
-                let col = col as usize;
-                let prev_window = &query[col - 1..col - 1 + q];
-                match crate::qgram::pack_gram(prev_window, self.alphabet.code_count() as u64) {
-                    Some(prev_key) => !dom.dominates(prev_key, gram_key),
-                    None => true,
-                }
+                !filters.domination_filter
+                    || !self.is_dominated(nodes, query, q, col as usize, root_cursor)
             })
             .collect();
         stats.forks_dominated += (positions.len() - active.len()) as u64;
@@ -1184,33 +1173,6 @@ mod tests {
         let aligner =
             AlaeAligner::build(&db, AlaeConfig::with_threshold(ScoringScheme::DEFAULT, 8));
         assert!(aligner.bwt_index_size_bytes() > 0);
-        assert!(aligner.domination_index_size_bytes() > 0);
-        let no_dom = AlaeAligner::build(
-            &db,
-            AlaeConfig::with_threshold(ScoringScheme::DEFAULT, 8)
-                .filters(FilterToggles::LOCAL_ONLY),
-        );
-        assert_eq!(no_dom.domination_index_size_bytes(), 0);
-    }
-
-    #[test]
-    fn a_shared_domination_index_is_kept_only_when_it_fits() {
-        let db = dna_db(b"ACCGTTAGGCATCGATTGCAACCGGTTACGATCAGTACCGTTAGGC");
-        let index = Arc::new(TextIndex::new(db.shared_text(), 5));
-        let built = |q| Some(Arc::new(DominationIndex::build(index.text(), q, 5)));
-        let config = AlaeConfig::with_threshold(ScoringScheme::DEFAULT, 8);
-        let with = |config, domination| {
-            AlaeAligner::with_domination(index.clone(), Alphabet::Dna, config, domination)
-        };
-        let fits = with(config, built(4));
-        assert!(fits.domination_index_size_bytes() > 0);
-        // An index for another q would skip the wrong forks; it is dropped.
-        assert_eq!(with(config, built(3)).domination_index_size_bytes(), 0);
-        let off = config.filters(FilterToggles::LOCAL_ONLY);
-        assert_eq!(with(off, built(4)).domination_index_size_bytes(), 0);
-        let query = encode(b"TTAGGCATCGATCCGGTTACG");
-        let fresh = AlaeAligner::with_index(index.clone(), Alphabet::Dna, config).align(&query);
-        assert!(diff_hits(&fits.align(&query).hits, &fresh.hits).is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | Length / score / q-prefix filtering (Section 3.1, Theorems 1–3) | [`filters`] |
 //! | Fork model: EMR, NGR, FGOE, gap regions (Section 3.1.3, Figure 2) | [`fork`] |
 //! | q-gram inverted lists of the query (Section 3.1.3) | [`qgram`] |
-//! | q-prefix domination, offline dominate index (Section 3.2.2) | [`domination`] |
+//! | q-prefix domination (Section 3.2.2, Lemma 1), answered from the text index | [`engine`] |
 //! | Reusing score calculations across forks (Section 4) | fork groups in [`engine`] |
 //! | Compressed-suffix-array traversal (Section 5) | `alae-suffix` (re-used) |
 //! | Entry-count analysis (Section 6) | [`analysis`] |
@@ -33,7 +33,6 @@ pub mod analysis;
 pub mod arena;
 pub mod config;
 pub mod counters;
-pub mod domination;
 pub mod engine;
 pub mod filters;
 pub mod fork;
@@ -43,7 +42,6 @@ pub use analysis::{expected_entry_bound, EntryBoundModel};
 pub use arena::ForkArena;
 pub use config::{AlaeConfig, FilterToggles, ThresholdSpec};
 pub use counters::AlaeStats;
-pub use domination::DominationIndex;
 pub use engine::{AlaeAligner, AlaeResult};
 pub use qgram::QGramIndex;
 

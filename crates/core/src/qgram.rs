@@ -13,9 +13,7 @@
 //! linear scan (no `HashMap`, no per-gram `Vec`s, no SipHash on the hot
 //! path).  Keys are built incrementally while sliding the window — one
 //! multiply-add and one modulus per character (`key ← (key mod σ^(q-1))·σ +
-//! c`) instead of re-packing the whole window — and
-//! [`QGramIndex::key_left_of`] applies the same rolling update in reverse
-//! for the domination filter's window-one-to-the-left probes.
+//! c`) instead of re-packing the whole window.
 //!
 //! [`QGramIndex::rebuild`] reuses every buffer, so an aligner that keeps a
 //! `QGramIndex` in its per-thread scratch builds query indexes without heap
@@ -281,20 +279,6 @@ impl QGramIndex {
         pack_gram(window, self.code_count)
     }
 
-    /// The packed key of the window one column to the left of the window
-    /// packed as `key`, i.e. `P[j−1, j+q−2]` from `P[j, j+q−1]` — the
-    /// rolling-key update (`prev_char·σ^(q-1) + key div σ`) the domination
-    /// filter uses instead of re-packing the shifted window.
-    ///
-    /// Returns `None` when `prev_char` is the separator.
-    #[inline]
-    pub fn key_left_of(&self, key: u64, prev_char: u8) -> Option<u64> {
-        if prev_char == 0 {
-            return None;
-        }
-        Some(prev_char as u64 * self.high_pow + key / self.code_count)
-    }
-
     /// Exact footprint of the flat tables in bytes: the contiguous positions
     /// array plus the span table (and, in hashed mode, the key array).
     /// Unlike the former `HashMap` estimate this is the real resident size
@@ -435,19 +419,6 @@ mod tests {
             assert_eq!(index.positions(key), Some(positions));
         }
         assert_eq!(distinct, index.distinct_grams());
-    }
-
-    #[test]
-    fn rolling_key_left_of_matches_repacking() {
-        let query = vec![3u8, 1, 4, 2, 4, 1, 1, 3];
-        let q = 3;
-        let index = QGramIndex::build(&query, q, 5);
-        for col in 1..=query.len() - q {
-            let key = pack_gram(&query[col..col + q], 5).unwrap();
-            let expected = pack_gram(&query[col - 1..col - 1 + q], 5).unwrap();
-            assert_eq!(index.key_left_of(key, query[col - 1]), Some(expected));
-        }
-        assert_eq!(index.key_left_of(7, 0), None);
     }
 
     #[test]

@@ -165,11 +165,10 @@ fn default_config() -> AlaeConfig {
 /// `IndexedDatabase::save`/`open` is that reopening memory-maps the file
 /// and skips the O(n log n) suffix-array build entirely, so `open` should
 /// be orders of magnitude cheaper than `IndexBuilder::index` at any
-/// interesting scale.  Also times the domination index build at the
-/// default scheme's q: the file does not store it, so the first ALAE query
-/// after an open (or a server reload) pays it once.  Prints a small
-/// machine-greppable summary; the CI store leg captures it as the timing
-/// artifact.
+/// interesting scale.  An opened index is complete: no query after an
+/// open (or a server reload) builds anything over the text.  Prints a
+/// small machine-greppable summary; the CI store leg captures it as the
+/// timing artifact.
 fn store_timing(options: &ExperimentOptions) {
     use alae::search::{IndexBuilder, IndexedDatabase};
     use std::time::Instant;
@@ -200,9 +199,6 @@ fn store_timing(options: &ExperimentOptions) {
     let opened = IndexedDatabase::open(&path).expect("open index");
     let open = open_started.elapsed();
     assert_eq!(opened.text_len(), fresh.text_len());
-    let domination_started = Instant::now();
-    opened.domination_index(ScoringScheme::DEFAULT.q());
-    let domination = domination_started.elapsed();
     match keep {
         Some(kept) => println!("  kept index at:   {}", kept.display()),
         None => {
@@ -216,19 +212,14 @@ fn store_timing(options: &ExperimentOptions) {
     println!("  build_seconds:   {:.4}", build.as_secs_f64());
     println!("  save_seconds:    {:.4}", save.as_secs_f64());
     println!("  open_seconds:    {:.6}", open.as_secs_f64());
-    println!(
-        "  domination_build_seconds: {:.6}",
-        domination.as_secs_f64()
-    );
     println!("  open_speedup:    {speedup:.0}x (rebuild / open)");
     println!(
         "{{\"experiment\": \"store\", \"text_len\": {n}, \"file_bytes\": {file_bytes}, \
          \"build_seconds\": {:.6}, \"save_seconds\": {:.6}, \"open_seconds\": {:.6}, \
-         \"domination_build_seconds\": {:.6}, \"open_speedup\": {:.1}}}",
+         \"open_speedup\": {:.1}}}",
         build.as_secs_f64(),
         save.as_secs_f64(),
         open.as_secs_f64(),
-        domination.as_secs_f64(),
         speedup,
     );
 }
@@ -575,32 +566,28 @@ fn fig10(options: &ExperimentOptions) {
     println!("(n = {n})");
 }
 
-/// Figure 11: index sizes (BWT index vs dominate index) for DNA and protein.
+/// Figure 11: index sizes for DNA and protein.  The paper plots the BWT
+/// index next to an offline "dominate index"; here Lemma 1 is answered
+/// from the BWT index itself, so the BWT index is the whole footprint.
 fn fig11(options: &ExperimentOptions) {
-    header("Figure 11 - index sizes (BWT index vs dominate index)");
+    header("Figure 11 - index sizes (BWT index)");
+    println!("Lemma 1 (q-prefix domination) is answered from the BWT index: no dominate index.");
     println!("(a) DNA sequences, scheme <1,-3,-5,-2> (q = 4)");
-    println!(
-        "{:>12} {:>16} {:>20}",
-        "text length", "BWT index (KB)", "dominate index (KB)"
-    );
+    println!("{:>12} {:>16}", "text length", "BWT index (KB)");
     for (i, &base_n) in [100_000usize, 200_000, 400_000, 800_000].iter().enumerate() {
         let n = options.len(base_n);
         let db = text_only(Alphabet::Dna, n, options.seed + 800 + i as u64);
         let aligner =
             AlaeAligner::build(&db, AlaeConfig::with_evalue(ScoringScheme::DEFAULT, 10.0));
         println!(
-            "{:>12} {:>16.1} {:>20.1}",
+            "{:>12} {:>16.1}",
             n,
-            aligner.bwt_index_size_bytes() as f64 / 1024.0,
-            aligner.domination_index_size_bytes() as f64 / 1024.0
+            aligner.bwt_index_size_bytes() as f64 / 1024.0
         );
     }
     println!();
     println!("(b) protein sequences, scheme <1,-3,-11,-1> (q = 4)");
-    println!(
-        "{:>12} {:>16} {:>20}",
-        "text length", "BWT index (KB)", "dominate index (KB)"
-    );
+    println!("{:>12} {:>16}", "text length", "BWT index (KB)");
     for (i, &base_n) in [50_000usize, 100_000, 200_000].iter().enumerate() {
         let n = options.len(base_n);
         let db = text_only(Alphabet::Protein, n, options.seed + 900 + i as u64);
@@ -609,10 +596,9 @@ fn fig11(options: &ExperimentOptions) {
             AlaeConfig::with_evalue(ScoringScheme::PROTEIN_DEFAULT, 10.0),
         );
         println!(
-            "{:>12} {:>16.1} {:>20.1}",
+            "{:>12} {:>16.1}",
             n,
-            aligner.bwt_index_size_bytes() as f64 / 1024.0,
-            aligner.domination_index_size_bytes() as f64 / 1024.0
+            aligner.bwt_index_size_bytes() as f64 / 1024.0
         );
     }
 }

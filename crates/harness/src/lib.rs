@@ -14,7 +14,7 @@
 //! | `fig8`   | Figure 8 — effect of E-values |
 //! | `fig9`   | Figure 9 — effect of scoring schemes on time |
 //! | `fig10`  | Figure 10 — filtering / reusing ratios per scheme |
-//! | `fig11`  | Figure 11 — index sizes (BWT index vs dominate index) |
+//! | `fig11`  | Figure 11 — index sizes (the BWT index; Lemma 1 needs no dominate index) |
 //! | `bounds` | Section 6 — analytic entry bounds |
 //! | `sw-anchor` | Section 7.1 — Smith-Waterman vs ALAE anchor point |
 //! | `ablation` | Sections 3–4 — what each filter and score reuse buys; exits 1 if any changes the hits |

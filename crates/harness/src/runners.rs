@@ -79,13 +79,12 @@ pub fn first_hit_set_mismatch(
 
 /// Run ALAE over the workload.
 pub fn run_alae(prepared: &PreparedWorkload, config: AlaeConfig) -> (RunSummary, AlaeStats, i64) {
-    let mut request = match config.threshold {
+    let request = match config.threshold {
         ThresholdSpec::Score(h) => SearchRequest::with_threshold(config.scheme, h),
         ThresholdSpec::EValue(e) => SearchRequest::with_evalue(config.scheme, e),
     }
     .engine(EngineKind::Alae)
     .filters(config.filters);
-    request.max_depth = config.max_depth;
     let (summary, runs) = run_request(prepared, request);
     let mut stats = AlaeStats::default();
     let mut threshold = 0;

@@ -902,9 +902,8 @@ fn run_query(shared: &Shared, pending: Pending) {
     let request = pending.request;
     let db = &pending.pinned.db;
     // Stamped before the engine build, so queue wait ends at pickup and
-    // the build counts as engine time.  The build is a few `Arc` clones,
-    // except in the epoch's first ALAE query for a `q`, which builds the
-    // domination index (`IndexedDatabase::domination_index`).
+    // the build counts as engine time.  The build is a few `Arc` clones
+    // for every query: no engine builds anything over the text.
     let picked_up = Instant::now();
     let queue_wait = picked_up.duration_since(pending.enqueued);
     shared

@@ -233,6 +233,7 @@ fn invalid_schemes_are_refused_typed_and_cost_no_worker() {
         SearchRequest::with_threshold(scheme(0, -3, -5, -2), 30),
         SearchRequest::with_threshold(scheme(1, -100, -500, -200), 30),
         SearchRequest::with_evalue(scheme(4, -1, -5, -2), 10.0),
+        SearchRequest::with_threshold(scheme(1 << 61, -(1 << 61), -(1 << 61), -(1 << 61)), 3 << 61),
     ] {
         let scheme = hostile.scheme;
         let started = Instant::now();

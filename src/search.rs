@@ -9,9 +9,9 @@
 //! many queries against one shared index:
 //!
 //! * [`IndexedDatabase`] — a cheaply-cloneable handle bundling the record
-//!   table, the concatenated text, the compressed-suffix-array index and
-//!   the lazily built domination index.  Build it once, share it
-//!   everywhere (all clones share the same memory).
+//!   table, the concatenated text and the compressed-suffix-array index.
+//!   Build it once, share it everywhere (all clones share the same
+//!   memory).  Every engine answers its questions from that index alone.
 //! * [`LocalAligner`] — the engine-agnostic trait implemented by all four
 //!   engines; [`EngineKind`] selects one.
 //! * [`SearchRequest`] — a builder covering threshold-or-E-value reporting,
@@ -59,13 +59,11 @@ use alae_bioseq::{
 };
 use alae_blast_like::{BlastConfig, BlastLikeAligner, BlastStats};
 use alae_bwtsw::{BwtswAligner, BwtswConfig, BwtswStats};
-use alae_core::{
-    AlaeAligner, AlaeConfig, AlaeStats, DominationIndex, FilterToggles, ThresholdSpec,
-};
+use alae_core::{AlaeAligner, AlaeConfig, AlaeStats, FilterToggles, ThresholdSpec};
 use alae_suffix::TextIndex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "fault-inject")]
@@ -83,9 +81,9 @@ pub use alae_bioseq::guard::{CancelOnDrop, CancelToken, SearchError, SearchGuard
 /// [`alae_suffix::TextIndex::new`]).  There is deliberately **no** q-gram
 /// knob either: `q` is a property of the scoring scheme (Equation 2 of the
 /// paper), derived per request from [`ScoringScheme::q`].  The q-gram
-/// inverted lists are built per *query*; the domination index, which
-/// depends on `q`, is built on first use (see
-/// [`IndexedDatabase::domination_index`]).
+/// inverted lists are built per *query*, and the q-prefix domination test
+/// of Lemma 1 is answered from the suffix-trie index, so nothing that
+/// depends on `q` is built here.
 ///
 /// ```
 /// use alae::bioseq::{Alphabet, Sequence, SequenceDatabase};
@@ -129,23 +127,17 @@ impl IndexBuilder {
     }
 }
 
-/// A sequence database bundled with its suffix-trie index and its
-/// domination index, behind `Arc`s so clones are cheap and every engine
-/// (and every thread) shares one copy of the text and index memory.
+/// A sequence database bundled with its suffix-trie index, behind `Arc`s
+/// so clones are cheap and every engine (and every thread) shares one copy
+/// of the text and index memory.
 ///
-/// The domination index (the paper's offline "dominate index", Section
-/// 3.2.2) is a function of the text and of `q`, which comes from the
-/// request's scoring scheme.  It is therefore not built with the rest:
-/// the first ALAE engine that needs it builds it, and every later engine
-/// over this handle or any clone of it shares that copy.  The memo holds
-/// one index; an engine asking for another `q` replaces it.  A handle
-/// from [`IndexedDatabase::open`] starts with an empty memo.
+/// The handle holds nothing else: no engine keeps state per `q` or per
+/// request beside the index, so a handle from [`IndexedDatabase::open`]
+/// serves any scheme at once.
 #[derive(Debug, Clone)]
 pub struct IndexedDatabase {
     database: Arc<SequenceDatabase>,
     index: Arc<TextIndex>,
-    /// Single-slot memo of the domination index, keyed by its `q`.
-    domination: Arc<Mutex<Option<Arc<DominationIndex>>>>,
 }
 
 impl IndexedDatabase {
@@ -166,11 +158,7 @@ impl IndexedDatabase {
             index.text(),
             "index must cover the database text"
         );
-        Self {
-            database,
-            index,
-            domination: Arc::default(),
-        }
+        Self { database, index }
     }
 
     /// The record table and concatenated text.
@@ -196,40 +184,6 @@ impl IndexedDatabase {
     /// Number of records.
     pub fn record_count(&self) -> usize {
         self.database.record_count()
-    }
-
-    /// The domination index of the text for gram length `q`.
-    ///
-    /// Built with one `O(n)` pass on the first call for a `q`, then shared
-    /// by every caller over this handle and its clones until a call with
-    /// another `q` replaces it.  The build runs without the memo's lock
-    /// held; two threads racing on an empty memo may both build, and the
-    /// loser adopts the winner's copy.
-    pub fn domination_index(&self, q: usize) -> Arc<DominationIndex> {
-        if let Some(resident) = self.domination_slot().as_ref().filter(|dom| dom.q() == q) {
-            return Arc::clone(resident);
-        }
-        let built = Arc::new(DominationIndex::build(
-            self.index.text(),
-            q,
-            self.alphabet().code_count(),
-        ));
-        let mut slot = self.domination_slot();
-        match slot.as_ref() {
-            Some(resident) if resident.q() == q => Arc::clone(resident),
-            _ => {
-                *slot = Some(Arc::clone(&built));
-                built
-            }
-        }
-    }
-
-    /// The memo's slot.  A poisoned lock still holds a whole `Option`
-    /// (nothing panics while it is held), so poisoning is ignored.
-    fn domination_slot(&self) -> MutexGuard<'_, Option<Arc<DominationIndex>>> {
-        self.domination
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Persist the database and index to a single file (see `alae-store`
@@ -344,9 +298,6 @@ pub struct SearchRequest {
     pub min_score: Option<i64>,
     /// Keep at most this many hits per database record when set.
     pub max_hits_per_record: Option<usize>,
-    /// Optional hard cap on the trie depth (testing aid; exact engines
-    /// only).
-    pub max_depth: Option<usize>,
     /// Wall-clock deadline per query, measured from the moment the engine
     /// starts.  A query that exceeds it returns its partial hits with
     /// [`Termination::DeadlineExceeded`].
@@ -394,7 +345,6 @@ impl SearchRequest {
             top_k: None,
             min_score: None,
             max_hits_per_record: None,
-            max_depth: None,
             deadline: None,
             work_budget: None,
             memory_budget: None,
@@ -432,12 +382,6 @@ impl SearchRequest {
     /// Keep at most `k` hits per database record.
     pub fn max_hits_per_record(mut self, k: usize) -> Self {
         self.max_hits_per_record = Some(k);
-        self
-    }
-
-    /// Cap the suffix-trie depth (testing aid).
-    pub fn max_depth(mut self, depth: usize) -> Self {
-        self.max_depth = Some(depth);
         self
     }
 
@@ -492,7 +436,7 @@ impl SearchRequest {
     /// must keep the sign rules of Section 2.1 ([`ScoringScheme::validate`])
     /// and have a q ([`ScoringScheme::checked_q`]; every engine's threshold
     /// floor `q·sa` needs it).  For ALAE `code_count^q` must fit a `u64`,
-    /// the packing rule of the q-gram and domination indexes, and an
+    /// the packing rule of the query's q-gram index, and an
     /// E-value threshold needs the scheme's Karlin–Altschul statistics.  A
     /// server calls this on every scheme a client sends; a scheme that
     /// fails it would divide by zero, overflow or panic inside the engine.
@@ -534,13 +478,11 @@ impl SearchRequest {
     }
 
     fn to_alae_config(self) -> AlaeConfig {
-        let mut config = match self.threshold {
+        match self.threshold {
             ThresholdSpec::Score(h) => AlaeConfig::with_threshold(self.scheme, h),
             ThresholdSpec::EValue(e) => AlaeConfig::with_evalue(self.scheme, e),
         }
-        .filters(self.filters);
-        config.max_depth = self.max_depth;
-        config
+        .filters(self.filters)
     }
 }
 
@@ -657,9 +599,8 @@ pub trait LocalAligner: Send + Sync {
 ///
 /// The returned trait object is self-contained (it shares the index/text
 /// via `Arc`) and reusable across any number of queries and threads.
-/// Building one costs a few `Arc` clones: ALAE takes the database's shared
-/// domination index ([`IndexedDatabase::domination_index`]), so only the
-/// first ALAE engine for a `q` over a database pays its `O(n)` build.
+/// Building one costs a few `Arc` clones, whatever the engine: none builds
+/// anything over the text.
 pub fn build_engine(db: &IndexedDatabase, request: &SearchRequest) -> Box<dyn LocalAligner> {
     let shared = EngineShared {
         request: *request,
@@ -667,22 +608,14 @@ pub fn build_engine(db: &IndexedDatabase, request: &SearchRequest) -> Box<dyn Lo
         text_len: db.text_len(),
     };
     match request.engine {
-        EngineKind::Alae => {
-            let config = request.to_alae_config();
-            let domination = config
-                .filters
-                .domination_filter
-                .then(|| db.domination_index(config.scheme.q()));
-            Box::new(AlaeEngine {
-                aligner: AlaeAligner::with_domination(
-                    db.index.clone(),
-                    db.alphabet(),
-                    config,
-                    domination,
-                ),
-                shared,
-            })
-        }
+        EngineKind::Alae => Box::new(AlaeEngine {
+            aligner: AlaeAligner::with_index(
+                db.index.clone(),
+                db.alphabet(),
+                request.to_alae_config(),
+            ),
+            shared,
+        }),
         EngineKind::Bwtsw => Box::new(BwtswEngine {
             index: db.index.clone(),
             shared,
@@ -754,8 +687,7 @@ impl LocalAligner for BwtswEngine {
 
     fn align_codes_guarded(&self, query: &[u8], guard: &SearchGuard) -> EngineRun {
         let threshold = self.resolve_threshold(query.len());
-        let mut config = BwtswConfig::new(self.shared.request.scheme, threshold);
-        config.max_depth = self.shared.request.max_depth;
+        let config = BwtswConfig::new(self.shared.request.scheme, threshold);
         // Constructing the aligner is one `Arc` clone; the index is shared.
         let result =
             BwtswAligner::with_index(self.index.clone(), config).align_guarded(query, guard);
@@ -986,8 +918,7 @@ pub struct Searcher {
 
 impl Searcher {
     /// Build the engine selected by `request` over `db` (see
-    /// [`build_engine`]: after the first ALAE searcher for a `q` over a
-    /// database, this costs a few `Arc` clones).
+    /// [`build_engine`]: a few `Arc` clones).
     pub fn new(db: IndexedDatabase, request: SearchRequest) -> Self {
         let engine = build_engine(&db, &request);
         Self::with_engine(db, request, engine)
@@ -1424,110 +1355,6 @@ mod tests {
         assert_eq!(first.as_ref(), eager.hits.first());
     }
 
-    /// What the domination memo holds right now, without building.
-    fn resident(db: &IndexedDatabase) -> Option<Arc<DominationIndex>> {
-        db.domination.lock().unwrap().clone()
-    }
-
-    #[test]
-    fn searchers_over_one_database_share_one_domination_index() {
-        let db = tiny_db();
-        let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 5);
-        assert!(
-            resident(&db).is_none(),
-            "indexing builds no domination index"
-        );
-        let first = Searcher::new(db.clone(), request);
-        let shared = resident(&db).expect("the first ALAE searcher fills the memo");
-        assert_eq!(shared.q(), ScoringScheme::DEFAULT.q());
-        let second = Searcher::new(db.clone(), request);
-        let clone = db.clone();
-        let over_clone = Searcher::new(clone.clone(), request);
-        assert!(Arc::ptr_eq(&resident(&db).unwrap(), &shared));
-        assert!(Arc::ptr_eq(&resident(&clone).unwrap(), &shared));
-        // The memo, `shared` and the three engines: each searcher holds this
-        // very index rather than a copy of its own.
-        assert_eq!(Arc::strong_count(&shared), 5);
-        let query = Sequence::from_ascii(Alphabet::Dna, b"GCTAGC").unwrap();
-        assert_eq!(first.search(&query).hits, over_clone.search(&query).hits);
-        drop((first, second, over_clone));
-        assert_eq!(Arc::strong_count(&shared), 2);
-    }
-
-    #[test]
-    fn another_q_replaces_the_slot_and_old_engines_keep_their_index() {
-        let db = tiny_db();
-        let query = Sequence::from_ascii(Alphabet::Dna, b"GCTAGCTT").unwrap();
-        let q4 = Searcher::new(
-            db.clone(),
-            SearchRequest::with_threshold(ScoringScheme::DEFAULT, 5),
-        );
-        let before = q4.search(&query);
-        let old = resident(&db).unwrap();
-        assert_eq!(old.q(), 4);
-
-        let q2_scheme = ScoringScheme::new(1, -1, -5, -2).unwrap();
-        let _q2 = Searcher::new(db.clone(), SearchRequest::with_threshold(q2_scheme, 5));
-        let new = resident(&db).unwrap();
-        assert_eq!(new.q(), 2);
-        assert!(!Arc::ptr_eq(&old, &new));
-        // Only `old` and the q = 4 engine still hold the replaced index.
-        assert_eq!(Arc::strong_count(&old), 2);
-
-        let after = q4.search(&query);
-        assert_eq!(after.hits, before.hits);
-        let (a, b) = (
-            after.counters.as_alae().unwrap(),
-            before.counters.as_alae().unwrap(),
-        );
-        assert_eq!(
-            (a.forks_started, a.forks_dominated),
-            (b.forks_started, b.forks_dominated)
-        );
-    }
-
-    #[test]
-    fn only_alae_with_the_domination_filter_builds_the_index() {
-        let db = tiny_db();
-        let query = Sequence::from_ascii(Alphabet::Dna, b"GCTAGC").unwrap();
-        let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 5);
-        let off = request.filters(FilterToggles {
-            domination_filter: false,
-            ..FilterToggles::ALL
-        });
-        assert!(Searcher::new(db.clone(), off).search(&query).is_complete());
-        for kind in [
-            EngineKind::Bwtsw,
-            EngineKind::BlastLike,
-            EngineKind::SmithWaterman,
-        ] {
-            Searcher::new(db.clone(), request.engine(kind)).search(&query);
-        }
-        assert!(resident(&db).is_none());
-    }
-
-    #[test]
-    fn a_reopened_index_starts_with_an_empty_memo() {
-        let db = tiny_db();
-        let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 5);
-        let query = Sequence::from_ascii(Alphabet::Dna, b"GCTAGC").unwrap();
-        let expected = Searcher::new(db.clone(), request).search(&query);
-        assert!(resident(&db).is_some());
-
-        let mut path = std::env::temp_dir();
-        path.push(format!("alae-memo-reopen-{}.idx", std::process::id()));
-        db.save(&path).unwrap();
-        let reopened = IndexedDatabase::open(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(resident(&reopened).is_none());
-        let response = Searcher::new(reopened.clone(), request).search(&query);
-        assert_eq!(response.hits, expected.hits);
-        assert!(!Arc::ptr_eq(
-            &resident(&reopened).unwrap(),
-            &resident(&db).unwrap()
-        ));
-    }
-
     #[test]
     fn scheme_validation_refuses_what_the_engines_cannot_run() {
         let request = |scheme| SearchRequest::with_threshold(scheme, 30);
@@ -1558,19 +1385,28 @@ mod tests {
         assert!(SearchRequest::with_evalue(ScoringScheme::DEFAULT, 10.0)
             .validate_scheme(Alphabet::Dna)
             .is_ok());
-        // The sign rules bind every engine.
+        // The sign rules and the magnitude bound bind every engine: with
+        // 2^61 scores the engines' i64 arithmetic wraps.
         let zero_match = ScoringScheme {
             sa: 0,
             ..ScoringScheme::DEFAULT
         };
-        for kind in EngineKind::ALL {
-            let error = request(zero_match)
-                .engine(kind)
-                .validate_scheme(Alphabet::Protein);
-            assert!(
-                matches!(&error, Err(SearchError::InvalidScheme { reason }) if reason.contains("sa")),
-                "{kind}: {error:?}"
-            );
+        let huge = ScoringScheme {
+            sa: 1 << 61,
+            sb: -(1 << 61),
+            sg: -(1 << 61),
+            ss: -(1 << 61),
+        };
+        for (scheme, threshold) in [(zero_match, 30), (huge, 3 << 61)] {
+            for kind in EngineKind::ALL {
+                let error = SearchRequest::with_threshold(scheme, threshold)
+                    .engine(kind)
+                    .validate_scheme(Alphabet::Protein);
+                assert!(
+                    matches!(&error, Err(SearchError::InvalidScheme { reason }) if reason.contains("sa")),
+                    "{scheme} {kind}: {error:?}"
+                );
+            }
         }
     }
 

@@ -482,7 +482,8 @@ fn encode_request_config(request: &SearchRequest) -> Vec<u8> {
     w.put_opt_u64(request.top_k.map(|v| v as u64));
     w.put_opt_i64(request.min_score);
     w.put_opt_u64(request.max_hits_per_record.map(|v| v as u64));
-    w.put_opt_u64(request.max_depth.map(|v| v as u64));
+    // Field 11 is reserved: always absent, so the field layout stays fixed.
+    w.put_opt_u64(None);
     w.put_opt_u64(request.deadline.map(|d| d.as_millis() as u64));
     w.put_opt_u64(request.work_budget);
     w.put_opt_u64(request.memory_budget);
@@ -541,7 +542,11 @@ pub fn decode_request(payload: &[u8]) -> Result<DecodedRequest, WireError> {
     let top_k = r.get_opt_usize()?;
     let min_score = r.get_opt_i64()?;
     let max_hits_per_record = r.get_opt_usize()?;
-    let max_depth = r.get_opt_usize()?;
+    if r.get_opt_u64()?.is_some() {
+        return Err(WireError::new(
+            "request field 11 is reserved and must be absent",
+        ));
+    }
     let deadline = r.get_opt_u64()?.map(Duration::from_millis);
     let work_budget = r.get_opt_u64()?;
     let memory_budget = r.get_opt_u64()?;
@@ -570,7 +575,6 @@ pub fn decode_request(payload: &[u8]) -> Result<DecodedRequest, WireError> {
     request.top_k = top_k;
     request.min_score = min_score;
     request.max_hits_per_record = max_hits_per_record;
-    request.max_depth = max_depth;
     request.deadline = deadline;
     request.work_budget = work_budget;
     request.memory_budget = memory_budget;
@@ -1077,6 +1081,15 @@ mod tests {
         buf.push(200);
         buf.push(0);
         assert!(read_frame(&mut io::Cursor::new(buf)).is_err());
+        // Field 11 is reserved: a present value is refused.  It follows the
+        // engine, scheme, threshold and mask, a present `top_k` and
+        // `min_score`, and an absent `max_hits_per_record`.
+        let mut payload = encode_request(&sample_request(), &[1, 2]);
+        let reserved = 1 + 4 * 8 + 9 + 1 + 9 + 9 + 1;
+        assert_eq!(payload[reserved], 0, "field 11 is written absent");
+        payload.splice(reserved..=reserved, [1, 7, 0, 0, 0, 0, 0, 0, 0]);
+        let error = decode_request(&payload).unwrap_err();
+        assert!(error.to_string().contains("field 11"), "{error}");
     }
 
     #[test]

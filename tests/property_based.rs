@@ -10,7 +10,7 @@ use alae::baseline::{global_similarity, local_alignment_hits};
 use alae::bioseq::hits::diff_hits;
 use alae::bioseq::{Alphabet, KarlinAltschul, ScoringScheme, Sequence, SequenceDatabase};
 use alae::bwtsw::{BwtswAligner, BwtswConfig};
-use alae::core::{AlaeAligner, AlaeConfig, DominationIndex, FilterToggles, QGramIndex};
+use alae::core::{AlaeAligner, AlaeConfig, FilterToggles, QGramIndex};
 use alae::search::{IndexedDatabase, SearchRequest, Searcher};
 use alae::suffix::rank::OccTable;
 use alae::suffix::sais::{suffix_array, suffix_array_naive};
@@ -104,38 +104,132 @@ fn qgram_index_positions_are_correct() {
     }
 }
 
-#[test]
-fn domination_index_respects_the_definition() {
-    let mut g = Gen::new(0x5eed_0004);
-    for case in 0..CASES {
-        let text = g.dna(20, 250);
-        let q = 4;
-        let index = DominationIndex::build(&text, q, 5);
-        // For every adjacent pair of grams, `dominates` implies the literal
-        // definition on every occurrence.
-        for start in 1..=text.len() - q {
-            let gram = &text[start..start + q];
-            let prev = &text[start - 1..start - 1 + q];
-            let gram_key = alae::core::qgram::pack_gram(gram, 5).unwrap();
-            let prev_key = alae::core::qgram::pack_gram(prev, 5).unwrap();
-            if index.dominates(prev_key, gram_key) {
-                for t in 0..=text.len() - q {
-                    if &text[t..t + q] == gram {
-                        assert!(t >= 1, "case {case}: occurrence at text start");
-                        assert_eq!(&text[t - 1..t - 1 + q], prev, "case {case}");
-                    }
-                }
-            }
+/// Columns `j ≥ 1` of `query` that Lemma 1 lets ALAE skip, counted from
+/// the definition: the q-gram at `j` occurs in `text`, and every
+/// occurrence `t` has `t ≥ 1` and `text[t−1] = query[j−1]`.
+fn brute_force_dominated(text: &[u8], query: &[u8], q: usize) -> u64 {
+    let mut dominated = 0;
+    for j in 1..=query.len() - q {
+        let gram = &query[j..j + q];
+        let mut occurrences = (0..=text.len().saturating_sub(q))
+            .filter(|&t| text.len() >= q && &text[t..t + q] == gram)
+            .peekable();
+        if occurrences.peek().is_none() {
+            continue;
         }
+        if occurrences.all(|t| t >= 1 && text[t - 1] == query[j - 1]) {
+            dominated += 1;
+        }
+    }
+    dominated
+}
+
+/// A scheme with q-prefix length `q` (Equation 2).
+fn scheme_with_q(q: usize) -> ScoringScheme {
+    let scheme = if q == 1 {
+        ScoringScheme::new(2, -1, -5, -2).unwrap()
+    } else {
+        ScoringScheme::new(1, 1 - q as i64, -5, -2).unwrap()
+    };
+    assert_eq!(scheme.q(), q);
+    scheme
+}
+
+/// Run ALAE (arena and reference paths) and check its dominated fork
+/// starts against the definition; returns the count.
+fn check_domination(alphabet: Alphabet, records: &[Vec<u8>], query: &[u8], q: usize) -> u64 {
+    let db = SequenceDatabase::from_sequences(
+        alphabet,
+        records
+            .iter()
+            .map(|codes| Sequence::from_codes(alphabet, codes.clone())),
+    );
+    let config = AlaeConfig::with_threshold(scheme_with_q(q), 8);
+    let aligner = AlaeAligner::build(&db, config);
+    let expected = brute_force_dominated(db.text(), query, q);
+    let context = format!("{alphabet:?} q={q} records {records:?} query {query:?}");
+    let arena = aligner.align(query).stats;
+    assert_eq!(arena.forks_dominated, expected, "{context}");
+    assert_eq!(
+        aligner.align_reference(query).stats.forks_dominated,
+        expected,
+        "{context}"
+    );
+    // Every column whose gram occurs in the text is started or dominated.
+    let occurring = (0..=query.len() - q)
+        .filter(|&j| {
+            db.text()
+                .windows(q)
+                .any(|window| window == &query[j..j + q])
+        })
+        .count() as u64;
+    assert_eq!(
+        arena.forks_started + arena.forks_dominated,
+        occurring,
+        "{context}"
+    );
+    expected
+}
+
+#[test]
+fn domination_filter_skips_exactly_the_columns_lemma_1_names() {
+    // Fixed cases (DNA codes A=1 C=2 G=3 T=4), query ACGT or CGTA, q = 3:
+    // CGT always after A is dominated; an occurrence at text position 0,
+    // one right after a record separator, or one after another character
+    // keeps a gram undominated; a text shorter than q dominates nothing.
+    let acgt = [1u8, 2, 3, 4];
+    for (records, query, dominated) in [
+        (vec![vec![1u8, 2, 3, 4, 1, 2, 3, 4]], &acgt[..], 1),
+        (vec![vec![2, 3, 4, 1, 2, 3, 4]], &acgt[..], 0),
+        (vec![vec![1, 2, 3, 4], vec![2, 3, 4, 4]], &acgt[..], 0),
+        (
+            vec![vec![1, 2, 3, 4, 1, 4, 4, 4, 3, 4, 1]],
+            &[2, 3, 4, 1][..],
+            0,
+        ),
+        (vec![vec![1, 2]], &acgt[..], 0),
+    ] {
+        assert_eq!(
+            check_domination(Alphabet::Dna, &records, query, 3),
+            dominated,
+            "{records:?}"
+        );
+    }
+
+    // Random databases of 1-4 records, q = 1..5, queries cut from a record
+    // or drawn at random.
+    let mut g = Gen::new(0x5eed_0004);
+    for alphabet in [Alphabet::Dna, Alphabet::Protein] {
+        let sigma = alphabet.code_count() as u64 - 1;
+        let mut dominated = 0;
+        for case in 0..CASES * 2 {
+            let q = 1 + case % 5;
+            let records: Vec<Vec<u8>> = (0..g.range(1, 5))
+                .map(|_| {
+                    let len = g.range(1, 120);
+                    (0..len).map(|_| (g.next() % sigma) as u8 + 1).collect()
+                })
+                .collect();
+            let source = &records[g.range(0, records.len())];
+            let query: Vec<u8> = if case % 2 == 0 && source.len() >= q {
+                let len = g.range(q, source.len() + 1);
+                let start = g.range(0, source.len() - len + 1);
+                source[start..start + len].to_vec()
+            } else {
+                let len = g.range(q, q + 40);
+                (0..len).map(|_| (g.next() % sigma) as u8 + 1).collect()
+            };
+            dominated += check_domination(alphabet, &records, &query, q);
+        }
+        // Not vacuous: the filter skipped forks on this alphabet.
+        assert!(dominated > 0, "{alphabet:?}");
     }
 }
 
 #[test]
-fn shared_domination_index_answers_like_a_fresh_build() {
-    // `Searcher` takes the domination index from the database's memo
-    // (one slot, replaced as q changes); `AlaeAligner::with_index` builds
-    // its own.  Both must report the same hits and make the same
-    // domination decisions for every q and filter combination.
+fn domination_filter_never_changes_hits() {
+    // For every q and every setting of the other three toggles, switching
+    // the domination filter on skips forks but reports the same hits.
     let mut g = Gen::new(0x5eed_000f);
     for alphabet in [Alphabet::Dna, Alphabet::Protein] {
         let sigma = alphabet.code_count() as u64 - 1;
@@ -147,49 +241,34 @@ fn shared_domination_index_answers_like_a_fresh_build() {
         );
         let (mut hits, mut dominated) = (0, 0);
         for q in 2..=6 {
-            // Equation 2: min(|sb|, |sg + ss|) = q - 1 with sa = 1.
-            let scheme = ScoringScheme::new(1, 1 - q as i64, -5, -2).unwrap();
-            assert_eq!(scheme.q(), q);
+            let scheme = scheme_with_q(q);
             let start = g.range(0, len - 40);
             let mut query = text[start..start + 40].to_vec();
             let pos = g.range(0, query.len());
             query[pos] = (g.next() % sigma) as u8 + 1;
             let threshold = (q as i64).max(8);
-            for bits in 0..16u8 {
-                let toggles = FilterToggles {
+            for bits in 0..8u8 {
+                let off = FilterToggles {
                     length_filter: bits & 1 != 0,
                     score_filter: bits & 2 != 0,
-                    domination_filter: bits & 4 != 0,
-                    reuse: bits & 8 != 0,
+                    domination_filter: false,
+                    reuse: bits & 4 != 0,
                 };
-                let request = SearchRequest::with_threshold(scheme, threshold).filters(toggles);
-                let served = Searcher::new(db.clone(), request).search_codes(&query);
-                let fresh = AlaeAligner::with_index(
-                    db.index().clone(),
-                    alphabet,
-                    AlaeConfig::with_threshold(scheme, threshold).filters(toggles),
-                )
-                .align(&query);
-                let context = format!("{alphabet:?} q={q} {toggles:?}");
-                let served_hits: Vec<_> = served
-                    .hits
-                    .iter()
-                    .map(|h| (h.text_end, h.query_end - 1, h.score))
-                    .collect();
-                let fresh_hits: Vec<_> = fresh
-                    .hits
-                    .iter()
-                    .map(|h| (h.end_text, h.end_query, h.score))
-                    .collect();
-                assert_eq!(served_hits, fresh_hits, "{context}");
-                let stats = served.counters.as_alae().unwrap();
-                assert_eq!(
-                    (stats.forks_started, stats.forks_dominated),
-                    (fresh.stats.forks_started, fresh.stats.forks_dominated),
-                    "{context}"
-                );
-                hits += fresh_hits.len();
-                dominated += stats.forks_dominated;
+                let on = FilterToggles {
+                    domination_filter: true,
+                    ..off
+                };
+                let search = |toggles| {
+                    let request = SearchRequest::with_threshold(scheme, threshold).filters(toggles);
+                    Searcher::new(db.clone(), request).search_codes(&query)
+                };
+                let (with, without) = (search(on), search(off));
+                let context = format!("{alphabet:?} q={q} {on:?}");
+                assert_eq!(with.hits, without.hits, "{context}");
+                let skipped = with.counters.as_alae().unwrap().forks_dominated;
+                assert_eq!(without.counters.as_alae().unwrap().forks_dominated, 0);
+                hits += with.hits.len();
+                dominated += skipped;
             }
         }
         // The comparison is not vacuous: hits were found and the filter
