@@ -166,9 +166,11 @@ fn default_config() -> AlaeConfig {
 /// and skips the O(n log n) suffix-array build entirely, so `open` should
 /// be orders of magnitude cheaper than `IndexBuilder::index` at any
 /// interesting scale.  An opened index is complete: no query after an
-/// open (or a server reload) builds anything over the text.  Prints a
-/// small machine-greppable summary; the CI store leg captures it as the
-/// timing artifact.
+/// open (or a server reload) builds anything over the text.  It also
+/// reports the build's memory: `VmHWM` after the build minus `VmRSS` before
+/// it, absent where `/proc/self/status` does not exist.  Prints a small
+/// machine-greppable summary; the CI store leg captures it as the timing
+/// artifact.
 fn store_timing(options: &ExperimentOptions) {
     use alae::search::{IndexBuilder, IndexedDatabase};
     use std::time::Instant;
@@ -177,9 +179,13 @@ fn store_timing(options: &ExperimentOptions) {
     let n = options.len(500_000);
     let database = text_only(Alphabet::Dna, n, options.seed);
 
+    let rss_before = proc_status_bytes("VmRSS");
     let build_started = Instant::now();
     let fresh = IndexBuilder::new().index(database);
     let build = build_started.elapsed();
+    let build_peak = proc_status_bytes("VmHWM")
+        .zip(rss_before)
+        .map(|(peak, before)| peak.saturating_sub(before));
 
     // `ALAE_STORE_KEEP=<path>` persists the index file there instead of
     // deleting it — the CI serve smoke test points `alae-serve --index`
@@ -207,21 +213,44 @@ fn store_timing(options: &ExperimentOptions) {
     }
 
     let speedup = build.as_secs_f64() / open.as_secs_f64().max(1e-9);
+    let peak_mib = build_peak.map(|bytes| bytes as f64 / (1024.0 * 1024.0));
+    let bytes_per_char = build_peak.map(|bytes| bytes as f64 / n.max(1) as f64);
+    let fixed = |value: Option<f64>, absent: &str| {
+        value.map_or_else(|| absent.to_string(), |value| format!("{value:.3}"))
+    };
     println!("  text_len:        {n}");
     println!("  file_bytes:      {file_bytes}");
     println!("  build_seconds:   {:.4}", build.as_secs_f64());
+    println!("  build_peak_rss_mib:   {}", fixed(peak_mib, "absent"));
+    println!(
+        "  build_bytes_per_char: {}",
+        fixed(bytes_per_char, "absent")
+    );
     println!("  save_seconds:    {:.4}", save.as_secs_f64());
     println!("  open_seconds:    {:.6}", open.as_secs_f64());
     println!("  open_speedup:    {speedup:.0}x (rebuild / open)");
     println!(
         "{{\"experiment\": \"store\", \"text_len\": {n}, \"file_bytes\": {file_bytes}, \
-         \"build_seconds\": {:.6}, \"save_seconds\": {:.6}, \"open_seconds\": {:.6}, \
-         \"open_speedup\": {:.1}}}",
+         \"build_seconds\": {:.6}, \"build_peak_rss_mib\": {}, \"build_bytes_per_char\": {}, \
+         \"save_seconds\": {:.6}, \"open_seconds\": {:.6}, \"open_speedup\": {:.1}}}",
         build.as_secs_f64(),
+        fixed(peak_mib, "null"),
+        fixed(bytes_per_char, "null"),
         save.as_secs_f64(),
         open.as_secs_f64(),
         speedup,
     );
+}
+
+/// A `kB` field of `/proc/self/status` (`VmRSS`, `VmHWM`) in bytes; `None`
+/// where that file does not exist.
+fn proc_status_bytes(field: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status.lines().find_map(|line| {
+        let kib = line.strip_prefix(field)?.strip_prefix(':')?;
+        let kib: u64 = kib.trim().strip_suffix("kB")?.trim().parse().ok()?;
+        Some(kib * 1024)
+    })
 }
 
 /// Table 2: alignment time and number of results when varying the query

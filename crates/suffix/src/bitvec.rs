@@ -36,18 +36,6 @@ pub struct RankBitVec {
 }
 
 impl RankBitVec {
-    /// Build from a boolean iterator of known length.
-    pub fn from_bits(bits: impl ExactSizeIterator<Item = bool>) -> Self {
-        let len = bits.len();
-        let mut words = vec![0u64; len.div_ceil(64)];
-        for (i, bit) in bits.enumerate() {
-            if bit {
-                words[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        Self::from_words(len, words)
-    }
-
     /// Build from raw words (extra high bits in the final word must be zero).
     pub fn from_words(len: usize, words: Vec<u64>) -> Self {
         debug_assert_eq!(words.len(), len.div_ceil(64));
@@ -135,6 +123,17 @@ impl RankBitVec {
 mod tests {
     use super::*;
 
+    fn from_bits(bits: impl ExactSizeIterator<Item = bool>) -> RankBitVec {
+        let len = bits.len();
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for (i, bit) in bits.enumerate() {
+            if bit {
+                words[i / 64] |= 1u64 << (i % 64);
+            }
+        }
+        RankBitVec::from_words(len, words)
+    }
+
     fn naive_rank(bits: &[bool], i: usize) -> usize {
         bits[..i].iter().filter(|&&b| b).count()
     }
@@ -142,7 +141,7 @@ mod tests {
     #[test]
     fn rank_matches_naive_small() {
         let bits = vec![true, false, true, true, false, false, true];
-        let bv = RankBitVec::from_bits(bits.iter().copied());
+        let bv = from_bits(bits.iter().copied());
         for i in 0..=bits.len() {
             assert_eq!(bv.rank1(i), naive_rank(&bits, i));
         }
@@ -161,7 +160,7 @@ mod tests {
         let bits: Vec<bool> = (0..SUPER_BITS * 2 + BLOCK_BITS * 3 + 100)
             .map(|_| next() % 3 == 0)
             .collect();
-        let bv = RankBitVec::from_bits(bits.iter().copied());
+        let bv = from_bits(bits.iter().copied());
         for i in (0..=bits.len()).step_by(37) {
             assert_eq!(bv.rank1(i), naive_rank(&bits, i), "i = {i}");
         }
@@ -176,7 +175,7 @@ mod tests {
     #[test]
     fn get_round_trips() {
         let bits: Vec<bool> = (0..200).map(|i| i % 5 == 0).collect();
-        let bv = RankBitVec::from_bits(bits.iter().copied());
+        let bv = from_bits(bits.iter().copied());
         for (i, &bit) in bits.iter().enumerate() {
             assert_eq!(bv.get(i), bit);
         }
@@ -186,7 +185,7 @@ mod tests {
 
     #[test]
     fn empty_vector() {
-        let bv = RankBitVec::from_bits(std::iter::empty());
+        let bv = from_bits(std::iter::empty());
         assert!(bv.is_empty());
         assert_eq!(bv.rank1(0), 0);
         assert_eq!(bv.count_ones(), 0);
@@ -194,12 +193,12 @@ mod tests {
 
     #[test]
     fn all_ones_and_all_zeros() {
-        let ones = RankBitVec::from_bits((0..10_000).map(|_| true));
+        let ones = from_bits((0..10_000).map(|_| true));
         assert_eq!(ones.rank1(10_000), 10_000);
         assert_eq!(ones.rank1(513), 513);
         assert_eq!(ones.rank1(SUPER_BITS + 1), SUPER_BITS + 1);
         assert_eq!(ones.count_ones(), 10_000);
-        let zeros = RankBitVec::from_bits((0..10_000).map(|_| false));
+        let zeros = from_bits((0..10_000).map(|_| false));
         assert_eq!(zeros.rank1(10_000), 0);
     }
 }

@@ -76,8 +76,13 @@ impl FmIndex {
         );
         debug_assert!(text.iter().all(|&c| (c as usize) < code_count));
 
+        // The suffix array is the build's one large buffer: sample it and
+        // read the BWT off it, then drop it before the occurrence table is
+        // built.
         let sa = suffix_array(text);
+        let (sampled_rows, samples) = sample_suffix_array(&sa, SA_SAMPLE_RATE);
         let transform = bwt_from_sa(text, &sa);
+        drop(sa);
         // Shift every code up by one; the sentinel entry stays 0.
         let shifted_code_count = code_count + 1;
         let mut shifted_bwt = transform.data;
@@ -104,8 +109,6 @@ impl FmIndex {
             running += counts[c - 1] as usize;
             c_array[c] = running;
         }
-
-        let (sampled_rows, samples) = sample_suffix_array(&sa, SA_SAMPLE_RATE);
 
         Self {
             text_len: text.len(),
@@ -369,21 +372,21 @@ impl FmIndex {
 
 /// Mark the suffix-array rows whose text position is a multiple of `rate`,
 /// plus the sentinel suffix's row (so `locate` always terminates), and
-/// collect their positions in row order.
+/// collect their positions in row order.  Both outputs are written straight
+/// from `sa`, each at its final size.
 fn sample_suffix_array(sa: &[u32], rate: usize) -> (RankBitVec, Vec<u32>) {
     let text_len = sa.len() - 1;
-    // One predicate evaluation per row drives both outputs.
-    let is_sampled: Vec<bool> = sa
-        .iter()
-        .map(|&pos| (pos as usize).is_multiple_of(rate) || pos as usize == text_len)
-        .collect();
-    let sampled_rows = RankBitVec::from_bits(is_sampled.iter().copied());
-    let samples = sa
-        .iter()
-        .zip(&is_sampled)
-        .filter_map(|(&pos, &sampled)| sampled.then_some(pos))
-        .collect();
-    (sampled_rows, samples)
+    let mut words = vec![0u64; sa.len().div_ceil(64)];
+    // Positions 0, rate, 2·rate, … up to text_len, plus text_len itself.
+    let mut samples =
+        Vec::with_capacity(text_len / rate + 1 + usize::from(!text_len.is_multiple_of(rate)));
+    for (row, &pos) in sa.iter().enumerate() {
+        if (pos as usize).is_multiple_of(rate) || pos as usize == text_len {
+            words[row / 64] |= 1 << (row % 64);
+            samples.push(pos);
+        }
+    }
+    (RankBitVec::from_words(sa.len(), words), samples)
 }
 
 #[cfg(test)]

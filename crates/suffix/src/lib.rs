@@ -11,7 +11,7 @@
 //!
 //! The crate provides, from scratch (no external succinct-structure crates):
 //!
-//! * [`sais`] — linear-time suffix array construction (SA-IS),
+//! * [`sais`] — linear-time, in-place suffix array construction (SA-IS),
 //! * [`bwt`] — Burrows–Wheeler transform and its inversion,
 //! * [`rank`] — byte-sequence rank structure (two-level occurrence
 //!   checkpoints plus portable SWAR in-block scans),

@@ -1,26 +1,54 @@
 //! Linear-time suffix array construction (SA-IS).
 //!
 //! The suffix array of Section 2.3 is built with the induced-sorting
-//! algorithm of Nong, Zhang and Chan.  The implementation works on `u32`
-//! "virtual" texts so it can recurse on reduced problems regardless of the
-//! original alphabet size; the public entry point [`suffix_array`] accepts a
-//! byte text *without* a sentinel and appends the implicit smallest suffix
-//! itself (the returned array has length `text.len() + 1` and its first entry
-//! is always `text.len()`, the empty suffix, matching the `$`-terminated
-//! convention of the paper).
+//! algorithm of Nong, Zhang and Chan (IEEE TC 2011), in their in-place
+//! layout.  The public entry point [`suffix_array`] accepts a byte text
+//! *without* a sentinel and appends the implicit smallest suffix itself (the
+//! returned array has length `text.len() + 1` and its first entry is always
+//! `text.len()`, the empty suffix, matching the `$`-terminated convention of
+//! the paper).
+//!
+//! # Layout
+//!
+//! Apart from the returned array, a build allocates only bit vectors and
+//! bucket counters:
+//!
+//! * The byte text is never copied.  An accessor reads each code as
+//!   `code + 1` and yields the implicit sentinel 0 at position `n`.
+//! * S/L types are one bit per position, under `n / 4` bytes over all
+//!   recursion levels.
+//! * The names of the sorted LMS substrings go into the upper half of the
+//!   suffix array itself, at `n1 + p / 2`: LMS positions are at least two
+//!   apart, so `n1 ≤ n / 2` and the slots never collide.  The names are then
+//!   compacted to `sa[n − n1..]`, and the reduced problem recurses on that
+//!   slice with its suffix array in `sa[..n1]`.
+//! * Bucket sizes are counted once per level into one σ-sized `u32` buffer,
+//!   and every induce pass derives its heads or tails from them into a
+//!   second.  σ is 257 at the top and, at a reduced level, the number of
+//!   distinct LMS substrings of the level above.
+//!
+//! The reduced levels' bucket buffers dominate that scratch.  On reversed
+//! `TextSpec::dna(600_000, _)` and `TextSpec::protein(300_000, _)` texts
+//! (`alae-workload`) a build peaks at 1.2 and 2.6 heap bytes per character
+//! above the returned array.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Process-wide count of suffix-array constructions.
+thread_local! {
+    /// Suffix-array constructions performed by this thread.
+    static SA_BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of suffix-array constructions the **calling thread** has
+/// performed so far.
 ///
 /// Exists so the persistence tests can prove that opening a saved index
 /// performs **no** build work: the counter must not move across
-/// `IndexedDatabase::open`.
-static SA_BUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of suffix-array constructions performed by this process so far.
+/// `IndexedDatabase::open`.  It is per thread (like
+/// [`crate::thread_scan_snapshot`]) so that builds by concurrently running
+/// tests never bleed into a delta taken around one call.
 pub fn suffix_array_build_count() -> u64 {
-    SA_BUILDS.load(Ordering::Relaxed)
+    SA_BUILDS.with(Cell::get)
 }
 
 /// Build the suffix array of `text ⊕ $` where `$` is an implicit sentinel
@@ -34,13 +62,9 @@ pub fn suffix_array(text: &[u8]) -> Vec<u32> {
         text.len() < u32::MAX as usize - 2,
         "text too long for u32 suffix array"
     );
-    SA_BUILDS.fetch_add(1, Ordering::Relaxed);
-    // Shift bytes up by one so value 0 is free for the sentinel.
-    let mut shifted: Vec<u32> = Vec::with_capacity(text.len() + 1);
-    shifted.extend(text.iter().map(|&b| b as u32 + 1));
-    shifted.push(0);
-    let mut sa = vec![0u32; shifted.len()];
-    sais_u32(&shifted, &mut sa, 257);
+    SA_BUILDS.with(|builds| builds.set(builds.get() + 1));
+    let mut sa = vec![0u32; text.len() + 1];
+    sais(&Shifted(text), &mut sa, 257);
     sa
 }
 
@@ -57,186 +81,244 @@ pub fn suffix_array_naive(text: &[u8]) -> Vec<u32> {
     sa
 }
 
-const S_TYPE: bool = true;
-const L_TYPE: bool = false;
+/// A text whose last symbol is its unique smallest, 0.
+trait Symbols {
+    /// Number of symbols, the final 0 included.
+    fn len(&self) -> usize;
+    /// Symbol at position `i < len()`.
+    fn at(&self, i: usize) -> usize;
+}
 
-/// Core SA-IS on a u32 text whose last element is the unique smallest value 0.
-fn sais_u32(text: &[u32], sa: &mut [u32], alphabet_size: usize) {
+/// The caller's bytes read as `code + 1`, followed by the implicit
+/// sentinel 0.
+struct Shifted<'a>(&'a [u8]);
+
+impl Symbols for Shifted<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.0.len() + 1
+    }
+
+    #[inline]
+    fn at(&self, i: usize) -> usize {
+        self.0.get(i).map_or(0, |&code| code as usize + 1)
+    }
+}
+
+/// A reduced text: the names of the LMS substrings in text order.
+impl Symbols for [u32] {
+    #[inline]
+    fn len(&self) -> usize {
+        <[u32]>::len(self)
+    }
+
+    #[inline]
+    fn at(&self, i: usize) -> usize {
+        self[i] as usize
+    }
+}
+
+/// Marks a suffix-array slot that holds no suffix yet.
+const EMPTY: u32 = u32::MAX;
+
+/// S/L suffix types, one bit per position (set = S-type).
+struct Types(Vec<u64>);
+
+impl Types {
+    fn classify<T: Symbols + ?Sized>(text: &T) -> Self {
+        let n = text.len();
+        let mut words = vec![0u64; n.div_ceil(64)];
+        // The sentinel suffix is S-type; each earlier one compares with its
+        // successor, and equal neighbours share a type.
+        let mut next = text.at(n - 1);
+        let mut next_is_s = true;
+        words[(n - 1) / 64] |= 1 << ((n - 1) % 64);
+        for i in (0..n - 1).rev() {
+            let c = text.at(i);
+            let is_s = c < next || (c == next && next_is_s);
+            if is_s {
+                words[i / 64] |= 1 << (i % 64);
+            }
+            next = c;
+            next_is_s = is_s;
+        }
+        Self(words)
+    }
+
+    #[inline]
+    fn is_s(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Leftmost S-type: an S-type position preceded by an L-type one.
+    #[inline]
+    fn is_lms(&self, i: usize) -> bool {
+        i > 0 && self.is_s(i) && !self.is_s(i - 1)
+    }
+}
+
+/// Write the first slot of every bucket into `bkt`.
+fn bucket_heads(counts: &[u32], bkt: &mut [u32]) {
+    let mut sum = 0;
+    for (slot, &count) in bkt.iter_mut().zip(counts) {
+        *slot = sum;
+        sum += count;
+    }
+}
+
+/// Write one past the last slot of every bucket into `bkt`.
+fn bucket_tails(counts: &[u32], bkt: &mut [u32]) {
+    let mut sum = 0;
+    for (slot, &count) in bkt.iter_mut().zip(counts) {
+        sum += count;
+        *slot = sum;
+    }
+}
+
+/// Core SA-IS: fill `sa` (of `text.len()` slots) with the suffix array of
+/// `text`, whose symbols are `< sigma` and whose last symbol is the unique
+/// smallest, 0.
+fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize) {
     let n = text.len();
     debug_assert_eq!(sa.len(), n);
-    if n == 0 {
-        return;
-    }
     if n == 1 {
         sa[0] = 0;
         return;
     }
-    if n == 2 {
-        // Last element is the sentinel (smallest), so suffix 1 < suffix 0.
-        sa[0] = 1;
-        sa[1] = 0;
-        return;
+    let types = Types::classify(text);
+    let mut counts = vec![0u32; sigma];
+    for i in 0..n {
+        counts[text.at(i)] += 1;
+    }
+    let mut bkt = vec![0u32; sigma];
+
+    // 1. Sort the LMS substrings: drop every LMS position at its bucket's
+    //    tail, in any order, and induce.
+    sa.fill(EMPTY);
+    bucket_tails(&counts, &mut bkt);
+    for i in 1..n {
+        if types.is_lms(i) {
+            let c = text.at(i);
+            bkt[c] -= 1;
+            sa[bkt[c] as usize] = i as u32;
+        }
+    }
+    induce(text, sa, &types, &counts, &mut bkt);
+
+    // 2. Compact the sorted LMS positions into `sa[..n1]` (every slot is
+    //    filled after an induce), then name them: equal LMS substrings get
+    //    equal names, written at `n1 + p / 2`.
+    let mut n1 = 0;
+    for i in 0..n {
+        let p = sa[i];
+        if types.is_lms(p as usize) {
+            sa[n1] = p;
+            n1 += 1;
+        }
+    }
+    sa[n1..].fill(EMPTY);
+    let mut name = 0;
+    for k in 0..n1 {
+        let p = sa[k] as usize;
+        if k > 0 && !same_lms_substring(text, &types, p, sa[k - 1] as usize) {
+            name += 1;
+        }
+        sa[n1 + p / 2] = name;
+    }
+    let names = name as usize + 1;
+
+    // 3. Compact the names to `sa[n − n1..]`: the reduced text, in text
+    //    order of the LMS positions.  Writes never pass the read cursor.
+    let mut j = n;
+    for i in (n1..n).rev() {
+        if sa[i] != EMPTY {
+            j -= 1;
+            sa[j] = sa[i];
+        }
     }
 
-    // 1. Classify suffixes as S-type or L-type.
-    let mut types = vec![S_TYPE; n];
-    for i in (0..n - 1).rev() {
-        types[i] = if text[i] < text[i + 1] {
-            S_TYPE
-        } else if text[i] > text[i + 1] {
-            L_TYPE
+    // 4. Sort the reduced suffixes into `sa[..n1]`, recursing when two LMS
+    //    substrings share a name, then map them back to LMS positions by
+    //    overwriting the reduced text with those positions in text order.
+    {
+        let (head, reduced) = sa.split_at_mut(n - n1);
+        let reduced_sa = &mut head[..n1];
+        if names < n1 {
+            sais(&*reduced, reduced_sa, names);
         } else {
-            types[i + 1]
-        };
+            for (i, &name) in reduced.iter().enumerate() {
+                reduced_sa[name as usize] = i as u32;
+            }
+        }
+        let mut k = 0;
+        for i in 1..n {
+            if types.is_lms(i) {
+                reduced[k] = i as u32;
+                k += 1;
+            }
+        }
+        for slot in reduced_sa.iter_mut() {
+            *slot = reduced[*slot as usize];
+        }
     }
 
-    let is_lms = |i: usize, types: &[bool]| -> bool {
-        i > 0 && types[i] == S_TYPE && types[i - 1] == L_TYPE
-    };
-
-    // 2. Bucket sizes.
-    let mut bucket_sizes = vec![0u32; alphabet_size];
-    for &c in text {
-        bucket_sizes[c as usize] += 1;
+    // 5. Drop the sorted LMS suffixes at their buckets' tails, largest
+    //    first (each lands at or after its own slot, which is cleared
+    //    first), and induce the final order.
+    sa[n1..].fill(EMPTY);
+    bucket_tails(&counts, &mut bkt);
+    for i in (0..n1).rev() {
+        let p = sa[i];
+        sa[i] = EMPTY;
+        let c = text.at(p as usize);
+        bkt[c] -= 1;
+        sa[bkt[c] as usize] = p;
     }
-    let bucket_heads = |sizes: &[u32]| -> Vec<u32> {
-        let mut heads = vec![0u32; sizes.len()];
-        let mut sum = 0;
-        for (i, &s) in sizes.iter().enumerate() {
-            heads[i] = sum;
-            sum += s;
-        }
-        heads
-    };
-    let bucket_tails = |sizes: &[u32]| -> Vec<u32> {
-        let mut tails = vec![0u32; sizes.len()];
-        let mut sum = 0;
-        for (i, &s) in sizes.iter().enumerate() {
-            sum += s;
-            tails[i] = sum;
-        }
-        tails
-    };
+    induce(text, sa, &types, &counts, &mut bkt);
+}
 
-    const EMPTY: u32 = u32::MAX;
-
-    // Induced sort given positions of LMS suffixes (in any relative order
-    // placed at bucket tails).
-    let induce = |sa: &mut [u32], lms_positions: &[u32], types: &[bool]| {
-        for slot in sa.iter_mut() {
-            *slot = EMPTY;
+/// Induce the L-type suffixes left to right from the placed ones, then the
+/// S-type suffixes right to left.
+fn induce<T: Symbols + ?Sized>(
+    text: &T,
+    sa: &mut [u32],
+    types: &Types,
+    counts: &[u32],
+    bkt: &mut [u32],
+) {
+    bucket_heads(counts, bkt);
+    for i in 0..sa.len() {
+        let p = sa[i];
+        if p != EMPTY && p > 0 && !types.is_s(p as usize - 1) {
+            let c = text.at(p as usize - 1);
+            sa[bkt[c] as usize] = p - 1;
+            bkt[c] += 1;
         }
-        // Place LMS suffixes at the ends of their buckets, in the given order
-        // (reversed so that earlier entries end up closer to the tail).
-        let mut tails = bucket_tails(&bucket_sizes);
-        for &p in lms_positions.iter().rev() {
-            let c = text[p as usize] as usize;
-            tails[c] -= 1;
-            sa[tails[c] as usize] = p;
-        }
-        // Induce L-type suffixes left to right.
-        let mut heads = bucket_heads(&bucket_sizes);
-        for i in 0..n {
-            let p = sa[i];
-            if p == EMPTY || p == 0 {
-                continue;
-            }
-            let j = p as usize - 1;
-            if types[j] == L_TYPE {
-                let c = text[j] as usize;
-                sa[heads[c] as usize] = j as u32;
-                heads[c] += 1;
-            }
-        }
-        // Induce S-type suffixes right to left.
-        let mut tails = bucket_tails(&bucket_sizes);
-        for i in (0..n).rev() {
-            let p = sa[i];
-            if p == EMPTY || p == 0 {
-                continue;
-            }
-            let j = p as usize - 1;
-            if types[j] == S_TYPE {
-                let c = text[j] as usize;
-                tails[c] -= 1;
-                sa[tails[c] as usize] = j as u32;
-            }
-        }
-    };
-
-    // 3. Collect LMS positions in text order.
-    let lms_positions: Vec<u32> = (1..n)
-        .filter(|&i| is_lms(i, &types))
-        .map(|i| i as u32)
-        .collect();
-
-    // 4. First induced sort to order LMS substrings.
-    induce(sa, &lms_positions, &types);
-
-    // 5. Extract LMS suffixes in their induced order and name LMS substrings.
-    let sorted_lms: Vec<u32> = sa
-        .iter()
-        .copied()
-        .filter(|&p| p != EMPTY && is_lms(p as usize, &types))
-        .collect();
-
-    // Name each LMS substring; equal substrings get equal names.
-    let mut names = vec![EMPTY; n];
-    let mut current_name: u32 = 0;
-    let mut prev: Option<u32> = None;
-    let lms_substring_end = |start: usize, types: &[bool]| -> usize {
-        // The LMS substring runs from one LMS position to the next
-        // (inclusive); the final sentinel position is its own substring.
-        if start == n - 1 {
-            return n - 1;
-        }
-        let mut j = start + 1;
-        while j < n && !is_lms(j, types) {
-            j += 1;
-        }
-        j.min(n - 1)
-    };
-    for &p in &sorted_lms {
-        let p = p as usize;
-        let equal_to_prev = match prev {
-            None => false,
-            Some(q) => {
-                let q = q as usize;
-                let p_end = lms_substring_end(p, &types);
-                let q_end = lms_substring_end(q, &types);
-                p_end - p == q_end - q && text[p..=p_end] == text[q..=q_end]
-            }
-        };
-        if !equal_to_prev {
-            current_name += 1;
-        }
-        names[p] = current_name - 1;
-        prev = Some(p as u32);
     }
-
-    // 6. Build the reduced problem (names of LMS substrings in text order).
-    let reduced: Vec<u32> = lms_positions.iter().map(|&p| names[p as usize]).collect();
-    let reduced_alphabet = current_name as usize;
-
-    let lms_order: Vec<u32> = if reduced_alphabet == reduced.len() {
-        // All names distinct: order is directly derivable.
-        let mut order = vec![0u32; reduced.len()];
-        for (i, &name) in reduced.iter().enumerate() {
-            order[name as usize] = lms_positions[i];
+    bucket_tails(counts, bkt);
+    for i in (0..sa.len()).rev() {
+        let p = sa[i];
+        if p != EMPTY && p > 0 && types.is_s(p as usize - 1) {
+            let c = text.at(p as usize - 1);
+            bkt[c] -= 1;
+            sa[bkt[c] as usize] = p - 1;
         }
-        order
-    } else {
-        // Recurse on the reduced text.
-        let mut reduced_sa = vec![0u32; reduced.len()];
-        sais_u32(&reduced, &mut reduced_sa, reduced_alphabet);
-        reduced_sa
-            .iter()
-            .map(|&ri| lms_positions[ri as usize])
-            .collect()
-    };
+    }
+}
 
-    // 7. Final induced sort with correctly ordered LMS suffixes.
-    induce(sa, &lms_order, &types);
+/// Whether the LMS substrings starting at `p` and `q` (distinct LMS
+/// positions) are equal in symbols and types.  The unique sentinel ends
+/// every comparison before it can run past the text.
+fn same_lms_substring<T: Symbols + ?Sized>(text: &T, types: &Types, p: usize, q: usize) -> bool {
+    for d in 0.. {
+        if text.at(p + d) != text.at(q + d) || types.is_s(p + d) != types.is_s(q + d) {
+            return false;
+        }
+        if d > 0 && types.is_lms(p + d) {
+            return true;
+        }
+    }
+    unreachable!("the sentinel differs from every other symbol")
 }
 
 #[cfg(test)]
@@ -296,13 +378,31 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for len in [10usize, 50, 200, 500] {
-            for sigma in [2u8, 4, 20] {
-                let text: Vec<u8> = (0..len)
-                    .map(|_| (next() % sigma as u64) as u8 + 1)
-                    .collect();
+        // Codes 0..sigma, so the separator code 0 is drawn too; sigma runs
+        // up to MAX_CODE_COUNT.
+        let max_sigma = crate::MAX_CODE_COUNT as u64;
+        for len in [0usize, 1, 2, 3, 10, 50, 200, 500, 2_000] {
+            for sigma in [1u64, 2, 3, 4, 5, 20, 21, max_sigma] {
+                let text: Vec<u8> = (0..len).map(|_| (next() % sigma) as u8).collect();
                 check(&text);
             }
+        }
+        // Repetitive texts recurse deeply and name many LMS substrings
+        // equal: all-equal, short periods and the Fibonacci word.
+        for len in [7usize, 64, 333, 1_000] {
+            check(&vec![3u8; len]);
+            for period in [[1u8, 2].as_slice(), &[2, 1, 1], &[4, 1, 3, 1, 2, 0, 1]] {
+                let text: Vec<u8> = period.iter().copied().cycle().take(len).collect();
+                check(&text);
+            }
+            let mut fibonacci = vec![1u8];
+            let mut previous = vec![2u8];
+            while fibonacci.len() < len {
+                let next = [fibonacci.as_slice(), &previous].concat();
+                previous = std::mem::replace(&mut fibonacci, next);
+            }
+            fibonacci.truncate(len);
+            check(&fibonacci);
         }
     }
 

@@ -13,6 +13,11 @@
 //!    *hit-dense* workload creates no new slots (`slots_created() == 0`) —
 //!    all fork state is served from the free list.
 //!
+//! The same allocator also tracks live and peak heap bytes, which pins the
+//! index-build memory contract: `TextIndex::new` peaks at most
+//! [`BUILD_PEAK_BYTES_PER_CHAR`] heap bytes per character above what was
+//! live when it was called.
+//!
 //! The whole check lives in a single `#[test]` so no sibling test thread
 //! can contribute allocator traffic to the measured windows.
 //!
@@ -23,22 +28,34 @@
 
 use alae::bioseq::{Alphabet, ScoringScheme, Sequence, SequenceDatabase};
 use alae::core::{AlaeAligner, AlaeConfig, FilterToggles, ForkArena};
+use alae::suffix::TextIndex;
+use alae::workload::{generate_text, TextSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Counts every allocator entry point (alloc / realloc / alloc_zeroed);
 /// deallocations are not counted — releasing memory is allowed anywhere.
+/// It also tracks the bytes live and their high-water mark.
 struct CountingAllocator;
 
 static ALLOCATION_CALLS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-// SAFETY: every method forwards verbatim to `System` after bumping a
-// relaxed counter — the allocator upholds `GlobalAlloc`'s contract exactly
-// as far as `System` does, and the counter has no failure modes.
+/// Record `size` newly live bytes and raise the high-water mark.
+fn grow(size: usize) {
+    let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards verbatim to `System` after updating relaxed
+// counters — the allocator upholds `GlobalAlloc`'s contract exactly as far
+// as `System` does, and the counters have no failure modes.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: same contract as the wrapped `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATION_CALLS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: `layout` is forwarded unchanged from our caller, who
         // guarantees it is valid per the `GlobalAlloc` contract.
         unsafe { System.alloc(layout) }
@@ -46,6 +63,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: same contract as the wrapped `System.dealloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr`/`layout` come from our caller, who guarantees the
         // block was allocated by this allocator with this layout.
         unsafe { System.dealloc(ptr, layout) }
@@ -54,6 +72,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: same contract as the wrapped `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATION_CALLS.fetch_add(1, Ordering::Relaxed);
+        // Counted as the new block joining before the old one leaves, which
+        // is the worst case of a moving realloc.
+        grow(new_size);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: arguments forwarded unchanged under the caller's
         // `GlobalAlloc` obligations (live block, matching layout).
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -62,6 +84,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: same contract as the wrapped `System.alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATION_CALLS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: `layout` is forwarded unchanged from our caller.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -72,6 +95,20 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATION_CALLS.load(Ordering::Relaxed)
+}
+
+/// Most heap bytes per text character an index build may hold above what
+/// was live when it started: the 4-byte suffix array, the reversed text
+/// copy, the BWT and the SA-IS's type bits and bucket counters, with
+/// headroom.
+const BUILD_PEAK_BYTES_PER_CHAR: f64 = 10.0;
+
+/// Peak heap bytes `f` held above what was live when it was called.
+fn peak_heap_growth<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let entry = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(entry, Ordering::Relaxed);
+    let result = f();
+    (result, PEAK_BYTES.load(Ordering::Relaxed) - entry)
 }
 
 /// A deterministic pseudo-random DNA text.
@@ -164,4 +201,25 @@ fn warm_arena_alignments_do_not_allocate() {
     );
     assert!(second.stats.fork_slots_reused > 0);
     assert!(second.stats.arena_bytes > 0);
+
+    // ------------------------------------------------------------------
+    // Phase 3: the index-build memory contract.
+    //
+    // `TextIndex::new` builds the suffix array in place and drops it
+    // before the occurrence table is built.  The text is live before the
+    // window opens, so it is not counted.
+    // ------------------------------------------------------------------
+    for spec in [TextSpec::dna(200_000, 11), TextSpec::protein(200_000, 11)] {
+        let text = generate_text(&spec).into_codes();
+        let n = text.len();
+        let (index, peak) = peak_heap_growth(|| TextIndex::new(text, spec.alphabet.code_count()));
+        assert_eq!(index.len(), n);
+        let per_char = peak as f64 / n as f64;
+        assert!(
+            per_char <= BUILD_PEAK_BYTES_PER_CHAR,
+            "{:?} index build peaked at {per_char:.2} heap bytes per character \
+             (at most {BUILD_PEAK_BYTES_PER_CHAR} allowed)",
+            spec.alphabet
+        );
+    }
 }

@@ -46,6 +46,19 @@ impl Gen {
         (0..len).map(|_| (self.next() % 4) as u8 + 1).collect()
     }
 
+    /// A protein code sequence (codes `1..=20`) with record separators
+    /// (code 0) at about one position in twelve, length in `[lo, hi)`.
+    fn protein_records(&mut self, lo: usize, hi: usize) -> Vec<u8> {
+        let len = self.range(lo, hi);
+        let sigma = Alphabet::Protein.sigma() as u64;
+        (0..len)
+            .map(|_| match self.next() % 12 {
+                0 => 0,
+                _ => (self.next() % sigma) as u8 + 1,
+            })
+            .collect()
+    }
+
     /// A scoring scheme with the paper's sign conventions.
     fn scheme(&mut self) -> ScoringScheme {
         let sa = self.range(1, 3) as i64;
@@ -67,6 +80,15 @@ fn suffix_array_matches_naive() {
             suffix_array(&text),
             suffix_array_naive(&text),
             "case {case}"
+        );
+    }
+    let mut g = Gen::new(0x5eed_0011);
+    for case in 0..CASES {
+        let text = g.protein_records(0, 600);
+        assert_eq!(
+            suffix_array(&text),
+            suffix_array_naive(&text),
+            "protein case {case}"
         );
     }
 }

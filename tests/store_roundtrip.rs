@@ -122,10 +122,10 @@ fn open_matches_fresh_build_for_all_engines() {
 }
 
 /// Opening a saved index must not build a suffix array: the whole point of
-/// the file is paying the O(n log n) build once.  The SA build counter is
-/// process-global, so the test tolerates concurrent builds by other tests
-/// only in the negative direction it checks: the delta across `open` plus
-/// the searches it feeds must be zero when this test's own builds are done.
+/// the file is paying the O(n log n) build once.  The SA build counter
+/// counts the calling thread's builds only, so indexes that sibling tests
+/// build on other threads never move it: the delta across `open` plus the
+/// search it feeds must be zero.
 #[test]
 fn open_skips_the_suffix_array_build() {
     let (builder, built) = workload(Alphabet::Dna, 3_000, 0xbeef);
