@@ -700,6 +700,30 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The table slot and entry of section `id` in the file image `bytes`.
+    fn section_entry(bytes: &[u8], id: u32) -> (usize, TableEntry) {
+        let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        (0..sections)
+            .map(|k| HEADER_LEN + k * TABLE_ENTRY_LEN)
+            .find_map(|at| {
+                TableEntry::from_bytes(&bytes[at..at + TABLE_ENTRY_LEN])
+                    .filter(|entry| entry.id == id)
+                    .map(|entry| (at, entry))
+            })
+            .expect("section entry")
+    }
+
+    /// Re-stamp the checksum of the section at table `slot`, so that a
+    /// mutation of its payload reaches the decoders.
+    fn restamp(bytes: &mut [u8], slot: usize, entry: TableEntry) {
+        let payload = entry.offset as usize..(entry.offset + entry.len) as usize;
+        let stamped = TableEntry {
+            checksum: checksum(&bytes[payload]),
+            ..entry
+        };
+        bytes[slot..slot + TABLE_ENTRY_LEN].copy_from_slice(&stamped.to_bytes());
+    }
+
     #[test]
     fn retired_flat_checkpoint_kind_is_a_typed_corrupt_error() {
         // A checksum-valid file whose META claims a retired kind — the flat
@@ -710,15 +734,7 @@ mod tests {
         let database = sample_database();
         save_index(&path, &database, &build_index(&database)).unwrap();
         let pristine = std::fs::read(&path).unwrap();
-        let sections = u32::from_le_bytes(pristine[12..16].try_into().unwrap()) as usize;
-        let slot = (0..sections)
-            .map(|k| HEADER_LEN + k * TABLE_ENTRY_LEN)
-            .find(|&at| {
-                TableEntry::from_bytes(&pristine[at..at + TABLE_ENTRY_LEN])
-                    .is_some_and(|entry| entry.id == section::META)
-            })
-            .expect("META entry");
-        let entry = TableEntry::from_bytes(&pristine[slot..slot + TABLE_ENTRY_LEN]).unwrap();
+        let (slot, entry) = section_entry(&pristine, section::META);
         let payload = entry.offset as usize..(entry.offset + entry.len) as usize;
         let meta = Meta::from_bytes(&pristine[payload.clone()]).unwrap();
         assert_eq!(meta.checkpoint_kind, checkpoint_kind::TWO_LEVEL);
@@ -741,12 +757,7 @@ mod tests {
         ] {
             let mut bytes = pristine.clone();
             bytes[payload.clone()].copy_from_slice(&retired.to_bytes());
-            // Re-stamp the checksum so the mutation reaches the META decoder.
-            let stamped = TableEntry {
-                checksum: checksum(&bytes[payload.clone()]),
-                ..entry
-            };
-            bytes[slot..slot + TABLE_ENTRY_LEN].copy_from_slice(&stamped.to_bytes());
+            restamp(&mut bytes, slot, entry);
             std::fs::write(&path, &bytes).unwrap();
             let opened = open_index(&path);
             assert!(
@@ -755,6 +766,34 @@ mod tests {
                 opened.err()
             );
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_bwt_byte_is_a_typed_corrupt_error() {
+        // A checksum-valid protein file with one BWT byte at or above the
+        // shifted code count must be refused at open: every rank scan
+        // indexes a code-count-sized row by that byte, so the first query
+        // would panic.
+        let path = temp_path("bwt-byte-range");
+        let database = SequenceDatabase::from_sequences(
+            Alphabet::Protein,
+            [Sequence::from_ascii(Alphabet::Protein, b"MKTAYIAKQRQISFVKSHFSRQLEERLG").unwrap()],
+        );
+        let index = build_index(&database);
+        assert_eq!(index.rank_layout(), RankLayout::Bytes);
+        save_index(&path, &database, &index).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&bytes, section::OCC_BYTES);
+        bytes[entry.offset as usize + 3] = 0xFF;
+        restamp(&mut bytes, slot, entry);
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = open_index(&path);
+        assert!(
+            matches!(&opened, Err(StoreError::Corrupt(why)) if why.contains("code 255")),
+            "{:?}",
+            opened.err()
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

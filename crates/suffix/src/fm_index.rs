@@ -6,11 +6,15 @@
 //! Internally every code is shifted up by one so that code 0 can serve as the
 //! unique sentinel appended during suffix-array construction; callers never
 //! see the shift.
+//!
+//! A build's one large buffer is the suffix array.  It is sampled, then
+//! overwritten with the shifted BWT (four rows per `u32`) and shrunk to the
+//! BWT's size before the occurrence table is built from it, so no second
+//! buffer of `n` bytes is ever live next to the full array.
 
 use crate::bitvec::RankBitVec;
-use crate::bwt::bwt_from_sa;
 use crate::rank::{OccTable, RankLayout, ScanSnapshot};
-use crate::sais::suffix_array;
+use crate::sais::{suffix_array_of, Reversed, Shifted, Symbols};
 
 /// Largest caller-visible code count an index supports; keeps the
 /// [`FmIndex::extend_all`] scratch buffers on the stack.
@@ -69,49 +73,43 @@ pub struct FmIndex {
 impl FmIndex {
     /// Build an FM-index for `text`, whose codes must all be `< code_count`.
     pub fn new(text: &[u8], code_count: usize) -> Self {
+        debug_assert!(text.iter().all(|&c| (c as usize) < code_count));
+        Self::build(&Shifted(text), code_count)
+    }
+
+    /// Build the FM-index of `text` reversed (what [`crate::TextIndex`]
+    /// searches), reading `text` backwards instead of copying it.
+    pub(crate) fn new_reversed(text: &[u8], code_count: usize) -> Self {
+        debug_assert!(text.iter().all(|&c| (c as usize) < code_count));
+        Self::build(&Reversed(text), code_count)
+    }
+
+    /// Build over `text` read as shifted codes (`code + 1`, sentinel 0).
+    fn build<T: Symbols>(text: &T, code_count: usize) -> Self {
         assert!(code_count >= 1);
         assert!(
             code_count <= MAX_CODE_COUNT,
             "code_count {code_count} exceeds MAX_CODE_COUNT {MAX_CODE_COUNT}"
         );
-        debug_assert!(text.iter().all(|&c| (c as usize) < code_count));
 
-        // The suffix array is the build's one large buffer: sample it and
-        // read the BWT off it, then drop it before the occurrence table is
-        // built.
-        let sa = suffix_array(text);
+        // The suffix array is the build's one large buffer: sample it, then
+        // overwrite it with the BWT.  The sentinel is shifted code 0; caller
+        // code 0 (record separators) is shifted to 1, so it stays unique.
+        let sa = suffix_array_of(text);
         let (sampled_rows, samples) = sample_suffix_array(&sa, SA_SAMPLE_RATE);
-        let transform = bwt_from_sa(text, &sa);
-        drop(sa);
-        // Shift every code up by one; the sentinel entry stays 0.
         let shifted_code_count = code_count + 1;
-        let mut shifted_bwt = transform.data;
-        for (row, b) in shifted_bwt.iter_mut().enumerate() {
-            if row != transform.sentinel_row {
-                *b += 1;
-            }
-        }
-        // Note: the sentinel entry equals 0 already; positions holding
-        // caller code 0 (record separators) become 1 after the shift, so the
-        // sentinel remains unique.
-
-        // C array over shifted codes (counted before the BWT moves into the
-        // occurrence table, so the table's scan counters stay at zero until
-        // the first real query).
-        let mut counts = vec![0u32; shifted_code_count];
-        for &c in &shifted_bwt {
-            counts[c as usize] += 1;
-        }
+        let mut counts = vec![0usize; shifted_code_count];
+        let shifted_bwt = shifted_bwt_in_place(text, sa, &mut counts);
         let occ = OccTable::new(shifted_bwt, shifted_code_count);
         let mut c_array = vec![0usize; shifted_code_count];
         let mut running = 0usize;
         for c in 1..shifted_code_count {
-            running += counts[c - 1] as usize;
+            running += counts[c - 1];
             c_array[c] = running;
         }
 
         Self {
-            text_len: text.len(),
+            text_len: text.len() - 1,
             code_count,
             occ,
             c_array,
@@ -389,9 +387,38 @@ fn sample_suffix_array(sa: &[u32], rate: usize) -> (RankBitVec, Vec<u32>) {
     (RankBitVec::from_words(sa.len(), words), samples)
 }
 
+/// Overwrite `sa` with the BWT of `text` (byte `text.at(p − 1)` for the
+/// suffix at `p`, 0 for the suffix at 0), four rows per `u32`, and return
+/// it as bytes; `counts[c]` gains the occurrences of each code `c`.
+///
+/// Word k holds rows 4k..4k+3 and goes into slot k once row 4k+3 has been
+/// read; slot k's own row (k ≤ 4k) was read before that.  The vector then
+/// shrinks to its first ⌈rows / 4⌉ words before the bytes are copied out,
+/// so no second row-sized buffer is live next to the full suffix array.
+fn shifted_bwt_in_place<T: Symbols>(text: &T, mut sa: Vec<u32>, counts: &mut [usize]) -> Vec<u8> {
+    let rows = sa.len();
+    let mut word = 0u32;
+    for row in 0..rows {
+        let p = sa[row] as usize;
+        let code = if p == 0 { 0 } else { text.at(p - 1) };
+        counts[code] += 1;
+        word |= (code as u32) << (8 * (row % 4));
+        if row % 4 == 3 || row + 1 == rows {
+            sa[row / 4] = word;
+            word = 0;
+        }
+    }
+    sa.truncate(rows.div_ceil(4));
+    sa.shrink_to_fit();
+    let mut bwt = Vec::with_capacity(rows);
+    bwt.extend(sa.iter().flat_map(|word| word.to_le_bytes()).take(rows));
+    bwt
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sais::suffix_array;
 
     fn naive_occurrences(text: &[u8], pattern: &[u8]) -> Vec<usize> {
         if pattern.is_empty() || pattern.len() > text.len() {

@@ -707,11 +707,11 @@ impl OccTable {
         }
     }
 
-    /// Reassemble a table from serialized parts without rescanning the data
+    /// Reassemble a table from serialized parts without recounting the data
     /// (the `alae-store` open path).  Derived quantities — the dense base,
     /// the per-block exception offsets — are reconstructed; the checkpoint
     /// rows are validated for shape (content integrity is the store's
-    /// per-section checksums' job).
+    /// per-section checksums' job) and every stored code for range.
     pub fn from_parts(
         len: usize,
         code_count: usize,
@@ -745,6 +745,12 @@ impl OccTable {
                     return Err(format!(
                         "byte storage holds {} bytes, expected {len}",
                         data.len()
+                    ));
+                }
+                // Every scan indexes a code_count-sized row by the byte.
+                if let Some(&top) = data.iter().max().filter(|&&top| top as usize >= code_count) {
+                    return Err(format!(
+                        "byte storage holds code {top}, not below the code count {code_count}"
                     ));
                 }
                 OccStorage::Bytes(data)

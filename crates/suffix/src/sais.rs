@@ -11,10 +11,14 @@
 //! # Layout
 //!
 //! Apart from the returned array, a build allocates only bit vectors and
-//! bucket counters:
+//! the bucket counters that do not fit inside that array:
 //!
 //! * The byte text is never copied.  An accessor reads each code as
-//!   `code + 1` and yields the implicit sentinel 0 at position `n`.
+//!   `code + 1` and yields the implicit sentinel 0 at position `n`, in
+//!   either direction: [`suffix_array`] reads the text forwards and
+//!   [`reversed_suffix_array`] backwards (position `i < n` holds
+//!   `text[n − 1 − i]`).  Both run the one generic SA-IS, and the FM-index
+//!   of [`crate::TextIndex`] is built over the reversed text this way.
 //! * S/L types are one bit per position, under `n / 4` bytes over all
 //!   recursion levels.
 //! * The names of the sorted LMS substrings go into the upper half of the
@@ -22,15 +26,22 @@
 //!   apart, so `n1 ≤ n / 2` and the slots never collide.  The names are then
 //!   compacted to `sa[n − n1..]`, and the reduced problem recurses on that
 //!   slice with its suffix array in `sa[..n1]`.
-//! * Bucket sizes are counted once per level into one σ-sized `u32` buffer,
-//!   and every induce pass derives its heads or tails from them into a
-//!   second.  σ is 257 at the top and, at a reduced level, the number of
-//!   distinct LMS substrings of the level above.
+//! * Bucket sizes are counted once per level into one σ-sized `u32` array
+//!   (`counts`), and every induce pass derives its heads or tails from them
+//!   into a second (`bkt`).  σ is 257 at the top, where both live on the
+//!   heap.  At a reduced level σ′ is the number of distinct LMS substrings
+//!   of the level above, and the arrays go into that level's free middle
+//!   `sa[n1 .. n − n1]`, which nothing reads while the reduced level runs
+//!   (Nong's SACA-K and Mori's sais-lite do the same): both when `2σ′` slots
+//!   fit there, only `bkt` when `σ′` fit, and neither otherwise.
 //!
-//! The reduced levels' bucket buffers dominate that scratch.  On reversed
-//! `TextSpec::dna(600_000, _)` and `TextSpec::protein(300_000, _)` texts
-//! (`alae-workload`) a build peaks at 1.2 and 2.6 heap bytes per character
-//! above the returned array.
+//! On the reversed `TextSpec::dna(600_000, _)` and
+//! `TextSpec::protein(300_000, _)` texts (`alae-workload`), the first
+//! reduced level keeps both arrays in the middle and the deeper ones keep
+//! `bkt` there.  A build then peaks at 0.64 and 0.74 heap bytes per
+//! character above the returned array (1.15 and 2.56 with every bucket
+//! array on the heap): the type bits, and the `counts` of the deeper levels,
+//! where nearly every LMS substring is distinct so `2σ′` does not fit.
 
 use std::cell::Cell;
 
@@ -58,13 +69,24 @@ pub fn suffix_array_build_count() -> u64 {
 /// position (0-based) of the i-th lexicographically smallest suffix,
 /// `sa[0] == text.len()` is the empty suffix.
 pub fn suffix_array(text: &[u8]) -> Vec<u32> {
+    suffix_array_of(&Shifted(text))
+}
+
+/// Build the suffix array of `reverse(text) ⊕ $` without reversing `text`:
+/// the same array [`suffix_array`] returns for a reversed copy.
+pub fn reversed_suffix_array(text: &[u8]) -> Vec<u32> {
+    suffix_array_of(&Reversed(text))
+}
+
+/// The suffix array of `text`, whose last symbol is its unique smallest.
+pub(crate) fn suffix_array_of<T: Symbols + ?Sized>(text: &T) -> Vec<u32> {
     assert!(
-        text.len() < u32::MAX as usize - 2,
+        text.len() < u32::MAX as usize - 1,
         "text too long for u32 suffix array"
     );
     SA_BUILDS.with(|builds| builds.set(builds.get() + 1));
-    let mut sa = vec![0u32; text.len() + 1];
-    sais(&Shifted(text), &mut sa, 257);
+    let mut sa = vec![0u32; text.len()];
+    sais(text, &mut sa, 257, &mut []);
     sa
 }
 
@@ -82,7 +104,7 @@ pub fn suffix_array_naive(text: &[u8]) -> Vec<u32> {
 }
 
 /// A text whose last symbol is its unique smallest, 0.
-trait Symbols {
+pub(crate) trait Symbols {
     /// Number of symbols, the final 0 included.
     fn len(&self) -> usize;
     /// Symbol at position `i < len()`.
@@ -91,7 +113,7 @@ trait Symbols {
 
 /// The caller's bytes read as `code + 1`, followed by the implicit
 /// sentinel 0.
-struct Shifted<'a>(&'a [u8]);
+pub(crate) struct Shifted<'a>(pub(crate) &'a [u8]);
 
 impl Symbols for Shifted<'_> {
     #[inline]
@@ -102,6 +124,25 @@ impl Symbols for Shifted<'_> {
     #[inline]
     fn at(&self, i: usize) -> usize {
         self.0.get(i).map_or(0, |&code| code as usize + 1)
+    }
+}
+
+/// The caller's bytes read from the last to the first as `code + 1`,
+/// followed by the implicit sentinel 0: the reversed text, uncopied.
+pub(crate) struct Reversed<'a>(pub(crate) &'a [u8]);
+
+impl Symbols for Reversed<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.0.len() + 1
+    }
+
+    #[inline]
+    fn at(&self, i: usize) -> usize {
+        match self.0.len().checked_sub(i + 1) {
+            Some(j) => self.0[j] as usize + 1,
+            None => 0,
+        }
     }
 }
 
@@ -175,10 +216,32 @@ fn bucket_tails(counts: &[u32], bkt: &mut [u32]) {
     }
 }
 
+/// The two σ-sized bucket arrays of one level, `(counts, bkt)`, placed in
+/// `free` when they fit and on the heap (`spill`) otherwise.  `bkt` is
+/// rewritten before every use; `counts` comes back zeroed.
+fn bucket_arrays<'a>(
+    sigma: usize,
+    free: &'a mut [u32],
+    spill: &'a mut Vec<u32>,
+) -> (&'a mut [u32], &'a mut [u32]) {
+    if 2 * sigma <= free.len() {
+        let (counts, rest) = free.split_at_mut(sigma);
+        counts.fill(0);
+        (counts, &mut rest[..sigma])
+    } else if sigma <= free.len() {
+        spill.resize(sigma, 0);
+        (spill.as_mut_slice(), &mut free[..sigma])
+    } else {
+        spill.resize(2 * sigma, 0);
+        spill.split_at_mut(sigma)
+    }
+}
+
 /// Core SA-IS: fill `sa` (of `text.len()` slots) with the suffix array of
 /// `text`, whose symbols are `< sigma` and whose last symbol is the unique
-/// smallest, 0.
-fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize) {
+/// smallest, 0.  `free` is scratch the caller does not read until this
+/// returns; the level keeps its bucket arrays there when they fit.
+fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize, free: &mut [u32]) {
     let n = text.len();
     debug_assert_eq!(sa.len(), n);
     if n == 1 {
@@ -186,16 +249,16 @@ fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize) {
         return;
     }
     let types = Types::classify(text);
-    let mut counts = vec![0u32; sigma];
+    let mut spill = Vec::new();
+    let (counts, bkt) = bucket_arrays(sigma, free, &mut spill);
     for i in 0..n {
         counts[text.at(i)] += 1;
     }
-    let mut bkt = vec![0u32; sigma];
 
     // 1. Sort the LMS substrings: drop every LMS position at its bucket's
     //    tail, in any order, and induce.
     sa.fill(EMPTY);
-    bucket_tails(&counts, &mut bkt);
+    bucket_tails(counts, bkt);
     for i in 1..n {
         if types.is_lms(i) {
             let c = text.at(i);
@@ -203,7 +266,7 @@ fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize) {
             sa[bkt[c] as usize] = i as u32;
         }
     }
-    induce(text, sa, &types, &counts, &mut bkt);
+    induce(text, sa, &types, counts, bkt);
 
     // 2. Compact the sorted LMS positions into `sa[..n1]` (every slot is
     //    filled after an induce), then name them: equal LMS substrings get
@@ -240,11 +303,13 @@ fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize) {
     // 4. Sort the reduced suffixes into `sa[..n1]`, recursing when two LMS
     //    substrings share a name, then map them back to LMS positions by
     //    overwriting the reduced text with those positions in text order.
+    //    The recursion may keep its buckets in `sa[n1..n − n1]`, which
+    //    nothing reads until step 5.
     {
         let (head, reduced) = sa.split_at_mut(n - n1);
-        let reduced_sa = &mut head[..n1];
+        let (reduced_sa, middle) = head.split_at_mut(n1);
         if names < n1 {
-            sais(&*reduced, reduced_sa, names);
+            sais(&*reduced, reduced_sa, names, middle);
         } else {
             for (i, &name) in reduced.iter().enumerate() {
                 reduced_sa[name as usize] = i as u32;
@@ -266,7 +331,7 @@ fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize) {
     //    first (each lands at or after its own slot, which is cleared
     //    first), and induce the final order.
     sa[n1..].fill(EMPTY);
-    bucket_tails(&counts, &mut bkt);
+    bucket_tails(counts, bkt);
     for i in (0..n1).rev() {
         let p = sa[i];
         sa[i] = EMPTY;
@@ -274,7 +339,7 @@ fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize) {
         bkt[c] -= 1;
         sa[bkt[c] as usize] = p;
     }
-    induce(text, sa, &types, &counts, &mut bkt);
+    induce(text, sa, &types, counts, bkt);
 }
 
 /// Induce the L-type suffixes left to right from the placed ones, then the
@@ -325,10 +390,19 @@ fn same_lms_substring<T: Symbols + ?Sized>(text: &T, types: &Types, p: usize, q:
 mod tests {
     use super::*;
 
+    /// Both accessors against the naive order: the forward text, and the
+    /// text read backwards against its reversed copy.
     fn check(text: &[u8]) {
         let fast = suffix_array(text);
         let naive = suffix_array_naive(text);
         assert_eq!(fast, naive, "mismatch for text {:?}", text);
+        let reversed: Vec<u8> = text.iter().rev().copied().collect();
+        assert_eq!(
+            reversed_suffix_array(text),
+            suffix_array_naive(&reversed),
+            "reversed mismatch for text {:?}",
+            text
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! step.  An FM-index extends patterns by *prepending* characters, so —
 //! exactly as the paper describes — the index is built over the reversed
 //! text `T⁻¹`: prepending `c` to `X⁻¹` is the same as appending `c` to `X`.
+//! The build reads `T` backwards; no reversed copy is made.
 //!
 //! [`TextIndex`] owns the forward text and the reversed-text FM-index;
 //! [`SuffixTrieCursor`] is a lightweight (range, depth) pair representing a
@@ -137,8 +138,7 @@ impl TextIndex {
     /// scheme-agnostic.
     pub fn new(text: impl Into<SharedBytes>, code_count: usize) -> Self {
         let text = text.into();
-        let reversed: Vec<u8> = text.iter().rev().copied().collect();
-        let fm_reverse = FmIndex::new(&reversed, code_count);
+        let fm_reverse = FmIndex::new_reversed(&text, code_count);
         Self {
             text,
             code_count,

@@ -13,7 +13,7 @@ use alae::bwtsw::{BwtswAligner, BwtswConfig};
 use alae::core::{AlaeAligner, AlaeConfig, FilterToggles, QGramIndex};
 use alae::search::{IndexedDatabase, SearchRequest, Searcher};
 use alae::suffix::rank::OccTable;
-use alae::suffix::sais::{suffix_array, suffix_array_naive};
+use alae::suffix::sais::{reversed_suffix_array, suffix_array, suffix_array_naive};
 use alae::suffix::{CheckpointRows, ChildBuf, RankLayout, StorageData, TextIndex};
 
 mod common;
@@ -71,25 +71,29 @@ impl Gen {
 
 const CASES: usize = 48;
 
+/// Both suffix-array accessors against the naive order: the forward text,
+/// and the text read backwards against its reversed copy.
+fn assert_suffix_arrays_match_naive(text: &[u8], case: &str) {
+    assert_eq!(suffix_array(text), suffix_array_naive(text), "{case}");
+    let reversed: Vec<u8> = text.iter().rev().copied().collect();
+    assert_eq!(
+        reversed_suffix_array(text),
+        suffix_array_naive(&reversed),
+        "{case} reversed"
+    );
+}
+
 #[test]
 fn suffix_array_matches_naive() {
     let mut g = Gen::new(0x5eed_0001);
     for case in 0..CASES {
         let text = g.dna(0, 200);
-        assert_eq!(
-            suffix_array(&text),
-            suffix_array_naive(&text),
-            "case {case}"
-        );
+        assert_suffix_arrays_match_naive(&text, &format!("case {case}"));
     }
     let mut g = Gen::new(0x5eed_0011);
     for case in 0..CASES {
         let text = g.protein_records(0, 600);
-        assert_eq!(
-            suffix_array(&text),
-            suffix_array_naive(&text),
-            "protein case {case}"
-        );
+        assert_suffix_arrays_match_naive(&text, &format!("protein case {case}"));
     }
 }
 
