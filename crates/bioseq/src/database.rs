@@ -273,18 +273,22 @@ impl SequenceDatabase {
     }
 
     /// Shared lookup: record index and 0-based in-record offset.
+    ///
+    /// Answered from the record table alone, so resolving a hit never reads
+    /// (or, for an opened index, faults in) the text: a position at or past
+    /// its record's length is the separator after that record.
     fn locate_raw(&self, position: usize) -> Option<(usize, usize)> {
-        if position >= self.text.len() || self.text[position] == SEPARATOR_CODE {
+        if position >= self.text.len() {
             return None;
         }
-        // Binary search for the record whose span contains `position`.
+        // Binary search for the last record starting at or before `position`.
         let record = match self.starts.binary_search(&position) {
             Ok(idx) => idx,
+            Err(0) => return None,
             Err(idx) => idx - 1,
         };
         let offset = position - self.starts[record];
-        debug_assert!(offset < self.lengths[record]);
-        Some((record, offset))
+        (offset < self.lengths[record]).then_some((record, offset))
     }
 
     /// Decode the concatenated text back to ASCII (separators become `$`).
@@ -378,6 +382,62 @@ mod tests {
         assert_eq!(db.locate_range(3, 5), None);
         assert_eq!(db.locate_range(5, 3), None);
         assert_eq!(db.locate_range(7, 8), None);
+
+        // Every span of a three-record database, separators and the end of
+        // the text included, against a reference that reads the bytes.
+        let db = SequenceDatabase::from_sequences(
+            Alphabet::Dna,
+            [
+                Sequence::from_ascii_named(Alphabet::Dna, "a", b"ACG").unwrap(),
+                Sequence::from_ascii_named(Alphabet::Dna, "b", b"T").unwrap(),
+                Sequence::from_ascii_named(Alphabet::Dna, "c", b"GGCA").unwrap(),
+            ],
+        );
+        assert_eq!(db.to_ascii(), "ACG$T$GGCA");
+        let by_bytes = |position: usize| -> Option<(usize, usize)> {
+            if *db.text().get(position)? == SEPARATOR_CODE {
+                return None;
+            }
+            let before = &db.text()[..position];
+            let record = before
+                .iter()
+                .filter(|&&code| code == SEPARATOR_CODE)
+                .count();
+            let first = before
+                .iter()
+                .rposition(|&code| code == SEPARATOR_CODE)
+                .map_or(0, |separator| separator + 1);
+            Some((record, position - first))
+        };
+        let n = db.text_len();
+        for start in 0..=n + 1 {
+            for end in 0..=n + 1 {
+                let expected = match (by_bytes(start), by_bytes(end)) {
+                    (Some((record, first)), Some((end_record, last)))
+                        if start <= end && record == end_record =>
+                    {
+                        Some(RecordSpan {
+                            record,
+                            name: db.record_names()[record].clone(),
+                            start: first + 1,
+                            end: last + 1,
+                        })
+                    }
+                    _ => None,
+                };
+                assert_eq!(
+                    db.locate_range(start, end),
+                    expected,
+                    "span {start}..={end}"
+                );
+            }
+            let expected = by_bytes(start).map(|(record, offset)| RecordLocation {
+                record,
+                name: db.record_names()[record].clone(),
+                offset: offset + 1,
+            });
+            assert_eq!(db.locate(start), expected, "position {start}");
+        }
     }
 
     #[test]

@@ -168,7 +168,9 @@ fn default_config() -> AlaeConfig {
 /// interesting scale.  An opened index is complete: no query after an
 /// open (or a server reload) builds anything over the text.  It also
 /// reports the build's memory: `VmHWM` after the build minus `VmRSS` before
-/// it, absent where `/proc/self/status` does not exist.  Prints a small
+/// it, absent where `/proc/self/status` does not exist; and how much of
+/// the index file is resident right after open: the `Rss:` of its mapping,
+/// absent where `/proc/self/smaps` does not exist or shows no mapping.  Prints a small
 /// machine-greppable summary; the CI store leg captures it as the timing
 /// artifact.
 fn store_timing(options: &ExperimentOptions) {
@@ -204,6 +206,7 @@ fn store_timing(options: &ExperimentOptions) {
     let open_started = Instant::now();
     let opened = IndexedDatabase::open(&path).expect("open index");
     let open = open_started.elapsed();
+    let open_mapped = mapped_resident_bytes(&path);
     assert_eq!(opened.text_len(), fresh.text_len());
     match keep {
         Some(kept) => println!("  kept index at:   {}", kept.display()),
@@ -215,6 +218,7 @@ fn store_timing(options: &ExperimentOptions) {
     let speedup = build.as_secs_f64() / open.as_secs_f64().max(1e-9);
     let peak_mib = build_peak.map(|bytes| bytes as f64 / (1024.0 * 1024.0));
     let bytes_per_char = build_peak.map(|bytes| bytes as f64 / n.max(1) as f64);
+    let mapped_per_char = open_mapped.map(|bytes| bytes as f64 / n.max(1) as f64);
     let fixed = |value: Option<f64>, absent: &str| {
         value.map_or_else(|| absent.to_string(), |value| format!("{value:.3}"))
     };
@@ -228,16 +232,22 @@ fn store_timing(options: &ExperimentOptions) {
     );
     println!("  save_seconds:    {:.4}", save.as_secs_f64());
     println!("  open_seconds:    {:.6}", open.as_secs_f64());
+    println!(
+        "  open_mapped_bytes_per_char: {}",
+        fixed(mapped_per_char, "absent")
+    );
     println!("  open_speedup:    {speedup:.0}x (rebuild / open)");
     println!(
         "{{\"experiment\": \"store\", \"text_len\": {n}, \"file_bytes\": {file_bytes}, \
          \"build_seconds\": {:.6}, \"build_peak_rss_mib\": {}, \"build_bytes_per_char\": {}, \
-         \"save_seconds\": {:.6}, \"open_seconds\": {:.6}, \"open_speedup\": {:.1}}}",
+         \"save_seconds\": {:.6}, \"open_seconds\": {:.6}, \"open_mapped_bytes_per_char\": {}, \
+         \"open_speedup\": {:.1}}}",
         build.as_secs_f64(),
         fixed(peak_mib, "null"),
         fixed(bytes_per_char, "null"),
         save.as_secs_f64(),
         open.as_secs_f64(),
+        fixed(mapped_per_char, "null"),
         speedup,
     );
 }
@@ -251,6 +261,31 @@ fn proc_status_bytes(field: &str) -> Option<u64> {
         let kib: u64 = kib.trim().strip_suffix("kB")?.trim().parse().ok()?;
         Some(kib * 1024)
     })
+}
+
+/// The `Rss:` of this process's mappings of `path`, summed over
+/// `/proc/self/smaps`, in bytes; `None` where that file does not exist or
+/// shows no mapping of `path`.
+fn mapped_resident_bytes(path: &std::path::Path) -> Option<u64> {
+    let suffix = format!(" {}", std::fs::canonicalize(path).ok()?.display());
+    let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+    let mut in_file = false;
+    let mut mapped = false;
+    let mut kib = 0;
+    for line in smaps.lines() {
+        // A mapping's header line starts with its address range and ends
+        // with its path; the field lines under it start with `Name:`.
+        let Some(first) = line.split_whitespace().next() else {
+            continue;
+        };
+        if !first.ends_with(':') {
+            in_file = line.ends_with(&suffix);
+            mapped |= in_file;
+        } else if let Some(rss) = line.strip_prefix("Rss:").filter(|_| in_file) {
+            kib += rss.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()?;
+        }
+    }
+    mapped.then_some(kib * 1024)
 }
 
 /// Table 2: alignment time and number of results when varying the query

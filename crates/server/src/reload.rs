@@ -85,8 +85,8 @@ pub struct ReloadSummary {
 /// Verify, open and publish the index at `path`.  On any error the
 /// serving epoch is untouched — a torn or mismatched file is rejected by
 /// the pre-flight ([`alae::store::verify_index`] checks the magic,
-/// version and every section checksum) before the expensive open even
-/// starts, and the open itself re-validates everything.
+/// version, every section checksum and every text byte) before the open
+/// builds anything, and the open itself re-validates everything.
 pub(crate) fn reload_index(shared: &Shared, path: &Path) -> Result<ReloadSummary, String> {
     let started = Instant::now();
     let summary = match alae::store::verify_index(path) {

@@ -15,10 +15,11 @@
 //! Every payload is little-endian and covered by an FNV-1a 64 checksum
 //! recorded in its table entry; readers verify all checksums before
 //! trusting a byte.  Multi-byte integer sections are plain dense arrays
-//! (`u16`/`u32`/`u64`), decoded into owned vectors on open.  The two `u8`
-//! sections that dominate the file — the concatenated text and the
-//! byte-layout BWT storage — are *not* decoded: the reader hands out
-//! zero-copy views of the mapped file.
+//! (`u16`/`u32`/`u64`), decoded into owned vectors as open reads them.
+//! The two `u8` sections that dominate the file — the concatenated text
+//! and the byte-layout BWT storage — are *not* decoded: the reader checks
+//! them as it reads them and then hands out zero-copy views of the mapped
+//! file.
 
 /// File magic.
 pub const MAGIC: [u8; 8] = *b"ALAEIDX\0";
@@ -128,7 +129,11 @@ impl Meta {
 
     /// Parse from the section payload.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let fields = decode_u64s(bytes)?;
+        Self::from_fields(&decode(bytes)?)
+    }
+
+    /// Parse from the payload's decoded `u64` fields.
+    pub fn from_fields(fields: &[u64]) -> Option<Self> {
         if fields.len() != Self::FIELDS {
             return None;
         }
@@ -183,14 +188,39 @@ impl TableEntry {
 /// FNV-1a 64-bit checksum (dependency-free; not cryptographic — this guards
 /// against truncation and bit rot, not tampering).
 pub fn checksum(bytes: &[u8]) -> u64 {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET_BASIS;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
+    let mut hash = Fnv1a::default();
+    hash.update(bytes);
+    hash.finish()
+}
+
+/// [`checksum`] fed in pieces: over any split of the same bytes it
+/// finishes with the same value.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// Hash the next piece.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut hash = self.0;
+        for &b in bytes {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(Self::PRIME);
+        }
+        self.0 = hash;
+    }
+
+    /// The checksum of everything hashed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -230,45 +260,62 @@ pub fn encode_usizes(values: &[usize]) -> Vec<u8> {
     out
 }
 
-pub fn decode_u16s(bytes: &[u8]) -> Option<Vec<u16>> {
-    if !bytes.len().is_multiple_of(2) {
-        return None;
-    }
-    Some(
-        bytes
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes([c[0], c[1]]))
-            .collect(),
-    )
+/// A fixed-width little-endian integer that a section stores densely.
+pub trait Word: Sized {
+    /// Bytes per element.
+    const WIDTH: usize;
+    /// Decode one element from exactly `WIDTH` bytes.
+    fn from_le(bytes: &[u8]) -> Self;
 }
 
-pub fn decode_u32s(bytes: &[u8]) -> Option<Vec<u32>> {
-    if !bytes.len().is_multiple_of(4) {
-        return None;
+impl Word for u8 {
+    const WIDTH: usize = 1;
+    fn from_le(bytes: &[u8]) -> Self {
+        bytes[0]
     }
-    Some(
-        bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect(),
-    )
 }
 
-pub fn decode_u64s(bytes: &[u8]) -> Option<Vec<u64>> {
-    if !bytes.len().is_multiple_of(8) {
-        return None;
+impl Word for u16 {
+    const WIDTH: usize = 2;
+    fn from_le(bytes: &[u8]) -> Self {
+        u16::from_le_bytes([bytes[0], bytes[1]])
     }
-    Some(
-        bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect(),
-    )
 }
 
-/// Decode a `u64` section into `usize`s, refusing values that overflow.
-pub fn decode_usizes(bytes: &[u8]) -> Option<Vec<usize>> {
-    decode_u64s(bytes)?
+impl Word for u32 {
+    const WIDTH: usize = 4;
+    fn from_le(bytes: &[u8]) -> Self {
+        u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
+    }
+}
+
+impl Word for u64 {
+    const WIDTH: usize = 8;
+    fn from_le(bytes: &[u8]) -> Self {
+        u64::from_le_bytes([
+            bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
+        ])
+    }
+}
+
+/// Append the elements of `bytes`, a whole number of them, to `out`.
+pub fn decode_into<W: Word>(bytes: &[u8], out: &mut Vec<W>) {
+    out.extend(bytes.chunks_exact(W::WIDTH).map(W::from_le));
+}
+
+/// Decode a whole payload, refusing a ragged length.
+pub fn decode<W: Word>(bytes: &[u8]) -> Option<Vec<W>> {
+    if !bytes.len().is_multiple_of(W::WIDTH) {
+        return None;
+    }
+    let mut out = Vec::with_capacity(bytes.len() / W::WIDTH);
+    decode_into(bytes, &mut out);
+    Some(out)
+}
+
+/// `usize` arrays travel as `u64`: convert, refusing values that overflow.
+pub fn to_usizes(values: Vec<u64>) -> Option<Vec<usize>> {
+    values
         .into_iter()
         .map(|v| usize::try_from(v).ok())
         .collect()
@@ -281,20 +328,29 @@ mod tests {
     #[test]
     fn codecs_round_trip() {
         let u16s = vec![0u16, 1, 0xffff, 513];
-        assert_eq!(decode_u16s(&encode_u16s(&u16s)).unwrap(), u16s);
+        assert_eq!(decode::<u16>(&encode_u16s(&u16s)).unwrap(), u16s);
         let u32s = vec![0u32, 7, u32::MAX, 1 << 20];
-        assert_eq!(decode_u32s(&encode_u32s(&u32s)).unwrap(), u32s);
+        assert_eq!(decode::<u32>(&encode_u32s(&u32s)).unwrap(), u32s);
         let u64s = vec![0u64, u64::MAX, 42];
-        assert_eq!(decode_u64s(&encode_u64s(&u64s)).unwrap(), u64s);
+        assert_eq!(decode::<u64>(&encode_u64s(&u64s)).unwrap(), u64s);
         let sizes = vec![0usize, 9999, usize::MAX];
-        assert_eq!(decode_usizes(&encode_usizes(&sizes)).unwrap(), sizes);
+        let decoded = decode::<u64>(&encode_usizes(&sizes)).unwrap();
+        assert_eq!(to_usizes(decoded).unwrap(), sizes);
+        // Decoding piece by piece, split on element boundaries, fills the
+        // same vector.
+        let bytes = encode_u32s(&u32s);
+        let mut pieces: Vec<u32> = Vec::new();
+        for piece in bytes.chunks(8) {
+            decode_into(piece, &mut pieces);
+        }
+        assert_eq!(pieces, u32s);
     }
 
     #[test]
     fn codecs_reject_ragged_lengths() {
-        assert!(decode_u16s(&[1]).is_none());
-        assert!(decode_u32s(&[1, 2, 3]).is_none());
-        assert!(decode_u64s(&[1, 2, 3, 4, 5, 6, 7]).is_none());
+        assert!(decode::<u16>(&[1]).is_none());
+        assert!(decode::<u32>(&[1, 2, 3]).is_none());
+        assert!(decode::<u64>(&[1, 2, 3, 4, 5, 6, 7]).is_none());
     }
 
     #[test]
@@ -335,5 +391,16 @@ mod tests {
         assert_ne!(checksum(b""), checksum(b"\0"));
         // FNV-1a reference vector.
         assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn checksum_in_pieces_matches_one_pass() {
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(1_000).collect();
+        for split in [0, 1, 7, 500, 999, 1_000] {
+            let mut hash = Fnv1a::default();
+            hash.update(&bytes[..split]);
+            hash.update(&bytes[split..]);
+            assert_eq!(hash.finish(), checksum(&bytes), "split at {split}");
+        }
     }
 }

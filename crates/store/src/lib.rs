@@ -6,9 +6,11 @@
 //! sampled suffix array — into one checksummed little-endian file (format
 //! in [`mod@format`]).  [`open_index`] reopens it **without rebuilding
 //! anything**: no suffix-array construction, no BWT, no checkpoint pass.
-//! The two large byte sections (the text and, in the byte layout, the BWT
-//! storage) are served as zero-copy views of the memory-mapped file; the
-//! narrower integer sections are decoded into owned vectors.
+//! It reads every section once with positioned reads, checksumming each
+//! and decoding the narrower integer sections into owned vectors, and
+//! only then maps the file: the two large byte sections (the text and, in
+//! the byte layout, the BWT storage) are served as zero-copy views of the
+//! mapping, resident only once something reads them.
 //!
 //! What is *not* stored, by design:
 //!
@@ -27,10 +29,11 @@ pub mod mmap;
 
 use std::fmt;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+use alae_bioseq::alphabet::SEPARATOR_CODE;
 use alae_bioseq::{Alphabet, SequenceDatabase, SharedBytes};
 use alae_suffix::bitvec::RankBitVec;
 use alae_suffix::fm_index::FmIndex;
@@ -38,8 +41,8 @@ use alae_suffix::rank::OccTable;
 use alae_suffix::{CheckpointRows, CheckpointRowsRef, StorageData, StorageDataRef, TextIndex};
 
 use format::{
-    alphabet_tag, checkpoint_kind, checksum, section, storage_kind, Meta, TableEntry, ALIGN,
-    HEADER_LEN, MAGIC, TABLE_ENTRY_LEN, VERSION,
+    alphabet_tag, checkpoint_kind, checksum, section, storage_kind, Fnv1a, Meta, TableEntry, Word,
+    ALIGN, HEADER_LEN, MAGIC, TABLE_ENTRY_LEN, VERSION,
 };
 use mmap::FileBuffer;
 
@@ -258,91 +261,305 @@ pub struct OpenedIndex {
     pub mapped: bool,
 }
 
-/// All sections of a parsed file, with the shared backing buffer.
-struct Sections {
-    buffer: Arc<FileBuffer>,
-    entries: Vec<TableEntry>,
-}
-
-impl Sections {
-    fn find(&self, id: u32) -> Result<&TableEntry, StoreError> {
-        self.entries
-            .iter()
-            .find(|e| e.id == id)
-            .ok_or(StoreError::MissingSection(id))
-    }
-
-    /// Borrow a section's bytes (already bounds- and checksum-verified).
-    fn bytes(&self, id: u32) -> Result<&[u8], StoreError> {
-        let entry = self.find(id)?;
-        let all: &[u8] = self.buffer.as_ref().as_ref();
-        Ok(&all[entry.offset as usize..(entry.offset + entry.len) as usize])
-    }
-
-    /// A zero-copy `SharedBytes` view of a section, keeping the whole file
-    /// buffer alive through the `Arc` owner.
-    fn shared(&self, id: u32) -> Result<SharedBytes, StoreError> {
-        let entry = self.find(id)?;
-        let owner: Arc<dyn AsRef<[u8]> + Send + Sync> = self.buffer.clone();
-        Ok(SharedBytes::from_owner(
-            owner,
-            entry.offset as usize,
-            entry.len as usize,
-        ))
-    }
-}
-
 fn corrupt(why: impl Into<String>) -> StoreError {
     StoreError::Corrupt(why.into())
 }
 
-/// Parse and verify the header, section table and every checksum.
-fn parse_sections(buffer: FileBuffer) -> Result<Sections, StoreError> {
-    let bytes: &[u8] = buffer.as_ref();
-    if bytes.len() < HEADER_LEN {
-        return Err(StoreError::Truncated("header"));
-    }
-    if bytes[0..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    // Indexing each byte keeps the header parse free of any panic path
-    // (the length was bounds-checked against HEADER_LEN above).
-    let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    let count = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
-    if count > 1024 {
-        return Err(corrupt(format!("implausible section count {count}")));
-    }
-    let table_end = HEADER_LEN + count * TABLE_ENTRY_LEN;
-    if bytes.len() < table_end {
-        return Err(StoreError::Truncated("section table"));
-    }
-    let mut entries = Vec::with_capacity(count);
-    for i in 0..count {
-        let start = HEADER_LEN + i * TABLE_ENTRY_LEN;
-        let entry = TableEntry::from_bytes(&bytes[start..start + TABLE_ENTRY_LEN])
-            .ok_or(StoreError::Truncated("section table entry"))?;
-        let end = entry
-            .offset
-            .checked_add(entry.len)
-            .ok_or_else(|| corrupt("section range overflows"))?;
-        if end > bytes.len() as u64 {
-            return Err(StoreError::Truncated("section payload"));
+/// Bytes per positioned read of the open pass: a multiple of every element
+/// width, so each read but a section's last ends on an element boundary.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// The one read pass over an index file's sections, shared by
+/// [`open_index`] and [`verify_index`].  Each section is read once with
+/// positioned reads through one reused buffer, checksummed as it streams
+/// and, for an integer section, decoded straight into its vector.  Callers
+/// ask for sections by id, so nothing depends on the order of the table;
+/// [`SectionReader::finish`] then checksums the sections nobody asked for.
+/// Nothing here maps the file.
+struct SectionReader {
+    file: File,
+    file_bytes: u64,
+    entries: Vec<TableEntry>,
+    /// Parallel to `entries`: whether the pass has read that section.
+    read: Vec<bool>,
+    buf: Vec<u8>,
+}
+
+impl SectionReader {
+    /// Open `path` and parse its header and section table: magic, version,
+    /// and every section's range inside the file.
+    fn open(path: &Path) -> Result<Self, StoreError> {
+        let mut file = File::open(path)?;
+        let file_bytes = file.metadata()?.len();
+        if file_bytes < HEADER_LEN as u64 {
+            return Err(StoreError::Truncated("header"));
         }
-        if entries.iter().any(|e: &TableEntry| e.id == entry.id) {
-            return Err(corrupt(format!("duplicate section {}", entry.id)));
+        let mut header = [0u8; HEADER_LEN];
+        file.read_exact(&mut header)?;
+        if header[0..8] != MAGIC {
+            return Err(StoreError::BadMagic);
         }
-        let payload = &bytes[entry.offset as usize..end as usize];
-        if checksum(payload) != entry.checksum {
+        let version = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+        if version != VERSION {
+            return Err(StoreError::UnsupportedVersion(version));
+        }
+        let count = u32::from_le_bytes([header[12], header[13], header[14], header[15]]) as usize;
+        if count > 1024 {
+            return Err(corrupt(format!("implausible section count {count}")));
+        }
+        let mut table = vec![0u8; count * TABLE_ENTRY_LEN];
+        if file_bytes < (HEADER_LEN + table.len()) as u64 {
+            return Err(StoreError::Truncated("section table"));
+        }
+        file.read_exact(&mut table)?;
+        let mut entries: Vec<TableEntry> = Vec::with_capacity(count);
+        for slot in table.chunks_exact(TABLE_ENTRY_LEN) {
+            let entry =
+                TableEntry::from_bytes(slot).ok_or(StoreError::Truncated("section table entry"))?;
+            let end = entry
+                .offset
+                .checked_add(entry.len)
+                .ok_or_else(|| corrupt("section range overflows"))?;
+            if end > file_bytes {
+                return Err(StoreError::Truncated("section payload"));
+            }
+            if entries.iter().any(|e| e.id == entry.id) {
+                return Err(corrupt(format!("duplicate section {}", entry.id)));
+            }
+            entries.push(entry);
+        }
+        Ok(Self {
+            file,
+            file_bytes,
+            read: vec![false; entries.len()],
+            entries,
+            buf: vec![0; READ_CHUNK],
+        })
+    }
+
+    /// The position of section `id` in the table.
+    fn slot(&self, id: u32) -> Result<usize, StoreError> {
+        self.entries
+            .iter()
+            .position(|e| e.id == id)
+            .ok_or(StoreError::MissingSection(id))
+    }
+
+    /// The table entry of section `id`.
+    fn entry(&self, id: u32) -> Result<TableEntry, StoreError> {
+        Ok(self.entries[self.slot(id)?])
+    }
+
+    /// Read the section in table slot `k` once, handing each piece to
+    /// `sink`, and check the pieces against the table's checksum.
+    fn read_slot(&mut self, k: usize, mut sink: impl FnMut(&[u8])) -> Result<(), StoreError> {
+        let entry = self.entries[k];
+        self.read[k] = true;
+        self.file.seek(SeekFrom::Start(entry.offset))?;
+        let mut hash = Fnv1a::default();
+        let mut left = entry.len;
+        while left > 0 {
+            let piece = &mut self.buf[..left.min(READ_CHUNK as u64) as usize];
+            self.file.read_exact(piece)?;
+            hash.update(piece);
+            sink(piece);
+            left -= piece.len() as u64;
+        }
+        if hash.finish() != entry.checksum {
             return Err(StoreError::ChecksumMismatch(entry.id));
         }
-        entries.push(entry);
+        Ok(())
     }
-    Ok(Sections {
-        buffer: Arc::new(buffer),
-        entries,
+
+    /// Read section `id` (see [`Self::read_slot`]).
+    fn read(&mut self, id: u32, sink: impl FnMut(&[u8])) -> Result<(), StoreError> {
+        let k = self.slot(id)?;
+        self.read_slot(k, sink)
+    }
+
+    /// Decode the integer section `id` (called `name` in errors) straight
+    /// into its vector.
+    fn words<W: Word>(&mut self, id: u32, name: &str) -> Result<Vec<W>, StoreError> {
+        let len = self.entry(id)?.len;
+        if !len.is_multiple_of(W::WIDTH as u64) {
+            return Err(corrupt(format!("ragged {name} section")));
+        }
+        let mut words = Vec::with_capacity((len / W::WIDTH as u64) as usize);
+        self.read(id, |piece| format::decode_into(piece, &mut words))?;
+        Ok(words)
+    }
+
+    /// A `u64` section decoded as `usize`s.
+    fn usizes(&mut self, id: u32, name: &str) -> Result<Vec<usize>, StoreError> {
+        format::to_usizes(self.words(id, name)?)
+            .ok_or_else(|| corrupt(format!("{name} value overflows")))
+    }
+
+    /// Checksum every section not read yet: ids this build does not know,
+    /// and sections the file's storage kind does not use.
+    fn finish(&mut self) -> Result<(), StoreError> {
+        for k in 0..self.entries.len() {
+            if !self.read[k] {
+                self.read_slot(k, |_| {})?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The `TEXT` rules, checked as the pass streams the section: every byte
+/// is below the code count, and the separator code sits exactly at the
+/// record boundaries the record table names (one after each record but
+/// the last) and nowhere else.  A file that keeps them gives the same
+/// answer from its record table as from its text bytes to "is this
+/// position a separator", which is how hits are resolved.
+struct TextCheck {
+    code_count: u64,
+    /// Letters are the codes `1..=letters`.
+    letters: u8,
+    /// Text positions of the separators, increasing.
+    separators: Vec<usize>,
+    /// How many of them the stream has passed.
+    passed: usize,
+    /// Text position of the next byte fed.
+    position: usize,
+    /// The first broken rule.
+    fault: Option<String>,
+}
+
+impl TextCheck {
+    fn new(code_count: u64, starts: &[usize], lengths: &[usize]) -> Result<Self, StoreError> {
+        if starts.len() != lengths.len() {
+            return Err(corrupt(format!(
+                "record table arity mismatch: {} starts, {} lengths",
+                starts.len(),
+                lengths.len()
+            )));
+        }
+        let separators: Vec<usize> = starts
+            .iter()
+            .zip(lengths)
+            .take(starts.len().saturating_sub(1))
+            .map(|(&start, &len)| start.checked_add(len))
+            .collect::<Option<_>>()
+            .ok_or_else(|| corrupt("record end overflows"))?;
+        if separators.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(corrupt("record table out of order"));
+        }
+        Ok(Self {
+            code_count,
+            letters: code_count.saturating_sub(1).min(u8::MAX as u64) as u8,
+            separators,
+            passed: 0,
+            position: 0,
+            fault: None,
+        })
+    }
+
+    /// Check the next `piece` of the text.
+    fn feed(&mut self, piece: &[u8]) {
+        let end = self.position + piece.len();
+        let mut from = 0;
+        while self.fault.is_none() {
+            let boundary = self
+                .separators
+                .get(self.passed)
+                .copied()
+                .filter(|&at| at < end);
+            let to = boundary.map_or(piece.len(), |at| at - self.position);
+            // A letter minus one is below `letters`; the separator wraps to
+            // 255.  One branch-free sweep, and a second only on a fault.
+            let run = &piece[from..to];
+            let letters = self.letters;
+            let is_letter = |b: u8| b.wrapping_sub(1) < letters;
+            if !run.iter().fold(true, |all, &b| all & is_letter(b)) {
+                if let Some(k) = run.iter().position(|&b| !is_letter(b)) {
+                    let at = self.position + from + k;
+                    self.fault = Some(match run[k] {
+                        SEPARATOR_CODE => {
+                            format!(
+                                "TEXT holds a separator at {at}, inside record {}",
+                                self.passed
+                            )
+                        }
+                        code => format!(
+                            "TEXT holds code {code} at {at}, not below the code count {}",
+                            self.code_count
+                        ),
+                    });
+                }
+                break;
+            }
+            let Some(at) = boundary else { break };
+            if piece[to] != SEPARATOR_CODE {
+                self.fault = Some(format!(
+                    "TEXT holds code {} at {at}, where the record table puts the separator \
+                     after record {}",
+                    piece[to], self.passed
+                ));
+                break;
+            }
+            self.passed += 1;
+            from = to + 1;
+        }
+        self.position = end;
+    }
+
+    fn finish(self) -> Result<(), StoreError> {
+        if let Some(fault) = self.fault {
+            return Err(corrupt(fault));
+        }
+        if let Some(at) = self.separators.get(self.passed) {
+            return Err(corrupt(format!(
+                "the record table puts a separator at {at}, past the end of TEXT"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// What both [`open_index`] and [`verify_index`] read first: the metadata,
+/// the record table, and `TEXT`, checked byte by byte against both.
+struct Front {
+    meta: Meta,
+    names: Vec<Arc<str>>,
+    starts: Vec<usize>,
+    lengths: Vec<usize>,
+}
+
+fn read_front(reader: &mut SectionReader) -> Result<Front, StoreError> {
+    let meta = Meta::from_fields(&reader.words::<u64>(section::META, "META")?)
+        .ok_or_else(|| corrupt("malformed META section"))?;
+    let record_count =
+        usize::try_from(meta.record_count).map_err(|_| corrupt("record_count overflows"))?;
+    let name_offsets: Vec<u32> = reader.words(section::NAME_OFFSETS, "NAME_OFFSETS")?;
+    if name_offsets.len().checked_sub(1) != Some(record_count) {
+        return Err(corrupt(format!(
+            "NAME_OFFSETS has {} entries for {record_count} records",
+            name_offsets.len()
+        )));
+    }
+    let names_blob: Vec<u8> = reader.words(section::NAMES_BLOB, "NAMES_BLOB")?;
+    let mut names: Vec<Arc<str>> = Vec::with_capacity(record_count);
+    for pair in name_offsets.windows(2) {
+        let (start, end) = (pair[0] as usize, pair[1] as usize);
+        if start > end || end > names_blob.len() {
+            return Err(corrupt("NAME_OFFSETS out of order or out of range"));
+        }
+        let name = std::str::from_utf8(&names_blob[start..end])
+            .map_err(|_| corrupt("record name is not UTF-8"))?;
+        names.push(Arc::from(name));
+    }
+    let starts = reader.usizes(section::STARTS, "STARTS")?;
+    let lengths = reader.usizes(section::LENGTHS, "LENGTHS")?;
+    let mut text = TextCheck::new(meta.code_count, &starts, &lengths)?;
+    reader.read(section::TEXT, |piece| text.feed(piece))?;
+    text.finish()?;
+    Ok(Front {
+        meta,
+        names,
+        starts,
+        lengths,
     })
 }
 
@@ -354,35 +571,29 @@ pub struct IndexSummary {
     pub file_bytes: u64,
     /// Number of sections in the file's table.
     pub sections: usize,
-    /// Whether the file was examined through a memory mapping.
-    pub mapped: bool,
     /// Concatenated text length recorded in the metadata.
     pub text_len: u64,
     /// Record count recorded in the metadata.
     pub record_count: u64,
 }
 
-/// Structurally verify an index file without building anything.
+/// Verify an index file without building or mapping anything.
 ///
-/// Checks the magic, version, section table and **every** section
-/// checksum, plus the metadata section's shape — the same validation
-/// [`open_index`] performs before construction, at a fraction of the
-/// cost.  Intended as a pre-flight for hot reloads: a server can reject a
-/// torn or mismatched file before committing to the full open.
+/// Runs the read pass of [`open_index`]: the magic, version and section
+/// table, **every** section checksum, the metadata section's shape, the
+/// record table, and the `TEXT` rules (every byte below the code count,
+/// separators exactly at the record boundaries).  Intended as a pre-flight
+/// for hot reloads: a server can reject a torn or mismatched file before
+/// committing to the full open.
 pub fn verify_index(path: &Path) -> Result<IndexSummary, StoreError> {
-    let buffer = FileBuffer::open(path)?;
-    let mapped = buffer.is_mapped();
-    let bytes: &[u8] = buffer.as_ref();
-    let file_bytes = bytes.len() as u64;
-    let sections = parse_sections(buffer)?;
-    let meta = Meta::from_bytes(sections.bytes(section::META)?)
-        .ok_or_else(|| corrupt("malformed META section"))?;
+    let mut reader = SectionReader::open(path)?;
+    let front = read_front(&mut reader)?;
+    reader.finish()?;
     Ok(IndexSummary {
-        file_bytes,
-        sections: sections.entries.len(),
-        mapped,
-        text_len: meta.text_len,
-        record_count: meta.record_count,
+        file_bytes: reader.file_bytes,
+        sections: reader.entries.len(),
+        text_len: front.meta.text_len,
+        record_count: front.meta.record_count,
     })
 }
 
@@ -391,13 +602,19 @@ pub fn verify_index(path: &Path) -> Result<IndexSummary, StoreError> {
 /// Performs **no** build work: the suffix array, BWT and checkpoint rows
 /// come straight from the file.  Only cheap derived data is recomputed
 /// (bit-vector rank directories, exception block starts).
+///
+/// The file is read once with positioned reads (see [`verify_index`]) and
+/// mapped only after every section has checked out.  The integer sections
+/// are decoded as they are read; `TEXT` and `OCC_BYTES` are served as views
+/// of the mapping, whose pages stay on disk until something reads them.
 pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
-    let buffer = FileBuffer::open(path)?;
-    let mapped = buffer.is_mapped();
-    let sections = parse_sections(buffer)?;
-
-    let meta = Meta::from_bytes(sections.bytes(section::META)?)
-        .ok_or_else(|| corrupt("malformed META section"))?;
+    let mut reader = SectionReader::open(path)?;
+    let Front {
+        meta,
+        names,
+        starts,
+        lengths,
+    } = read_front(&mut reader)?;
     let alphabet = match meta.alphabet {
         alphabet_tag::DNA => Alphabet::Dna,
         alphabet_tag::PROTEIN => Alphabet::Protein,
@@ -411,53 +628,18 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
         )));
     }
     let text_len = usize::try_from(meta.text_len).map_err(|_| corrupt("text_len overflows"))?;
-    let record_count =
-        usize::try_from(meta.record_count).map_err(|_| corrupt("record_count overflows"))?;
     let sample_rate =
         usize::try_from(meta.sample_rate).map_err(|_| corrupt("sample_rate overflows"))?;
     let sampled_bits =
         usize::try_from(meta.sampled_bits).map_err(|_| corrupt("sampled_bits overflows"))?;
-
-    // --- Record table -----------------------------------------------------
-    let name_offsets = format::decode_u32s(sections.bytes(section::NAME_OFFSETS)?)
-        .ok_or_else(|| corrupt("ragged NAME_OFFSETS section"))?;
-    if name_offsets.len() != record_count + 1 {
+    let text_bytes = reader.entry(section::TEXT)?.len;
+    if text_bytes != meta.text_len {
         return Err(corrupt(format!(
-            "NAME_OFFSETS has {} entries for {record_count} records",
-            name_offsets.len()
+            "TEXT section is {text_bytes} bytes, metadata says {text_len}"
         )));
     }
-    let names_blob = sections.bytes(section::NAMES_BLOB)?;
-    let mut names: Vec<Arc<str>> = Vec::with_capacity(record_count);
-    for pair in name_offsets.windows(2) {
-        let (start, end) = (pair[0] as usize, pair[1] as usize);
-        if start > end || end > names_blob.len() {
-            return Err(corrupt("NAME_OFFSETS out of order or out of range"));
-        }
-        let name = std::str::from_utf8(&names_blob[start..end])
-            .map_err(|_| corrupt("record name is not UTF-8"))?;
-        names.push(Arc::from(name));
-    }
-    let starts = format::decode_usizes(sections.bytes(section::STARTS)?)
-        .ok_or_else(|| corrupt("ragged STARTS section"))?;
-    let lengths = format::decode_usizes(sections.bytes(section::LENGTHS)?)
-        .ok_or_else(|| corrupt("ragged LENGTHS section"))?;
 
-    let text = sections.shared(section::TEXT)?;
-    if text.len() != text_len {
-        return Err(corrupt(format!(
-            "TEXT section is {} bytes, metadata says {text_len}",
-            text.len()
-        )));
-    }
-    let database = SequenceDatabase::from_parts(alphabet, text.clone(), names, starts, lengths)
-        .map_err(StoreError::Corrupt)?;
-
-    // --- Occurrence table -------------------------------------------------
-    // The FM-index covers the reversed text plus its sentinel, with all
-    // codes shifted up by one: `text_len + 1` rows, `code_count + 1` codes.
-    let occ_len = text_len + 1;
-    let occ_code_count = code_count + 1;
+    // --- Occurrence table sections ------------------------------------------
     if meta.checkpoint_kind != checkpoint_kind::TWO_LEVEL {
         return Err(corrupt(format!(
             "unsupported checkpoint kind {} (only two-level rows, kind {}, exist)",
@@ -466,20 +648,17 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
         )));
     }
     let rows = CheckpointRows {
-        supers: format::decode_u64s(sections.bytes(section::CHK_SUPERS)?)
-            .ok_or_else(|| corrupt("ragged CHK_SUPERS section"))?,
-        deltas: format::decode_u16s(sections.bytes(section::CHK_DELTAS)?)
-            .ok_or_else(|| corrupt("ragged CHK_DELTAS section"))?,
+        supers: reader.words(section::CHK_SUPERS, "CHK_SUPERS")?,
+        deltas: reader.words(section::CHK_DELTAS, "CHK_DELTAS")?,
     };
-    let storage = match meta.storage_kind {
-        storage_kind::BYTES => StorageData::Bytes(sections.shared(section::OCC_BYTES)?),
-        storage_kind::PACKED_DNA => StorageData::PackedDna {
-            words: format::decode_u64s(sections.bytes(section::OCC_WORDS)?)
-                .ok_or_else(|| corrupt("ragged OCC_WORDS section"))?,
-            exc_pos: format::decode_u32s(sections.bytes(section::EXC_POS)?)
-                .ok_or_else(|| corrupt("ragged EXC_POS section"))?,
-            exc_code: sections.bytes(section::EXC_CODE)?.to_vec(),
-        },
+    // Byte storage is a view of the mapping; `finish` checksums it.
+    let packed = match meta.storage_kind {
+        storage_kind::BYTES => None,
+        storage_kind::PACKED_DNA => Some(StorageData::PackedDna {
+            words: reader.words(section::OCC_WORDS, "OCC_WORDS")?,
+            exc_pos: reader.words(section::EXC_POS, "EXC_POS")?,
+            exc_code: reader.words(section::EXC_CODE, "EXC_CODE")?,
+        }),
         other => {
             return Err(corrupt(format!(
                 "unsupported storage kind {other} (only bytes, kind {}, and packed DNA, \
@@ -489,14 +668,39 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
             )))
         }
     };
-    let occ = OccTable::from_parts(occ_len, occ_code_count, rows, storage)
+    let c_array = reader.usizes(section::C_ARRAY, "C_ARRAY")?;
+    let sampled_words = reader.words(section::SAMPLED_WORDS, "SAMPLED_WORDS")?;
+    let samples = reader.words(section::SAMPLES, "SAMPLES")?;
+    reader.finish()?;
+
+    // --- Views of the mapping -------------------------------------------------
+    // Every section has checked out: only now map the file.
+    let buffer = Arc::new(FileBuffer::map(&reader.file, reader.file_bytes)?);
+    let mapped = buffer.is_mapped();
+    let view = |id: u32| -> Result<SharedBytes, StoreError> {
+        let entry = reader.entry(id)?;
+        let owner: Arc<dyn AsRef<[u8]> + Send + Sync> = buffer.clone();
+        Ok(SharedBytes::from_owner(
+            owner,
+            entry.offset as usize,
+            entry.len as usize,
+        ))
+    };
+    let text = view(section::TEXT)?;
+    let database = SequenceDatabase::from_parts(alphabet, text.clone(), names, starts, lengths)
+        .map_err(StoreError::Corrupt)?;
+
+    // --- Occurrence table -------------------------------------------------
+    // The FM-index covers the reversed text plus its sentinel, with all
+    // codes shifted up by one: `text_len + 1` rows, `code_count + 1` codes.
+    let storage = match packed {
+        Some(packed) => packed,
+        None => StorageData::Bytes(view(section::OCC_BYTES)?),
+    };
+    let occ = OccTable::from_parts(text_len + 1, code_count + 1, rows, storage)
         .map_err(StoreError::Corrupt)?;
 
     // --- FM-index ---------------------------------------------------------
-    let c_array = format::decode_usizes(sections.bytes(section::C_ARRAY)?)
-        .ok_or_else(|| corrupt("ragged C_ARRAY section"))?;
-    let sampled_words = format::decode_u64s(sections.bytes(section::SAMPLED_WORDS)?)
-        .ok_or_else(|| corrupt("ragged SAMPLED_WORDS section"))?;
     if sampled_words.len() != sampled_bits.div_ceil(64) {
         return Err(corrupt(format!(
             "SAMPLED_WORDS has {} words for {sampled_bits} bits",
@@ -504,8 +708,6 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
         )));
     }
     let sampled_rows = RankBitVec::from_words(sampled_bits, sampled_words);
-    let samples = format::decode_u32s(sections.bytes(section::SAMPLES)?)
-        .ok_or_else(|| corrupt("ragged SAMPLES section"))?;
     let fm = FmIndex::from_parts(
         text_len,
         code_count,
@@ -530,7 +732,6 @@ mod tests {
     use super::*;
     use alae_bioseq::Sequence;
     use alae_suffix::RankLayout;
-    use std::io::{Read, Seek, SeekFrom, Write as IoWrite};
     use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -795,6 +996,131 @@ mod tests {
             opened.err()
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Write `bytes` to `path` and require a `Corrupt` error naming `why`
+    /// from both the open and the pre-flight.
+    fn assert_corrupt_from_open_and_verify(path: &Path, bytes: &[u8], why: &str) {
+        std::fs::write(path, bytes).unwrap();
+        let opened = open_index(path);
+        assert!(
+            matches!(&opened, Err(StoreError::Corrupt(msg)) if msg.contains(why)),
+            "open, {why}: {:?}",
+            opened.err()
+        );
+        let verified = verify_index(path);
+        assert!(
+            matches!(&verified, Err(StoreError::Corrupt(msg)) if msg.contains(why)),
+            "verify, {why}: {verified:?}"
+        );
+    }
+
+    #[test]
+    fn out_of_range_text_byte_is_a_typed_corrupt_error() {
+        // A checksum-valid file with a TEXT byte equal to the code count:
+        // the scoring scheme would read it as a letter, so hits would be
+        // wrong rather than refused.
+        let path = temp_path("text-byte-range");
+        let database = sample_database();
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&bytes, section::TEXT);
+        let code_count = database.alphabet().code_count() as u8;
+        bytes[entry.offset as usize + 2] = code_count;
+        restamp(&mut bytes, slot, entry);
+        assert_corrupt_from_open_and_verify(&path, &bytes, &format!("code {code_count} at 2"));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn misplaced_separator_is_a_typed_corrupt_error() {
+        // Separators sit exactly at the record boundaries the record table
+        // names: one inside a record, or a letter at a boundary, is refused.
+        let path = temp_path("text-separator");
+        let database = sample_database();
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&pristine, section::TEXT);
+        let boundary = database.record_len(0);
+        for (at, code, why) in [
+            (3, SEPARATOR_CODE, "separator at 3, inside record 0"),
+            (boundary + 4, SEPARATOR_CODE, "inside record 1"),
+            (boundary, 1, "separator after record 0"),
+        ] {
+            let mut bytes = pristine.clone();
+            bytes[entry.offset as usize + at] = code;
+            restamp(&mut bytes, slot, entry);
+            assert_corrupt_from_open_and_verify(&path, &bytes, why);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn text_rules_hold_across_read_pieces() {
+        // The pass reads `TEXT` in READ_CHUNK pieces: separators on both
+        // sides of a piece boundary (after an empty record) must pass, and
+        // a misplaced one in a later piece must still be found.
+        let path = temp_path("text-pieces");
+        let lengths = [READ_CHUNK - 1, 0, READ_CHUNK + 4_464, 5];
+        let database = SequenceDatabase::from_sequences(
+            Alphabet::Dna,
+            lengths.iter().enumerate().map(|(k, &len)| {
+                let codes = (0..len).map(|i| 1 + ((i * 7 + k) % 4) as u8).collect();
+                Sequence::from_codes(Alphabet::Dna, codes)
+            }),
+        );
+        assert_eq!(database.text()[READ_CHUNK - 1], SEPARATOR_CODE);
+        assert_eq!(database.text()[READ_CHUNK], SEPARATOR_CODE);
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        verify_index(&path).unwrap();
+        assert_eq!(open_index(&path).unwrap().database.record_count(), 4);
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&bytes, section::TEXT);
+        let at = 2 * READ_CHUNK + 100;
+        bytes[entry.offset as usize + at] = SEPARATOR_CODE;
+        restamp(&mut bytes, slot, entry);
+        assert_corrupt_from_open_and_verify(
+            &path,
+            &bytes,
+            &format!("separator at {at}, inside record 2"),
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_does_not_depend_on_the_table_order() {
+        // Reverse the section table: the payloads stay where they are, so
+        // the file must open to the same index.
+        let path = temp_path("table-order");
+        let database = sample_database();
+        let index = build_index(&database);
+        save_index(&path, &database, &index).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let table = HEADER_LEN..HEADER_LEN + sections * TABLE_ENTRY_LEN;
+        let mut slots: Vec<Vec<u8>> = bytes[table.clone()]
+            .chunks(TABLE_ENTRY_LEN)
+            .map(<[u8]>::to_vec)
+            .collect();
+        slots.reverse();
+        bytes[table].copy_from_slice(&slots.concat());
+        std::fs::write(&path, &bytes).unwrap();
+        verify_index(&path).unwrap();
+        let opened = open_index(&path).unwrap();
+        assert_eq!(opened.database.text(), database.text());
+        assert_eq!(
+            opened.index.find_occurrences(&[2, 1, 4]),
+            index.find_occurrences(&[2, 1, 4]),
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn missing_file_is_an_io_error() {
+        let path = temp_path("never-written");
+        assert!(matches!(open_index(&path), Err(StoreError::Io(_))));
+        assert!(matches!(verify_index(&path), Err(StoreError::Io(_))));
     }
 
     #[test]

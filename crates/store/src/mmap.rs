@@ -1,32 +1,42 @@
 //! Read-only file mapping — the one `unsafe` module of the store crate.
 //!
-//! [`FileBuffer::open`] memory-maps a file on Unix (raw `mmap`/`munmap`
-//! through hand-declared `extern "C"` bindings; no libc crate) and falls
-//! back to reading the file into an owned `Vec<u8>` when mapping is
-//! unavailable — zero-length files, non-Unix targets, or an `mmap` refusal.
-//! Either way the buffer implements `AsRef<[u8]> + Send + Sync`, so an
-//! `Arc<FileBuffer>` can back `SharedBytes` views handed to the index
-//! without copying the mapped sections.
+//! [`FileBuffer::map`] memory-maps an open file on Unix (raw
+//! `mmap`/`munmap` through hand-declared `extern "C"` bindings; no libc
+//! crate) and falls back to reading it into an owned `Vec<u8>` when
+//! mapping is unavailable — zero-length files, non-Unix targets, or an
+//! `mmap` refusal.  Either way the buffer implements
+//! `AsRef<[u8]> + Send + Sync`, so an `Arc<FileBuffer>` can back
+//! `SharedBytes` views handed to the index without copying the mapped
+//! sections.
 //!
 //! # Safety audit
 //!
-//! * The mapping is `PROT_READ` + `MAP_PRIVATE`: the kernel guarantees the
-//!   pages are readable for the lifetime of the mapping and writes by other
-//!   processes to the underlying file cannot corrupt invariants beyond the
-//!   bytes themselves (callers checksum every section before trusting it).
+//! * The store maps a file only after it has read every section once with
+//!   positioned reads and checked its checksum (and, for `TEXT`, every
+//!   byte).  Nothing reads through the mapping at open; the `TEXT` and
+//!   `OCC_BYTES` views fault their pages in when a query or a check reads
+//!   them.
+//! * The mapping is `PROT_READ` + `MAP_PRIVATE`: the kernel keeps the range
+//!   readable for the lifetime of the mapping, and nothing in the process
+//!   can write through it.  Pages the process never wrote *are* the page
+//!   cache's pages, so a later write to the file by anyone shows through
+//!   the views, and a truncation turns reads past the new end into
+//!   `SIGBUS`.  Neither can make a view dangle or change its length, but
+//!   the checked bytes would no longer be the served ones: a served file
+//!   is never rewritten or truncated in place — write a new file, rename
+//!   it over the old one and reload (`docs/operations.md`).
 //! * `from_raw_parts` is called with exactly the pointer and length returned
 //!   by a successful `mmap`, and the mapping lives until `Drop` runs
 //!   `munmap` — the slice can never dangle while the `FileBuffer` is alive.
-//! * A length-zero file never reaches `mmap` (it would be `EINVAL`); it is
+//! * A zero-length buffer never reaches `mmap` (it would be `EINVAL`); it is
 //!   served from an empty `Vec`.
 #![allow(unsafe_code)]
 
 use std::fs::File;
-use std::io::{self, Read};
-use std::path::Path;
+use std::io::{self, Read, Seek, SeekFrom};
 
-/// A read-only buffer over a whole file: memory-mapped when possible,
-/// owned otherwise.
+/// A read-only buffer over the start of a file: memory-mapped when
+/// possible, owned otherwise.
 #[derive(Debug)]
 pub struct FileBuffer(Inner);
 
@@ -38,20 +48,22 @@ enum Inner {
 }
 
 impl FileBuffer {
-    /// Open `path` for reading, preferring a private read-only mapping.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        let mut file = File::open(path)?;
-        let len = file.metadata()?.len();
+    /// The first `len` bytes of `file`, preferring a private read-only
+    /// mapping.  The mapping reads nothing; the owned fallback reads all
+    /// `len` bytes.
+    pub fn map(file: &File, len: u64) -> io::Result<Self> {
         let len = usize::try_from(len)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file too large to map"))?;
         #[cfg(unix)]
         if len > 0 {
-            if let Some(mapping) = Mapping::map(&file, len) {
+            if let Some(mapping) = Mapping::map(file, len) {
                 return Ok(Self(Inner::Mapped(mapping)));
             }
         }
-        let mut bytes = Vec::with_capacity(len);
-        file.read_to_end(&mut bytes)?;
+        let mut bytes = vec![0; len];
+        let mut reader = file;
+        reader.seek(SeekFrom::Start(0))?;
+        reader.read_exact(&mut bytes)?;
         Ok(Self(Inner::Owned(bytes)))
     }
 
@@ -186,7 +198,7 @@ mod tests {
         let path = temp_path("basic");
         let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
         File::create(&path).unwrap().write_all(&payload).unwrap();
-        let buffer = FileBuffer::open(&path).unwrap();
+        let buffer = FileBuffer::map(&File::open(&path).unwrap(), 10_000).unwrap();
         assert_eq!(buffer.as_ref(), payload.as_slice());
         assert_eq!(buffer.len(), payload.len());
         #[cfg(unix)]
@@ -197,15 +209,9 @@ mod tests {
     #[test]
     fn empty_file_uses_owned_fallback() {
         let path = temp_path("empty");
-        File::create(&path).unwrap();
-        let buffer = FileBuffer::open(&path).unwrap();
+        let buffer = FileBuffer::map(&File::create(&path).unwrap(), 0).unwrap();
         assert!(buffer.is_empty());
         assert!(!buffer.is_mapped());
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        assert!(FileBuffer::open(Path::new("/nonexistent/alae.idx")).is_err());
     }
 }

@@ -26,22 +26,26 @@
 //!   apart, so `n1 ≤ n / 2` and the slots never collide.  The names are then
 //!   compacted to `sa[n − n1..]`, and the reduced problem recurses on that
 //!   slice with its suffix array in `sa[..n1]`.
-//! * Bucket sizes are counted once per level into one σ-sized `u32` array
-//!   (`counts`), and every induce pass derives its heads or tails from them
-//!   into a second (`bkt`).  σ is 257 at the top, where both live on the
-//!   heap.  At a reduced level σ′ is the number of distinct LMS substrings
-//!   of the level above, and the arrays go into that level's free middle
+//! * Bucket sizes are counted into one σ-sized `u32` array (`counts`), and
+//!   every induce pass derives its heads or tails from them into a second
+//!   (`bkt`).  σ is 257 at the top, whose two arrays are the build's only
+//!   heap bucket arrays.  At a reduced level σ′ is the number of distinct
+//!   LMS substrings of the level above, and the arrays go into the scratch
+//!   that level hands down: the larger of its free middle
 //!   `sa[n1 .. n − n1]`, which nothing reads while the reduced level runs
-//!   (Nong's SACA-K and Mori's sais-lite do the same): both when `2σ′` slots
-//!   fit there, only `bkt` when `σ′` fit, and neither otherwise.
+//!   (Nong's SACA-K and Mori's sais-lite use it the same way), and what its
+//!   own arrays left of its own scratch.  Both arrays go there when `2σ′`
+//!   slots fit.  Otherwise `bkt` goes there alone, and each derivation
+//!   recounts the reduced text into it.  Only when not even `σ′` slots fit
+//!   (a period-2 text leaves no middle) does `bkt` go on the heap.
 //!
 //! On the reversed `TextSpec::dna(600_000, _)` and
-//! `TextSpec::protein(300_000, _)` texts (`alae-workload`), the first
-//! reduced level keeps both arrays in the middle and the deeper ones keep
-//! `bkt` there.  A build then peaks at 0.64 and 0.74 heap bytes per
-//! character above the returned array (1.15 and 2.56 with every bucket
-//! array on the heap): the type bits, and the `counts` of the deeper levels,
-//! where nearly every LMS substring is distinct so `2σ′` does not fit.
+//! `TextSpec::protein(300_000, _)` texts (`alae-workload`), every DNA level
+//! keeps both arrays in its scratch, and the protein levels below the first
+//! keep `bkt` alone and recount.  A build then peaks at 0.18 and 0.19 heap
+//! bytes per character above the returned array: the type bits, one per
+//! position over all levels (1.15 and 2.56 with every bucket array on the
+//! heap).
 
 use std::cell::Cell;
 
@@ -86,7 +90,9 @@ pub(crate) fn suffix_array_of<T: Symbols + ?Sized>(text: &T) -> Vec<u32> {
     );
     SA_BUILDS.with(|builds| builds.set(builds.get() + 1));
     let mut sa = vec![0u32; text.len()];
-    sais(text, &mut sa, 257, &mut []);
+    // The top level's two bucket arrays, the only ones on the heap.
+    let mut buckets = vec![0u32; 2 * 257];
+    sais(text, &mut sa, 257, &mut buckets);
     sa
 }
 
@@ -198,50 +204,100 @@ impl Types {
     }
 }
 
-/// Write the first slot of every bucket into `bkt`.
-fn bucket_heads(counts: &[u32], bkt: &mut [u32]) {
-    let mut sum = 0;
-    for (slot, &count) in bkt.iter_mut().zip(counts) {
-        *slot = sum;
-        sum += count;
+/// The two bucket arrays of one level.  `bkt` holds the bucket heads or
+/// tails of the current pass and is rewritten before every use; `counts`
+/// holds each symbol's count where the level has room for it, and without
+/// it every rewrite of `bkt` recounts the text.
+struct Buckets<'a> {
+    counts: Option<&'a mut [u32]>,
+    bkt: &'a mut [u32],
+}
+
+impl<'a> Buckets<'a> {
+    /// Place the arrays of a `sigma`-symbol level at the front of
+    /// `scratch`: both when `2σ` slots fit, `bkt` alone when `σ` do, and
+    /// `bkt` in `spill` otherwise.  Counts `text` into `counts` when kept,
+    /// and returns the rest of `scratch`.
+    fn place<T: Symbols + ?Sized>(
+        text: &T,
+        sigma: usize,
+        scratch: &'a mut [u32],
+        spill: &'a mut Vec<u32>,
+    ) -> (Self, &'a mut [u32]) {
+        let (mut buckets, rest) = if 2 * sigma <= scratch.len() {
+            let (counts, rest) = scratch.split_at_mut(sigma);
+            let (bkt, rest) = rest.split_at_mut(sigma);
+            (
+                Self {
+                    counts: Some(counts),
+                    bkt,
+                },
+                rest,
+            )
+        } else if sigma <= scratch.len() {
+            let (bkt, rest) = scratch.split_at_mut(sigma);
+            (Self { counts: None, bkt }, rest)
+        } else {
+            spill.resize(sigma, 0);
+            (
+                Self {
+                    counts: None,
+                    bkt: spill.as_mut_slice(),
+                },
+                scratch,
+            )
+        };
+        if let Some(counts) = buckets.counts.as_deref_mut() {
+            tally(text, counts);
+        }
+        (buckets, rest)
+    }
+
+    /// Load each symbol's count into `bkt`.
+    fn load<T: Symbols + ?Sized>(&mut self, text: &T) {
+        match &self.counts {
+            Some(counts) => self.bkt.copy_from_slice(counts),
+            None => tally(text, self.bkt),
+        }
+    }
+
+    /// Write the first slot of every bucket into `bkt`.
+    fn heads<T: Symbols + ?Sized>(&mut self, text: &T) {
+        self.load(text);
+        let mut sum = 0;
+        for slot in self.bkt.iter_mut() {
+            let count = *slot;
+            *slot = sum;
+            sum += count;
+        }
+    }
+
+    /// Write one past the last slot of every bucket into `bkt`.
+    fn tails<T: Symbols + ?Sized>(&mut self, text: &T) {
+        self.load(text);
+        let mut sum = 0;
+        for slot in self.bkt.iter_mut() {
+            sum += *slot;
+            *slot = sum;
+        }
     }
 }
 
-/// Write one past the last slot of every bucket into `bkt`.
-fn bucket_tails(counts: &[u32], bkt: &mut [u32]) {
-    let mut sum = 0;
-    for (slot, &count) in bkt.iter_mut().zip(counts) {
-        sum += count;
-        *slot = sum;
-    }
-}
-
-/// The two σ-sized bucket arrays of one level, `(counts, bkt)`, placed in
-/// `free` when they fit and on the heap (`spill`) otherwise.  `bkt` is
-/// rewritten before every use; `counts` comes back zeroed.
-fn bucket_arrays<'a>(
-    sigma: usize,
-    free: &'a mut [u32],
-    spill: &'a mut Vec<u32>,
-) -> (&'a mut [u32], &'a mut [u32]) {
-    if 2 * sigma <= free.len() {
-        let (counts, rest) = free.split_at_mut(sigma);
-        counts.fill(0);
-        (counts, &mut rest[..sigma])
-    } else if sigma <= free.len() {
-        spill.resize(sigma, 0);
-        (spill.as_mut_slice(), &mut free[..sigma])
-    } else {
-        spill.resize(2 * sigma, 0);
-        spill.split_at_mut(sigma)
+/// Count every symbol of `text` into `counts`.
+fn tally<T: Symbols + ?Sized>(text: &T, counts: &mut [u32]) {
+    counts.fill(0);
+    for i in 0..text.len() {
+        counts[text.at(i)] += 1;
     }
 }
 
 /// Core SA-IS: fill `sa` (of `text.len()` slots) with the suffix array of
 /// `text`, whose symbols are `< sigma` and whose last symbol is the unique
-/// smallest, 0.  `free` is scratch the caller does not read until this
-/// returns; the level keeps its bucket arrays there when they fit.
-fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize, free: &mut [u32]) {
+/// smallest, 0.  `scratch` is memory the caller does not read until this
+/// returns; the level keeps its bucket arrays there when they fit, and
+/// hands a reduced level the larger of what they leave and its own free
+/// middle.
+fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize, scratch: &mut [u32]) {
     let n = text.len();
     debug_assert_eq!(sa.len(), n);
     if n == 1 {
@@ -250,23 +306,20 @@ fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize, free: &mut 
     }
     let types = Types::classify(text);
     let mut spill = Vec::new();
-    let (counts, bkt) = bucket_arrays(sigma, free, &mut spill);
-    for i in 0..n {
-        counts[text.at(i)] += 1;
-    }
+    let (mut buckets, rest) = Buckets::place(text, sigma, scratch, &mut spill);
 
     // 1. Sort the LMS substrings: drop every LMS position at its bucket's
     //    tail, in any order, and induce.
     sa.fill(EMPTY);
-    bucket_tails(counts, bkt);
+    buckets.tails(text);
     for i in 1..n {
         if types.is_lms(i) {
             let c = text.at(i);
-            bkt[c] -= 1;
-            sa[bkt[c] as usize] = i as u32;
+            buckets.bkt[c] -= 1;
+            sa[buckets.bkt[c] as usize] = i as u32;
         }
     }
-    induce(text, sa, &types, counts, bkt);
+    induce(text, sa, &types, &mut buckets);
 
     // 2. Compact the sorted LMS positions into `sa[..n1]` (every slot is
     //    filled after an induce), then name them: equal LMS substrings get
@@ -303,13 +356,19 @@ fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize, free: &mut 
     // 4. Sort the reduced suffixes into `sa[..n1]`, recursing when two LMS
     //    substrings share a name, then map them back to LMS positions by
     //    overwriting the reduced text with those positions in text order.
-    //    The recursion may keep its buckets in `sa[n1..n − n1]`, which
-    //    nothing reads until step 5.
+    //    The recursion keeps its buckets in the larger of `sa[n1..n − n1]`,
+    //    which nothing reads until step 5, and the unused rest of this
+    //    level's scratch.
     {
         let (head, reduced) = sa.split_at_mut(n - n1);
         let (reduced_sa, middle) = head.split_at_mut(n1);
         if names < n1 {
-            sais(&*reduced, reduced_sa, names, middle);
+            let scratch = if middle.len() >= rest.len() {
+                middle
+            } else {
+                rest
+            };
+            sais(&*reduced, reduced_sa, names, scratch);
         } else {
             for (i, &name) in reduced.iter().enumerate() {
                 reduced_sa[name as usize] = i as u32;
@@ -331,42 +390,36 @@ fn sais<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], sigma: usize, free: &mut 
     //    first (each lands at or after its own slot, which is cleared
     //    first), and induce the final order.
     sa[n1..].fill(EMPTY);
-    bucket_tails(counts, bkt);
+    buckets.tails(text);
     for i in (0..n1).rev() {
         let p = sa[i];
         sa[i] = EMPTY;
         let c = text.at(p as usize);
-        bkt[c] -= 1;
-        sa[bkt[c] as usize] = p;
+        buckets.bkt[c] -= 1;
+        sa[buckets.bkt[c] as usize] = p;
     }
-    induce(text, sa, &types, counts, bkt);
+    induce(text, sa, &types, &mut buckets);
 }
 
 /// Induce the L-type suffixes left to right from the placed ones, then the
 /// S-type suffixes right to left.
-fn induce<T: Symbols + ?Sized>(
-    text: &T,
-    sa: &mut [u32],
-    types: &Types,
-    counts: &[u32],
-    bkt: &mut [u32],
-) {
-    bucket_heads(counts, bkt);
+fn induce<T: Symbols + ?Sized>(text: &T, sa: &mut [u32], types: &Types, buckets: &mut Buckets) {
+    buckets.heads(text);
     for i in 0..sa.len() {
         let p = sa[i];
         if p != EMPTY && p > 0 && !types.is_s(p as usize - 1) {
             let c = text.at(p as usize - 1);
-            sa[bkt[c] as usize] = p - 1;
-            bkt[c] += 1;
+            sa[buckets.bkt[c] as usize] = p - 1;
+            buckets.bkt[c] += 1;
         }
     }
-    bucket_tails(counts, bkt);
+    buckets.tails(text);
     for i in (0..sa.len()).rev() {
         let p = sa[i];
         if p != EMPTY && p > 0 && types.is_s(p as usize - 1) {
             let c = text.at(p as usize - 1);
-            bkt[c] -= 1;
-            sa[bkt[c] as usize] = p - 1;
+            buckets.bkt[c] -= 1;
+            sa[buckets.bkt[c] as usize] = p - 1;
         }
     }
 }

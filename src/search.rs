@@ -153,9 +153,10 @@ impl IndexedDatabase {
     /// Assemble from an existing database and a matching index (the index
     /// must have been built over exactly `database.text()`).
     pub fn from_parts(database: Arc<SequenceDatabase>, index: Arc<TextIndex>) -> Self {
-        debug_assert_eq!(
-            database.text(),
-            index.text(),
+        // A shared view is compared by address: reading it would fault in
+        // the whole text of an opened index.
+        debug_assert!(
+            std::ptr::eq(database.text(), index.text()) || database.text() == index.text(),
             "index must cover the database text"
         );
         Self { database, index }
@@ -197,9 +198,9 @@ impl IndexedDatabase {
     ///
     /// The heavy byte sections (text, BWT storage) are zero-copy views of a
     /// read-only memory mapping of the file; no suffix array is built.
-    /// Every section is checksum-verified before use, and a corrupt,
-    /// truncated or incompatible file is rejected with a typed
-    /// [`alae_store::StoreError`].
+    /// Every section is read once and checksum-verified before the file is
+    /// mapped, and a corrupt, truncated or incompatible file is rejected
+    /// with a typed [`alae_store::StoreError`].
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, alae_store::StoreError> {
         let opened = alae_store::open_index(path.as_ref())?;
         Ok(Self::from_parts(opened.database, opened.index))

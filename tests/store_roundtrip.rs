@@ -150,6 +150,84 @@ fn open_skips_the_suffix_array_build() {
     fs::remove_file(&path).ok();
 }
 
+/// The `Rss:` of this process's mappings of `path`, summed over
+/// `/proc/self/smaps`: the pages of the file that are resident here.
+/// Panics when the file is not mapped, so a path that never matches
+/// cannot pass for an empty mapping.
+#[cfg(target_os = "linux")]
+fn mapped_resident_bytes(path: &std::path::Path) -> u64 {
+    let path = fs::canonicalize(path).expect("canonical index path");
+    let suffix = format!(" {}", path.display());
+    let smaps = fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
+    let mut in_file = false;
+    let mut mappings = 0;
+    let mut kib = 0;
+    for line in smaps.lines() {
+        // A mapping's header line starts with its address range and ends
+        // with its path; the field lines under it start with `Name:`.
+        let Some(first) = line.split_whitespace().next() else {
+            continue;
+        };
+        if !first.ends_with(':') {
+            in_file = line.ends_with(&suffix);
+            mappings += usize::from(in_file);
+        } else if let Some(rss) = line.strip_prefix("Rss:").filter(|_| in_file) {
+            let rss = rss.trim().strip_suffix("kB").expect("Rss in kB");
+            kib += rss.trim().parse::<u64>().expect("Rss value");
+        }
+    }
+    assert!(mappings > 0, "{} is not mapped", path.display());
+    kib * 1024
+}
+
+/// A served index keeps resident only the mapped pages its queries read.
+/// Open checks every section with positioned reads before it maps the
+/// file; ALAE and BWT-SW then read the decoded vectors and, in the byte
+/// layout, the BWT bytes; and hits are resolved from the record table, not
+/// the text.  So the mapping holds nothing for DNA, and at most the
+/// `OCC_BYTES` section (which open range-checks through the mapping) plus
+/// the kernel's fault-around at its two ends for protein.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_served_index_keeps_only_what_its_queries_read_resident() {
+    const TEXT_LEN: usize = 200_000;
+    for (alphabet, bound) in [
+        (Alphabet::Dna, 0),
+        (Alphabet::Protein, TEXT_LEN as u64 + 1 + 128 * 1024),
+    ] {
+        let (builder, built) = workload(alphabet, TEXT_LEN, 0x5e7);
+        assert_eq!(built.database.record_count(), 1);
+        let fresh = builder.index(built.database);
+        let path = temp_path(&format!("resident-{alphabet:?}"));
+        fresh.save(&path).expect("save");
+        drop(fresh);
+
+        let opened = IndexedDatabase::open(&path).expect("open");
+        let resident = mapped_resident_bytes(&path);
+        assert!(
+            resident <= bound,
+            "{alphabet:?}: {resident} bytes of the index file resident after open (bound {bound})"
+        );
+        let mut hits = 0;
+        for kind in [EngineKind::Alae, EngineKind::Bwtsw] {
+            let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12).engine(kind);
+            let searcher = Searcher::new(opened.clone(), request);
+            for query in &built.queries {
+                hits += searcher.search(query).hits.len();
+            }
+        }
+        assert!(hits > 0, "{alphabet:?}: the searches must resolve hits");
+        let resident = mapped_resident_bytes(&path);
+        assert!(
+            resident <= bound,
+            "{alphabet:?}: {resident} bytes of the index file resident after {hits} hits \
+             (bound {bound})"
+        );
+        drop(opened);
+        fs::remove_file(&path).ok();
+    }
+}
+
 /// Damaged files are rejected with typed errors, never opened part-way.
 #[test]
 fn damaged_files_are_rejected_with_typed_errors() {
