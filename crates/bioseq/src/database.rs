@@ -8,6 +8,7 @@
 //! scoring scheme).
 
 use crate::alphabet::{Alphabet, SEPARATOR_CODE};
+use crate::packed::{LetterPacking, PackedText};
 use crate::sequence::Sequence;
 use crate::shared::SharedBytes;
 use std::sync::Arc;
@@ -59,8 +60,9 @@ impl RecordSpan {
 /// The concatenated text is a [`SharedBytes`] view, so index builders and
 /// aligners can share the database's copy instead of duplicating it (see
 /// [`SequenceDatabase::shared_text`]); cloning the database is cheap on the
-/// text side.  A database opened from an on-disk index views the mapped
-/// file directly.
+/// text side.  A database opened from an on-disk index holds its text as
+/// packed letters in the mapped file and unpacks it on first read (see
+/// [`SequenceDatabase::from_packed`]).
 #[derive(Debug, Clone)]
 pub struct SequenceDatabase {
     alphabet: Alphabet,
@@ -71,8 +73,9 @@ pub struct SequenceDatabase {
     names: Vec<Arc<str>>,
     /// 0-based start offset of each record inside `text`.
     starts: Vec<usize>,
-    /// Lengths of each record.
-    lengths: Vec<usize>,
+    /// Lengths of each record (shared with a packed text, which places its
+    /// separators by them).
+    lengths: Arc<Vec<usize>>,
 }
 
 impl SequenceDatabase {
@@ -83,13 +86,11 @@ impl SequenceDatabase {
             text: SharedBytes::new(),
             names: Vec::new(),
             starts: Vec::new(),
-            lengths: Vec::new(),
+            lengths: Arc::default(),
         }
     }
 
-    /// Reassemble a database from its serialized parts (the `alae-store`
-    /// crate's open path).  The text may be a zero-copy view into a mapped
-    /// file.
+    /// Reassemble a database from a byte text and its record table.
     ///
     /// Validates the record table against the text layout: records must be
     /// contiguous, separated by exactly one separator code, and cover the
@@ -101,6 +102,74 @@ impl SequenceDatabase {
         starts: Vec<usize>,
         lengths: Vec<usize>,
     ) -> Result<Self, String> {
+        let text_len = Self::table_text_len(&names, &starts, &lengths)?;
+        if text_len != text.len() {
+            return Err(format!(
+                "record table covers {text_len} of {} text bytes",
+                text.len()
+            ));
+        }
+        for (record, (&start, &len)) in starts.iter().zip(&lengths).enumerate() {
+            if record + 1 < starts.len() && text[start + len] != SEPARATOR_CODE {
+                return Err(format!("missing separator after record {record}"));
+            }
+        }
+        Ok(Self {
+            alphabet,
+            text,
+            names,
+            starts,
+            lengths: Arc::new(lengths),
+        })
+    }
+
+    /// Reassemble a database whose text is stored as packed letters (the
+    /// `alae-store` open path): `words` holds the records' letters back to
+    /// back as [`LetterPacking::new(alphabet)`](LetterPacking::new) packs
+    /// them, typically as a view of a mapped file, and the separators follow
+    /// from the record table.  The text is unpacked into bytes the first
+    /// time something reads it; until then the database reads nothing.
+    ///
+    /// Validates the record table (contiguous records, one separator
+    /// between neighbours) and that `words` holds exactly its letters.
+    /// The fields themselves are not read here: whoever takes the words in
+    /// checks them with [`LetterPacking::check_word`], as the store does
+    /// while it reads the file.
+    pub fn from_packed(
+        alphabet: Alphabet,
+        words: SharedBytes,
+        names: Vec<Arc<str>>,
+        starts: Vec<usize>,
+        lengths: Vec<usize>,
+    ) -> Result<Self, String> {
+        let text_len = Self::table_text_len(&names, &starts, &lengths)?;
+        let letters = text_len - lengths.len().saturating_sub(1);
+        let packing = LetterPacking::new(alphabet);
+        if words.len() != 8 * packing.words(letters) {
+            return Err(format!(
+                "{} bytes of packed words for {letters} letters",
+                words.len()
+            ));
+        }
+        let lengths = Arc::new(lengths);
+        let text = PackedText::new(packing, words, Arc::clone(&lengths), text_len);
+        Ok(Self {
+            alphabet,
+            text: SharedBytes::from_packed(text),
+            names,
+            starts,
+            lengths,
+        })
+    }
+
+    /// The text length a record table describes, once it is checked:
+    /// one name, start and length per record, records back to back from 0
+    /// with one separator between neighbours.
+    pub fn table_text_len(
+        names: &[Arc<str>],
+        starts: &[usize],
+        lengths: &[usize],
+    ) -> Result<usize, String> {
         if names.len() != starts.len() || names.len() != lengths.len() {
             return Err(format!(
                 "record table arity mismatch: {} names, {} starts, {} lengths",
@@ -110,38 +179,19 @@ impl SequenceDatabase {
             ));
         }
         let mut expected_start = 0usize;
-        for (record, (&start, &len)) in starts.iter().zip(&lengths).enumerate() {
+        for (record, (&start, &len)) in starts.iter().zip(lengths).enumerate() {
             if start != expected_start {
                 return Err(format!(
                     "record {record} starts at {start}, expected {expected_start}"
                 ));
             }
-            let end = start
+            let separator = usize::from(record + 1 < starts.len());
+            expected_start = start
                 .checked_add(len)
-                .filter(|&end| end <= text.len())
-                .ok_or_else(|| format!("record {record} overruns the text"))?;
-            if record + 1 < starts.len() {
-                if text.get(end) != Some(&SEPARATOR_CODE) {
-                    return Err(format!("missing separator after record {record}"));
-                }
-                expected_start = end + 1;
-            } else {
-                expected_start = end;
-            }
+                .and_then(|end| end.checked_add(separator))
+                .ok_or_else(|| format!("record {record} overruns the address space"))?;
         }
-        if expected_start != text.len() {
-            return Err(format!(
-                "record table covers {expected_start} of {} text bytes",
-                text.len()
-            ));
-        }
-        Ok(Self {
-            alphabet,
-            text,
-            names,
-            starts,
-            lengths,
-        })
+        Ok(expected_start)
     }
 
     /// Build a database from a list of sequences.
@@ -166,9 +216,11 @@ impl SequenceDatabase {
         // While the database is being built the text is unshared, so the
         // mutation happens in place; pushing after the text has been shared
         // with an index copies once (and the copy is then the new canonical
-        // text).
+        // text).  A separator follows every record but the last, empty
+        // records included.
+        let first = self.starts.is_empty();
         let start = self.text.with_mut(|text| {
-            if !text.is_empty() {
+            if !first {
                 text.push(SEPARATOR_CODE);
             }
             let start = text.len();
@@ -176,7 +228,7 @@ impl SequenceDatabase {
             start
         });
         self.starts.push(start);
-        self.lengths.push(sequence.len());
+        Arc::make_mut(&mut self.lengths).push(sequence.len());
         self.names.push(Arc::from(sequence.name()));
     }
 
@@ -456,6 +508,65 @@ mod tests {
         let db = SequenceDatabase::from_sequences(Alphabet::Dna, [a]);
         assert_eq!(db.text_len(), 4);
         assert_eq!(db.to_ascii(), "ACGT");
+    }
+
+    #[test]
+    fn empty_records_keep_their_separators() {
+        let db = SequenceDatabase::from_sequences(
+            Alphabet::Dna,
+            ["", "AC", "", "G"].map(|s| Sequence::from_ascii(Alphabet::Dna, s.as_bytes()).unwrap()),
+        );
+        assert_eq!(db.to_ascii(), "$AC$$G");
+        assert_eq!(db.record_starts(), &[0, 1, 4, 5]);
+        assert_eq!(db.locate(0), None);
+        assert_eq!(db.locate(1).unwrap().record, 1);
+        assert_eq!(db.locate(5).unwrap().record, 3);
+        let rebuilt = SequenceDatabase::from_parts(
+            db.alphabet(),
+            db.shared_text(),
+            db.record_names().to_vec(),
+            db.record_starts().to_vec(),
+            db.record_lengths().to_vec(),
+        );
+        assert_eq!(rebuilt.unwrap().to_ascii(), "$AC$$G");
+    }
+
+    #[test]
+    fn from_packed_unpacks_on_first_read_and_checks_the_word_count() {
+        let db = SequenceDatabase::from_sequences(
+            Alphabet::Dna,
+            ["ACGTACGTACGTACGTACGTACGTACGTACGT", "", "GGC"]
+                .map(|s| Sequence::from_ascii(Alphabet::Dna, s.as_bytes()).unwrap()),
+        );
+        let packing = LetterPacking::new(Alphabet::Dna);
+        let records = db
+            .record_starts()
+            .iter()
+            .zip(db.record_lengths())
+            .map(|(&start, &len)| &db.text()[start..start + len]);
+        let words = packing.pack(records).unwrap();
+        assert_eq!(words.len(), 16);
+        let packed = |words: Vec<u8>, starts: Vec<usize>| {
+            SequenceDatabase::from_packed(
+                db.alphabet(),
+                SharedBytes::from_vec(words),
+                db.record_names().to_vec(),
+                starts,
+                db.record_lengths().to_vec(),
+            )
+        };
+        let opened = packed(words.clone(), db.record_starts().to_vec()).unwrap();
+        assert_eq!(opened.text_len(), db.text_len());
+        assert_eq!(opened.locate(34).unwrap().record, 2);
+        assert!(opened.shared_text().is_packed());
+        assert_eq!(opened.text(), db.text());
+        assert!(!opened.shared_text().is_packed());
+
+        let mut long = words.clone();
+        long.extend_from_slice(&[0; 8]);
+        assert!(packed(long, db.record_starts().to_vec()).is_err());
+        assert!(packed(words[..8].to_vec(), db.record_starts().to_vec()).is_err());
+        assert!(packed(words, vec![0, 33, 33]).is_err());
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! be *views into a memory-mapped file* so a saved index opens without
 //! copying its largest sections.
 //!
-//! [`SharedBytes`] abstracts over both: a reference-counted owner (either a
-//! plain `Vec<u8>` or any `AsRef<[u8]>` owner such as an mmap) plus an
-//! `(offset, len)` window.  Clones share the owner; `Deref` yields the
-//! window as `&[u8]`.
+//! [`SharedBytes`] abstracts over all three: a reference-counted owner (a
+//! plain `Vec<u8>`, any `AsRef<[u8]>` owner such as an mmap, or a text
+//! held as packed letters) plus an `(offset, len)` window.  Clones share the
+//! owner; `Deref` yields the window as `&[u8]`.  A packed text is unpacked
+//! the first time anything derefs a view of it: constructing, cloning,
+//! slicing, `len` and `Debug` never read the bytes.
 
+use crate::packed::PackedText;
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -24,6 +27,8 @@ enum Owner {
     Heap(Arc<Vec<u8>>),
     /// Any shared byte owner — in practice a memory-mapped file region.
     Raw(Arc<dyn AsRef<[u8]> + Send + Sync>),
+    /// A database text held as packed letters, unpacked on first read.
+    Packed(Arc<PackedText>),
 }
 
 impl Owner {
@@ -31,6 +36,16 @@ impl Owner {
         match self {
             Owner::Heap(vec) => vec,
             Owner::Raw(raw) => (**raw).as_ref(),
+            Owner::Packed(packed) => packed.bytes(),
+        }
+    }
+
+    /// The owner's address, which identifies it without reading it.
+    fn address(&self) -> *const () {
+        match self {
+            Owner::Heap(vec) => Arc::as_ptr(vec).cast(),
+            Owner::Raw(raw) => Arc::as_ptr(raw).cast(),
+            Owner::Packed(packed) => Arc::as_ptr(packed).cast(),
         }
     }
 }
@@ -90,6 +105,30 @@ impl SharedBytes {
             offset,
             len,
         }
+    }
+
+    /// View a packed text whole; nothing is unpacked until a read.
+    pub(crate) fn from_packed(packed: PackedText) -> Self {
+        Self {
+            len: packed.len(),
+            owner: Owner::Packed(Arc::new(packed)),
+            offset: 0,
+        }
+    }
+
+    /// True while this view's owner is a packed text that nothing has read
+    /// yet, so the bytes do not exist; false for every other owner.
+    pub fn is_packed(&self) -> bool {
+        matches!(&self.owner, Owner::Packed(packed) if !packed.is_unpacked())
+    }
+
+    /// Whether `other` is the same window of the same owner, decided
+    /// without reading either view.  Views of equal bytes over different
+    /// owners are equal (`==`) but not the same view.
+    pub fn same_view(&self, other: &Self) -> bool {
+        self.owner.address() == other.owner.address()
+            && self.offset == other.offset
+            && self.len == other.len
     }
 
     /// The viewed bytes.
@@ -201,6 +240,7 @@ impl fmt::Debug for SharedBytes {
                 &match &self.owner {
                     Owner::Heap(_) => "heap",
                     Owner::Raw(_) => "raw",
+                    Owner::Packed(_) => "packed",
                 },
             )
             .finish()
@@ -315,6 +355,18 @@ mod tests {
     fn raw_owner_window_out_of_bounds_panics() {
         let owner: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(vec![1u8, 2, 3]);
         let _ = SharedBytes::from_owner(owner, 2, 2);
+    }
+
+    #[test]
+    fn same_view_compares_owners_and_windows() {
+        let a = SharedBytes::from_vec(vec![1, 2, 3]);
+        assert!(a.same_view(&a.clone()));
+        assert!(a.slice(1..2).same_view(&a.slice(1..2)));
+        assert!(!a.slice(0..2).same_view(&a.slice(1..3)));
+        let b = SharedBytes::from_vec(vec![1, 2, 3]);
+        assert_eq!(a, b);
+        assert!(!a.same_view(&b));
+        assert!(!a.is_packed());
     }
 
     #[test]

@@ -167,12 +167,15 @@ fn default_config() -> AlaeConfig {
 /// be orders of magnitude cheaper than `IndexBuilder::index` at any
 /// interesting scale.  An opened index is complete: no query after an
 /// open (or a server reload) builds anything over the text.  It also
-/// reports the build's memory: `VmHWM` after the build minus `VmRSS` before
-/// it, absent where `/proc/self/status` does not exist; and how much of
-/// the index file is resident right after open: the `Rss:` of its mapping,
-/// absent where `/proc/self/smaps` does not exist or shows no mapping.  Prints a small
-/// machine-greppable summary; the CI store leg captures it as the timing
-/// artifact.
+/// reports the file's size per text character; the build's memory, as
+/// `VmHWM` after the build minus `VmRSS` before it, absent where
+/// `/proc/self/status` does not exist or where the build did not raise the
+/// process's high-water mark (an earlier experiment in the same process
+/// peaked higher, so the mark says nothing about this build); and how much
+/// of the index file is resident right after open: the `Rss:` of its
+/// mapping, absent where `/proc/self/smaps` does not exist or shows no
+/// mapping.  Prints a small machine-greppable summary; the CI store leg
+/// captures it as the timing artifact.
 fn store_timing(options: &ExperimentOptions) {
     use alae::search::{IndexBuilder, IndexedDatabase};
     use std::time::Instant;
@@ -182,12 +185,16 @@ fn store_timing(options: &ExperimentOptions) {
     let database = text_only(Alphabet::Dna, n, options.seed);
 
     let rss_before = proc_status_bytes("VmRSS");
+    let hwm_before = proc_status_bytes("VmHWM");
     let build_started = Instant::now();
     let fresh = IndexBuilder::new().index(database);
     let build = build_started.elapsed();
-    let build_peak = proc_status_bytes("VmHWM")
-        .zip(rss_before)
-        .map(|(peak, before)| peak.saturating_sub(before));
+    // The build's own peak, only when it raised the high-water mark: in
+    // the `all` sweep an earlier experiment may have set it higher.
+    let build_peak = match (rss_before, hwm_before, proc_status_bytes("VmHWM")) {
+        (Some(rss), Some(before), Some(peak)) if peak > before => Some(peak.saturating_sub(rss)),
+        _ => None,
+    };
 
     // `ALAE_STORE_KEEP=<path>` persists the index file there instead of
     // deleting it — the CI serve smoke test points `alae-serve --index`
@@ -216,6 +223,7 @@ fn store_timing(options: &ExperimentOptions) {
     }
 
     let speedup = build.as_secs_f64() / open.as_secs_f64().max(1e-9);
+    let file_per_char = file_bytes as f64 / n.max(1) as f64;
     let peak_mib = build_peak.map(|bytes| bytes as f64 / (1024.0 * 1024.0));
     let bytes_per_char = build_peak.map(|bytes| bytes as f64 / n.max(1) as f64);
     let mapped_per_char = open_mapped.map(|bytes| bytes as f64 / n.max(1) as f64);
@@ -224,6 +232,7 @@ fn store_timing(options: &ExperimentOptions) {
     };
     println!("  text_len:        {n}");
     println!("  file_bytes:      {file_bytes}");
+    println!("  file_bytes_per_char: {file_per_char:.3}");
     println!("  build_seconds:   {:.4}", build.as_secs_f64());
     println!("  build_peak_rss_mib:   {}", fixed(peak_mib, "absent"));
     println!(
@@ -239,6 +248,7 @@ fn store_timing(options: &ExperimentOptions) {
     println!("  open_speedup:    {speedup:.0}x (rebuild / open)");
     println!(
         "{{\"experiment\": \"store\", \"text_len\": {n}, \"file_bytes\": {file_bytes}, \
+         \"file_bytes_per_char\": {file_per_char:.4}, \
          \"build_seconds\": {:.6}, \"build_peak_rss_mib\": {}, \"build_bytes_per_char\": {}, \
          \"save_seconds\": {:.6}, \"open_seconds\": {:.6}, \"open_mapped_bytes_per_char\": {}, \
          \"open_speedup\": {:.1}}}",

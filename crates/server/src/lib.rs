@@ -492,8 +492,9 @@ impl Server {
         self.shared.index.epoch()
     }
 
-    /// Hot-swap the index from `path`: fully validate the file
-    /// (checksums, version), open it, publish it as a new epoch.
+    /// Hot-swap the index from `path`: open it, which validates the whole
+    /// file (version, checksums, packed letters), and publish it as a new
+    /// epoch.
     /// In-flight queries finish on their pinned epoch; the old index
     /// deallocates when its last pin releases.  On error the serving
     /// epoch is untouched.

@@ -5,9 +5,9 @@
 //! the current epoch with one short lock + `Arc::clone` per query at
 //! admission.  In-flight queries keep their pinned `Arc` and finish on
 //! the epoch they started on; the old index deallocates when its last
-//! pin releases.  The expensive work of a reload — structural
-//! verification ([`alae::store::verify_index`]) and the full
-//! [`IndexedDatabase::open`] — happens *before* the publish lock is ever
+//! pin releases.  The expensive work of a reload — one
+//! [`IndexedDatabase::open`], whose single read pass checks every section
+//! and every packed letter — happens *before* the publish lock is ever
 //! taken, so queries never stall behind a reload.
 
 use crate::Shared;
@@ -78,28 +78,17 @@ pub struct ReloadSummary {
     pub records: u64,
     /// Concatenated text length of the new index.
     pub text_len: u64,
-    /// Wall-clock time from pre-flight to publish.
+    /// Wall-clock time from the open to the publish.
     pub took: Duration,
 }
 
-/// Verify, open and publish the index at `path`.  On any error the
-/// serving epoch is untouched — a torn or mismatched file is rejected by
-/// the pre-flight ([`alae::store::verify_index`] checks the magic,
-/// version, every section checksum and every text byte) before the open
-/// builds anything, and the open itself re-validates everything.
+/// Open and publish the index at `path`.  On any error the serving epoch
+/// is untouched: the open reads and checks the whole file (magic, version,
+/// every section checksum, the record table, every packed letter) before
+/// it maps or builds anything, and refuses a torn or mismatched file with
+/// a typed error.
 pub(crate) fn reload_index(shared: &Shared, path: &Path) -> Result<ReloadSummary, String> {
     let started = Instant::now();
-    let summary = match alae::store::verify_index(path) {
-        Ok(summary) => summary,
-        Err(err) => {
-            shared.metrics.index_reloads_rejected.inc();
-            shared.trace.record_event(
-                "reload",
-                format!("outcome=rejected path={} error=\"{err}\"", path.display()),
-            );
-            return Err(format!("index verification failed: {err}"));
-        }
-    };
     let db = match IndexedDatabase::open(path) {
         Ok(db) => db,
         Err(err) => {
@@ -111,6 +100,7 @@ pub(crate) fn reload_index(shared: &Shared, path: &Path) -> Result<ReloadSummary
             return Err(format!("index open failed: {err}"));
         }
     };
+    let (records, text_len) = (db.record_count() as u64, db.text_len() as u64);
     let epoch = shared.index.publish(db);
     let took = started.elapsed();
     shared.metrics.index_epoch.set(epoch as i64);
@@ -120,15 +110,15 @@ pub(crate) fn reload_index(shared: &Shared, path: &Path) -> Result<ReloadSummary
         format!(
             "outcome=ok epoch={epoch} path={} records={} text_len={} took_us={}",
             path.display(),
-            summary.record_count,
-            summary.text_len,
+            records,
+            text_len,
             took.as_micros().min(u128::from(u64::MAX)) as u64,
         ),
     );
     Ok(ReloadSummary {
         epoch,
-        records: summary.record_count,
-        text_len: summary.text_len,
+        records,
+        text_len,
         took,
     })
 }

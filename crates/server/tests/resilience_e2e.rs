@@ -184,6 +184,82 @@ fn reload_under_load_preserves_hit_identity() {
     }
 }
 
+/// A checksum-valid file can still hold a letter outside the alphabet.
+/// The reload's one open must refuse it with a typed error, count and log
+/// the rejection, and leave the serving epoch where it was.
+#[test]
+fn reload_refuses_a_checksum_valid_file_with_a_bad_letter() {
+    use alae::store::format::{checksum, section, TableEntry, HEADER_LEN, TABLE_ENTRY_LEN};
+
+    let built = WorkloadBuilder::new(
+        TextSpec::protein(3_000, 5),
+        QuerySpec {
+            count: 1,
+            length: 24,
+            mutation: MutationProfile::HOMOLOGOUS,
+            seed: 3,
+        },
+    )
+    .build();
+    let path = temp_index_path("protein");
+    IndexBuilder::new()
+        .index(built.database)
+        .save(&path)
+        .expect("save index");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        IndexedDatabase::open(&path).expect("open"),
+        ServerConfig::default(),
+    )
+    .expect("bind ephemeral port");
+
+    // Set letter 0's 5-bit field to 31 (sigma is 20), then re-stamp the
+    // section checksum so only the letter check can refuse the file.
+    let mut bytes = std::fs::read(&path).expect("read index");
+    let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let (slot, entry) = (0..sections)
+        .map(|k| HEADER_LEN + k * TABLE_ENTRY_LEN)
+        .find_map(|at| {
+            TableEntry::from_bytes(&bytes[at..at + TABLE_ENTRY_LEN])
+                .filter(|entry| entry.id == section::TEXT_PACKED)
+                .map(|entry| (at, entry))
+        })
+        .expect("TEXT_PACKED entry");
+    let payload = entry.offset as usize..(entry.offset + entry.len) as usize;
+    bytes[payload.start] |= 0b11111;
+    let stamped = TableEntry {
+        checksum: checksum(&bytes[payload]),
+        ..entry
+    };
+    bytes[slot..slot + TABLE_ENTRY_LEN].copy_from_slice(&stamped.to_bytes());
+    let bad = temp_index_path("bad-letter");
+    std::fs::write(&bad, &bytes).expect("write the bad file");
+
+    let err = server
+        .reload(&bad)
+        .expect_err("a bad letter must be refused");
+    assert!(err.contains("TEXT_PACKED letter 0 is field 31"), "{err}");
+    assert_eq!(server.index_epoch(), 1);
+    assert_eq!(server.metrics().index_reloads_rejected.get(), 1);
+    assert_eq!(server.metrics().index_reloads_ok.get(), 0);
+    let events = server.trace_log().events_snapshot();
+    assert!(
+        events
+            .iter()
+            .any(|event| event.render_line().contains("outcome=rejected")),
+        "the rejection is logged"
+    );
+
+    // The intact file still reloads.
+    let summary = server.reload(&path).expect("reload the intact file");
+    assert_eq!((summary.epoch, summary.records), (2, 1));
+    assert_eq!(summary.text_len, 3_000);
+    server.shutdown();
+    for path in [path, bad] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 /// The admin route flips the epoch too: `POST /admin/reload` with a
 /// body path reloads and reports the new epoch over HTTP.
 #[test]

@@ -4,7 +4,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------------
 //!      0     8  magic  b"ALAEIDX\0"
-//!      8     4  format version (u32 LE, currently 1)
+//!      8     4  format version (u32 LE, currently 2)
 //!     12     4  section count (u32 LE)
 //!     16  32*N  section table: { id: u32, _pad: u32, offset: u64,
 //!                                len: u64, checksum: u64 }  (all LE)
@@ -12,20 +12,23 @@
 //!               offset, zero-padded in between
 //! ```
 //!
-//! Every payload is little-endian and covered by an FNV-1a 64 checksum
-//! recorded in its table entry; readers verify all checksums before
-//! trusting a byte.  Multi-byte integer sections are plain dense arrays
+//! Every payload is little-endian and covered by a [`checksum`] recorded
+//! in its table entry; readers verify all checksums before trusting a
+//! byte.  Multi-byte integer sections are plain dense arrays
 //! (`u16`/`u32`/`u64`), decoded into owned vectors as open reads them.
-//! The two `u8` sections that dominate the file — the concatenated text
-//! and the byte-layout BWT storage — are *not* decoded: the reader checks
-//! them as it reads them and then hands out zero-copy views of the mapped
-//! file.
+//! The two sections that dominate the file are *not* decoded: the reader
+//! checks them as it reads them and then hands out zero-copy views of the
+//! mapped file.  They are the text's letters, packed by
+//! `alae_bioseq::LetterPacking` (2 bits per DNA letter, 5 per protein
+//! letter), and the byte-layout BWT storage.
 
 /// File magic.
 pub const MAGIC: [u8; 8] = *b"ALAEIDX\0";
 
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version.  Version 1 stored the text one byte per code
+/// (section id 6) and checksummed byte by byte; it is refused, and such a
+/// file is rebuilt.
+pub const VERSION: u32 = 2;
 
 /// Section payload alignment.
 pub const ALIGN: usize = 8;
@@ -38,8 +41,8 @@ pub const TABLE_ENTRY_LEN: usize = 32;
 
 /// Section identifiers.  Presence encodes shape: a file carries either
 /// `OCC_BYTES` or `OCC_WORDS` (+ exception lists), mirroring the in-memory
-/// storage enum.  Id 8 held the retired flat `u32` checkpoint rows and is
-/// never reused.
+/// storage enum.  Id 6 held the byte text of format version 1 and id 8 the
+/// retired flat `u32` checkpoint rows; neither is ever reused.
 pub mod section {
     /// Scalar metadata (see [`super::Meta`]).
     pub const META: u32 = 1;
@@ -51,8 +54,6 @@ pub mod section {
     pub const STARTS: u32 = 4;
     /// `u64` per-record lengths.
     pub const LENGTHS: u32 = 5;
-    /// The concatenated code text (zero-copy on open).
-    pub const TEXT: u32 = 6;
     /// `u64` cumulative character counts (`C` array).
     pub const C_ARRAY: u32 = 7;
     /// Two-level checkpoints: `u64` superblock absolutes.
@@ -71,6 +72,9 @@ pub mod section {
     pub const SAMPLED_WORDS: u32 = 15;
     /// Sampled suffix-array values (`u32`).
     pub const SAMPLES: u32 = 16;
+    /// The records' letters back to back, packed into `u64` words; the
+    /// separators follow from the record table (zero-copy on open).
+    pub const TEXT_PACKED: u32 = 17;
 }
 
 /// Storage-kind tag stored in [`Meta`].  The builder writes packed DNA
@@ -185,41 +189,80 @@ impl TableEntry {
     }
 }
 
-/// FNV-1a 64-bit checksum (dependency-free; not cryptographic — this guards
-/// against truncation and bit rot, not tampering).
+/// The section checksum: FNV-1a 64 taken a little-endian `u64` word at a
+/// time instead of a byte at a time (xor the word in, multiply by the FNV
+/// prime), which makes it one multiply per 8 bytes.  A tail shorter than a
+/// word is zero-padded and folded in as one, and the byte length is folded
+/// in last, so the padding never reads as data.  Dependency-free and not
+/// cryptographic: it guards against truncation and bit rot, not tampering.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = Fnv1a::default();
+    let mut hash = Checksum::default();
     hash.update(bytes);
     hash.finish()
 }
 
 /// [`checksum`] fed in pieces: over any split of the same bytes it
-/// finishes with the same value.
+/// finishes with the same value.  It carries at most 7 bytes from one
+/// piece to the next.
 #[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
+pub struct Checksum {
+    hash: u64,
+    len: u64,
+    /// The bytes of a word not yet complete.
+    tail: [u8; 8],
+    tail_len: usize,
+}
 
-impl Default for Fnv1a {
+impl Default for Checksum {
     fn default() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
+        Self {
+            hash: 0xcbf2_9ce4_8422_2325,
+            len: 0,
+            tail: [0; 8],
+            tail_len: 0,
+        }
     }
 }
 
-impl Fnv1a {
+impl Checksum {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
+    fn fold(hash: u64, word: u64) -> u64 {
+        (hash ^ word).wrapping_mul(Self::PRIME)
+    }
+
     /// Hash the next piece.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut hash = self.0;
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(Self::PRIME);
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.tail_len > 0 {
+            let take = bytes.len().min(8 - self.tail_len);
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.hash = Self::fold(self.hash, u64::from_le_bytes(self.tail));
+            self.tail_len = 0;
         }
-        self.0 = hash;
+        let words = bytes.chunks_exact(8);
+        let rest = words.remainder();
+        self.hash = words.fold(self.hash, |hash, word| {
+            Self::fold(hash, <u64 as Word>::from_le(word))
+        });
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
     }
 
     /// The checksum of everything hashed so far.
     pub fn finish(self) -> u64 {
-        self.0
+        let mut hash = self.hash;
+        if self.tail_len > 0 {
+            let mut last = [0; 8];
+            last[..self.tail_len].copy_from_slice(&self.tail[..self.tail_len]);
+            hash = Self::fold(hash, u64::from_le_bytes(last));
+        }
+        Self::fold(hash, self.len)
     }
 }
 
@@ -372,7 +415,7 @@ mod tests {
     #[test]
     fn table_entry_round_trips() {
         let entry = TableEntry {
-            id: section::TEXT,
+            id: section::TEXT_PACKED,
             offset: 4096,
             len: 999,
             checksum: 0xdead_beef_cafe_f00d,
@@ -388,19 +431,59 @@ mod tests {
     #[test]
     fn checksum_is_order_sensitive() {
         assert_ne!(checksum(b"ab"), checksum(b"ba"));
+        assert_ne!(checksum(b"abcdefgh12345678"), checksum(b"12345678abcdefgh"));
         assert_ne!(checksum(b""), checksum(b"\0"));
-        // FNV-1a reference vector.
-        assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
+        // Reference values: a change to them changes every stored file.
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(1_000).collect();
+        assert_eq!(checksum(b""), REFERENCE[0]);
+        assert_eq!(checksum(b"a"), REFERENCE[1]);
+        assert_eq!(checksum(b"abcdefgh"), REFERENCE[2]);
+        assert_eq!(checksum(&bytes), REFERENCE[3]);
+    }
+
+    const REFERENCE: [u64; 4] = [
+        0xaf63_bd4c_8601_b7df,
+        0x089b_e307_b544_f397,
+        0xe8f7_1929_49da_b24c,
+        0x6ded_0725_0ac3_00b5,
+    ];
+
+    #[test]
+    fn checksum_sees_every_word_and_the_length() {
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(203).collect();
+        let pristine = checksum(&bytes);
+        for at in 0..bytes.len() {
+            let mut changed = bytes.clone();
+            changed[at] ^= 1 << (at % 8);
+            assert_ne!(checksum(&changed), pristine, "byte {at}");
+        }
+        // Zero bytes past the end read like the padding, but the length
+        // differs.
+        for extra in 1..=16 {
+            let mut longer = bytes.clone();
+            longer.resize(bytes.len() + extra, 0);
+            assert_ne!(checksum(&longer), pristine, "{extra} zero bytes more");
+        }
+        assert_ne!(checksum(&bytes[..200]), pristine);
+        assert_ne!(checksum(&[0; 8]), checksum(&[0; 16]));
     }
 
     #[test]
     fn checksum_in_pieces_matches_one_pass() {
         let bytes: Vec<u8> = (0..=255u8).cycle().take(1_000).collect();
-        for split in [0, 1, 7, 500, 999, 1_000] {
-            let mut hash = Fnv1a::default();
+        for split in [0, 1, 7, 8, 9, 500, 503, 999, 1_000] {
+            let mut hash = Checksum::default();
             hash.update(&bytes[..split]);
             hash.update(&bytes[split..]);
             assert_eq!(hash.finish(), checksum(&bytes), "split at {split}");
+        }
+        // Pieces of every size from 1 to 17 bytes, carrying tails across.
+        for piece in 1..=17 {
+            let mut hash = Checksum::default();
+            for chunk in bytes.chunks(piece) {
+                hash.update(chunk);
+            }
+            assert_eq!(hash.finish(), checksum(&bytes), "pieces of {piece}");
         }
     }
 }

@@ -1,19 +1,23 @@
 //! Single-file persistence for ALAE indexed databases.
 //!
 //! [`save_index`] serializes a [`SequenceDatabase`] together with the
-//! [`TextIndex`] built over it — record table, concatenated text, `C`
-//! array, occurrence checkpoint rows, BWT storage, exception lists and the
-//! sampled suffix array — into one checksummed little-endian file (format
-//! in [`mod@format`]).  [`open_index`] reopens it **without rebuilding
-//! anything**: no suffix-array construction, no BWT, no checkpoint pass.
-//! It reads every section once with positioned reads, checksumming each
-//! and decoding the narrower integer sections into owned vectors, and
-//! only then maps the file: the two large byte sections (the text and, in
-//! the byte layout, the BWT storage) are served as zero-copy views of the
-//! mapping, resident only once something reads them.
+//! [`TextIndex`] built over it — record table, the text's letters packed a
+//! few bits each, `C` array, occurrence checkpoint rows, BWT storage,
+//! exception lists and the sampled suffix array — into one checksummed
+//! little-endian file (format in [`mod@format`]).  [`open_index`] reopens
+//! it **without rebuilding anything**: no suffix-array construction, no
+//! BWT, no checkpoint pass.  It reads every section once with positioned
+//! reads, checksumming each and decoding the narrower integer sections
+//! into owned vectors, and only then maps the file: the two large sections
+//! (the packed letters and, in the byte layout, the BWT storage) are served
+//! as zero-copy views of the mapping, resident only once something reads
+//! them.  The text's bytes do not exist until something reads the text:
+//! the opened database unpacks the letters then, once.
 //!
 //! What is *not* stored, by design:
 //!
+//! * **Separators** — one sits between neighbouring records, so the record
+//!   table places them.
 //! * **Rank directories** — the bit-vector rank blocks and the exception
 //!   block-start rows are cheap derived data, rebuilt in one linear pass.
 //! * **Q-gram structures** — ALAE's q-gram inverted lists are built per
@@ -33,16 +37,16 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use alae_bioseq::alphabet::SEPARATOR_CODE;
-use alae_bioseq::{Alphabet, SequenceDatabase, SharedBytes};
+use alae_bioseq::packed::WordFault;
+use alae_bioseq::{Alphabet, LetterPacking, SequenceDatabase, SharedBytes};
 use alae_suffix::bitvec::RankBitVec;
 use alae_suffix::fm_index::FmIndex;
 use alae_suffix::rank::OccTable;
 use alae_suffix::{CheckpointRows, CheckpointRowsRef, StorageData, StorageDataRef, TextIndex};
 
 use format::{
-    alphabet_tag, checkpoint_kind, checksum, section, storage_kind, Fnv1a, Meta, TableEntry, Word,
-    ALIGN, HEADER_LEN, MAGIC, TABLE_ENTRY_LEN, VERSION,
+    alphabet_tag, checkpoint_kind, checksum, section, storage_kind, Checksum, Meta, TableEntry,
+    Word, ALIGN, HEADER_LEN, MAGIC, TABLE_ENTRY_LEN, VERSION,
 };
 use mmap::FileBuffer;
 
@@ -132,6 +136,17 @@ pub fn save_index(
     let fm = index.fm_index();
     let occ = fm.occ_table();
 
+    // The letters alone: the record table places the separators.
+    let text = database.text();
+    let records = database
+        .record_starts()
+        .iter()
+        .zip(database.record_lengths())
+        .map(|(&start, &len)| &text[start..start + len]);
+    let letters = LetterPacking::new(database.alphabet())
+        .pack(records)
+        .map_err(|code| corrupt(format!("record letter code {code} is not a letter")))?;
+
     // Record table.
     let names = database.record_names();
     let mut name_offsets: Vec<u32> = Vec::with_capacity(names.len() + 1);
@@ -193,7 +208,7 @@ pub fn save_index(
             section::LENGTHS,
             format::encode_usizes(database.record_lengths()),
         ),
-        (section::TEXT, index.text().to_vec()),
+        (section::TEXT_PACKED, letters),
         (section::C_ARRAY, format::encode_usizes(fm.c_array())),
     ];
     sections.push((section::CHK_SUPERS, format::encode_u64s(supers)));
@@ -356,7 +371,7 @@ impl SectionReader {
         let entry = self.entries[k];
         self.read[k] = true;
         self.file.seek(SeekFrom::Start(entry.offset))?;
-        let mut hash = Fnv1a::default();
+        let mut hash = Checksum::default();
         let mut left = entry.len;
         while left > 0 {
             let piece = &mut self.buf[..left.min(READ_CHUNK as u64) as usize];
@@ -407,121 +422,58 @@ impl SectionReader {
     }
 }
 
-/// The `TEXT` rules, checked as the pass streams the section: every byte
-/// is below the code count, and the separator code sits exactly at the
-/// record boundaries the record table names (one after each record but
-/// the last) and nowhere else.  A file that keeps them gives the same
-/// answer from its record table as from its text bytes to "is this
-/// position a separator", which is how hits are resolved.
-struct TextCheck {
-    code_count: u64,
-    /// Letters are the codes `1..=letters`.
-    letters: u8,
-    /// Text positions of the separators, increasing.
-    separators: Vec<usize>,
-    /// How many of them the stream has passed.
-    passed: usize,
-    /// Text position of the next byte fed.
-    position: usize,
+/// The `TEXT_PACKED` rules, checked word by word as the pass streams the
+/// section (see [`LetterPacking::check_word`]): every field is below σ,
+/// and every bit above the last letter is zero.  A word's check needs only
+/// its own position, so pieces split anywhere on a word boundary.
+struct LetterCheck {
+    packing: LetterPacking,
+    /// Letters in the section.
+    letters: usize,
+    /// Index of the next word fed.
+    word: usize,
     /// The first broken rule.
     fault: Option<String>,
 }
 
-impl TextCheck {
-    fn new(code_count: u64, starts: &[usize], lengths: &[usize]) -> Result<Self, StoreError> {
-        if starts.len() != lengths.len() {
-            return Err(corrupt(format!(
-                "record table arity mismatch: {} starts, {} lengths",
-                starts.len(),
-                lengths.len()
-            )));
-        }
-        let separators: Vec<usize> = starts
-            .iter()
-            .zip(lengths)
-            .take(starts.len().saturating_sub(1))
-            .map(|(&start, &len)| start.checked_add(len))
-            .collect::<Option<_>>()
-            .ok_or_else(|| corrupt("record end overflows"))?;
-        if separators.windows(2).any(|pair| pair[0] >= pair[1]) {
-            return Err(corrupt("record table out of order"));
-        }
-        Ok(Self {
-            code_count,
-            letters: code_count.saturating_sub(1).min(u8::MAX as u64) as u8,
-            separators,
-            passed: 0,
-            position: 0,
-            fault: None,
-        })
-    }
-
-    /// Check the next `piece` of the text.
+impl LetterCheck {
+    /// Check the next `piece` of whole words.
     fn feed(&mut self, piece: &[u8]) {
-        let end = self.position + piece.len();
-        let mut from = 0;
-        while self.fault.is_none() {
-            let boundary = self
-                .separators
-                .get(self.passed)
-                .copied()
-                .filter(|&at| at < end);
-            let to = boundary.map_or(piece.len(), |at| at - self.position);
-            // A letter minus one is below `letters`; the separator wraps to
-            // 255.  One branch-free sweep, and a second only on a fault.
-            let run = &piece[from..to];
-            let letters = self.letters;
-            let is_letter = |b: u8| b.wrapping_sub(1) < letters;
-            if !run.iter().fold(true, |all, &b| all & is_letter(b)) {
-                if let Some(k) = run.iter().position(|&b| !is_letter(b)) {
-                    let at = self.position + from + k;
-                    self.fault = Some(match run[k] {
-                        SEPARATOR_CODE => {
-                            format!(
-                                "TEXT holds a separator at {at}, inside record {}",
-                                self.passed
-                            )
-                        }
-                        code => format!(
-                            "TEXT holds code {code} at {at}, not below the code count {}",
-                            self.code_count
-                        ),
-                    });
-                }
-                break;
+        let per_word = self.packing.letters_per_word();
+        for word in piece.chunks_exact(8) {
+            if self.fault.is_some() {
+                return;
             }
-            let Some(at) = boundary else { break };
-            if piece[to] != SEPARATOR_CODE {
-                self.fault = Some(format!(
-                    "TEXT holds code {} at {at}, where the record table puts the separator \
-                     after record {}",
-                    piece[to], self.passed
-                ));
-                break;
-            }
-            self.passed += 1;
-            from = to + 1;
+            let first = self.word * per_word;
+            let letters = self.letters.saturating_sub(first).min(per_word);
+            self.fault = match self
+                .packing
+                .check_word(<u64 as Word>::from_le(word), letters)
+            {
+                Ok(()) => None,
+                Err(WordFault::UnusedBits) => Some(format!(
+                    "TEXT_PACKED word {} sets bits past its last letter",
+                    self.word
+                )),
+                Err(WordFault::Field {
+                    letter,
+                    value,
+                    sigma,
+                }) => Some(format!(
+                    "TEXT_PACKED letter {} is field {value}, not below sigma {sigma}",
+                    first + letter
+                )),
+            };
+            self.word += 1;
         }
-        self.position = end;
-    }
-
-    fn finish(self) -> Result<(), StoreError> {
-        if let Some(fault) = self.fault {
-            return Err(corrupt(fault));
-        }
-        if let Some(at) = self.separators.get(self.passed) {
-            return Err(corrupt(format!(
-                "the record table puts a separator at {at}, past the end of TEXT"
-            )));
-        }
-        Ok(())
     }
 }
 
 /// What both [`open_index`] and [`verify_index`] read first: the metadata,
-/// the record table, and `TEXT`, checked byte by byte against both.
+/// the record table, and `TEXT_PACKED`, checked word by word against both.
 struct Front {
     meta: Meta,
+    alphabet: Alphabet,
     names: Vec<Arc<str>>,
     starts: Vec<usize>,
     lengths: Vec<usize>,
@@ -530,6 +482,11 @@ struct Front {
 fn read_front(reader: &mut SectionReader) -> Result<Front, StoreError> {
     let meta = Meta::from_fields(&reader.words::<u64>(section::META, "META")?)
         .ok_or_else(|| corrupt("malformed META section"))?;
+    let alphabet = match meta.alphabet {
+        alphabet_tag::DNA => Alphabet::Dna,
+        alphabet_tag::PROTEIN => Alphabet::Protein,
+        other => return Err(corrupt(format!("unknown alphabet tag {other}"))),
+    };
     let record_count =
         usize::try_from(meta.record_count).map_err(|_| corrupt("record_count overflows"))?;
     let name_offsets: Vec<u32> = reader.words(section::NAME_OFFSETS, "NAME_OFFSETS")?;
@@ -552,11 +509,40 @@ fn read_front(reader: &mut SectionReader) -> Result<Front, StoreError> {
     }
     let starts = reader.usizes(section::STARTS, "STARTS")?;
     let lengths = reader.usizes(section::LENGTHS, "LENGTHS")?;
-    let mut text = TextCheck::new(meta.code_count, &starts, &lengths)?;
-    reader.read(section::TEXT, |piece| text.feed(piece))?;
-    text.finish()?;
+
+    // The text the record table describes, and the letters in it.
+    let text_len =
+        SequenceDatabase::table_text_len(&names, &starts, &lengths).map_err(StoreError::Corrupt)?;
+    let letters = text_len - record_count.saturating_sub(1);
+    if meta.text_len != text_len as u64 {
+        return Err(corrupt(format!(
+            "META text_len is {}, the record table's {letters} letters in {record_count} \
+             records make {text_len}",
+            meta.text_len
+        )));
+    }
+    let packing = LetterPacking::new(alphabet);
+    let packed_bytes = reader.entry(section::TEXT_PACKED)?.len;
+    if packed_bytes != 8 * packing.words(letters) as u64 {
+        return Err(corrupt(format!(
+            "TEXT_PACKED is {packed_bytes} bytes, the record table's {letters} letters pack \
+             into {} words",
+            packing.words(letters)
+        )));
+    }
+    let mut check = LetterCheck {
+        packing,
+        letters,
+        word: 0,
+        fault: None,
+    };
+    reader.read(section::TEXT_PACKED, |piece| check.feed(piece))?;
+    if let Some(fault) = check.fault {
+        return Err(corrupt(fault));
+    }
     Ok(Front {
         meta,
+        alphabet,
         names,
         starts,
         lengths,
@@ -581,10 +567,10 @@ pub struct IndexSummary {
 ///
 /// Runs the read pass of [`open_index`]: the magic, version and section
 /// table, **every** section checksum, the metadata section's shape, the
-/// record table, and the `TEXT` rules (every byte below the code count,
-/// separators exactly at the record boundaries).  Intended as a pre-flight
-/// for hot reloads: a server can reject a torn or mismatched file before
-/// committing to the full open.
+/// record table (and it against `META.text_len` and the size of
+/// `TEXT_PACKED`), and every packed letter (each field below σ, no bit set
+/// past the last letter).  It refuses what that pass refuses, with the
+/// same errors; open goes on to check the structures it assembles.
 pub fn verify_index(path: &Path) -> Result<IndexSummary, StoreError> {
     let mut reader = SectionReader::open(path)?;
     let front = read_front(&mut reader)?;
@@ -605,21 +591,20 @@ pub fn verify_index(path: &Path) -> Result<IndexSummary, StoreError> {
 ///
 /// The file is read once with positioned reads (see [`verify_index`]) and
 /// mapped only after every section has checked out.  The integer sections
-/// are decoded as they are read; `TEXT` and `OCC_BYTES` are served as views
-/// of the mapping, whose pages stay on disk until something reads them.
+/// are decoded as they are read; `TEXT_PACKED` and `OCC_BYTES` are served
+/// as views of the mapping, whose pages stay on disk until something reads
+/// them.  The database and the index share one text, which unpacks the
+/// letters into bytes on its first read (Smith–Waterman or BLAST-like);
+/// ALAE, BWT-SW and hit resolution never read it.
 pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
     let mut reader = SectionReader::open(path)?;
     let Front {
         meta,
+        alphabet,
         names,
         starts,
         lengths,
     } = read_front(&mut reader)?;
-    let alphabet = match meta.alphabet {
-        alphabet_tag::DNA => Alphabet::Dna,
-        alphabet_tag::PROTEIN => Alphabet::Protein,
-        other => return Err(corrupt(format!("unknown alphabet tag {other}"))),
-    };
     let code_count =
         usize::try_from(meta.code_count).map_err(|_| corrupt("code_count overflows"))?;
     if code_count != alphabet.code_count() {
@@ -632,12 +617,6 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
         usize::try_from(meta.sample_rate).map_err(|_| corrupt("sample_rate overflows"))?;
     let sampled_bits =
         usize::try_from(meta.sampled_bits).map_err(|_| corrupt("sampled_bits overflows"))?;
-    let text_bytes = reader.entry(section::TEXT)?.len;
-    if text_bytes != meta.text_len {
-        return Err(corrupt(format!(
-            "TEXT section is {text_bytes} bytes, metadata says {text_len}"
-        )));
-    }
 
     // --- Occurrence table sections ------------------------------------------
     if meta.checkpoint_kind != checkpoint_kind::TWO_LEVEL {
@@ -686,9 +665,14 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
             entry.len as usize,
         ))
     };
-    let text = view(section::TEXT)?;
-    let database = SequenceDatabase::from_parts(alphabet, text.clone(), names, starts, lengths)
-        .map_err(StoreError::Corrupt)?;
+    let database = SequenceDatabase::from_packed(
+        alphabet,
+        view(section::TEXT_PACKED)?,
+        names,
+        starts,
+        lengths,
+    )
+    .map_err(StoreError::Corrupt)?;
 
     // --- Occurrence table -------------------------------------------------
     // The FM-index covers the reversed text plus its sentinel, with all
@@ -719,7 +703,8 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
     )
     .map_err(StoreError::Corrupt)?;
 
-    let index = TextIndex::from_parts(text, code_count, fm).map_err(StoreError::Corrupt)?;
+    let index = TextIndex::from_parts(database.shared_text(), code_count, fm)
+        .map_err(StoreError::Corrupt)?;
     Ok(OpenedIndex {
         database: Arc::new(database),
         index: Arc::new(index),
@@ -802,12 +787,54 @@ mod tests {
         let opened = open_index(&path).unwrap();
         #[cfg(unix)]
         assert!(opened.mapped);
-        // The database and the index share the same text view.
-        assert!(std::ptr::eq(
-            opened.database.text().as_ptr(),
-            opened.index.text().as_ptr()
-        ));
+        // The database and the index share one text, still packed; the
+        // first read through either unpacks it for both.
+        let text = opened.database.shared_text();
+        assert!(text.same_view(&opened.index.shared_text()));
+        assert!(text.is_packed());
+        assert_eq!(opened.index.text(), database.text());
+        assert!(!opened.database.shared_text().is_packed());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn round_trips_restore_the_text_byte_for_byte() {
+        // An empty record first and in the middle, and a record that ends
+        // on a word boundary: 32 letters for DNA, 12 for protein.
+        for alphabet in [Alphabet::Dna, Alphabet::Protein] {
+            let per_word = LetterPacking::new(alphabet).letters_per_word();
+            let lengths = [0, per_word, 0, 5, 2 * per_word + 1];
+            let database = SequenceDatabase::from_sequences(
+                alphabet,
+                lengths.iter().enumerate().map(|(r, &len)| {
+                    let codes = (0..len)
+                        .map(|i| 1 + ((i * 5 + r) % alphabet.sigma()) as u8)
+                        .collect();
+                    Sequence::from_codes(alphabet, codes)
+                }),
+            );
+            let path = temp_path(&format!("text-bytes-{alphabet:?}"));
+            let index = build_index(&database);
+            save_index(&path, &database, &index).unwrap();
+            let saved = std::fs::read(&path).unwrap();
+            let opened = open_index(&path).unwrap();
+            assert!(opened.database.shared_text().is_packed());
+            assert_eq!(opened.database.record_lengths(), &lengths);
+            assert_eq!(opened.database.record_starts(), database.record_starts());
+            assert_eq!(opened.database.text_len(), database.text_len());
+            assert_eq!(opened.database.text(), database.text(), "{alphabet:?}");
+
+            // Saving again, the built index or the opened one, writes the
+            // same bytes.  (A served file is never rewritten in place, so
+            // the saves go to a second path.)
+            let again = temp_path(&format!("text-bytes-again-{alphabet:?}"));
+            save_index(&again, &database, &index).unwrap();
+            assert_eq!(std::fs::read(&again).unwrap(), saved);
+            save_index(&again, &opened.database, &opened.index).unwrap();
+            assert_eq!(std::fs::read(&again).unwrap(), saved);
+            std::fs::remove_file(&again).unwrap();
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
@@ -851,18 +878,24 @@ mod tests {
 
     #[test]
     fn rejects_wrong_version() {
+        // Version 1 stored the text as bytes: such a file is rebuilt, never
+        // read, and so is one from a future version.
         let path = temp_path("version");
         let database = sample_database();
         let index = build_index(&database);
         save_index(&path, &database, &index).unwrap();
-        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        file.seek(SeekFrom::Start(8)).unwrap();
-        file.write_all(&99u32.to_le_bytes()).unwrap();
-        drop(file);
-        assert!(matches!(
-            open_index(&path),
-            Err(StoreError::UnsupportedVersion(99))
-        ));
+        for version in [1u32, 99] {
+            let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            file.seek(SeekFrom::Start(8)).unwrap();
+            file.write_all(&version.to_le_bytes()).unwrap();
+            drop(file);
+            for result in [open_index(&path).err(), verify_index(&path).err()] {
+                assert!(
+                    matches!(result, Some(StoreError::UnsupportedVersion(v)) if v == version),
+                    "{version}: {result:?}"
+                );
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1015,75 +1048,136 @@ mod tests {
         );
     }
 
-    #[test]
-    fn out_of_range_text_byte_is_a_typed_corrupt_error() {
-        // A checksum-valid file with a TEXT byte equal to the code count:
-        // the scoring scheme would read it as a letter, so hits would be
-        // wrong rather than refused.
-        let path = temp_path("text-byte-range");
-        let database = sample_database();
-        save_index(&path, &database, &build_index(&database)).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let (slot, entry) = section_entry(&bytes, section::TEXT);
-        let code_count = database.alphabet().code_count() as u8;
-        bytes[entry.offset as usize + 2] = code_count;
-        restamp(&mut bytes, slot, entry);
-        assert_corrupt_from_open_and_verify(&path, &bytes, &format!("code {code_count} at 2"));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn misplaced_separator_is_a_typed_corrupt_error() {
-        // Separators sit exactly at the record boundaries the record table
-        // names: one inside a record, or a letter at a boundary, is refused.
-        let path = temp_path("text-separator");
-        let database = sample_database();
-        save_index(&path, &database, &build_index(&database)).unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-        let (slot, entry) = section_entry(&pristine, section::TEXT);
-        let boundary = database.record_len(0);
-        for (at, code, why) in [
-            (3, SEPARATOR_CODE, "separator at 3, inside record 0"),
-            (boundary + 4, SEPARATOR_CODE, "inside record 1"),
-            (boundary, 1, "separator after record 0"),
-        ] {
-            let mut bytes = pristine.clone();
-            bytes[entry.offset as usize + at] = code;
-            restamp(&mut bytes, slot, entry);
-            assert_corrupt_from_open_and_verify(&path, &bytes, why);
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn text_rules_hold_across_read_pieces() {
-        // The pass reads `TEXT` in READ_CHUNK pieces: separators on both
-        // sides of a piece boundary (after an empty record) must pass, and
-        // a misplaced one in a later piece must still be found.
-        let path = temp_path("text-pieces");
-        let lengths = [READ_CHUNK - 1, 0, READ_CHUNK + 4_464, 5];
-        let database = SequenceDatabase::from_sequences(
-            Alphabet::Dna,
-            lengths.iter().enumerate().map(|(k, &len)| {
-                let codes = (0..len).map(|i| 1 + ((i * 7 + k) % 4) as u8).collect();
-                Sequence::from_codes(Alphabet::Dna, codes)
+    fn protein_database(lengths: &[usize]) -> SequenceDatabase {
+        SequenceDatabase::from_sequences(
+            Alphabet::Protein,
+            lengths.iter().enumerate().map(|(r, &len)| {
+                let codes = (0..len).map(|i| 1 + ((i * 7 + r) % 20) as u8).collect();
+                Sequence::from_codes(Alphabet::Protein, codes)
             }),
-        );
-        assert_eq!(database.text()[READ_CHUNK - 1], SEPARATOR_CODE);
-        assert_eq!(database.text()[READ_CHUNK], SEPARATOR_CODE);
-        save_index(&path, &database, &build_index(&database)).unwrap();
-        verify_index(&path).unwrap();
-        assert_eq!(open_index(&path).unwrap().database.record_count(), 4);
+        )
+    }
 
+    /// Overwrite the `TEXT_PACKED` word `word` of the file image `bytes`
+    /// with `f(word)` and re-stamp the section's checksum.
+    fn rewrite_packed_word(bytes: &mut [u8], word: usize, f: impl FnOnce(u64) -> u64) {
+        let (slot, entry) = section_entry(bytes, section::TEXT_PACKED);
+        let at = entry.offset as usize + 8 * word;
+        let value = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        bytes[at..at + 8].copy_from_slice(&f(value).to_le_bytes());
+        restamp(bytes, slot, entry);
+    }
+
+    #[test]
+    fn out_of_range_text_letter_is_a_typed_corrupt_error() {
+        // A checksum-valid protein file with a packed field at or above
+        // sigma: it would unpack to a code at or above the code count, which
+        // the scoring scheme reads as a letter, so hits would be wrong
+        // rather than refused.  (A 2-bit DNA field cannot leave its range.)
+        let path = temp_path("text-letter-range");
+        let database = protein_database(&[30, 7]);
+        save_index(&path, &database, &build_index(&database)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        let (slot, entry) = section_entry(&bytes, section::TEXT);
-        let at = 2 * READ_CHUNK + 100;
-        bytes[entry.offset as usize + at] = SEPARATOR_CODE;
+        rewrite_packed_word(&mut bytes, 0, |word| word | 0b11111 << 10);
+        assert_corrupt_from_open_and_verify(
+            &path,
+            &bytes,
+            "TEXT_PACKED letter 2 is field 31, not below sigma 20",
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn packed_text_length_must_match_the_record_table() {
+        // The table entry claims one word fewer than the record table's
+        // letters need (payload re-stamped over the shorter range).
+        let path = temp_path("text-packed-length");
+        let database = protein_database(&[30, 7]);
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&bytes, section::TEXT_PACKED);
+        assert_eq!(entry.len, 8 * 4);
+        let shorter = TableEntry {
+            len: entry.len - 8,
+            ..entry
+        };
+        restamp(&mut bytes, slot, shorter);
+        assert_corrupt_from_open_and_verify(
+            &path,
+            &bytes,
+            "TEXT_PACKED is 24 bytes, the record table's 37 letters pack into 4 words",
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn meta_text_len_must_match_the_record_table() {
+        let path = temp_path("text-len");
+        let database = sample_database();
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&bytes, section::META);
+        let payload = entry.offset as usize..(entry.offset + entry.len) as usize;
+        let meta = Meta::from_bytes(&bytes[payload.clone()]).unwrap();
+        assert_eq!(meta.text_len, 32);
+        let longer = Meta {
+            text_len: 33,
+            ..meta
+        };
+        bytes[payload].copy_from_slice(&longer.to_bytes());
         restamp(&mut bytes, slot, entry);
         assert_corrupt_from_open_and_verify(
             &path,
             &bytes,
-            &format!("separator at {at}, inside record 2"),
+            "META text_len is 33, the record table's 31 letters in 2 records make 32",
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn nonzero_unused_bits_are_a_typed_corrupt_error() {
+        // DNA's last word holds 31 of 32 letters, so its top field is
+        // unused; protein's full words leave their top 4 bits unused.
+        let dna = sample_database();
+        let protein = protein_database(&[30, 7]);
+        for (database, word, bit) in [(dna, 0, 63), (protein, 0, 61)] {
+            let path = temp_path("unused-bits");
+            save_index(&path, &database, &build_index(&database)).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            rewrite_packed_word(&mut bytes, word, |value| value | 1 << bit);
+            assert_corrupt_from_open_and_verify(
+                &path,
+                &bytes,
+                &format!("TEXT_PACKED word {word} sets bits past its last letter"),
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn text_rules_hold_across_read_pieces() {
+        // The pass reads `TEXT_PACKED` in READ_CHUNK pieces of whole words:
+        // a file whose letters span two pieces (an empty record among
+        // them) must pass, and a bad letter in the second piece must still
+        // be found.
+        let path = temp_path("text-pieces");
+        let database = protein_database(&[READ_CHUNK - 1, 0, READ_CHUNK + 4_464, 5]);
+        let per_piece = READ_CHUNK / 8;
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let (_, entry) = section_entry(&std::fs::read(&path).unwrap(), section::TEXT_PACKED);
+        assert!(entry.len as usize > READ_CHUNK);
+        verify_index(&path).unwrap();
+        let opened = open_index(&path).unwrap();
+        assert_eq!(opened.database.record_count(), 4);
+        assert_eq!(opened.database.text(), database.text());
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        let word = per_piece + 100;
+        rewrite_packed_word(&mut bytes, word, |value| value | 0b10100 << 15);
+        assert_corrupt_from_open_and_verify(
+            &path,
+            &bytes,
+            &format!("TEXT_PACKED letter {} is field", word * 12 + 3),
         );
         std::fs::remove_file(&path).unwrap();
     }
@@ -1140,7 +1234,7 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let missing = StoreError::MissingSection(section::TEXT);
+        let missing = StoreError::MissingSection(section::TEXT_PACKED);
         assert!(missing.to_string().contains("missing section"));
         assert!(StoreError::BadMagic.to_string().contains("magic"));
     }

@@ -12,10 +12,10 @@
 //! # Safety audit
 //!
 //! * The store maps a file only after it has read every section once with
-//!   positioned reads and checked its checksum (and, for `TEXT`, every
-//!   byte).  Nothing reads through the mapping at open; the `TEXT` and
-//!   `OCC_BYTES` views fault their pages in when a query or a check reads
-//!   them.
+//!   positioned reads and checked its checksum (and, for `TEXT_PACKED`,
+//!   every word).  Nothing reads through the mapping at open; the
+//!   `TEXT_PACKED` view faults its pages in when the text is first
+//!   unpacked, and the `OCC_BYTES` view when a query or a check reads it.
 //! * The mapping is `PROT_READ` + `MAP_PRIVATE`: the kernel keeps the range
 //!   readable for the lifetime of the mapping, and nothing in the process
 //!   can write through it.  Pages the process never wrote *are* the page

@@ -153,10 +153,11 @@ impl IndexedDatabase {
     /// Assemble from an existing database and a matching index (the index
     /// must have been built over exactly `database.text()`).
     pub fn from_parts(database: Arc<SequenceDatabase>, index: Arc<TextIndex>) -> Self {
-        // A shared view is compared by address: reading it would fault in
-        // the whole text of an opened index.
+        // One shared view is recognised without reading it: a read would
+        // unpack the text of an opened index.
         debug_assert!(
-            std::ptr::eq(database.text(), index.text()) || database.text() == index.text(),
+            database.shared_text().same_view(&index.shared_text())
+                || database.text() == index.text(),
             "index must cover the database text"
         );
         Self { database, index }
@@ -196,11 +197,13 @@ impl IndexedDatabase {
 
     /// Reopen an index file written by [`IndexedDatabase::save`].
     ///
-    /// The heavy byte sections (text, BWT storage) are zero-copy views of a
-    /// read-only memory mapping of the file; no suffix array is built.
+    /// The heavy sections (the packed text, BWT storage) are zero-copy views
+    /// of a read-only memory mapping of the file; no suffix array is built.
     /// Every section is read once and checksum-verified before the file is
     /// mapped, and a corrupt, truncated or incompatible file is rejected
-    /// with a typed [`alae_store::StoreError`].
+    /// with a typed [`alae_store::StoreError`].  The text is unpacked into
+    /// bytes only when an engine that reads it (Smith–Waterman,
+    /// BLAST-like) first runs; ALAE and BWT-SW never do.
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, alae_store::StoreError> {
         let opened = alae_store::open_index(path.as_ref())?;
         Ok(Self::from_parts(opened.database, opened.index))

@@ -228,6 +228,55 @@ fn a_served_index_keeps_only_what_its_queries_read_resident() {
     }
 }
 
+/// An opened index holds its text as packed letters and unpacks them only
+/// when an engine reads the text.  ALAE and BWT-SW find their hits and
+/// resolve them without reading it, and so do open, the facade's debug
+/// check and every record-table probe on the way; Smith–Waterman then
+/// unpacks it once, for every clone of the handle, and its hits equal the
+/// in-memory database's.
+#[test]
+fn an_opened_text_is_unpacked_only_by_the_engines_that_read_it() {
+    let (builder, built) = workload(Alphabet::Dna, 20_000, 0x1a2);
+    let fresh = builder.index(built.database);
+    let path = temp_path("lazy-text");
+    fresh.save(&path).expect("save");
+    let opened = IndexedDatabase::open(&path).expect("open");
+    let text = opened.database().shared_text();
+    assert!(text.same_view(&opened.index().shared_text()));
+    let _ = (
+        format!("{opened:?}"),
+        opened.clone(),
+        text.slice(10..20).len(),
+    );
+    assert!(
+        text.is_packed(),
+        "open, Debug, clone and slice must not unpack the text"
+    );
+
+    let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12);
+    let mut hits = 0;
+    for kind in [EngineKind::Alae, EngineKind::Bwtsw] {
+        let searcher = Searcher::new(opened.clone(), request.engine(kind));
+        for query in &built.queries {
+            let response = searcher.search(query);
+            assert!(response.hits.iter().all(|hit| hit.record == 0));
+            hits += response.hits.len();
+        }
+    }
+    assert!(hits > 0, "the searches must resolve hits");
+    assert!(text.is_packed(), "ALAE and BWT-SW must not unpack the text");
+
+    let request = request.engine(EngineKind::SmithWaterman);
+    let from_file = Searcher::new(opened.clone(), request);
+    let in_memory = Searcher::new(fresh, request);
+    for query in &built.queries {
+        assert_eq!(from_file.search(query).hits, in_memory.search(query).hits);
+    }
+    assert!(!text.is_packed(), "Smith-Waterman reads the text");
+    assert!(!opened.index().shared_text().is_packed());
+    fs::remove_file(&path).ok();
+}
+
 /// Damaged files are rejected with typed errors, never opened part-way.
 #[test]
 fn damaged_files_are_rejected_with_typed_errors() {
