@@ -73,9 +73,8 @@ pub struct SequenceDatabase {
     names: Vec<Arc<str>>,
     /// 0-based start offset of each record inside `text`.
     starts: Vec<usize>,
-    /// Lengths of each record (shared with a packed text, which places its
-    /// separators by them).
-    lengths: Arc<Vec<usize>>,
+    /// Lengths of each record.
+    lengths: Vec<usize>,
 }
 
 impl SequenceDatabase {
@@ -86,41 +85,8 @@ impl SequenceDatabase {
             text: SharedBytes::new(),
             names: Vec::new(),
             starts: Vec::new(),
-            lengths: Arc::default(),
+            lengths: Vec::new(),
         }
-    }
-
-    /// Reassemble a database from a byte text and its record table.
-    ///
-    /// Validates the record table against the text layout: records must be
-    /// contiguous, separated by exactly one separator code, and cover the
-    /// text exactly.
-    pub fn from_parts(
-        alphabet: Alphabet,
-        text: SharedBytes,
-        names: Vec<Arc<str>>,
-        starts: Vec<usize>,
-        lengths: Vec<usize>,
-    ) -> Result<Self, String> {
-        let text_len = Self::table_text_len(&names, &starts, &lengths)?;
-        if text_len != text.len() {
-            return Err(format!(
-                "record table covers {text_len} of {} text bytes",
-                text.len()
-            ));
-        }
-        for (record, (&start, &len)) in starts.iter().zip(&lengths).enumerate() {
-            if record + 1 < starts.len() && text[start + len] != SEPARATOR_CODE {
-                return Err(format!("missing separator after record {record}"));
-            }
-        }
-        Ok(Self {
-            alphabet,
-            text,
-            names,
-            starts,
-            lengths: Arc::new(lengths),
-        })
     }
 
     /// Reassemble a database whose text is stored as packed letters (the
@@ -151,8 +117,7 @@ impl SequenceDatabase {
                 words.len()
             ));
         }
-        let lengths = Arc::new(lengths);
-        let text = PackedText::new(packing, words, Arc::clone(&lengths), text_len);
+        let text = PackedText::new(packing, words, lengths.clone(), text_len);
         Ok(Self {
             alphabet,
             text: SharedBytes::from_packed(text),
@@ -228,7 +193,7 @@ impl SequenceDatabase {
             start
         });
         self.starts.push(start);
-        Arc::make_mut(&mut self.lengths).push(sequence.len());
+        self.lengths.push(sequence.len());
         self.names.push(Arc::from(sequence.name()));
     }
 
@@ -521,14 +486,26 @@ mod tests {
         assert_eq!(db.locate(0), None);
         assert_eq!(db.locate(1).unwrap().record, 1);
         assert_eq!(db.locate(5).unwrap().record, 3);
-        let rebuilt = SequenceDatabase::from_parts(
+        // The record table passes the check an opened database makes, and
+        // the packed letters unpack to the same text.
+        let opened = SequenceDatabase::from_packed(
             db.alphabet(),
-            db.shared_text(),
+            SharedBytes::from_vec(packed_letters(&db)),
             db.record_names().to_vec(),
             db.record_starts().to_vec(),
             db.record_lengths().to_vec(),
         );
-        assert_eq!(rebuilt.unwrap().to_ascii(), "$AC$$G");
+        assert_eq!(opened.unwrap().to_ascii(), "$AC$$G");
+    }
+
+    /// The records' letters, packed as the store saves them.
+    fn packed_letters(db: &SequenceDatabase) -> Vec<u8> {
+        let records = db
+            .record_starts()
+            .iter()
+            .zip(db.record_lengths())
+            .map(|(&start, &len)| &db.text()[start..start + len]);
+        LetterPacking::new(db.alphabet()).pack(records).unwrap()
     }
 
     #[test]
@@ -538,13 +515,7 @@ mod tests {
             ["ACGTACGTACGTACGTACGTACGTACGTACGT", "", "GGC"]
                 .map(|s| Sequence::from_ascii(Alphabet::Dna, s.as_bytes()).unwrap()),
         );
-        let packing = LetterPacking::new(Alphabet::Dna);
-        let records = db
-            .record_starts()
-            .iter()
-            .zip(db.record_lengths())
-            .map(|(&start, &len)| &db.text()[start..start + len]);
-        let words = packing.pack(records).unwrap();
+        let words = packed_letters(&db);
         assert_eq!(words.len(), 16);
         let packed = |words: Vec<u8>, starts: Vec<usize>| {
             SequenceDatabase::from_packed(
@@ -591,52 +562,19 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_and_validates() {
+    fn table_text_len_checks_the_record_table() {
         let db = db_two_records();
-        let rebuilt = SequenceDatabase::from_parts(
-            db.alphabet(),
-            db.shared_text(),
-            db.record_names().to_vec(),
-            db.record_starts().to_vec(),
-            db.record_lengths().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.to_ascii(), db.to_ascii());
-        assert_eq!(rebuilt.record_name(1), "r2");
-        // The reassembled database shares the text, it does not copy it.
-        assert!(std::ptr::eq(rebuilt.text(), db.text()));
-
-        // Arity mismatch, bad start, overrun and missing separator all fail.
-        let names = db.record_names().to_vec();
-        let text = db.shared_text();
-        assert!(SequenceDatabase::from_parts(
-            db.alphabet(),
-            text.clone(),
-            names.clone(),
-            vec![0],
-            db.record_lengths().to_vec(),
-        )
-        .is_err());
-        assert!(SequenceDatabase::from_parts(
-            db.alphabet(),
-            text.clone(),
-            names.clone(),
-            vec![0, 6],
-            db.record_lengths().to_vec(),
-        )
-        .is_err());
-        assert!(SequenceDatabase::from_parts(
-            db.alphabet(),
-            text.clone(),
-            names.clone(),
-            vec![0, 5],
-            vec![4, 9]
-        )
-        .is_err());
-        assert!(
-            SequenceDatabase::from_parts(db.alphabet(), text, names, vec![0, 5], vec![4, 2])
-                .is_err()
-        );
+        let text_len = |starts: &[usize], lengths: &[usize]| {
+            SequenceDatabase::table_text_len(db.record_names(), starts, lengths)
+        };
+        assert_eq!(text_len(db.record_starts(), db.record_lengths()), Ok(8));
+        assert_eq!(text_len(&[0, 5], &[4, 9]), Ok(14));
+        // Arity mismatch, a start off the separator rule and an overrun of
+        // the address space all fail.
+        assert!(text_len(&[0], &[4, 3]).is_err());
+        assert!(text_len(&[0, 6], &[4, 3]).is_err());
+        assert!(text_len(&[0, 4], &[4, 3]).is_err());
+        assert!(text_len(&[0, 0], &[usize::MAX, 1]).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::alphabet::{Alphabet, SEPARATOR_CODE};
 use crate::shared::SharedBytes;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// How the letters of one alphabet are packed into words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,23 +37,21 @@ pub struct LetterPacking {
 impl LetterPacking {
     /// The packing of `alphabet`'s letters.
     pub fn new(alphabet: Alphabet) -> Self {
-        let sigma = alphabet.sigma();
-        let bits = usize::BITS - (sigma - 1).leading_zeros();
+        let sigma = alphabet.sigma() as u64;
+        let bits = u64::BITS - (sigma - 1).leading_zeros();
         let per_word = (u64::BITS / bits) as usize;
-        let field = (1u64 << bits) - 1;
-        let (mut even, mut add, mut carry) = (0, 0, 0);
-        for at in (0..per_word).step_by(2).map(|k| k as u32 * bits) {
-            even |= field << at;
-            add |= ((1u64 << bits) - sigma as u64) << at;
-            carry |= 1 << (at + bits);
-        }
+        // Bit 0 of every other field.
+        let lows: u64 = (0..per_word)
+            .step_by(2)
+            .map(|k| 1 << (k as u32 * bits))
+            .sum();
         Self {
             bits,
             per_word,
-            sigma: sigma as u64,
-            even,
-            add,
-            carry,
+            sigma,
+            even: lows * ((1 << bits) - 1),
+            add: lows * ((1 << bits) - sigma),
+            carry: lows << bits,
         }
     }
 
@@ -101,22 +99,19 @@ impl LetterPacking {
         }
         // Add 2^bits − σ to every other field in place: the field above
         // each is masked out, so a field at or above σ carries into it.
-        let even = word & self.even;
-        let odd = (word >> self.bits) & self.even;
-        if ((even + self.add) | (odd + self.add)) & self.carry == 0 {
+        // Field k's carry ends up at bit k·bits of `over`.
+        let carries = |fields: u64| (fields + self.add) & self.carry;
+        let over =
+            carries(word & self.even) >> self.bits | carries((word >> self.bits) & self.even);
+        if over == 0 {
             return Ok(());
         }
-        // Name the first such field.
-        (0..self.per_word)
-            .map(|k| (k, (word >> (k as u32 * self.bits)) & ((1 << self.bits) - 1)))
-            .find(|&(_, field)| field >= self.sigma)
-            .map_or(Ok(()), |(letter, value)| {
-                Err(WordFault::Field {
-                    letter,
-                    value,
-                    sigma: self.sigma,
-                })
-            })
+        let letter = over.trailing_zeros() / self.bits;
+        Err(WordFault::Field {
+            letter: letter as usize,
+            value: (word >> (letter * self.bits)) & ((1 << self.bits) - 1),
+            sigma: self.sigma,
+        })
     }
 }
 
@@ -140,7 +135,7 @@ pub(crate) struct PackedText {
     /// Little-endian words holding exactly the records' letters.
     words: SharedBytes,
     /// A separator follows each record but the last.
-    lengths: Arc<Vec<usize>>,
+    lengths: Vec<usize>,
     /// The unpacked text's length, separators included.
     len: usize,
     bytes: OnceLock<Vec<u8>>,
@@ -151,7 +146,7 @@ impl PackedText {
     pub(crate) fn new(
         packing: LetterPacking,
         words: SharedBytes,
-        lengths: Arc<Vec<usize>>,
+        lengths: Vec<usize>,
         len: usize,
     ) -> Self {
         Self {
@@ -236,6 +231,50 @@ mod tests {
     }
 
     #[test]
+    fn check_word_names_the_first_bad_field_and_any_unused_bit() {
+        // Every value in every protein field, the other fields valid.
+        let protein = LetterPacking::new(Alphabet::Protein);
+        for letter in 0..12 {
+            for value in 0..32u64 {
+                let word = 0x0842_1084_2108_4210 & !(31 << (5 * letter)) | value << (5 * letter);
+                let expected = if value < 20 {
+                    Ok(())
+                } else {
+                    Err(WordFault::Field {
+                        letter,
+                        value,
+                        sigma: 20,
+                    })
+                };
+                assert_eq!(protein.check_word(word, 12), expected, "{word:#x}");
+            }
+        }
+        // The first of two bad fields is named.
+        let two = 25 << 15 | 30 << 40;
+        let first = WordFault::Field {
+            letter: 3,
+            value: 25,
+            sigma: 20,
+        };
+        assert_eq!(protein.check_word(two, 12), Err(first));
+        // Bits past the last letter, the full word's top four included.
+        for letters in 1..=12 {
+            for bit in 5 * letters as u32..64 {
+                assert_eq!(
+                    protein.check_word(1 << bit, letters),
+                    Err(WordFault::UnusedBits)
+                );
+            }
+        }
+        // Every DNA field value is a letter; only unused bits fail.
+        let dna = LetterPacking::new(Alphabet::Dna);
+        assert_eq!(dna.check_word(u64::MAX, 32), Ok(()));
+        assert_eq!(dna.check_word(u64::MAX >> 2, 31), Ok(()));
+        assert_eq!(dna.check_word(u64::MAX, 31), Err(WordFault::UnusedBits));
+        assert_eq!(dna.check_word(0, 0), Ok(()));
+    }
+
+    #[test]
     fn check_word_agrees_with_a_field_by_field_reading() {
         for alphabet in [Alphabet::Dna, Alphabet::Protein] {
             let packing = LetterPacking::new(alphabet);
@@ -291,7 +330,7 @@ mod tests {
             let packed = PackedText::new(
                 packing,
                 SharedBytes::from_vec(words),
-                Arc::new(db.record_lengths().to_vec()),
+                db.record_lengths().to_vec(),
                 db.text_len(),
             );
             assert_eq!(packed.len(), db.text_len());

@@ -117,7 +117,10 @@ impl SharedBytes {
     }
 
     /// True while this view's owner is a packed text that nothing has read
-    /// yet, so the bytes do not exist; false for every other owner.
+    /// yet, so the bytes do not exist; false for every other owner.  For
+    /// tests that check which paths leave an opened text packed; nothing
+    /// else should branch on it.
+    #[doc(hidden)]
     pub fn is_packed(&self) -> bool {
         matches!(&self.owner, Owner::Packed(packed) if !packed.is_unpacked())
     }

@@ -191,9 +191,14 @@ impl TableEntry {
 
 /// The section checksum: FNV-1a 64 taken a little-endian `u64` word at a
 /// time instead of a byte at a time (xor the word in, multiply by the FNV
-/// prime), which makes it one multiply per 8 bytes.  A tail shorter than a
-/// word is zero-padded and folded in as one, and the byte length is folded
-/// in last, so the padding never reads as data.  Dependency-free and not
+/// prime), plus one xor-shift per word (`h ^= h >> 32`).  A multiply only
+/// carries a difference upward, so without the shift a flip of bit 63 in
+/// two words would cancel and a word's top byte would reach only the top
+/// byte of the state; the shift carries the high half down into the next
+/// multiply.  Each step is a bijection of the state, so a change to any one
+/// word always changes the value.  A tail shorter than a word is
+/// zero-padded and folded in as one, and the byte length is folded in
+/// last, so the padding never reads as data.  Dependency-free and not
 /// cryptographic: it guards against truncation and bit rot, not tampering.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut hash = Checksum::default();
@@ -228,7 +233,8 @@ impl Checksum {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     fn fold(hash: u64, word: u64) -> u64 {
-        (hash ^ word).wrapping_mul(Self::PRIME)
+        let hash = (hash ^ word).wrapping_mul(Self::PRIME);
+        hash ^ (hash >> 32)
     }
 
     /// Hash the next piece.
@@ -442,10 +448,10 @@ mod tests {
     }
 
     const REFERENCE: [u64; 4] = [
-        0xaf63_bd4c_8601_b7df,
-        0x089b_e307_b544_f397,
-        0xe8f7_1929_49da_b24c,
-        0x6ded_0725_0ac3_00b5,
+        0xaf63_bd4c_2962_0a93,
+        0x68e0_166a_3938_c199,
+        0xff18_c96f_e56d_3933,
+        0x170a_3b8b_ed17_09d7,
     ];
 
     #[test]
@@ -466,6 +472,39 @@ mod tests {
         }
         assert_ne!(checksum(&bytes[..200]), pristine);
         assert_ne!(checksum(&[0; 8]), checksum(&[0; 16]));
+    }
+
+    /// Two errors in different words, both in the word's top byte, where a
+    /// multiply alone carries a difference only upward: every bit-63 pair,
+    /// and every pair of top-byte changes from a fixed set.
+    #[test]
+    fn checksum_sees_two_errors_in_top_bytes() {
+        const WORDS: usize = 40;
+        let bytes: Vec<u8> = (0..=255u8).cycle().skip(17).take(8 * WORDS).collect();
+        let pristine = checksum(&bytes);
+        let changed = |errors: [(usize, u8); 2]| {
+            let mut changed = bytes.clone();
+            for (word, error) in errors {
+                changed[8 * word + 7] ^= error;
+            }
+            checksum(&changed)
+        };
+        for first in 0..WORDS {
+            for second in first + 1..WORDS {
+                let flips = [(first, 0x80), (second, 0x80)];
+                assert_ne!(
+                    changed(flips),
+                    pristine,
+                    "bit 63 of words {first} and {second}"
+                );
+                for a in [0x01, 0x80, 0xff, 0x5a] {
+                    for b in [0x01, 0x80, 0xff, 0x33] {
+                        let errors = [(first, a), (second, b)];
+                        assert_ne!(changed(errors), pristine, "{errors:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
