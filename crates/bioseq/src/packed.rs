@@ -231,75 +231,51 @@ mod tests {
     }
 
     #[test]
-    fn check_word_names_the_first_bad_field_and_any_unused_bit() {
-        // Every value in every protein field, the other fields valid.
-        let protein = LetterPacking::new(Alphabet::Protein);
-        for letter in 0..12 {
-            for value in 0..32u64 {
-                let word = 0x0842_1084_2108_4210 & !(31 << (5 * letter)) | value << (5 * letter);
-                let expected = if value < 20 {
-                    Ok(())
-                } else {
-                    Err(WordFault::Field {
-                        letter,
-                        value,
-                        sigma: 20,
-                    })
-                };
-                assert_eq!(protein.check_word(word, 12), expected, "{word:#x}");
-            }
-        }
-        // The first of two bad fields is named.
-        let two = 25 << 15 | 30 << 40;
-        let first = WordFault::Field {
-            letter: 3,
-            value: 25,
-            sigma: 20,
-        };
-        assert_eq!(protein.check_word(two, 12), Err(first));
-        // Bits past the last letter, the full word's top four included.
-        for letters in 1..=12 {
-            for bit in 5 * letters as u32..64 {
-                assert_eq!(
-                    protein.check_word(1 << bit, letters),
-                    Err(WordFault::UnusedBits)
-                );
-            }
-        }
-        // Every DNA field value is a letter; only unused bits fail.
-        let dna = LetterPacking::new(Alphabet::Dna);
-        assert_eq!(dna.check_word(u64::MAX, 32), Ok(()));
-        assert_eq!(dna.check_word(u64::MAX >> 2, 31), Ok(()));
-        assert_eq!(dna.check_word(u64::MAX, 31), Err(WordFault::UnusedBits));
-        assert_eq!(dna.check_word(0, 0), Ok(()));
-    }
-
-    #[test]
     fn check_word_agrees_with_a_field_by_field_reading() {
         for alphabet in [Alphabet::Dna, Alphabet::Protein] {
             let packing = LetterPacking::new(alphabet);
             let (bits, per_word) = (packing.bits, packing.letters_per_word());
+            let mask = (1u64 << bits) - 1;
+            let reading = |word: u64, letters: usize| {
+                let used = letters as u32 * bits;
+                if used < 64 && word >> used != 0 {
+                    return Err(WordFault::UnusedBits);
+                }
+                let fields = (0..per_word).map(|k| (word >> (k as u32 * bits)) & mask);
+                match fields.enumerate().find(|&(_, f)| f >= packing.sigma) {
+                    Some((letter, value)) => Err(WordFault::Field {
+                        letter,
+                        value,
+                        sigma: packing.sigma,
+                    }),
+                    None => Ok(()),
+                }
+            };
+            let mut words = Vec::new();
+            // Every value in every field of a full word of valid letters,
+            // alone and with the last field's bits all set after it.
+            let valid: u64 = (0..per_word).map(|k| 1 << (k as u32 * bits)).sum();
+            let last = mask << ((per_word - 1) as u32 * bits);
+            for at in (0..per_word).map(|k| k as u32 * bits) {
+                for value in 0..=mask {
+                    let word = valid & !(mask << at) | value << at;
+                    words.extend([(word, per_word), (word | last, per_word)]);
+                }
+            }
+            // One bit past the last letter, for every letter count.
+            for letters in 1..=per_word {
+                words.extend((letters as u32 * bits..64).map(|bit| (1 << bit, letters)));
+            }
             let mut state = 0x9e37_79b9_7f4a_7c15u64;
             for _ in 0..20_000 {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
                 let letters = 1 + (state % per_word as u64) as usize;
-                let word = state.rotate_left(letters as u32);
-                let fields = (0..per_word).map(|k| (word >> (k as u32 * bits)) & ((1 << bits) - 1));
-                let used = letters as u32 * bits;
-                let expected = if used < 64 && word >> used != 0 {
-                    Err(WordFault::UnusedBits)
-                } else {
-                    match fields.enumerate().find(|&(_, f)| f >= packing.sigma) {
-                        Some((letter, value)) => Err(WordFault::Field {
-                            letter,
-                            value,
-                            sigma: packing.sigma,
-                        }),
-                        None => Ok(()),
-                    }
-                };
+                words.push((state.rotate_left(letters as u32), letters));
+            }
+            for (word, letters) in words {
+                let expected = reading(word, letters);
                 assert_eq!(packing.check_word(word, letters), expected, "{word:#x}");
             }
         }
