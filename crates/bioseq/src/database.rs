@@ -57,11 +57,11 @@ impl RecordSpan {
 
 /// A collection of sequences concatenated into one searchable text.
 ///
-/// The concatenated text is a [`SharedBytes`] view, so index builders and
-/// aligners can share the database's copy instead of duplicating it (see
-/// [`SequenceDatabase::shared_text`]); cloning the database is cheap on the
-/// text side.  A database opened from an on-disk index holds its text as
-/// packed letters in the mapped file and unpacks it on first read (see
+/// The concatenated text is a [`SharedBytes`] view, so cloning the
+/// database is cheap on the text side.  It is the one copy of the text: a
+/// text index reads it while it builds and keeps none.  A database opened
+/// from an on-disk index holds its text as packed letters in the mapped
+/// file and unpacks it on first read (see
 /// [`SequenceDatabase::from_packed`]).
 #[derive(Debug, Clone)]
 pub struct SequenceDatabase {
@@ -222,9 +222,8 @@ impl SequenceDatabase {
         &self.text
     }
 
-    /// The concatenated text as a cheaply cloneable view, for consumers
-    /// that want to share the database's copy instead of duplicating it
-    /// (index builders, aligners over multi-megabyte databases).
+    /// The concatenated text as a cheaply cloneable view of the database's
+    /// copy (a clone shares it; nothing is copied or unpacked).
     pub fn shared_text(&self) -> SharedBytes {
         self.text.clone()
     }

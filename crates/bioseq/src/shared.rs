@@ -1,12 +1,11 @@
 //! Cheaply cloneable, immutable byte buffers with pluggable owners.
 //!
 //! The concatenated database text and the occurrence-table byte storage are
-//! shared between the database, the text index and every aligner built on
-//! top of them.  Historically that sharing was expressed as `Arc<Vec<u8>>`,
-//! which forces every buffer to live on the heap as an owned `Vec`.  The
-//! on-disk index format (the `alae-store` crate) wants those same buffers to
-//! be *views into a memory-mapped file* so a saved index opens without
-//! copying its largest sections.
+//! shared by every clone of the database and of the text index.  An
+//! `Arc<Vec<u8>>` would force every buffer to live on the heap as an owned
+//! `Vec`; the on-disk index format (the `alae-store` crate) wants those same
+//! buffers to be *views into a memory-mapped file* so a saved index opens
+//! without copying its largest sections.
 //!
 //! [`SharedBytes`] abstracts over all three: a reference-counted owner (a
 //! plain `Vec<u8>`, any `AsRef<[u8]>` owner such as an mmap, or a text
@@ -39,15 +38,6 @@ impl Owner {
             Owner::Packed(packed) => packed.bytes(),
         }
     }
-
-    /// The owner's address, which identifies it without reading it.
-    fn address(&self) -> *const () {
-        match self {
-            Owner::Heap(vec) => Arc::as_ptr(vec).cast(),
-            Owner::Raw(raw) => Arc::as_ptr(raw).cast(),
-            Owner::Packed(packed) => Arc::as_ptr(packed).cast(),
-        }
-    }
 }
 
 /// An immutable, cheaply cloneable `[u8]` view backed by a shared owner.
@@ -70,16 +60,10 @@ impl SharedBytes {
 
     /// Take ownership of a vector.
     pub fn from_vec(vec: Vec<u8>) -> Self {
-        Self::from_arc_vec(Arc::new(vec))
-    }
-
-    /// View an already shared vector (the view covers the whole vector).
-    pub fn from_arc_vec(vec: Arc<Vec<u8>>) -> Self {
-        let len = vec.len();
         Self {
-            owner: Owner::Heap(vec),
+            len: vec.len(),
+            owner: Owner::Heap(Arc::new(vec)),
             offset: 0,
-            len,
         }
     }
 
@@ -123,15 +107,6 @@ impl SharedBytes {
     #[doc(hidden)]
     pub fn is_packed(&self) -> bool {
         matches!(&self.owner, Owner::Packed(packed) if !packed.is_unpacked())
-    }
-
-    /// Whether `other` is the same window of the same owner, decided
-    /// without reading either view.  Views of equal bytes over different
-    /// owners are equal (`==`) but not the same view.
-    pub fn same_view(&self, other: &Self) -> bool {
-        self.owner.address() == other.owner.address()
-            && self.offset == other.offset
-            && self.len == other.len
     }
 
     /// The viewed bytes.
@@ -221,18 +196,6 @@ impl From<Vec<u8>> for SharedBytes {
     }
 }
 
-impl From<Arc<Vec<u8>>> for SharedBytes {
-    fn from(vec: Arc<Vec<u8>>) -> Self {
-        Self::from_arc_vec(vec)
-    }
-}
-
-impl From<&[u8]> for SharedBytes {
-    fn from(bytes: &[u8]) -> Self {
-        Self::from_vec(bytes.to_vec())
-    }
-}
-
 impl fmt::Debug for SharedBytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedBytes")
@@ -286,6 +249,7 @@ mod tests {
         let b = a.clone();
         assert!(std::ptr::eq(a.as_slice(), b.as_slice()));
         assert_eq!(a, b);
+        assert!(!a.is_packed());
     }
 
     #[test]
@@ -358,18 +322,6 @@ mod tests {
     fn raw_owner_window_out_of_bounds_panics() {
         let owner: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(vec![1u8, 2, 3]);
         let _ = SharedBytes::from_owner(owner, 2, 2);
-    }
-
-    #[test]
-    fn same_view_compares_owners_and_windows() {
-        let a = SharedBytes::from_vec(vec![1, 2, 3]);
-        assert!(a.same_view(&a.clone()));
-        assert!(a.slice(1..2).same_view(&a.slice(1..2)));
-        assert!(!a.slice(0..2).same_view(&a.slice(1..3)));
-        let b = SharedBytes::from_vec(vec![1, 2, 3]);
-        assert_eq!(a, b);
-        assert!(!a.same_view(&b));
-        assert!(!a.is_packed());
     }
 
     #[test]

@@ -126,9 +126,10 @@ pub struct BwtswAligner {
 impl BwtswAligner {
     /// Build the aligner (and its index) from a sequence database.
     ///
-    /// The database's text is shared with the new index, not copied.
+    /// The index reads the database's text while it builds and keeps no
+    /// copy of it.
     pub fn build(database: &SequenceDatabase, config: BwtswConfig) -> Self {
-        let index = TextIndex::new(database.shared_text(), database.alphabet().code_count());
+        let index = TextIndex::new(database.text(), database.alphabet().code_count());
         Self {
             index: Arc::new(index),
             config,

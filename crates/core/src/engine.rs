@@ -86,12 +86,11 @@ pub struct AlaeAligner {
 impl AlaeAligner {
     /// Build the aligner (text index included) from a sequence database.
     ///
-    /// The database's concatenated text is shared with the new index (both
-    /// hold the same `Arc`), not copied — constructing an aligner over a
-    /// 30 MB database does not duplicate the text.
+    /// The index reads the database's concatenated text while it builds
+    /// and keeps no copy of it: the search never reads the text.
     pub fn build(database: &SequenceDatabase, config: AlaeConfig) -> Self {
         let index = Arc::new(TextIndex::new(
-            database.shared_text(),
+            database.text(),
             database.alphabet().code_count(),
         ));
         Self::with_index(index, database.alphabet(), config)
@@ -120,7 +119,7 @@ impl AlaeAligner {
     /// Size of the compressed-suffix-array index in bytes (the "BWT index"
     /// series of Figure 11).
     pub fn bwt_index_size_bytes(&self) -> usize {
-        self.index.fm_size_in_bytes()
+        self.index.size_in_bytes()
     }
 
     /// Record the suffix-trie node of the q-gram at every query column in

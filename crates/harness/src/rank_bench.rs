@@ -332,7 +332,7 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
     // where the per-character loop pays 2σ block scans per node.
     let text_len = (60_000_f64 * options.scale) as usize;
     let protein = generate_text(&TextSpec::protein(text_len.max(1_000), options.seed));
-    let index = TextIndex::new(protein.codes().to_vec(), Alphabet::Protein.code_count());
+    let index = TextIndex::new(protein.codes(), Alphabet::Protein.code_count());
     let nodes = collect_trie_nodes(&index, 2, 2_000);
 
     let mut entries = Vec::new();
@@ -340,7 +340,7 @@ pub fn run(options: &ExperimentOptions) -> RankBenchReport {
 
     // DNA: the 2-bit packed popcount path the index builds for σ ≤ 6.
     let dna = generate_text(&TextSpec::dna(text_len.max(1_000), options.seed + 1));
-    let dna_index = TextIndex::new(dna.codes().to_vec(), Alphabet::Dna.code_count());
+    let dna_index = TextIndex::new(dna.codes(), Alphabet::Dna.code_count());
     let dna_nodes = collect_trie_nodes(&dna_index, 4, 2_000);
     measure(
         "dna_packed",

@@ -40,7 +40,7 @@ use std::sync::Arc;
 use alae_bioseq::packed::WordFault;
 use alae_bioseq::{Alphabet, LetterPacking, SequenceDatabase, SharedBytes};
 use alae_suffix::bitvec::RankBitVec;
-use alae_suffix::fm_index::FmIndex;
+use alae_suffix::fm_index::{FmIndex, SA_SAMPLE_RATE};
 use alae_suffix::rank::OccTable;
 use alae_suffix::{CheckpointRows, CheckpointRowsRef, StorageData, StorageDataRef, TextIndex};
 
@@ -116,16 +116,19 @@ impl From<std::io::Error> for StoreError {
 ///
 /// The index must have been built over exactly the database's concatenated
 /// text (which is how every [`TextIndex`] built through the facade or
-/// [`TextIndex::new`] comes to be).
+/// [`TextIndex::new`] comes to be); a pair whose lengths or code counts
+/// differ is refused.
 pub fn save_index(
     path: &Path,
     database: &SequenceDatabase,
     index: &TextIndex,
 ) -> Result<(), StoreError> {
-    if database.text() != index.text() {
-        return Err(StoreError::Corrupt(
-            "index does not cover the database text".into(),
-        ));
+    if database.text_len() != index.len() {
+        return Err(StoreError::Corrupt(format!(
+            "index covers {} positions, the database text holds {}",
+            index.len(),
+            database.text_len()
+        )));
     }
     if database.alphabet().code_count() != index.code_count() {
         return Err(StoreError::Corrupt(
@@ -190,7 +193,7 @@ pub fn save_index(
         code_count: index.code_count() as u64,
         text_len: index.len() as u64,
         record_count: database.record_count() as u64,
-        sample_rate: fm.sample_rate() as u64,
+        sample_rate: SA_SAMPLE_RATE as u64,
         sampled_bits: fm.sampled_rows().len() as u64,
         storage_kind: occ_kind,
         checkpoint_kind: checkpoint_kind::TWO_LEVEL,
@@ -587,15 +590,18 @@ pub fn verify_index(path: &Path) -> Result<IndexSummary, StoreError> {
 ///
 /// Performs **no** build work: the suffix array, BWT and checkpoint rows
 /// come straight from the file.  Only cheap derived data is recomputed
-/// (bit-vector rank directories, exception block starts).
+/// (bit-vector rank directories, exception block starts).  Beyond the read
+/// pass, open checks the FM-index against itself: the C array against the
+/// BWT's code totals, and the suffix-array samples against the one
+/// sampling rate ([`FmIndex::from_parts`]).
 ///
 /// The file is read once with positioned reads (see [`verify_index`]) and
 /// mapped only after every section has checked out.  The integer sections
 /// are decoded as they are read; `TEXT_PACKED` and `OCC_BYTES` are served
 /// as views of the mapping, whose pages stay on disk until something reads
-/// them.  The database and the index share one text, which unpacks the
-/// letters into bytes on its first read (Smith–Waterman or BLAST-like);
-/// ALAE, BWT-SW and hit resolution never read it.
+/// them.  The database alone holds the text, which unpacks the letters
+/// into bytes on its first read (Smith–Waterman or BLAST-like); ALAE,
+/// BWT-SW and hit resolution never read it.
 pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
     let mut reader = SectionReader::open(path)?;
     let Front {
@@ -613,8 +619,12 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
         )));
     }
     let text_len = usize::try_from(meta.text_len).map_err(|_| corrupt("text_len overflows"))?;
-    let sample_rate =
-        usize::try_from(meta.sample_rate).map_err(|_| corrupt("sample_rate overflows"))?;
+    if meta.sample_rate != SA_SAMPLE_RATE as u64 {
+        return Err(corrupt(format!(
+            "sample_rate {} is not {SA_SAMPLE_RATE}, the one rate an index samples at",
+            meta.sample_rate
+        )));
+    }
     let sampled_bits =
         usize::try_from(meta.sampled_bits).map_err(|_| corrupt("sampled_bits overflows"))?;
 
@@ -692,22 +702,11 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
         )));
     }
     let sampled_rows = RankBitVec::from_words(sampled_bits, sampled_words);
-    let fm = FmIndex::from_parts(
-        text_len,
-        code_count,
-        occ,
-        c_array,
-        sampled_rows,
-        samples,
-        sample_rate,
-    )
-    .map_err(StoreError::Corrupt)?;
-
-    let index = TextIndex::from_parts(database.shared_text(), code_count, fm)
+    let fm = FmIndex::from_parts(text_len, code_count, occ, c_array, sampled_rows, samples)
         .map_err(StoreError::Corrupt)?;
     Ok(OpenedIndex {
         database: Arc::new(database),
-        index: Arc::new(index),
+        index: Arc::new(TextIndex::from_parts(fm)),
         mapped,
     })
 }
@@ -740,7 +739,7 @@ mod tests {
     }
 
     fn build_index(database: &SequenceDatabase) -> TextIndex {
-        TextIndex::new(database.shared_text(), database.alphabet().code_count())
+        TextIndex::new(database.text(), database.alphabet().code_count())
     }
 
     #[test]
@@ -787,13 +786,13 @@ mod tests {
         let opened = open_index(&path).unwrap();
         #[cfg(unix)]
         assert!(opened.mapped);
-        // The database and the index share one text, still packed; the
-        // first read through either unpacks it for both.
+        // The database holds the one text, still a packed view of the
+        // mapping; the index holds none.  The first read unpacks it.
         let text = opened.database.shared_text();
-        assert!(text.same_view(&opened.index.shared_text()));
         assert!(text.is_packed());
-        assert_eq!(opened.index.text(), database.text());
-        assert!(!opened.database.shared_text().is_packed());
+        assert_eq!(opened.index.len(), text.len());
+        assert_eq!(opened.database.text(), database.text());
+        assert!(!text.is_packed());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1179,6 +1178,90 @@ mod tests {
             &bytes,
             &format!("TEXT_PACKED letter {} is field", word * 12 + 3),
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A one-record DNA database of `len` letters.
+    fn dna_database(len: usize) -> SequenceDatabase {
+        let codes = (0..len)
+            .map(|i| 1 + ((i * i + 3 * i) / 5 % 4) as u8)
+            .collect();
+        SequenceDatabase::from_sequences(
+            Alphabet::Dna,
+            [Sequence::from_codes(Alphabet::Dna, codes)],
+        )
+    }
+
+    /// Write `bytes` to `path` and require `open` to refuse it with a
+    /// `Corrupt` error naming `why`.  (The read pass alone cannot see these
+    /// faults: `verify_index` assembles no FM-index.)
+    fn assert_open_refuses(path: &Path, bytes: &[u8], why: &str) {
+        std::fs::write(path, bytes).unwrap();
+        let opened = open_index(path);
+        assert!(
+            matches!(&opened, Err(StoreError::Corrupt(msg)) if msg.contains(why)),
+            "{why}: {:?}",
+            opened.err()
+        );
+    }
+
+    #[test]
+    fn a_file_without_sampled_rows_is_a_typed_corrupt_error() {
+        // No marked row and no sample: 0 samples for 0 marked rows, so the
+        // counts agree, but `locate` would walk LF forever looking for a
+        // sampled row and the first query with a hit would hang.
+        let path = temp_path("no-samples");
+        let database = dna_database(64);
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&bytes, section::SAMPLED_WORDS);
+        bytes[entry.offset as usize..(entry.offset + entry.len) as usize].fill(0);
+        restamp(&mut bytes, slot, entry);
+        let (slot, entry) = section_entry(&bytes, section::SAMPLES);
+        restamp(&mut bytes, slot, TableEntry { len: 0, ..entry });
+        assert_open_refuses(&path, &bytes, "0 marked rows and 0 samples");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn another_sample_rate_is_a_typed_corrupt_error() {
+        let path = temp_path("sample-rate");
+        let database = dna_database(64);
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&bytes, section::META);
+        let payload = entry.offset as usize..(entry.offset + entry.len) as usize;
+        let meta = Meta::from_bytes(&bytes[payload.clone()]).unwrap();
+        assert_eq!(meta.sample_rate, SA_SAMPLE_RATE as u64);
+        let other = Meta {
+            sample_rate: 8,
+            ..meta
+        };
+        bytes[payload].copy_from_slice(&other.to_bytes());
+        restamp(&mut bytes, slot, entry);
+        assert_open_refuses(&path, &bytes, "sample_rate 8 is not 16");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_c_array_that_disagrees_with_the_bwt_is_a_typed_corrupt_error() {
+        // One more code below C than the BWT holds, still a non-decreasing
+        // row: every range of a pattern starting with C would be shifted by
+        // a row, and hits would be lost without an error.
+        let path = temp_path("c-array");
+        let database = dna_database(71);
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&bytes, section::C_ARRAY);
+        let at = |c: usize| entry.offset as usize + 8 * c;
+        let read = |bytes: &[u8], c: usize| {
+            u64::from_le_bytes(bytes[at(c)..at(c) + 8].try_into().unwrap())
+        };
+        let raised = read(&bytes, 3) + 1;
+        assert!(raised <= read(&bytes, 4));
+        bytes[at(3)..at(3) + 8].copy_from_slice(&raised.to_le_bytes());
+        restamp(&mut bytes, slot, entry);
+        assert_open_refuses(&path, &bytes, &format!("C array entry 3 is {raised}"));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -6,8 +6,8 @@
 //! mapping is unavailable — zero-length files, non-Unix targets, or an
 //! `mmap` refusal.  Either way the buffer implements
 //! `AsRef<[u8]> + Send + Sync`, so an `Arc<FileBuffer>` can back
-//! `SharedBytes` views handed to the index without copying the mapped
-//! sections.
+//! `SharedBytes` views handed to the database and the index without
+//! copying the mapped sections.
 //!
 //! # Safety audit
 //!

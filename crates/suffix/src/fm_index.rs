@@ -14,7 +14,7 @@
 
 use crate::bitvec::RankBitVec;
 use crate::rank::{OccTable, RankLayout, ScanSnapshot};
-use crate::sais::{suffix_array_of, Reversed, Shifted, Symbols};
+use crate::sais::{suffix_array_of, Reversed, Symbols};
 
 /// Largest caller-visible code count an index supports; keeps the
 /// [`FmIndex::extend_all`] scratch buffers on the stack.
@@ -44,12 +44,14 @@ impl SaRange {
     }
 }
 
-/// Suffix-array sampling rate of every built index (one sampled row per this
-/// many text positions).  [`FmIndex::from_parts`] accepts any rate a file
-/// records: `locate` walks to the next marked row whatever the spacing.
+/// Suffix-array sampling rate of every index: the rows of text positions
+/// that are multiples of this rate are sampled, plus the sentinel suffix's
+/// row.  [`FmIndex::from_parts`] refuses any other sampling, so `locate`
+/// meets a sampled row within this many LF steps.
 pub const SA_SAMPLE_RATE: usize = 16;
 
-/// An FM-index over a code sequence.
+/// The FM-index of a reversed code sequence (what [`crate::TextIndex`]
+/// searches).
 #[derive(Debug, Clone)]
 pub struct FmIndex {
     /// Number of characters in the indexed text (excluding the sentinel).
@@ -65,27 +67,13 @@ pub struct FmIndex {
     sampled_rows: RankBitVec,
     /// Sampled suffix-array values, indexed by `sampled_rows.rank1(row)`.
     samples: Vec<u32>,
-    /// Sampling rate of the marked rows ([`SA_SAMPLE_RATE`] unless reopened
-    /// from a file that records another).
-    sample_rate: usize,
 }
 
 impl FmIndex {
-    /// Build an FM-index for `text`, whose codes must all be `< code_count`.
-    pub fn new(text: &[u8], code_count: usize) -> Self {
-        debug_assert!(text.iter().all(|&c| (c as usize) < code_count));
-        Self::build(&Shifted(text), code_count)
-    }
-
-    /// Build the FM-index of `text` reversed (what [`crate::TextIndex`]
-    /// searches), reading `text` backwards instead of copying it.
+    /// Build the FM-index of `text` reversed, reading `text` backwards
+    /// instead of copying it.  Its codes must all be `< code_count`.
     pub(crate) fn new_reversed(text: &[u8], code_count: usize) -> Self {
         debug_assert!(text.iter().all(|&c| (c as usize) < code_count));
-        Self::build(&Reversed(text), code_count)
-    }
-
-    /// Build over `text` read as shifted codes (`code + 1`, sentinel 0).
-    fn build<T: Symbols>(text: &T, code_count: usize) -> Self {
         assert!(code_count >= 1);
         assert!(
             code_count <= MAX_CODE_COUNT,
@@ -95,11 +83,12 @@ impl FmIndex {
         // The suffix array is the build's one large buffer: sample it, then
         // overwrite it with the BWT.  The sentinel is shifted code 0; caller
         // code 0 (record separators) is shifted to 1, so it stays unique.
-        let sa = suffix_array_of(text);
-        let (sampled_rows, samples) = sample_suffix_array(&sa, SA_SAMPLE_RATE);
+        let reversed = Reversed(text);
+        let sa = suffix_array_of(&reversed);
+        let (sampled_rows, samples) = sample_suffix_array(&sa);
         let shifted_code_count = code_count + 1;
         let mut counts = vec![0usize; shifted_code_count];
-        let shifted_bwt = shifted_bwt_in_place(text, sa, &mut counts);
+        let shifted_bwt = shifted_bwt_in_place(&reversed, sa, &mut counts);
         let occ = OccTable::new(shifted_bwt, shifted_code_count);
         let mut c_array = vec![0usize; shifted_code_count];
         let mut running = 0usize;
@@ -109,13 +98,12 @@ impl FmIndex {
         }
 
         Self {
-            text_len: text.len() - 1,
+            text_len: text.len(),
             code_count,
             occ,
             c_array,
             sampled_rows,
             samples,
-            sample_rate: SA_SAMPLE_RATE,
         }
     }
 
@@ -125,24 +113,19 @@ impl FmIndex {
         self.text_len
     }
 
-    /// Number of suffix-array rows (`text_len + 1`).
-    #[inline]
-    pub fn row_count(&self) -> usize {
-        self.text_len + 1
-    }
-
     /// Caller-visible code count the index was built for.
     #[inline]
     pub fn code_count(&self) -> usize {
         self.code_count
     }
 
-    /// The SA range covering every suffix (the empty pattern).
+    /// The SA range covering every suffix (the empty pattern): all
+    /// `text_len + 1` rows.
     #[inline]
     pub fn full_range(&self) -> SaRange {
         SaRange {
             start: 0,
-            end: self.row_count(),
+            end: self.text_len + 1,
         }
     }
 
@@ -202,23 +185,6 @@ impl FmIndex {
         self.occ.size_in_bytes()
     }
 
-    /// Backward search for a whole pattern; `O(|pattern|)` extension steps.
-    pub fn backward_search(&self, pattern: &[u8]) -> SaRange {
-        let mut range = self.full_range();
-        for &c in pattern.iter().rev() {
-            range = self.extend_left(range, c);
-            if range.is_empty() {
-                break;
-            }
-        }
-        range
-    }
-
-    /// Number of occurrences of `pattern` in the text.
-    pub fn count(&self, pattern: &[u8]) -> usize {
-        self.backward_search(pattern).len()
-    }
-
     /// LF-mapping: the row of the suffix starting one position earlier.
     #[inline]
     fn lf(&self, row: usize) -> usize {
@@ -233,24 +199,25 @@ impl FmIndex {
     /// The text position (0-based) of the suffix at `row`.
     ///
     /// Position `text_len` denotes the empty (sentinel) suffix.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`SA_SAMPLE_RATE`] LF steps meet no sampled row, which
+    /// only a corrupt index can cause: each step moves one text position
+    /// back, so a built index meets one within `SA_SAMPLE_RATE − 1`.
     pub fn locate(&self, row: usize) -> usize {
         let mut row = row;
         let mut steps = 0usize;
         while !self.sampled_rows.get(row) {
+            assert!(
+                steps < SA_SAMPLE_RATE,
+                "corrupt index: {SA_SAMPLE_RATE} LF steps met no sampled row"
+            );
             row = self.lf(row);
             steps += 1;
         }
         let base = self.samples[self.sampled_rows.rank1(row)] as usize;
         base + steps
-    }
-
-    /// Text positions of all occurrences of the pattern represented by
-    /// `range` (callers typically obtain `range` from
-    /// [`FmIndex::backward_search`]).
-    pub fn locate_range(&self, range: SaRange) -> Vec<usize> {
-        (range.start..range.end)
-            .map(|row| self.locate(row))
-            .collect()
     }
 
     /// Approximate index footprint in bytes (BWT + rank checkpoints +
@@ -260,11 +227,6 @@ impl FmIndex {
             + self.c_array.len() * std::mem::size_of::<usize>()
             + self.sampled_rows.size_in_bytes()
             + self.samples.len() * std::mem::size_of::<u32>()
-    }
-
-    /// The suffix-array sampling rate of the marked rows.
-    pub fn sample_rate(&self) -> usize {
-        self.sample_rate
     }
 
     /// The occurrence table over the BWT of the shifted text (serialization
@@ -291,11 +253,15 @@ impl FmIndex {
     /// Reassemble an index from serialized parts without rebuilding the
     /// suffix array or the BWT (the `alae-store` open path).
     ///
-    /// Shapes are validated (the occurrence table must cover `text_len + 1`
-    /// rows of `code_count + 1` shifted codes, the C array must be a
-    /// non-decreasing prefix-sum row, the sample list must match the marker
-    /// bit vector); content integrity is covered by the store's per-section
-    /// checksums.
+    /// The occurrence table must cover `text_len + 1` rows of
+    /// `code_count + 1` shifted codes.  The C array must hold the prefix
+    /// sums of the table's code totals.  The samples must be the [`SA_SAMPLE_RATE`] sampling: row 0 marked with
+    /// position `text_len`, one marked row per multiple of the rate up to
+    /// `text_len` plus that one, and every sample such a position.  What
+    /// these checks cannot see (which rows are marked, the checkpoint rows'
+    /// content) is covered by the store's per-section checksums, and
+    /// [`FmIndex::locate`] panics rather than spin on a marker set that
+    /// leaves a row unsampled.
     pub fn from_parts(
         text_len: usize,
         code_count: usize,
@@ -303,11 +269,7 @@ impl FmIndex {
         c_array: Vec<usize>,
         sampled_rows: RankBitVec,
         samples: Vec<u32>,
-        sample_rate: usize,
     ) -> Result<Self, String> {
-        if sample_rate < 1 {
-            return Err("sample_rate must be ≥ 1".into());
-        }
         if !(1..=MAX_CODE_COUNT).contains(&code_count) {
             return Err(format!(
                 "code_count {code_count} outside 1..={MAX_CODE_COUNT}"
@@ -334,11 +296,17 @@ impl FmIndex {
                 code_count + 1
             ));
         }
-        if c_array.first() != Some(&0)
-            || c_array.windows(2).any(|w| w[0] > w[1])
-            || c_array.last().is_some_and(|&last| last > rows)
-        {
-            return Err("C array is not a non-decreasing prefix-sum row".into());
+        // One `rank_all` at the table's end yields every code's total.
+        let mut totals = [0u32; MAX_CODE_COUNT + 1];
+        occ.rank_all_unrecorded(rows, &mut totals[..code_count + 1]);
+        let mut below = 0usize;
+        for (c, (&entry, &total)) in c_array.iter().zip(&totals).enumerate() {
+            if entry != below {
+                return Err(format!(
+                    "C array entry {c} is {entry}, the BWT holds {below} smaller codes"
+                ));
+            }
+            below += total as usize;
         }
         if sampled_rows.len() != rows {
             return Err(format!(
@@ -346,15 +314,26 @@ impl FmIndex {
                 sampled_rows.len()
             ));
         }
-        if samples.len() != sampled_rows.count_ones() {
+        let (marked, expected) = (sampled_rows.rank1(rows), sample_count(text_len));
+        if marked != expected || samples.len() != expected {
             return Err(format!(
-                "{} samples for {} marked rows",
-                samples.len(),
-                sampled_rows.count_ones()
+                "{marked} marked rows and {} samples, a text of {text_len} has {expected}",
+                samples.len()
             ));
         }
-        if samples.iter().any(|&pos| pos as usize > text_len) {
-            return Err("sample position past the end of the text".into());
+        if !sampled_rows.get(0) || samples[0] as usize != text_len {
+            return Err(format!(
+                "row 0 must be sampled with position {text_len}, the sentinel suffix"
+            ));
+        }
+        if let Some(&pos) = samples.iter().find(|&&pos| {
+            let pos = pos as usize;
+            pos > text_len || !(pos.is_multiple_of(SA_SAMPLE_RATE) || pos == text_len)
+        }) {
+            return Err(format!(
+                "sample {pos} is neither a multiple of {SA_SAMPLE_RATE} up to {text_len} \
+                 nor {text_len}"
+            ));
         }
         Ok(Self {
             text_len,
@@ -363,23 +342,26 @@ impl FmIndex {
             c_array,
             sampled_rows,
             samples,
-            sample_rate,
         })
     }
 }
 
-/// Mark the suffix-array rows whose text position is a multiple of `rate`,
-/// plus the sentinel suffix's row (so `locate` always terminates), and
-/// collect their positions in row order.  Both outputs are written straight
-/// from `sa`, each at its final size.
-fn sample_suffix_array(sa: &[u32], rate: usize) -> (RankBitVec, Vec<u32>) {
+/// Number of sampled rows of a text of `text_len` characters: positions 0,
+/// [`SA_SAMPLE_RATE`], … up to `text_len`, plus `text_len` itself.
+fn sample_count(text_len: usize) -> usize {
+    text_len / SA_SAMPLE_RATE + 1 + usize::from(!text_len.is_multiple_of(SA_SAMPLE_RATE))
+}
+
+/// Mark the suffix-array rows whose text position is a multiple of
+/// [`SA_SAMPLE_RATE`], plus the sentinel suffix's row (so `locate` always
+/// terminates), and collect their positions in row order.  Both outputs are
+/// written straight from `sa`, each at its final size.
+fn sample_suffix_array(sa: &[u32]) -> (RankBitVec, Vec<u32>) {
     let text_len = sa.len() - 1;
     let mut words = vec![0u64; sa.len().div_ceil(64)];
-    // Positions 0, rate, 2·rate, … up to text_len, plus text_len itself.
-    let mut samples =
-        Vec::with_capacity(text_len / rate + 1 + usize::from(!text_len.is_multiple_of(rate)));
+    let mut samples = Vec::with_capacity(sample_count(text_len));
     for (row, &pos) in sa.iter().enumerate() {
-        if (pos as usize).is_multiple_of(rate) || pos as usize == text_len {
+        if (pos as usize).is_multiple_of(SA_SAMPLE_RATE) || pos as usize == text_len {
             words[row / 64] |= 1 << (row % 64);
             samples.push(pos);
         }
@@ -395,7 +377,7 @@ fn sample_suffix_array(sa: &[u32], rate: usize) -> (RankBitVec, Vec<u32>) {
 /// read; slot k's own row (k ≤ 4k) was read before that.  The vector then
 /// shrinks to its first ⌈rows / 4⌉ words before the bytes are copied out,
 /// so no second row-sized buffer is live next to the full suffix array.
-fn shifted_bwt_in_place<T: Symbols>(text: &T, mut sa: Vec<u32>, counts: &mut [usize]) -> Vec<u8> {
+fn shifted_bwt_in_place(text: &Reversed, mut sa: Vec<u32>, counts: &mut [usize]) -> Vec<u8> {
     let rows = sa.len();
     let mut word = 0u32;
     for row in 0..rows {
@@ -418,7 +400,7 @@ fn shifted_bwt_in_place<T: Symbols>(text: &T, mut sa: Vec<u32>, counts: &mut [us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sais::suffix_array;
+    use crate::TextIndex;
 
     fn naive_occurrences(text: &[u8], pattern: &[u8]) -> Vec<usize> {
         if pattern.is_empty() || pattern.len() > text.len() {
@@ -429,43 +411,48 @@ mod tests {
             .collect()
     }
 
+    fn dna(ascii: &[u8]) -> Vec<u8> {
+        ascii
+            .iter()
+            .map(|&b| match b {
+                b'A' => 1u8,
+                b'C' => 2,
+                b'G' => 3,
+                b'T' => 4,
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Number of occurrences of `pattern` in the text `index` covers.
+    fn count_of(index: &TextIndex, pattern: &[u8]) -> usize {
+        index
+            .cursor_for(pattern)
+            .map_or(0, |cursor| cursor.occurrence_count())
+    }
+
     #[test]
     fn paper_example_gc_occurrences() {
         // Section 2.3: "the SA range of a substring GC is [4, 5], then the
         // starting positions of GC in T are 5 and 1" (1-based).
-        let text: Vec<u8> = b"GCTAGC"
-            .iter()
-            .map(|&b| match b {
-                b'A' => 1u8,
-                b'C' => 2,
-                b'G' => 3,
-                b'T' => 4,
-                _ => unreachable!(),
-            })
-            .collect();
-        let fm = FmIndex::new(&text, 5);
-        let pattern = [3u8, 2u8]; // "GC"
-        let range = fm.backward_search(&pattern);
-        assert_eq!(range.len(), 2);
-        let mut positions = fm.locate_range(range);
-        positions.sort_unstable();
+        let index = TextIndex::new(&dna(b"GCTAGC"), 5);
+        let cursor = index.cursor_for(&dna(b"GC")).unwrap();
+        assert_eq!(cursor.occurrence_count(), 2);
         // 0-based positions 0 and 4 correspond to the paper's 1-based 1 and 5.
-        assert_eq!(positions, vec![0, 4]);
+        assert_eq!(index.occurrences(cursor), vec![0, 4]);
     }
 
     #[test]
     fn counts_match_naive_search() {
-        let text: Vec<u8> = b"ACGTACGTAGGGCATACGT"
-            .iter()
-            .map(|&b| match b {
-                b'A' => 1u8,
-                b'C' => 2,
-                b'G' => 3,
-                b'T' => 4,
-                _ => unreachable!(),
-            })
-            .collect();
-        let fm = FmIndex::new(&text, 5);
+        let text = dna(b"ACGTACGTAGGGCATACGT");
+        let index = TextIndex::new(&text, 5);
         for pattern_ascii in [
             b"ACGT".as_slice(),
             b"GG",
@@ -474,138 +461,187 @@ mod tests {
             b"CATACGT",
             b"ACGTACGTAGGGCATACGT",
         ] {
-            let pattern: Vec<u8> = pattern_ascii
-                .iter()
-                .map(|&b| match b {
-                    b'A' => 1u8,
-                    b'C' => 2,
-                    b'G' => 3,
-                    b'T' => 4,
-                    _ => unreachable!(),
-                })
-                .collect();
+            let pattern = dna(pattern_ascii);
             let expected = naive_occurrences(&text, &pattern);
             assert_eq!(
-                fm.count(&pattern),
+                count_of(&index, &pattern),
                 expected.len(),
                 "pattern {pattern_ascii:?}"
             );
-            let mut located = fm.locate_range(fm.backward_search(&pattern));
-            located.sort_unstable();
-            assert_eq!(located, expected, "pattern {pattern_ascii:?}");
+            assert_eq!(
+                index.find_occurrences(&pattern),
+                expected,
+                "pattern {pattern_ascii:?}"
+            );
         }
-    }
-
-    /// `fm` with its suffix array re-sampled at `rate` and reassembled
-    /// through `from_parts`: the shape `open` reads from a file that
-    /// records another sampling rate.
-    fn resampled(fm: &FmIndex, text: &[u8], rate: usize) -> FmIndex {
-        let (sampled_rows, samples) = sample_suffix_array(&suffix_array(text), rate);
-        FmIndex::from_parts(
-            fm.text_len(),
-            fm.code_count(),
-            fm.occ_table().clone(),
-            fm.c_array().to_vec(),
-            sampled_rows,
-            samples,
-            rate,
-        )
-        .unwrap()
     }
 
     #[test]
     fn random_text_occurrences_match_naive() {
         let mut state = 42u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let text: Vec<u8> = (0..800).map(|_| (next() % 4) as u8 + 1).collect();
-        let fm = resampled(&FmIndex::new(&text, 5), &text, 8);
+        let text: Vec<u8> = (0..800)
+            .map(|_| (xorshift(&mut state) % 4) as u8 + 1)
+            .collect();
+        let index = TextIndex::new(&text, 5);
         for len in [1usize, 2, 3, 5, 8] {
             for _ in 0..20 {
-                let start = (next() as usize) % (text.len() - len);
+                let start = (xorshift(&mut state) as usize) % (text.len() - len);
                 let pattern = &text[start..start + len];
                 let expected = naive_occurrences(&text, pattern);
-                let range = fm.backward_search(pattern);
-                assert_eq!(range.len(), expected.len());
-                let mut located = fm.locate_range(range);
-                located.sort_unstable();
-                assert_eq!(located, expected);
+                assert_eq!(count_of(&index, pattern), expected.len());
+                assert_eq!(index.find_occurrences(pattern), expected);
             }
         }
     }
 
     #[test]
     fn absent_patterns_give_empty_ranges() {
-        let text = vec![1u8, 1, 1, 1, 2, 2, 2];
-        let fm = FmIndex::new(&text, 5);
-        assert!(fm.backward_search(&[3u8]).is_empty());
-        assert!(fm.backward_search(&[1u8, 2, 1]).is_empty());
-        assert_eq!(fm.count(&[4u8, 4]), 0);
+        let index = TextIndex::new(&[1u8, 1, 1, 1, 2, 2, 2], 5);
+        let root = index.root();
+        assert!(index.fm_index().extend_left(root.range, 3).is_empty());
+        assert!(index.cursor_for(&[1u8, 2, 1]).is_none());
+        assert_eq!(count_of(&index, &[4u8, 4]), 0);
     }
 
     #[test]
     fn texts_with_separators_are_searchable() {
         // Two records "ACG" and "CGT" concatenated with separator 0.
-        let text = vec![1u8, 2, 3, 0, 2, 3, 4];
-        let fm = FmIndex::new(&text, 5);
+        let index = TextIndex::new(&[1u8, 2, 3, 0, 2, 3, 4], 5);
         // "CG" occurs in both records.
-        assert_eq!(fm.count(&[2u8, 3]), 2);
+        assert_eq!(count_of(&index, &[2u8, 3]), 2);
         // A pattern spanning the separator only matches when it includes it.
-        assert_eq!(fm.count(&[3u8, 2]), 0);
-        assert_eq!(fm.count(&[3u8, 0, 2]), 1);
+        assert_eq!(count_of(&index, &[3u8, 2]), 0);
+        assert_eq!(count_of(&index, &[3u8, 0, 2]), 1);
     }
 
     #[test]
     fn full_range_and_empty_pattern() {
-        let text = vec![1u8, 2, 3, 4];
-        let fm = FmIndex::new(&text, 5);
+        let fm = FmIndex::new_reversed(&[1u8, 2, 3, 4], 5);
         assert_eq!(fm.full_range().len(), 5);
-        assert_eq!(fm.backward_search(&[]).len(), 5);
         assert_eq!(fm.text_len(), 4);
-        assert_eq!(fm.row_count(), 5);
+        let index = TextIndex::new(&[1u8, 2, 3, 4], 5);
+        assert_eq!(index.cursor_for(&[]), Some(index.root()));
+        assert_eq!(index.root().occurrence_count(), 5);
     }
 
     #[test]
     fn locate_every_row_is_a_permutation() {
         let text: Vec<u8> = (0..100).map(|i| (i % 4) as u8 + 1).collect();
-        let built = FmIndex::new(&text, 5);
-        for rate in [1usize, 4, 16, 64] {
-            let fm = resampled(&built, &text, rate);
-            let mut positions: Vec<usize> = (0..fm.row_count()).map(|row| fm.locate(row)).collect();
-            positions.sort_unstable();
-            let expected: Vec<usize> = (0..=text.len()).collect();
-            assert_eq!(positions, expected, "rate {rate}");
+        let fm = FmIndex::new_reversed(&text, 5);
+        let mut positions: Vec<usize> =
+            (0..fm.full_range().end).map(|row| fm.locate(row)).collect();
+        positions.sort_unstable();
+        let expected: Vec<usize> = (0..=text.len()).collect();
+        assert_eq!(positions, expected);
+    }
+
+    /// `fm` reassembled through `from_parts` after `edit` has changed its
+    /// C array, sampled-row words and samples.
+    fn reassembled(
+        fm: &FmIndex,
+        edit: impl FnOnce(&mut Vec<usize>, &mut Vec<u64>, &mut Vec<u32>),
+    ) -> Result<FmIndex, String> {
+        let mut c_array = fm.c_array().to_vec();
+        let mut words = fm.sampled_rows().words().to_vec();
+        let mut samples = fm.samples().to_vec();
+        edit(&mut c_array, &mut words, &mut samples);
+        FmIndex::from_parts(
+            fm.text_len(),
+            fm.code_count(),
+            fm.occ_table().clone(),
+            c_array,
+            RankBitVec::from_words(fm.sampled_rows().len(), words),
+            samples,
+        )
+    }
+
+    #[test]
+    fn from_parts_refuses_what_the_built_index_cannot_hold() {
+        // 100 letters: rows 0..=100, samples at 0, 16, …, 96 and 100.
+        let text: Vec<u8> = (0..100).map(|i| (i * 7 % 4) as u8 + 1).collect();
+        let fm = FmIndex::new_reversed(&text, 5);
+        assert_eq!(fm.samples().len(), 8);
+        reassembled(&fm, |_, _, _| {}).unwrap();
+        let refused = |edit: fn(&mut Vec<usize>, &mut Vec<u64>, &mut Vec<u32>), why: &str| {
+            let result = reassembled(&fm, edit);
+            assert!(
+                matches!(&result, Err(msg) if msg.contains(why)),
+                "{why}: {:?}",
+                result.map(|_| ())
+            );
+        };
+        // A C array off by one from the BWT's code totals.
+        refused(|c, _, _| c[3] += 1, "C array entry 3");
+        // No sampled row at all: `locate` would never stop.
+        refused(
+            |_, words, samples| {
+                words.fill(0);
+                samples.clear();
+            },
+            "0 marked rows and 0 samples",
+        );
+        // One sample fewer than the rate-16 sampling holds.
+        refused(
+            |_, words, samples| {
+                let k = words.iter().rposition(|&word| word != 0).unwrap();
+                words[k] &= !(1 << (63 - words[k].leading_zeros()));
+                samples.pop();
+            },
+            "7 marked rows and 7 samples",
+        );
+        // Row 0, the sentinel suffix, must carry position `text_len`.
+        refused(|_, _, samples| samples[0] = 96, "row 0 must be sampled");
+        // A sample that is no multiple of the rate.
+        refused(
+            |_, _, samples| {
+                let k = samples.iter().position(|&pos| pos == 16).unwrap();
+                samples[k] = 17;
+            },
+            "sample 17",
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt index")]
+    fn a_moved_sample_marker_panics_in_locate() {
+        // Move the marker of position 32 to the row of position 70: the
+        // counts, row 0 and every sample value stay valid, so `from_parts`
+        // accepts it.  The walk from position 47 then passes 32 unsampled
+        // and reaches no marked row within the rate's 16 steps.
+        let text: Vec<u8> = (0..100).map(|i| (i * 7 % 4) as u8 + 1).collect();
+        let fm = FmIndex::new_reversed(&text, 5);
+        let row_of = |pos: usize| (0..=100).find(|&row| fm.locate(row) == pos).unwrap();
+        let (from, to) = (row_of(32), row_of(70));
+        let moved = reassembled(&fm, |_, words, _| {
+            words[from / 64] &= !(1 << (from % 64));
+            words[to / 64] |= 1 << (to % 64);
+        })
+        .unwrap();
+        for row in 0..=100 {
+            moved.locate(row);
         }
     }
 
     #[test]
     fn extend_all_matches_per_character_extend_left() {
         let mut state = 77u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
         for code_count in [5usize, 9, 21] {
-            let sigma = code_count - 1;
+            let sigma = code_count as u64 - 1;
             let text: Vec<u8> = (0..600)
-                .map(|_| (next() % sigma as u64) as u8 + 1)
+                .map(|_| (xorshift(&mut state) % sigma) as u8 + 1)
                 .collect();
-            let fm = FmIndex::new(&text, code_count);
+            let fm = FmIndex::new_reversed(&text, code_count);
             // Random ranges reached by short backward searches plus the full
             // range and an empty range.
             let mut ranges = vec![fm.full_range(), SaRange { start: 3, end: 3 }];
             for _ in 0..30 {
-                let len = (next() % 4) as usize + 1;
-                let pattern: Vec<u8> = (0..len)
-                    .map(|_| (next() % sigma as u64) as u8 + 1)
-                    .collect();
-                ranges.push(fm.backward_search(&pattern));
+                let len = (xorshift(&mut state) % 4) as usize + 1;
+                let mut range = fm.full_range();
+                for _ in 0..len {
+                    let c = (xorshift(&mut state) % sigma) as u8 + 1;
+                    range = fm.extend_left(range, c);
+                }
+                ranges.push(range);
             }
             let mut all = vec![SaRange { start: 0, end: 0 }; code_count];
             for range in ranges {
@@ -626,7 +662,7 @@ mod tests {
         for code_count in [5usize, 21] {
             let sigma = code_count - 1;
             let text: Vec<u8> = (0..400).map(|i| (i % sigma) as u8 + 1).collect();
-            let fm = FmIndex::new(&text, code_count);
+            let fm = FmIndex::new_reversed(&text, code_count);
             let mut out = vec![SaRange { start: 0, end: 0 }; code_count];
             let before = fm.scan_snapshot();
             for _ in 0..10 {
@@ -639,9 +675,8 @@ mod tests {
 
     #[test]
     fn size_accounting_scales_with_text() {
-        let small = FmIndex::new(&vec![1u8; 1_000], 5);
-        let large = FmIndex::new(&vec![1u8; 10_000], 5);
+        let small = FmIndex::new_reversed(&[1u8; 1_000], 5);
+        let large = FmIndex::new_reversed(&[1u8; 10_000], 5);
         assert!(large.size_in_bytes() > small.size_in_bytes());
-        assert_eq!(small.sample_rate(), SA_SAMPLE_RATE);
     }
 }

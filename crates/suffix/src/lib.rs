@@ -11,17 +11,19 @@
 //!
 //! The crate provides, from scratch (no external succinct-structure crates):
 //!
-//! * [`sais`] — linear-time, in-place suffix array construction (SA-IS),
-//! * [`bwt`] — Burrows–Wheeler transform and its inversion,
+//! * [`sais`] — linear-time, in-place suffix array construction (SA-IS) of
+//!   the reversed text,
 //! * [`rank`] — byte-sequence rank structure (two-level occurrence
 //!   checkpoints plus portable SWAR in-block scans),
-//! * [`fm_index`] — FM-index with backward search and a sampled suffix array,
+//! * [`fm_index`] — FM-index with backward search and a sampled suffix
+//!   array, whose BWT the build writes over the suffix array,
 //! * [`trie`] — the suffix-trie emulation used by BWT-SW and ALAE
 //!   ([`trie::SuffixTrieCursor`] extends a represented substring one
 //!   character to the right).
 //!
-//! Index construction has no options: [`TextIndex::new`] takes the text and
-//! its code count.  The code count picks the occurrence-table layout
+//! Index construction has one path and no options: [`TextIndex::new`]
+//! reads the text and builds the reversed text's FM-index, which is all a
+//! [`TextIndex`] holds.  The code count picks the occurrence-table layout
 //! ([`RankLayout::PackedDna`] for DNA's 6 shifted codes,
 //! [`RankLayout::Bytes`] for protein's 22), and every index samples its
 //! suffix array at the one rate [`fm_index::SA_SAMPLE_RATE`].  The
@@ -31,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bitvec;
-pub mod bwt;
 pub mod fm_index;
 pub mod rank;
 pub mod sais;
@@ -46,9 +47,3 @@ pub use rank::{
     StorageDataRef,
 };
 pub use trie::{ChildBuf, SuffixTrieCursor, TextIndex, MAX_CHILDREN};
-
-/// The sentinel code appended to the text before suffix-array construction.
-///
-/// It matches the record-separator code of `alae-bioseq` (0) and is smaller
-/// than every alphabet character, mirroring the `$` of Section 2.3.
-pub const SENTINEL: u8 = 0;

@@ -625,6 +625,15 @@ impl OccTable {
     /// single-scan primitive behind `FmIndex::extend_all`: expanding a trie
     /// node costs two `rank_all` calls — two block scans — independent of σ.
     pub fn rank_all(&self, i: usize, counts: &mut [u32]) {
+        let scanned = self.rank_all_unrecorded(i, counts);
+        self.scans.record(scanned);
+    }
+
+    /// [`OccTable::rank_all`] without counting the scan, for the open
+    /// path's C-array check, which is not query work.  Returns the storage
+    /// bytes the scan covered.
+    #[inline]
+    pub(crate) fn rank_all_unrecorded(&self, i: usize, counts: &mut [u32]) -> usize {
         debug_assert!(i <= self.len);
         assert_eq!(counts.len(), self.code_count);
         let block = i / BLOCK;
@@ -632,11 +641,10 @@ impl OccTable {
         let start = block * BLOCK;
         match &self.storage {
             OccStorage::Bytes(data) => {
-                self.scans.record(i - start);
                 swar::byte_histogram(&data[start..i], counts);
+                i - start
             }
             OccStorage::Packed(packed) => {
-                self.scans.record((i - start).div_ceil(4));
                 let mut dense = [0u32; DENSE_CODES];
                 packed.count_all(start, i, &mut dense);
                 let (lo, hi) = packed.exc.block_range(block, i);
@@ -650,6 +658,7 @@ impl OccTable {
                         counts[dense_base + offset] += n;
                     }
                 }
+                (i - start).div_ceil(4)
             }
         }
     }

@@ -2,23 +2,21 @@
 //!
 //! The suffix array of Section 2.3 is built with the induced-sorting
 //! algorithm of Nong, Zhang and Chan (IEEE TC 2011), in their in-place
-//! layout.  The public entry point [`suffix_array`] accepts a byte text
-//! *without* a sentinel and appends the implicit smallest suffix itself (the
-//! returned array has length `text.len() + 1` and its first entry is always
-//! `text.len()`, the empty suffix, matching the `$`-terminated convention of
-//! the paper).
+//! layout.  The public entry point [`reversed_suffix_array`] accepts a byte
+//! text *without* a sentinel, reads it backwards, and appends the implicit
+//! smallest suffix itself (the returned array has length `text.len() + 1`
+//! and its first entry is always `text.len()`, the empty suffix, matching
+//! the `$`-terminated convention of the paper).  The FM-index of
+//! [`crate::TextIndex`] is built over the reversed text this way.
 //!
 //! # Layout
 //!
 //! Apart from the returned array, a build allocates only bit vectors and
 //! the bucket counters that do not fit inside that array:
 //!
-//! * The byte text is never copied.  An accessor reads each code as
-//!   `code + 1` and yields the implicit sentinel 0 at position `n`, in
-//!   either direction: [`suffix_array`] reads the text forwards and
-//!   [`reversed_suffix_array`] backwards (position `i < n` holds
-//!   `text[n − 1 − i]`).  Both run the one generic SA-IS, and the FM-index
-//!   of [`crate::TextIndex`] is built over the reversed text this way.
+//! * The byte text is never copied.  An accessor reads it backwards, each
+//!   code as `code + 1` (position `i < n` holds `text[n − 1 − i] + 1`), and
+//!   yields the implicit sentinel 0 at position `n`.
 //! * S/L types are one bit per position, under `n / 4` bytes over all
 //!   recursion levels.
 //! * The names of the sorted LMS substrings go into the upper half of the
@@ -66,18 +64,13 @@ pub fn suffix_array_build_count() -> u64 {
     SA_BUILDS.with(Cell::get)
 }
 
-/// Build the suffix array of `text ⊕ $` where `$` is an implicit sentinel
-/// strictly smaller than every byte value.
+/// Build the suffix array of `reverse(text) ⊕ $` without reversing `text`,
+/// where `$` is an implicit sentinel strictly smaller than every byte value.
 ///
 /// The result `sa` has length `text.len() + 1`; `sa[i]` is the starting
-/// position (0-based) of the i-th lexicographically smallest suffix,
-/// `sa[0] == text.len()` is the empty suffix.
-pub fn suffix_array(text: &[u8]) -> Vec<u32> {
-    suffix_array_of(&Shifted(text))
-}
-
-/// Build the suffix array of `reverse(text) ⊕ $` without reversing `text`:
-/// the same array [`suffix_array`] returns for a reversed copy.
+/// position (0-based) in the reversed text of its i-th lexicographically
+/// smallest suffix, and `sa[0] == text.len()` is the empty suffix: the
+/// array [`suffix_array_naive`] returns for a reversed copy.
 pub fn reversed_suffix_array(text: &[u8]) -> Vec<u32> {
     suffix_array_of(&Reversed(text))
 }
@@ -115,22 +108,6 @@ pub(crate) trait Symbols {
     fn len(&self) -> usize;
     /// Symbol at position `i < len()`.
     fn at(&self, i: usize) -> usize;
-}
-
-/// The caller's bytes read as `code + 1`, followed by the implicit
-/// sentinel 0.
-pub(crate) struct Shifted<'a>(pub(crate) &'a [u8]);
-
-impl Symbols for Shifted<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.0.len() + 1
-    }
-
-    #[inline]
-    fn at(&self, i: usize) -> usize {
-        self.0.get(i).map_or(0, |&code| code as usize + 1)
-    }
 }
 
 /// The caller's bytes read from the last to the first as `code + 1`,
@@ -443,17 +420,21 @@ fn same_lms_substring<T: Symbols + ?Sized>(text: &T, types: &Types, p: usize, q:
 mod tests {
     use super::*;
 
-    /// Both accessors against the naive order: the forward text, and the
-    /// text read backwards against its reversed copy.
+    /// The suffix array of `text` in text order: the built array of its
+    /// reversed copy.
+    fn forward(text: &[u8]) -> Vec<u32> {
+        let reversed: Vec<u8> = text.iter().rev().copied().collect();
+        reversed_suffix_array(&reversed)
+    }
+
+    /// The text read backwards against the naive order of its reversed
+    /// copy.
     fn check(text: &[u8]) {
-        let fast = suffix_array(text);
-        let naive = suffix_array_naive(text);
-        assert_eq!(fast, naive, "mismatch for text {:?}", text);
         let reversed: Vec<u8> = text.iter().rev().copied().collect();
         assert_eq!(
             reversed_suffix_array(text),
             suffix_array_naive(&reversed),
-            "reversed mismatch for text {:?}",
+            "mismatch for text {:?}",
             text
         );
     }
@@ -462,8 +443,7 @@ mod tests {
     fn paper_example_gctagc() {
         // Section 2.3: SA of GCTAGC$ is {7, 4, 6, 2, 5, 1, 3} in 1-based
         // terms, i.e. {6, 3, 5, 1, 4, 0, 2} 0-based.
-        let sa = suffix_array(b"GCTAGC");
-        assert_eq!(sa, vec![6, 3, 5, 1, 4, 0, 2]);
+        assert_eq!(forward(b"GCTAGC"), vec![6, 3, 5, 1, 4, 0, 2]);
     }
 
     #[test]
@@ -536,7 +516,7 @@ mod tests {
     #[test]
     fn suffix_array_is_a_permutation() {
         let text = b"GATTACAGATTACAGATTACA";
-        let sa = suffix_array(text);
+        let sa = forward(text);
         let mut seen = vec![false; text.len() + 1];
         for &p in &sa {
             assert!(!seen[p as usize]);
@@ -548,7 +528,7 @@ mod tests {
     #[test]
     fn suffixes_are_sorted() {
         let text = b"TGCATGCATGCAACGT";
-        let sa = suffix_array(text);
+        let sa = forward(text);
         for window in sa.windows(2) {
             let a = &text[window[0] as usize..];
             let b = &text[window[1] as usize..];

@@ -7,14 +7,14 @@
 //! text `T⁻¹`: prepending `c` to `X⁻¹` is the same as appending `c` to `X`.
 //! The build reads `T` backwards; no reversed copy is made.
 //!
-//! [`TextIndex`] owns the forward text and the reversed-text FM-index;
-//! [`SuffixTrieCursor`] is a lightweight (range, depth) pair representing a
-//! trie node, i.e. a distinct substring of `T` together with all of its
-//! occurrences.
+//! [`TextIndex`] is the reversed-text FM-index and nothing else: the text
+//! itself stays with its owner (a `SequenceDatabase`), and no search reads
+//! it.  [`SuffixTrieCursor`] is a lightweight (range, depth) pair
+//! representing a trie node, i.e. a distinct substring of `T` together with
+//! all of its occurrences.
 
 use crate::fm_index::{FmIndex, SaRange, MAX_CODE_COUNT};
 use crate::rank::{RankLayout, ScanSnapshot};
-use alae_bioseq::SharedBytes;
 
 /// Largest number of children a trie node can have (`MAX_CODE_COUNT` minus
 /// the separator, which never labels an edge).
@@ -88,18 +88,14 @@ impl Default for ChildBuf {
     }
 }
 
-/// A searchable text: the forward code sequence plus the FM-index of its
-/// reversal.
+/// A searchable text: the FM-index of its reversal, which answers every
+/// suffix-trie question (children, counts, positions) without the text.
 ///
-/// The forward text is a [`SharedBytes`] view, so an index built by
-/// [`TextIndex::new`] shares the caller's copy (e.g. a
-/// `SequenceDatabase`'s concatenated text, or a window of a memory-mapped
-/// index file) instead of duplicating a multi-megabyte buffer, and
-/// [`TextIndex::shared_text`] lets further consumers share it onward.
+/// The index holds no copy of the text: [`TextIndex::new`] reads it only
+/// while it builds, and the caller keeps the one copy (e.g. a
+/// `SequenceDatabase`'s concatenated text).
 #[derive(Debug, Clone)]
 pub struct TextIndex {
-    text: SharedBytes,
-    code_count: usize,
     fm_reverse: FmIndex,
 }
 
@@ -124,55 +120,24 @@ impl SuffixTrieCursor {
 impl TextIndex {
     /// Build the index for a code sequence whose codes are `< code_count`.
     ///
-    /// Accepts anything convertible into a [`SharedBytes`] — a `Vec<u8>`,
-    /// an `Arc<Vec<u8>>`, or a view into a mapped file — so callers share
-    /// the text instead of copying it.  The occurrence-table layout follows
-    /// from `code_count` (see [`crate::rank`]) and the suffix array is
-    /// sampled every [`crate::fm_index::SA_SAMPLE_RATE`] positions; there
-    /// is nothing else to choose.
+    /// `text` is read only while the index builds.  The occurrence-table
+    /// layout follows from `code_count` (see [`crate::rank`]) and the
+    /// suffix array is sampled every [`crate::fm_index::SA_SAMPLE_RATE`]
+    /// positions; there is nothing else to choose.
     ///
     /// There is deliberately no q-gram length here: Equation 2 of the paper
     /// derives `q` from the scoring scheme (`ScoringScheme::q` in
     /// `alae-bioseq`), and the exactness proof depends on using exactly that
     /// value, so it is resolved per query and the index stays
     /// scheme-agnostic.
-    pub fn new(text: impl Into<SharedBytes>, code_count: usize) -> Self {
-        let text = text.into();
-        let fm_reverse = FmIndex::new_reversed(&text, code_count);
-        Self {
-            text,
-            code_count,
-            fm_reverse,
-        }
+    pub fn new(text: &[u8], code_count: usize) -> Self {
+        Self::from_parts(FmIndex::new_reversed(text, code_count))
     }
 
-    /// Reassemble an index from its serialized parts without rebuilding
-    /// anything (the `alae-store` open path): the forward text (possibly a
-    /// zero-copy view into a mapped file) plus the reversed-text FM-index
-    /// restored via [`FmIndex::from_parts`].
-    pub fn from_parts(
-        text: SharedBytes,
-        code_count: usize,
-        fm_reverse: FmIndex,
-    ) -> Result<Self, String> {
-        if fm_reverse.text_len() != text.len() {
-            return Err(format!(
-                "FM-index covers {} positions, text holds {}",
-                fm_reverse.text_len(),
-                text.len()
-            ));
-        }
-        if fm_reverse.code_count() != code_count {
-            return Err(format!(
-                "FM-index built for {} codes, expected {code_count}",
-                fm_reverse.code_count()
-            ));
-        }
-        Ok(Self {
-            text,
-            code_count,
-            fm_reverse,
-        })
+    /// Wrap a reversed-text FM-index restored via [`FmIndex::from_parts`]
+    /// without rebuilding anything (the `alae-store` open path).
+    pub fn from_parts(fm_reverse: FmIndex) -> Self {
+        Self { fm_reverse }
     }
 
     /// Scan-work counters of the underlying occurrence table.
@@ -197,33 +162,22 @@ impl TextIndex {
         self.fm_reverse.occ_size_in_bytes()
     }
 
-    /// The forward text.
-    #[inline]
-    pub fn text(&self) -> &[u8] {
-        &self.text
-    }
-
-    /// The forward text as a cheaply cloneable view (shared, not copied).
-    pub fn shared_text(&self) -> SharedBytes {
-        self.text.clone()
-    }
-
-    /// Text length `n`.
+    /// Length `n` of the indexed text.
     #[inline]
     pub fn len(&self) -> usize {
-        self.text.len()
+        self.fm_reverse.text_len()
     }
 
-    /// True when the text is empty.
+    /// True when the indexed text is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.text.is_empty()
+        self.len() == 0
     }
 
     /// Number of caller-visible codes (alphabet size + separator).
     #[inline]
     pub fn code_count(&self) -> usize {
-        self.code_count
+        self.fm_reverse.code_count()
     }
 
     /// The root of the suffix trie (the empty substring, occurring
@@ -274,7 +228,7 @@ impl TextIndex {
     /// allocation-free twin of [`TextIndex::occurrences`] for DFS hot loops
     /// that locate occurrences once per reported node.
     pub fn occurrences_into(&self, cursor: SuffixTrieCursor, out: &mut Vec<usize>) {
-        let n = self.text.len();
+        let n = self.len();
         let depth = cursor.depth;
         out.clear();
         out.extend((cursor.range.start..cursor.range.end).map(|row| {
@@ -309,11 +263,12 @@ impl TextIndex {
     /// scans per node, independent of the alphabet size — and reuses the
     /// caller's buffer, so a DFS walk performs no per-node allocation.
     pub fn children_into(&self, cursor: SuffixTrieCursor, buf: &mut ChildBuf) {
+        let code_count = self.code_count();
         let mut ranges = [SaRange { start: 0, end: 0 }; MAX_CODE_COUNT];
         self.fm_reverse
-            .extend_all(cursor.range, &mut ranges[..self.code_count]);
+            .extend_all(cursor.range, &mut ranges[..code_count]);
         buf.clear();
-        for (code, &range) in ranges[..self.code_count].iter().enumerate().skip(1) {
+        for (code, &range) in ranges[..code_count].iter().enumerate().skip(1) {
             if !range.is_empty() {
                 buf.push(
                     code as u8,
@@ -326,21 +281,9 @@ impl TextIndex {
         }
     }
 
-    /// Allocating convenience wrapper around [`TextIndex::children_into`].
-    pub fn children(&self, cursor: SuffixTrieCursor) -> Vec<(u8, SuffixTrieCursor)> {
-        let mut buf = ChildBuf::new();
-        self.children_into(cursor, &mut buf);
-        buf.as_slice().to_vec()
-    }
-
-    /// Approximate index footprint in bytes (forward text + reversed-text
-    /// FM-index); the "BWT index" series of Figure 11.
+    /// Approximate index footprint in bytes (BWT, rank checkpoints and SA
+    /// samples); the "BWT index" series of Figure 11.
     pub fn size_in_bytes(&self) -> usize {
-        self.text.len() + self.fm_reverse.size_in_bytes()
-    }
-
-    /// Footprint of the FM-index alone (without the forward text copy).
-    pub fn fm_size_in_bytes(&self) -> usize {
         self.fm_reverse.size_in_bytes()
     }
 }
@@ -363,6 +306,13 @@ mod tests {
             .collect()
     }
 
+    /// The `(edge label, child)` pairs of `cursor`'s node.
+    fn children_of(index: &TextIndex, cursor: SuffixTrieCursor) -> Vec<(u8, SuffixTrieCursor)> {
+        let mut buf = ChildBuf::new();
+        index.children_into(cursor, &mut buf);
+        buf.as_slice().to_vec()
+    }
+
     fn naive_occurrences(text: &[u8], pattern: &[u8]) -> Vec<usize> {
         if pattern.is_empty() || pattern.len() > text.len() {
             return Vec::new();
@@ -375,7 +325,7 @@ mod tests {
     #[test]
     fn extension_matches_naive_substring_search() {
         let text = encode(b"GCTAGCTAGGCATCGATCGGCTAGCAT");
-        let index = TextIndex::new(text.clone(), 5);
+        let index = TextIndex::new(&text, 5);
         for pattern_ascii in [b"GCTA".as_slice(), b"GCTAG", b"CAT", b"TTTT", b"G", b"ATCG"] {
             let pattern = encode(pattern_ascii);
             let expected = naive_occurrences(&text, &pattern);
@@ -391,7 +341,7 @@ mod tests {
     #[test]
     fn cursor_depth_tracks_pattern_length() {
         let text = encode(b"ACGTACGT");
-        let index = TextIndex::new(text, 5);
+        let index = TextIndex::new(&text, 5);
         let cursor = index.cursor_for(&encode(b"ACGT")).unwrap();
         assert_eq!(cursor.depth, 4);
         assert_eq!(cursor.occurrence_count(), 2);
@@ -400,24 +350,28 @@ mod tests {
     #[test]
     fn children_enumerate_right_extensions() {
         let text = encode(b"ACGTAAG");
-        let index = TextIndex::new(text, 5);
-        let root = index.root();
-        let children = index.children(root);
+        let index = TextIndex::new(&text, 5);
         // Children of the root are the distinct characters of the text.
-        let labels: Vec<u8> = children.iter().map(|(c, _)| *c).collect();
+        let labels: Vec<u8> = children_of(&index, index.root())
+            .iter()
+            .map(|(c, _)| *c)
+            .collect();
         assert_eq!(labels, vec![1, 2, 3, 4]); // A, C, G, T all occur.
                                               // Extensions of "A" are "AC" (pos 0), "AA" (pos 4), "AG" (pos 5).
         let a_cursor = index.cursor_for(&encode(b"A")).unwrap();
-        let a_children: Vec<u8> = index.children(a_cursor).iter().map(|(c, _)| *c).collect();
+        let a_children: Vec<u8> = children_of(&index, a_cursor)
+            .iter()
+            .map(|(c, _)| *c)
+            .collect();
         assert_eq!(a_children, vec![1, 2, 3]); // A, C, G
     }
 
     #[test]
     fn separators_are_never_trie_edges() {
         let text = encode(b"ACG$TAC");
-        let index = TextIndex::new(text, 5);
+        let index = TextIndex::new(&text, 5);
         let root = index.root();
-        let labels: Vec<u8> = index.children(root).iter().map(|(c, _)| *c).collect();
+        let labels: Vec<u8> = children_of(&index, root).iter().map(|(c, _)| *c).collect();
         assert!(!labels.contains(&0));
         // But explicit separator searches still work at the FM level.
         assert!(index.contains(&encode(b"G$T")));
@@ -426,7 +380,7 @@ mod tests {
     #[test]
     fn depth_first_walk_visits_every_distinct_substring_once() {
         let text = encode(b"GATTACA");
-        let index = TextIndex::new(text.clone(), 5);
+        let index = TextIndex::new(&text, 5);
         // Enumerate all distinct substrings via the trie and via brute force.
         let mut from_trie = std::collections::BTreeSet::new();
         let mut stack = vec![(index.root(), Vec::<u8>::new())];
@@ -437,7 +391,7 @@ mod tests {
             if prefix.len() >= text.len() {
                 continue;
             }
-            for (c, child) in index.children(cursor) {
+            for (c, child) in children_of(&index, cursor) {
                 let mut next = prefix.clone();
                 next.push(c);
                 stack.push((child, next));
@@ -453,9 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn children_into_matches_children_and_costs_two_scans_per_node() {
+    fn children_into_matches_extend_and_costs_two_scans_per_node() {
         let text = encode(b"GCTAGCTAGGCATCGATCGGCTAGCAT");
-        let index = TextIndex::new(text, 5);
+        let index = TextIndex::new(&text, 5);
         let mut buf = ChildBuf::new();
         let mut stack = vec![index.root()];
         let mut nodes = 0u64;
@@ -492,7 +446,7 @@ mod tests {
     #[test]
     fn occurrence_counts_agree_with_positions() {
         let text = encode(b"ACACACACAC");
-        let index = TextIndex::new(text, 5);
+        let index = TextIndex::new(&text, 5);
         let cursor = index.cursor_for(&encode(b"ACAC")).unwrap();
         assert_eq!(cursor.occurrence_count(), 4);
         assert_eq!(index.occurrences(cursor), vec![0, 2, 4, 6]);
@@ -500,9 +454,9 @@ mod tests {
 
     #[test]
     fn size_accounting() {
-        let index = TextIndex::new(vec![1u8; 5000], 5);
-        assert!(index.size_in_bytes() > 5000);
-        assert!(index.fm_size_in_bytes() > 0);
+        let index = TextIndex::new(&[1u8; 5000], 5);
+        // Under a byte per character: the index holds no copy of the text.
+        assert!((1..5000).contains(&index.size_in_bytes()));
         assert_eq!(index.len(), 5000);
         assert!(!index.is_empty());
         assert_eq!(index.code_count(), 5);

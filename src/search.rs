@@ -109,10 +109,10 @@ impl IndexBuilder {
 
     /// Build the index over `database` (consuming it into an `Arc`).
     ///
-    /// The database's concatenated text is *shared* with the index (one
-    /// buffer serves both), so an [`IndexedDatabase`] holds exactly one
-    /// copy of the text no matter how many engines and threads search
-    /// through it.
+    /// The index reads the database's concatenated text while it builds
+    /// and keeps no copy, so an [`IndexedDatabase`] holds exactly one copy
+    /// of the text, the database's, no matter how many engines and threads
+    /// search through it.
     pub fn index(self, database: SequenceDatabase) -> IndexedDatabase {
         self.index_shared(Arc::new(database))
     }
@@ -120,7 +120,7 @@ impl IndexBuilder {
     /// Build the index over an already-shared database.
     pub fn index_shared(self, database: Arc<SequenceDatabase>) -> IndexedDatabase {
         let index = Arc::new(TextIndex::new(
-            database.shared_text(),
+            database.text(),
             database.alphabet().code_count(),
         ));
         IndexedDatabase::from_parts(database, index)
@@ -129,7 +129,8 @@ impl IndexBuilder {
 
 /// A sequence database bundled with its suffix-trie index, behind `Arc`s
 /// so clones are cheap and every engine (and every thread) shares one copy
-/// of the text and index memory.
+/// of the text and index memory.  The database alone holds the text; the
+/// index is the reversed text's FM-index.
 ///
 /// The handle holds nothing else: no engine keeps state per `q` or per
 /// request beside the index, so a handle from [`IndexedDatabase::open`]
@@ -152,13 +153,18 @@ impl IndexedDatabase {
 
     /// Assemble from an existing database and a matching index (the index
     /// must have been built over exactly `database.text()`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the index's length or code count differs from the
+    /// database's.  The check reads no text byte, so an opened text stays
+    /// packed.
     pub fn from_parts(database: Arc<SequenceDatabase>, index: Arc<TextIndex>) -> Self {
-        // One shared view is recognised without reading it: a read would
-        // unpack the text of an opened index.
-        debug_assert!(
-            database.shared_text().same_view(&index.shared_text())
-                || database.text() == index.text(),
-            "index must cover the database text"
+        assert_eq!(index.len(), database.text_len(), "index length");
+        assert_eq!(
+            index.code_count(),
+            database.alphabet().code_count(),
+            "index code count"
         );
         Self { database, index }
     }
@@ -1275,12 +1281,24 @@ mod tests {
 
     #[test]
     fn indexed_database_shares_one_text_copy() {
-        let db = tiny_db();
-        // Database and index hold the same allocation, not two copies.
-        assert!(std::ptr::eq(
-            db.database().text(),
-            db.index().text() as *const [u8]
-        ));
+        // The database holds the one copy of the text, and every clone
+        // shares it.  The index covers the same text but holds no copy: it
+        // is the reversed text's FM-index, under a byte per DNA character.
+        let letters: Vec<u8> = (0..4_000usize).map(|i| b"ACGT"[i * i % 7 % 4]).collect();
+        let db = IndexedDatabase::from_sequences(
+            Alphabet::Dna,
+            [Sequence::from_ascii(Alphabet::Dna, &letters).unwrap()],
+        );
+        let clone = db.clone();
+        assert!(std::ptr::eq(db.database(), clone.database()));
+        assert!(Arc::ptr_eq(db.index(), clone.index()));
+        assert_eq!(db.index().len(), db.text_len());
+        assert!(
+            db.index().size_in_bytes() < db.text_len(),
+            "index of {} bytes for {} characters",
+            db.index().size_in_bytes(),
+            db.text_len()
+        );
     }
 
     #[test]

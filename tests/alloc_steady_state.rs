@@ -213,7 +213,7 @@ fn warm_arena_alignments_do_not_allocate() {
     for spec in [TextSpec::dna(200_000, 11), TextSpec::protein(200_000, 11)] {
         let text = generate_text(&spec).into_codes();
         let n = text.len();
-        let (index, peak) = peak_heap_growth(|| TextIndex::new(text, spec.alphabet.code_count()));
+        let (index, peak) = peak_heap_growth(|| TextIndex::new(&text, spec.alphabet.code_count()));
         assert_eq!(index.len(), n);
         let per_char = peak as f64 / n as f64;
         assert!(

@@ -29,9 +29,7 @@ pub fn byte_twin(index: &TextIndex) -> TextIndex {
         fm.c_array().to_vec(),
         fm.sampled_rows().clone(),
         fm.samples().to_vec(),
-        fm.sample_rate(),
     )
     .expect("the parts come from a built index");
-    TextIndex::from_parts(index.shared_text(), index.code_count(), fm)
-        .expect("the parts come from a built index")
+    TextIndex::from_parts(fm)
 }

@@ -30,7 +30,7 @@ fn alae_calculates_fewer_entries_than_bwtsw_and_filters_most_of_them() {
     let query = workload.queries[0].codes();
     let scheme = ScoringScheme::DEFAULT;
     let index = Arc::new(alae::suffix::TextIndex::new(
-        workload.database.text().to_vec(),
+        workload.database.text(),
         workload.database.alphabet().code_count(),
     ));
     let alae = AlaeAligner::with_index(

@@ -19,7 +19,7 @@ fn check_instance(
     context: &str,
 ) {
     let index = Arc::new(TextIndex::new(
-        database.text().to_vec(),
+        database.text(),
         database.alphabet().code_count(),
     ));
     let alae = AlaeAligner::with_index(
@@ -168,7 +168,7 @@ fn all_rank_layouts_report_identical_hits() {
         .build();
         let database = &workload.database;
         let index = Arc::new(TextIndex::new(
-            database.text().to_vec(),
+            database.text(),
             database.alphabet().code_count(),
         ));
         assert_eq!(index.rank_layout(), layout);

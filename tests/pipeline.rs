@@ -84,7 +84,7 @@ fn shared_index_gives_identical_results_to_private_indexes() {
     let scheme = ScoringScheme::DEFAULT;
     let threshold = 20;
     let shared = Arc::new(TextIndex::new(
-        workload.database.text().to_vec(),
+        workload.database.text(),
         workload.database.alphabet().code_count(),
     ));
     for query in &workload.queries {

@@ -13,7 +13,7 @@ use alae::bwtsw::{BwtswAligner, BwtswConfig};
 use alae::core::{AlaeAligner, AlaeConfig, FilterToggles, QGramIndex};
 use alae::search::{IndexedDatabase, SearchRequest, Searcher};
 use alae::suffix::rank::OccTable;
-use alae::suffix::sais::{reversed_suffix_array, suffix_array, suffix_array_naive};
+use alae::suffix::sais::{reversed_suffix_array, suffix_array_naive};
 use alae::suffix::{CheckpointRows, ChildBuf, RankLayout, StorageData, TextIndex};
 
 mod common;
@@ -71,15 +71,14 @@ impl Gen {
 
 const CASES: usize = 48;
 
-/// Both suffix-array accessors against the naive order: the forward text,
-/// and the text read backwards against its reversed copy.
-fn assert_suffix_arrays_match_naive(text: &[u8], case: &str) {
-    assert_eq!(suffix_array(text), suffix_array_naive(text), "{case}");
+/// The suffix array of the text read backwards against the naive order of
+/// its reversed copy.
+fn assert_suffix_array_matches_naive(text: &[u8], case: &str) {
     let reversed: Vec<u8> = text.iter().rev().copied().collect();
     assert_eq!(
         reversed_suffix_array(text),
         suffix_array_naive(&reversed),
-        "{case} reversed"
+        "{case}"
     );
 }
 
@@ -88,12 +87,12 @@ fn suffix_array_matches_naive() {
     let mut g = Gen::new(0x5eed_0001);
     for case in 0..CASES {
         let text = g.dna(0, 200);
-        assert_suffix_arrays_match_naive(&text, &format!("case {case}"));
+        assert_suffix_array_matches_naive(&text, &format!("case {case}"));
     }
     let mut g = Gen::new(0x5eed_0011);
     for case in 0..CASES {
         let text = g.protein_records(0, 600);
-        assert_suffix_arrays_match_naive(&text, &format!("protein case {case}"));
+        assert_suffix_array_matches_naive(&text, &format!("protein case {case}"));
     }
 }
 
@@ -103,7 +102,7 @@ fn fm_index_counts_match_naive_search() {
     for case in 0..CASES {
         let text = g.dna(30, 300);
         let pattern = g.dna(1, 8);
-        let index = TextIndex::new(text.clone(), 5);
+        let index = TextIndex::new(&text, 5);
         let expected: Vec<usize> = (0..=text.len().saturating_sub(pattern.len()))
             .filter(|&i| text[i..].starts_with(&pattern))
             .collect();
@@ -387,7 +386,7 @@ fn extend_all_agrees_with_extend_left_on_random_dfs() {
         let text: Vec<u8> = (0..len)
             .map(|_| (g.next() % sigma as u64) as u8 + 1)
             .collect();
-        let mut index = TextIndex::new(text, code_count);
+        let mut index = TextIndex::new(&text, code_count);
         if index.rank_layout() != layout {
             index = byte_twin(&index);
         }
@@ -550,7 +549,7 @@ fn trie_expansion_performs_two_block_scans_per_node() {
         let text: Vec<u8> = (0..300)
             .map(|_| (g.next() % sigma as u64) as u8 + 1)
             .collect();
-        let mut index = TextIndex::new(text, code_count);
+        let mut index = TextIndex::new(&text, code_count);
         if index.rank_layout() != layout {
             index = byte_twin(&index);
         }
@@ -647,7 +646,7 @@ fn rank_layouts_agree_through_the_text_index() {
                     text.push((g.next() % (code_count as u64 - 1)) as u8 + 1);
                 }
             }
-            let packed = TextIndex::new(text.clone(), code_count);
+            let packed = TextIndex::new(&text, code_count);
             let reference = byte_twin(&packed);
             assert_eq!(packed.rank_layout(), layout);
             assert_eq!(reference.rank_layout(), RankLayout::Bytes);

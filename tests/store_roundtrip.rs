@@ -228,12 +228,12 @@ fn a_served_index_keeps_only_what_its_queries_read_resident() {
     }
 }
 
-/// An opened index holds its text as packed letters and unpacks them only
-/// when an engine reads the text.  ALAE and BWT-SW find their hits and
-/// resolve them without reading it, and so do open, the facade's debug
-/// check and every record-table probe on the way; Smith–Waterman then
-/// unpacks it once, for every clone of the handle, and its hits equal the
-/// in-memory database's.
+/// An opened index holds its text as packed letters, in the database
+/// alone, and unpacks them only when an engine reads the text.  ALAE and
+/// BWT-SW find their hits and resolve them without reading it, and so do
+/// open, the facade's length check and every record-table probe on the
+/// way; Smith–Waterman then unpacks it once, for every clone of the
+/// handle, and its hits equal the in-memory database's.
 #[test]
 fn an_opened_text_is_unpacked_only_by_the_engines_that_read_it() {
     let (builder, built) = workload(Alphabet::Dna, 20_000, 0x1a2);
@@ -242,7 +242,6 @@ fn an_opened_text_is_unpacked_only_by_the_engines_that_read_it() {
     fresh.save(&path).expect("save");
     let opened = IndexedDatabase::open(&path).expect("open");
     let text = opened.database().shared_text();
-    assert!(text.same_view(&opened.index().shared_text()));
     let _ = (
         format!("{opened:?}"),
         opened.clone(),
@@ -273,7 +272,7 @@ fn an_opened_text_is_unpacked_only_by_the_engines_that_read_it() {
         assert_eq!(from_file.search(query).hits, in_memory.search(query).hits);
     }
     assert!(!text.is_packed(), "Smith-Waterman reads the text");
-    assert!(!opened.index().shared_text().is_packed());
+    assert!(!opened.database().shared_text().is_packed());
     fs::remove_file(&path).ok();
 }
 
