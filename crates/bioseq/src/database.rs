@@ -8,7 +8,6 @@
 //! scoring scheme).
 
 use crate::alphabet::{Alphabet, SEPARATOR_CODE};
-use crate::packed::{LetterPacking, PackedText};
 use crate::sequence::Sequence;
 use crate::shared::SharedBytes;
 use std::sync::Arc;
@@ -60,9 +59,8 @@ impl RecordSpan {
 /// The concatenated text is a [`SharedBytes`] view, so cloning the
 /// database is cheap on the text side.  It is the one copy of the text: a
 /// text index reads it while it builds and keeps none.  A database opened
-/// from an on-disk index holds its text as packed letters in the mapped
-/// file and unpacks it on first read (see
-/// [`SequenceDatabase::from_packed`]).
+/// from an on-disk index has no stored text: it derives it from the index
+/// on first read (see [`SequenceDatabase::from_derived`]).
 #[derive(Debug, Clone)]
 pub struct SequenceDatabase {
     alphabet: Alphabet,
@@ -89,38 +87,38 @@ impl SequenceDatabase {
         }
     }
 
-    /// Reassemble a database whose text is stored as packed letters (the
-    /// `alae-store` open path): `words` holds the records' letters back to
-    /// back as [`LetterPacking::new(alphabet)`](LetterPacking::new) packs
-    /// them, typically as a view of a mapped file, and the separators follow
-    /// from the record table.  The text is unpacked into bytes the first
-    /// time something reads it; until then the database reads nothing.
+    /// Reassemble a database whose text `derive` produces (the
+    /// `alae-store` open path: one LF walk of the index, which stores no
+    /// text).  `derive` runs the first time something reads the text and
+    /// never before; constructing, cloning, `Debug` and every record-table
+    /// query read nothing.
     ///
     /// Validates the record table (contiguous records, one separator
-    /// between neighbours) and that `words` holds exactly its letters.
-    /// The fields themselves are not read here: whoever takes the words in
-    /// checks them with [`LetterPacking::check_word`], as the store does
-    /// while it reads the file.
-    pub fn from_packed(
+    /// between neighbours).  The derived text is checked against it before
+    /// anyone sees it: its length, and a separator exactly at each record
+    /// boundary and nowhere else.
+    ///
+    /// # Panics
+    ///
+    /// The first read of the text panics, naming a corrupt index, when
+    /// `derive` fails or its text fails that check.
+    pub fn from_derived(
         alphabet: Alphabet,
-        words: SharedBytes,
         names: Vec<Arc<str>>,
         starts: Vec<usize>,
         lengths: Vec<usize>,
+        derive: impl Fn() -> Result<Vec<u8>, String> + Send + Sync + 'static,
     ) -> Result<Self, String> {
         let text_len = Self::table_text_len(&names, &starts, &lengths)?;
-        let letters = text_len - lengths.len().saturating_sub(1);
-        let packing = LetterPacking::new(alphabet);
-        if words.len() != 8 * packing.words(letters) {
-            return Err(format!(
-                "{} bytes of packed words for {letters} letters",
-                words.len()
-            ));
-        }
-        let text = PackedText::new(packing, words, lengths.clone(), text_len);
+        let boundaries: Vec<usize> = starts.iter().skip(1).map(|&start| start - 1).collect();
+        let text = SharedBytes::derived(text_len, move || {
+            derive()
+                .and_then(|text| separators_at(&text, text_len, &boundaries).map(|()| text))
+                .unwrap_or_else(|why| panic!("corrupt index: {why}"))
+        });
         Ok(Self {
             alphabet,
-            text: SharedBytes::from_packed(text),
+            text,
             names,
             starts,
             lengths,
@@ -222,10 +220,13 @@ impl SequenceDatabase {
         &self.text
     }
 
-    /// The concatenated text as a cheaply cloneable view of the database's
-    /// copy (a clone shares it; nothing is copied or unpacked).
-    pub fn shared_text(&self) -> SharedBytes {
-        self.text.clone()
+    /// True once this database's text has been derived from an index;
+    /// false for a built database, and for an opened one until something
+    /// reads its text.  For tests that check which paths derive an opened
+    /// text; nothing else should branch on it.
+    #[doc(hidden)]
+    pub fn text_is_derived(&self) -> bool {
+        self.text.is_derived()
     }
 
     /// Record names in insertion order (serialization support).
@@ -311,6 +312,28 @@ impl SequenceDatabase {
     pub fn to_ascii(&self) -> String {
         self.alphabet.decode(&self.text)
     }
+}
+
+/// Check a derived `text` against the record table: `text_len` codes, with
+/// a separator at each of the (ascending) `boundaries` and nowhere else.
+fn separators_at(text: &[u8], text_len: usize, boundaries: &[usize]) -> Result<(), String> {
+    if text.len() != text_len {
+        return Err(format!(
+            "the derived text holds {} codes, the record table {text_len}",
+            text.len()
+        ));
+    }
+    if let Some(&at) = boundaries.iter().find(|&&at| text[at] != SEPARATOR_CODE) {
+        return Err(format!("no separator at record boundary {at}"));
+    }
+    let separators = text.iter().filter(|&&code| code == SEPARATOR_CODE).count();
+    if separators != boundaries.len() {
+        return Err(format!(
+            "the derived text holds {separators} separators, the record table places {}",
+            boundaries.len()
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -486,65 +509,83 @@ mod tests {
         assert_eq!(db.locate(1).unwrap().record, 1);
         assert_eq!(db.locate(5).unwrap().record, 3);
         // The record table passes the check an opened database makes, and
-        // the packed letters unpack to the same text.
-        let opened = SequenceDatabase::from_packed(
-            db.alphabet(),
-            SharedBytes::from_vec(packed_letters(&db)),
-            db.record_names().to_vec(),
-            db.record_starts().to_vec(),
-            db.record_lengths().to_vec(),
-        );
+        // its text passes the separator check of a derived one.
+        let opened = derived_copy(&db, db.record_starts().to_vec(), db.text().to_vec());
         assert_eq!(opened.unwrap().to_ascii(), "$AC$$G");
     }
 
-    /// The records' letters, packed as the store saves them.
-    fn packed_letters(db: &SequenceDatabase) -> Vec<u8> {
-        let records = db
-            .record_starts()
-            .iter()
-            .zip(db.record_lengths())
-            .map(|(&start, &len)| &db.text()[start..start + len]);
-        LetterPacking::new(db.alphabet()).pack(records).unwrap()
+    /// `db`'s record table over starts `starts`, with a text derived as
+    /// `text`.
+    fn derived_copy(
+        db: &SequenceDatabase,
+        starts: Vec<usize>,
+        text: Vec<u8>,
+    ) -> Result<SequenceDatabase, String> {
+        SequenceDatabase::from_derived(
+            db.alphabet(),
+            db.record_names().to_vec(),
+            starts,
+            db.record_lengths().to_vec(),
+            move || Ok(text.clone()),
+        )
     }
 
     #[test]
-    fn from_packed_unpacks_on_first_read_and_checks_the_word_count() {
+    fn from_derived_derives_on_first_read_and_checks_the_separators() {
         let db = SequenceDatabase::from_sequences(
             Alphabet::Dna,
             ["ACGTACGTACGTACGTACGTACGTACGTACGT", "", "GGC"]
                 .map(|s| Sequence::from_ascii(Alphabet::Dna, s.as_bytes()).unwrap()),
         );
-        let words = packed_letters(&db);
-        assert_eq!(words.len(), 16);
-        let packed = |words: Vec<u8>, starts: Vec<usize>| {
-            SequenceDatabase::from_packed(
-                db.alphabet(),
-                SharedBytes::from_vec(words),
-                db.record_names().to_vec(),
-                starts,
-                db.record_lengths().to_vec(),
-            )
-        };
-        let opened = packed(words.clone(), db.record_starts().to_vec()).unwrap();
+        let opened = derived_copy(&db, db.record_starts().to_vec(), db.text().to_vec()).unwrap();
+        let _ = (format!("{opened:?}"), opened.clone());
         assert_eq!(opened.text_len(), db.text_len());
         assert_eq!(opened.locate(34).unwrap().record, 2);
-        assert!(opened.shared_text().is_packed());
+        assert!(!opened.text_is_derived());
         assert_eq!(opened.text(), db.text());
-        assert!(!opened.shared_text().is_packed());
+        assert!(opened.text_is_derived());
+        assert!(!db.text_is_derived());
 
-        let mut long = words.clone();
-        long.extend_from_slice(&[0; 8]);
-        assert!(packed(long, db.record_starts().to_vec()).is_err());
-        assert!(packed(words[..8].to_vec(), db.record_starts().to_vec()).is_err());
-        assert!(packed(words, vec![0, 33, 33]).is_err());
+        // A record table the text cannot have is refused up front.
+        assert!(derived_copy(&db, vec![0, 33, 33], db.text().to_vec()).is_err());
+        // A derived text that disagrees with the table panics on first read.
+        let first_read_panics = |text: Vec<u8>, why: &str| {
+            let opened = derived_copy(&db, db.record_starts().to_vec(), text).unwrap();
+            let read = std::panic::AssertUnwindSafe(|| opened.text().len());
+            let panic = std::panic::catch_unwind(read).unwrap_err();
+            let message = panic.downcast_ref::<String>().unwrap();
+            assert!(message.starts_with("corrupt index: "), "{message}");
+            assert!(message.contains(why), "{why}: {message}");
+        };
+        let mut moved = db.text().to_vec();
+        moved.swap(32, 31);
+        first_read_panics(moved, "no separator at record boundary 32");
+        let mut extra = db.text().to_vec();
+        extra[5] = SEPARATOR_CODE;
+        first_read_panics(extra, "holds 3 separators, the record table places 2");
+        first_read_panics(
+            db.text()[1..].to_vec(),
+            "holds 36 codes, the record table 37",
+        );
+        let failing = SequenceDatabase::from_derived(
+            db.alphabet(),
+            db.record_names().to_vec(),
+            db.record_starts().to_vec(),
+            db.record_lengths().to_vec(),
+            || Err("the walk failed".into()),
+        )
+        .unwrap();
+        let read = std::panic::AssertUnwindSafe(|| failing.text().len());
+        let panic = std::panic::catch_unwind(read).unwrap_err();
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("corrupt index: the walk failed")
+        );
     }
 
     #[test]
-    fn shared_text_is_the_same_allocation() {
+    fn clones_share_the_text() {
         let db = db_two_records();
-        let shared = db.shared_text();
-        assert!(std::ptr::eq(shared.as_slice(), db.text()));
-        // Cloning the database shares the text too.
         let clone = db.clone();
         assert!(std::ptr::eq(clone.text(), db.text()));
     }
@@ -552,11 +593,11 @@ mod tests {
     #[test]
     fn push_after_sharing_keeps_old_readers_intact() {
         let mut db = db_two_records();
-        let before = db.shared_text();
+        let before = db.clone();
         let c = Sequence::from_ascii(Alphabet::Dna, b"TT").unwrap();
         db.push(c);
-        // The shared snapshot still sees the old text; the database moved on.
-        assert_eq!(before.len(), 8);
+        // The clone still sees the old text; the database moved on.
+        assert_eq!(before.text(), db_two_records().text());
         assert_eq!(db.text_len(), 8 + 1 + 2);
     }
 

@@ -9,8 +9,6 @@
 //! * [`SequenceDatabase`] — a collection of sequences concatenated into a
 //!   single text with record separators (the paper aligns against the
 //!   concatenation of all database sequences, Section 2.2),
-//! * [`LetterPacking`] — that text's letters packed a few bits each, the
-//!   form an index file stores it in,
 //! * [`ScoringScheme`] — the affine-gap scoring scheme `⟨sa, sb, sg, ss⟩`
 //!   of Section 2.1 together with the derived quantities used by the ALAE
 //!   filters (the `q` value of Equation 2 and the `Lmax` bound of Theorem 1),
@@ -26,7 +24,6 @@ pub mod fasta;
 pub mod guard;
 pub mod hash;
 pub mod hits;
-pub mod packed;
 pub mod scoring;
 pub mod sequence;
 pub mod shared;
@@ -36,7 +33,6 @@ pub use database::{RecordLocation, RecordSpan, SequenceDatabase};
 pub use evalue::KarlinAltschul;
 pub use guard::{CancelOnDrop, CancelToken, GuardProbe, SearchError, SearchGuard, Termination};
 pub use hits::{AlignmentHit, HitMap};
-pub use packed::LetterPacking;
 pub use scoring::ScoringScheme;
 pub use sequence::Sequence;
 pub use shared::SharedBytes;

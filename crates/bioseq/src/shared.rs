@@ -8,16 +8,15 @@
 //! without copying its largest sections.
 //!
 //! [`SharedBytes`] abstracts over all three: a reference-counted owner (a
-//! plain `Vec<u8>`, any `AsRef<[u8]>` owner such as an mmap, or a text
-//! held as packed letters) plus an `(offset, len)` window.  Clones share the
-//! owner; `Deref` yields the window as `&[u8]`.  A packed text is unpacked
-//! the first time anything derefs a view of it: constructing, cloning,
-//! slicing, `len` and `Debug` never read the bytes.
+//! plain `Vec<u8>`, any `AsRef<[u8]>` owner such as an mmap, or bytes
+//! derived from something else on first read) plus an `(offset, len)`
+//! window.  Clones share the owner; `Deref` yields the window as `&[u8]`.
+//! Derived bytes are produced the first time anything derefs a view of
+//! them: constructing, cloning, `len` and `Debug` never read them.
 
-use crate::packed::PackedText;
 use std::fmt;
-use std::ops::{Deref, Range};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// The backing allocation of a [`SharedBytes`].
 #[derive(Clone)]
@@ -26,8 +25,8 @@ enum Owner {
     Heap(Arc<Vec<u8>>),
     /// Any shared byte owner — in practice a memory-mapped file region.
     Raw(Arc<dyn AsRef<[u8]> + Send + Sync>),
-    /// A database text held as packed letters, unpacked on first read.
-    Packed(Arc<PackedText>),
+    /// Bytes produced once, on first read (an opened database's text).
+    Derived(Arc<Derived>),
 }
 
 impl Owner {
@@ -35,9 +34,17 @@ impl Owner {
         match self {
             Owner::Heap(vec) => vec,
             Owner::Raw(raw) => (**raw).as_ref(),
-            Owner::Packed(packed) => packed.bytes(),
+            Owner::Derived(derived) => derived.bytes.get_or_init(|| (derived.derive)()),
         }
     }
+}
+
+/// Bytes that `derive` produces on the first read and every clone shares.
+/// A `derive` that panics leaves them unproduced, so the next read calls it
+/// again.
+struct Derived {
+    derive: Box<dyn Fn() -> Vec<u8> + Send + Sync>,
+    bytes: OnceLock<Vec<u8>>,
 }
 
 /// An immutable, cheaply cloneable `[u8]` view backed by a shared owner.
@@ -91,22 +98,26 @@ impl SharedBytes {
         }
     }
 
-    /// View a packed text whole; nothing is unpacked until a read.
-    pub(crate) fn from_packed(packed: PackedText) -> Self {
+    /// View the `len` bytes `derive` produces, calling it on the first read
+    /// and never before.  `derive` must return exactly `len` bytes.
+    pub(crate) fn derived(
+        len: usize,
+        derive: impl Fn() -> Vec<u8> + Send + Sync + 'static,
+    ) -> Self {
         Self {
-            len: packed.len(),
-            owner: Owner::Packed(Arc::new(packed)),
+            len,
+            owner: Owner::Derived(Arc::new(Derived {
+                derive: Box::new(derive),
+                bytes: OnceLock::new(),
+            })),
             offset: 0,
         }
     }
 
-    /// True while this view's owner is a packed text that nothing has read
-    /// yet, so the bytes do not exist; false for every other owner.  For
-    /// tests that check which paths leave an opened text packed; nothing
-    /// else should branch on it.
-    #[doc(hidden)]
-    pub fn is_packed(&self) -> bool {
-        matches!(&self.owner, Owner::Packed(packed) if !packed.is_unpacked())
+    /// True once the owner's bytes have been derived; false before, and
+    /// for every owner that is not derived.
+    pub(crate) fn is_derived(&self) -> bool {
+        matches!(&self.owner, Owner::Derived(derived) if derived.bytes.get().is_some())
     }
 
     /// The viewed bytes.
@@ -124,32 +135,12 @@ impl SharedBytes {
         self.len == 0
     }
 
-    /// A sub-view sharing the same owner (no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `range` is out of bounds for this view.
-    pub fn slice(&self, range: Range<usize>) -> Self {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "SharedBytes sub-slice {}..{} out of bounds for view of {} bytes",
-            range.start,
-            range.end,
-            self.len
-        );
-        Self {
-            owner: self.owner.clone(),
-            offset: self.offset + range.start,
-            len: range.end - range.start,
-        }
-    }
-
     /// Mutate the bytes through a `Vec<u8>`, copying on write.
     ///
     /// When this view is the sole owner of a heap vector and covers it
     /// entirely, the closure receives that vector in place (no copy) — the
     /// common "database still being built" case.  Otherwise (the owner is
-    /// shared, a sub-view, or a raw owner such as an mmap) the window is
+    /// shared, a window, a raw owner such as an mmap, or derived) the window is
     /// first copied into a fresh vector, so existing clones keep seeing the
     /// old bytes.  After the closure returns, this view covers the whole
     /// (possibly resized) vector.
@@ -206,7 +197,7 @@ impl fmt::Debug for SharedBytes {
                 &match &self.owner {
                     Owner::Heap(_) => "heap",
                     Owner::Raw(_) => "raw",
-                    Owner::Packed(_) => "packed",
+                    Owner::Derived(_) => "derived",
                 },
             )
             .finish()
@@ -242,6 +233,7 @@ impl std::hash::Hash for SharedBytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn clones_share_the_same_allocation() {
@@ -249,23 +241,33 @@ mod tests {
         let b = a.clone();
         assert!(std::ptr::eq(a.as_slice(), b.as_slice()));
         assert_eq!(a, b);
-        assert!(!a.is_packed());
+        assert!(!a.is_derived());
     }
 
     #[test]
-    fn slicing_shares_the_owner() {
-        let a = SharedBytes::from_vec(vec![10, 20, 30, 40, 50]);
-        let mid = a.slice(1..4);
-        assert_eq!(mid.as_slice(), &[20, 30, 40]);
-        assert!(std::ptr::eq(mid.as_slice().as_ptr(), &a[1] as *const u8));
-        let inner = mid.slice(1..2);
-        assert_eq!(inner.as_slice(), &[30]);
-    }
+    fn derived_bytes_are_produced_once_on_first_read() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let text = SharedBytes::derived(3, move || {
+            counted.fetch_add(1, Ordering::Relaxed);
+            vec![7, 8, 9]
+        });
+        let clone = text.clone();
+        let _ = (text.len(), format!("{text:?}"), clone.is_empty());
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        assert!(!text.is_derived());
+        assert_eq!(clone.as_slice(), &[7, 8, 9]);
+        assert_eq!(text.as_slice(), &[7, 8, 9]);
+        assert!(text.is_derived());
+        assert!(std::ptr::eq(text.as_slice(), clone.as_slice()));
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
 
-    #[test]
-    #[should_panic]
-    fn out_of_bounds_slice_panics() {
-        SharedBytes::from_vec(vec![1, 2]).slice(1..3).slice(0..3);
+        // Mutation copies out; the other clone keeps the derived bytes.
+        let mut copy = clone.clone();
+        copy.with_mut(|v| v.push(10));
+        assert_eq!(copy.as_slice(), &[7, 8, 9, 10]);
+        assert_eq!(clone.as_slice(), &[7, 8, 9]);
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -291,17 +293,16 @@ mod tests {
     }
 
     #[test]
-    fn with_mut_copies_out_of_sub_views_and_raw_owners() {
-        let base = SharedBytes::from_vec(vec![1, 2, 3, 4]);
-        let mut sub = base.slice(1..3);
-        sub.with_mut(|v| v.push(9));
-        assert_eq!(sub.as_slice(), &[2, 3, 9]);
-        assert_eq!(base.as_slice(), &[1, 2, 3, 4]);
+    fn with_mut_copies_out_of_windows_and_raw_owners() {
+        let owner: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(vec![1u8, 2, 3, 4]);
+        let mut window = SharedBytes::from_owner(owner.clone(), 1, 2);
+        window.with_mut(|v| v.push(9));
+        assert_eq!(window.as_slice(), &[2, 3, 9]);
 
-        let owner: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(vec![7u8, 8, 9]);
-        let mut raw = SharedBytes::from_owner(owner, 0, 3);
+        let mut raw = SharedBytes::from_owner(owner.clone(), 0, 4);
         raw.with_mut(|v| v[0] = 0);
-        assert_eq!(raw.as_slice(), &[0, 8, 9]);
+        assert_eq!(raw.as_slice(), &[0, 2, 3, 4]);
+        assert_eq!((*owner).as_ref(), &[1, 2, 3, 4]);
     }
 
     #[test]
@@ -327,7 +328,8 @@ mod tests {
     #[test]
     fn equality_is_by_content() {
         let a = SharedBytes::from_vec(vec![1, 2, 3]);
-        let b = SharedBytes::from_vec(vec![0, 1, 2, 3]).slice(1..4);
+        let owner: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(vec![0u8, 1, 2, 3]);
+        let b = SharedBytes::from_owner(owner, 1, 3);
         assert_eq!(a, b);
         assert_eq!(a, vec![1, 2, 3]);
         assert_eq!(a, *[1u8, 2, 3].as_slice());

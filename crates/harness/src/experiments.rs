@@ -174,7 +174,9 @@ fn default_config() -> AlaeConfig {
 /// peaked higher, so the mark says nothing about this build); and how much
 /// of the index file is resident right after open: the `Rss:` of its
 /// mapping, absent where `/proc/self/smaps` does not exist or shows no
-/// mapping.  Prints a small machine-greppable summary; the CI store leg
+/// mapping; and the opened database's first text read, which derives the
+/// text from the index (the file holds none) and must equal the built
+/// text.  Prints a small machine-greppable summary; the CI store leg
 /// captures it as the timing artifact.
 fn store_timing(options: &ExperimentOptions) {
     use alae::search::{IndexBuilder, IndexedDatabase};
@@ -215,6 +217,15 @@ fn store_timing(options: &ExperimentOptions) {
     let open = open_started.elapsed();
     let open_mapped = mapped_resident_bytes(&path);
     assert_eq!(opened.text_len(), fresh.text_len());
+    // The file holds no text: the first read derives it from the index.
+    let read_started = Instant::now();
+    let first_text_len = opened.database().text().len();
+    let first_read = read_started.elapsed();
+    assert_eq!(first_text_len, n);
+    assert!(
+        opened.database().text() == fresh.database().text(),
+        "the derived text differs from the built one"
+    );
     match keep {
         Some(kept) => println!("  kept index at:   {}", kept.display()),
         None => {
@@ -241,6 +252,7 @@ fn store_timing(options: &ExperimentOptions) {
     );
     println!("  save_seconds:    {:.4}", save.as_secs_f64());
     println!("  open_seconds:    {:.6}", open.as_secs_f64());
+    println!("  first_text_read_seconds: {:.6}", first_read.as_secs_f64());
     println!(
         "  open_mapped_bytes_per_char: {}",
         fixed(mapped_per_char, "absent")
@@ -250,13 +262,14 @@ fn store_timing(options: &ExperimentOptions) {
         "{{\"experiment\": \"store\", \"text_len\": {n}, \"file_bytes\": {file_bytes}, \
          \"file_bytes_per_char\": {file_per_char:.4}, \
          \"build_seconds\": {:.6}, \"build_peak_rss_mib\": {}, \"build_bytes_per_char\": {}, \
-         \"save_seconds\": {:.6}, \"open_seconds\": {:.6}, \"open_mapped_bytes_per_char\": {}, \
-         \"open_speedup\": {:.1}}}",
+         \"save_seconds\": {:.6}, \"open_seconds\": {:.6}, \"first_text_read_seconds\": {:.6}, \
+         \"open_mapped_bytes_per_char\": {}, \"open_speedup\": {:.1}}}",
         build.as_secs_f64(),
         fixed(peak_mib, "null"),
         fixed(bytes_per_char, "null"),
         save.as_secs_f64(),
         open.as_secs_f64(),
+        first_read.as_secs_f64(),
         fixed(mapped_per_char, "null"),
         speedup,
     );

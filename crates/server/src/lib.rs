@@ -493,8 +493,8 @@ impl Server {
     }
 
     /// Hot-swap the index from `path`: open it, which validates the whole
-    /// file (version, checksums, packed letters), and publish it as a new
-    /// epoch.
+    /// file (version, checksums, record table, FM-index), and publish it as
+    /// a new epoch.
     /// In-flight queries finish on their pinned epoch; the old index
     /// deallocates when its last pin releases.  On error the serving
     /// epoch is untouched.

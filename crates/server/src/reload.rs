@@ -7,8 +7,8 @@
 //! the epoch they started on; the old index deallocates when its last
 //! pin releases.  The expensive work of a reload — one
 //! [`IndexedDatabase::open`], whose single read pass checks every section
-//! and every packed letter — happens *before* the publish lock is ever
-//! taken, so queries never stall behind a reload.
+//! and which then checks the FM-index it assembles — happens *before* the
+//! publish lock is ever taken, so queries never stall behind a reload.
 
 use crate::Shared;
 use alae::search::IndexedDatabase;
@@ -84,9 +84,9 @@ pub struct ReloadSummary {
 
 /// Open and publish the index at `path`.  On any error the serving epoch
 /// is untouched: the open reads and checks the whole file (magic, version,
-/// every section checksum, the record table, every packed letter) before
-/// it maps or builds anything, and refuses a torn or mismatched file with
-/// a typed error.
+/// every section checksum, the record table) before it maps or builds
+/// anything, checks the FM-index it assembles against itself and the
+/// record table, and refuses a torn or mismatched file with a typed error.
 pub(crate) fn reload_index(shared: &Shared, path: &Path) -> Result<ReloadSummary, String> {
     let started = Instant::now();
     let db = match IndexedDatabase::open(path) {

@@ -184,11 +184,12 @@ fn reload_under_load_preserves_hit_identity() {
     }
 }
 
-/// A checksum-valid file can still hold a letter outside the alphabet.
-/// The reload's one open must refuse it with a typed error, count and log
-/// the rejection, and leave the serving epoch where it was.
+/// A checksum-valid file can still hold a BWT that disagrees with its
+/// record table: here a second separator.  The reload's one open must
+/// refuse it with a typed error, count and log the rejection, and leave
+/// the serving epoch where it was.
 #[test]
-fn reload_refuses_a_checksum_valid_file_with_a_bad_letter() {
+fn reload_refuses_a_checksum_valid_file_with_an_extra_separator() {
     use alae::store::format::{checksum, section, TableEntry, HEADER_LEN, TABLE_ENTRY_LEN};
 
     let built = WorkloadBuilder::new(
@@ -213,32 +214,53 @@ fn reload_refuses_a_checksum_valid_file_with_a_bad_letter() {
     )
     .expect("bind ephemeral port");
 
-    // Set letter 0's 5-bit field to 31 (sigma is 20), then re-stamp the
-    // section checksum so only the letter check can refuse the file.
+    // Turn the BWT's last letter into the separator (shifted code 1), then
+    // re-count the C array and re-stamp both checksums, so only the
+    // separator count can refuse the one-record file.  The last row sits
+    // after the last checkpoint row, so the checkpoint rows still agree.
     let mut bytes = std::fs::read(&path).expect("read index");
     let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let (slot, entry) = (0..sections)
-        .map(|k| HEADER_LEN + k * TABLE_ENTRY_LEN)
-        .find_map(|at| {
-            TableEntry::from_bytes(&bytes[at..at + TABLE_ENTRY_LEN])
-                .filter(|entry| entry.id == section::TEXT_PACKED)
-                .map(|entry| (at, entry))
-        })
-        .expect("TEXT_PACKED entry");
-    let payload = entry.offset as usize..(entry.offset + entry.len) as usize;
-    bytes[payload.start] |= 0b11111;
-    let stamped = TableEntry {
-        checksum: checksum(&bytes[payload]),
-        ..entry
+    let entry_of = |bytes: &[u8], id: u32| {
+        (0..sections)
+            .map(|k| HEADER_LEN + k * TABLE_ENTRY_LEN)
+            .find_map(|at| {
+                TableEntry::from_bytes(&bytes[at..at + TABLE_ENTRY_LEN])
+                    .filter(|entry| entry.id == id)
+                    .map(|entry| (at, entry))
+            })
+            .expect("section entry")
     };
-    bytes[slot..slot + TABLE_ENTRY_LEN].copy_from_slice(&stamped.to_bytes());
-    let bad = temp_index_path("bad-letter");
+    let restamp = |bytes: &mut [u8], (slot, entry): (usize, TableEntry)| {
+        let payload = entry.offset as usize..(entry.offset + entry.len) as usize;
+        let stamped = TableEntry {
+            checksum: checksum(&bytes[payload]),
+            ..entry
+        };
+        bytes[slot..slot + TABLE_ENTRY_LEN].copy_from_slice(&stamped.to_bytes());
+    };
+    let bwt = entry_of(&bytes, section::OCC_BYTES);
+    let last = (bwt.1.offset + bwt.1.len - 1) as usize;
+    let letter = bytes[last] as usize;
+    assert!(letter >= 2, "the last BWT row holds a letter");
+    bytes[last] = 1;
+    restamp(&mut bytes, bwt);
+    let c_array = entry_of(&bytes, section::C_ARRAY);
+    for c in 2..=letter {
+        let at = c_array.1.offset as usize + 8 * c;
+        let raised = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) + 1;
+        bytes[at..at + 8].copy_from_slice(&raised.to_le_bytes());
+    }
+    restamp(&mut bytes, c_array);
+    let bad = temp_index_path("extra-separator");
     std::fs::write(&bad, &bytes).expect("write the bad file");
 
     let err = server
         .reload(&bad)
-        .expect_err("a bad letter must be refused");
-    assert!(err.contains("TEXT_PACKED letter 0 is field 31"), "{err}");
+        .expect_err("an extra separator must be refused");
+    assert!(
+        err.contains("the BWT holds 1 separator codes, 1 records need 0"),
+        "{err}"
+    );
     assert_eq!(server.index_epoch(), 1);
     assert_eq!(server.metrics().index_reloads_rejected.get(), 1);
     assert_eq!(server.metrics().index_reloads_ok.get(), 0);

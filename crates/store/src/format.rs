@@ -4,7 +4,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------------
 //!      0     8  magic  b"ALAEIDX\0"
-//!      8     4  format version (u32 LE, currently 2)
+//!      8     4  format version (u32 LE, currently 3)
 //!     12     4  section count (u32 LE)
 //!     16  32*N  section table: { id: u32, _pad: u32, offset: u64,
 //!                                len: u64, checksum: u64 }  (all LE)
@@ -16,19 +16,19 @@
 //! in its table entry; readers verify all checksums before trusting a
 //! byte.  Multi-byte integer sections are plain dense arrays
 //! (`u16`/`u32`/`u64`), decoded into owned vectors as open reads them.
-//! The two sections that dominate the file are *not* decoded: the reader
-//! checks them as it reads them and then hands out zero-copy views of the
-//! mapped file.  They are the text's letters, packed by
-//! `alae_bioseq::LetterPacking` (2 bits per DNA letter, 5 per protein
-//! letter), and the byte-layout BWT storage.
+//! The byte-layout BWT storage is *not* decoded: the reader checksums it
+//! as it reads it and then hands out a zero-copy view of the mapped file.
+//! The file holds no text: an opened database derives it from the
+//! FM-index.
 
 /// File magic.
 pub const MAGIC: [u8; 8] = *b"ALAEIDX\0";
 
 /// Current format version.  Version 1 stored the text one byte per code
-/// (section id 6) and checksummed byte by byte; it is refused, and such a
-/// file is rebuilt.
-pub const VERSION: u32 = 2;
+/// (section id 6) and checksummed byte by byte; version 2 stored its
+/// letters packed (section id 17).  Both are refused, and such a file is
+/// rebuilt.
+pub const VERSION: u32 = 3;
 
 /// Section payload alignment.
 pub const ALIGN: usize = 8;
@@ -41,8 +41,9 @@ pub const TABLE_ENTRY_LEN: usize = 32;
 
 /// Section identifiers.  Presence encodes shape: a file carries either
 /// `OCC_BYTES` or `OCC_WORDS` (+ exception lists), mirroring the in-memory
-/// storage enum.  Id 6 held the byte text of format version 1 and id 8 the
-/// retired flat `u32` checkpoint rows; neither is ever reused.
+/// storage enum.  Id 6 held the byte text of format version 1, id 8 the
+/// retired flat `u32` checkpoint rows and id 17 the packed letters of
+/// format version 2; none is ever reused.
 pub mod section {
     /// Scalar metadata (see [`super::Meta`]).
     pub const META: u32 = 1;
@@ -72,9 +73,6 @@ pub mod section {
     pub const SAMPLED_WORDS: u32 = 15;
     /// Sampled suffix-array values (`u32`).
     pub const SAMPLES: u32 = 16;
-    /// The records' letters back to back, packed into `u64` words; the
-    /// separators follow from the record table (zero-copy on open).
-    pub const TEXT_PACKED: u32 = 17;
 }
 
 /// Storage-kind tag stored in [`Meta`].  The builder writes packed DNA
@@ -421,7 +419,7 @@ mod tests {
     #[test]
     fn table_entry_round_trips() {
         let entry = TableEntry {
-            id: section::TEXT_PACKED,
+            id: section::SAMPLES,
             offset: 4096,
             len: 999,
             checksum: 0xdead_beef_cafe_f00d,

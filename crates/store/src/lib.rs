@@ -1,23 +1,22 @@
 //! Single-file persistence for ALAE indexed databases.
 //!
 //! [`save_index`] serializes a [`SequenceDatabase`] together with the
-//! [`TextIndex`] built over it — record table, the text's letters packed a
-//! few bits each, `C` array, occurrence checkpoint rows, BWT storage,
-//! exception lists and the sampled suffix array — into one checksummed
-//! little-endian file (format in [`mod@format`]).  [`open_index`] reopens
-//! it **without rebuilding anything**: no suffix-array construction, no
-//! BWT, no checkpoint pass.  It reads every section once with positioned
-//! reads, checksumming each and decoding the narrower integer sections
-//! into owned vectors, and only then maps the file: the two large sections
-//! (the packed letters and, in the byte layout, the BWT storage) are served
-//! as zero-copy views of the mapping, resident only once something reads
-//! them.  The text's bytes do not exist until something reads the text:
-//! the opened database unpacks the letters then, once.
+//! [`TextIndex`] built over it — record table, `C` array, occurrence
+//! checkpoint rows, BWT storage, exception lists and the sampled suffix
+//! array — into one checksummed little-endian file (format in
+//! [`mod@format`]).  [`open_index`] reopens it **without rebuilding
+//! anything**: no suffix-array construction, no BWT, no checkpoint pass.
+//! It reads every section once with positioned reads, checksumming each
+//! and decoding the narrower integer sections into owned vectors, and only
+//! then maps the file: in the byte layout the BWT storage is served as a
+//! zero-copy view of the mapping.
 //!
 //! What is *not* stored, by design:
 //!
-//! * **Separators** — one sits between neighbouring records, so the record
-//!   table places them.
+//! * **The text** — the FM-index is a self-index: one LF walk from the
+//!   sentinel's row spells it ([`FmIndex::derive_text`]).  The opened
+//!   database derives it the first time something reads it, once, and
+//!   checks it against the record table.
 //! * **Rank directories** — the bit-vector rank blocks and the exception
 //!   block-start rows are cheap derived data, rebuilt in one linear pass.
 //! * **Q-gram structures** — ALAE's q-gram inverted lists are built per
@@ -37,8 +36,7 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use alae_bioseq::packed::WordFault;
-use alae_bioseq::{Alphabet, LetterPacking, SequenceDatabase, SharedBytes};
+use alae_bioseq::{Alphabet, SequenceDatabase, SharedBytes};
 use alae_suffix::bitvec::RankBitVec;
 use alae_suffix::fm_index::{FmIndex, SA_SAMPLE_RATE};
 use alae_suffix::rank::OccTable;
@@ -139,17 +137,6 @@ pub fn save_index(
     let fm = index.fm_index();
     let occ = fm.occ_table();
 
-    // The letters alone: the record table places the separators.
-    let text = database.text();
-    let records = database
-        .record_starts()
-        .iter()
-        .zip(database.record_lengths())
-        .map(|(&start, &len)| &text[start..start + len]);
-    let letters = LetterPacking::new(database.alphabet())
-        .pack(records)
-        .map_err(|code| corrupt(format!("record letter code {code} is not a letter")))?;
-
     // Record table.
     let names = database.record_names();
     let mut name_offsets: Vec<u32> = Vec::with_capacity(names.len() + 1);
@@ -211,7 +198,6 @@ pub fn save_index(
             section::LENGTHS,
             format::encode_usizes(database.record_lengths()),
         ),
-        (section::TEXT_PACKED, letters),
         (section::C_ARRAY, format::encode_usizes(fm.c_array())),
     ];
     sections.push((section::CHK_SUPERS, format::encode_u64s(supers)));
@@ -425,55 +411,8 @@ impl SectionReader {
     }
 }
 
-/// The `TEXT_PACKED` rules, checked word by word as the pass streams the
-/// section (see [`LetterPacking::check_word`]): every field is below σ,
-/// and every bit above the last letter is zero.  A word's check needs only
-/// its own position, so pieces split anywhere on a word boundary.
-struct LetterCheck {
-    packing: LetterPacking,
-    /// Letters in the section.
-    letters: usize,
-    /// Index of the next word fed.
-    word: usize,
-    /// The first broken rule.
-    fault: Option<String>,
-}
-
-impl LetterCheck {
-    /// Check the next `piece` of whole words.
-    fn feed(&mut self, piece: &[u8]) {
-        let per_word = self.packing.letters_per_word();
-        for word in piece.chunks_exact(8) {
-            if self.fault.is_some() {
-                return;
-            }
-            let first = self.word * per_word;
-            let letters = self.letters.saturating_sub(first).min(per_word);
-            self.fault = match self
-                .packing
-                .check_word(<u64 as Word>::from_le(word), letters)
-            {
-                Ok(()) => None,
-                Err(WordFault::UnusedBits) => Some(format!(
-                    "TEXT_PACKED word {} sets bits past its last letter",
-                    self.word
-                )),
-                Err(WordFault::Field {
-                    letter,
-                    value,
-                    sigma,
-                }) => Some(format!(
-                    "TEXT_PACKED letter {} is field {value}, not below sigma {sigma}",
-                    first + letter
-                )),
-            };
-            self.word += 1;
-        }
-    }
-}
-
-/// What both [`open_index`] and [`verify_index`] read first: the metadata,
-/// the record table, and `TEXT_PACKED`, checked word by word against both.
+/// What both [`open_index`] and [`verify_index`] read first: the metadata
+/// and the record table, checked against each other.
 struct Front {
     meta: Meta,
     alphabet: Alphabet,
@@ -513,35 +452,16 @@ fn read_front(reader: &mut SectionReader) -> Result<Front, StoreError> {
     let starts = reader.usizes(section::STARTS, "STARTS")?;
     let lengths = reader.usizes(section::LENGTHS, "LENGTHS")?;
 
-    // The text the record table describes, and the letters in it.
+    // The text the record table describes.
     let text_len =
         SequenceDatabase::table_text_len(&names, &starts, &lengths).map_err(StoreError::Corrupt)?;
-    let letters = text_len - record_count.saturating_sub(1);
     if meta.text_len != text_len as u64 {
+        let letters = text_len - record_count.saturating_sub(1);
         return Err(corrupt(format!(
             "META text_len is {}, the record table's {letters} letters in {record_count} \
              records make {text_len}",
             meta.text_len
         )));
-    }
-    let packing = LetterPacking::new(alphabet);
-    let packed_bytes = reader.entry(section::TEXT_PACKED)?.len;
-    if packed_bytes != 8 * packing.words(letters) as u64 {
-        return Err(corrupt(format!(
-            "TEXT_PACKED is {packed_bytes} bytes, the record table's {letters} letters pack \
-             into {} words",
-            packing.words(letters)
-        )));
-    }
-    let mut check = LetterCheck {
-        packing,
-        letters,
-        word: 0,
-        fault: None,
-    };
-    reader.read(section::TEXT_PACKED, |piece| check.feed(piece))?;
-    if let Some(fault) = check.fault {
-        return Err(corrupt(fault));
     }
     Ok(Front {
         meta,
@@ -569,11 +489,10 @@ pub struct IndexSummary {
 /// Verify an index file without building or mapping anything.
 ///
 /// Runs the read pass of [`open_index`]: the magic, version and section
-/// table, **every** section checksum, the metadata section's shape, the
-/// record table (and it against `META.text_len` and the size of
-/// `TEXT_PACKED`), and every packed letter (each field below σ, no bit set
-/// past the last letter).  It refuses what that pass refuses, with the
-/// same errors; open goes on to check the structures it assembles.
+/// table, **every** section checksum, the metadata section's shape, and
+/// the record table (and it against `META.text_len`).  It refuses what
+/// that pass refuses, with the same errors; open goes on to check the
+/// structures it assembles.
 pub fn verify_index(path: &Path) -> Result<IndexSummary, StoreError> {
     let mut reader = SectionReader::open(path)?;
     let front = read_front(&mut reader)?;
@@ -591,17 +510,18 @@ pub fn verify_index(path: &Path) -> Result<IndexSummary, StoreError> {
 /// Performs **no** build work: the suffix array, BWT and checkpoint rows
 /// come straight from the file.  Only cheap derived data is recomputed
 /// (bit-vector rank directories, exception block starts).  Beyond the read
-/// pass, open checks the FM-index against itself: the C array against the
-/// BWT's code totals, and the suffix-array samples against the one
-/// sampling rate ([`FmIndex::from_parts`]).
+/// pass, open checks the FM-index against itself and the record table:
+/// the checkpoint rows' range, the C array against the BWT's code totals,
+/// one sentinel, the suffix-array samples against the one sampling rate
+/// ([`FmIndex::from_parts`]), and one separator per record boundary.
 ///
 /// The file is read once with positioned reads (see [`verify_index`]) and
 /// mapped only after every section has checked out.  The integer sections
-/// are decoded as they are read; `TEXT_PACKED` and `OCC_BYTES` are served
-/// as views of the mapping, whose pages stay on disk until something reads
-/// them.  The database alone holds the text, which unpacks the letters
-/// into bytes on its first read (Smith–Waterman or BLAST-like); ALAE,
-/// BWT-SW and hit resolution never read it.
+/// are decoded as they are read; `OCC_BYTES` is served as a view of the
+/// mapping.  The file holds no text: the database derives it from the
+/// index with one LF walk on its first read (Smith–Waterman or
+/// BLAST-like), and checks it against the record table; ALAE, BWT-SW and
+/// hit resolution never read it.
 pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
     let mut reader = SectionReader::open(path)?;
     let Front {
@@ -662,34 +582,22 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
     let samples = reader.words(section::SAMPLES, "SAMPLES")?;
     reader.finish()?;
 
-    // --- Views of the mapping -------------------------------------------------
     // Every section has checked out: only now map the file.
     let buffer = Arc::new(FileBuffer::map(&reader.file, reader.file_bytes)?);
     let mapped = buffer.is_mapped();
-    let view = |id: u32| -> Result<SharedBytes, StoreError> {
-        let entry = reader.entry(id)?;
-        let owner: Arc<dyn AsRef<[u8]> + Send + Sync> = buffer.clone();
-        Ok(SharedBytes::from_owner(
-            owner,
-            entry.offset as usize,
-            entry.len as usize,
-        ))
-    };
-    let database = SequenceDatabase::from_packed(
-        alphabet,
-        view(section::TEXT_PACKED)?,
-        names,
-        starts,
-        lengths,
-    )
-    .map_err(StoreError::Corrupt)?;
 
     // --- Occurrence table -------------------------------------------------
     // The FM-index covers the reversed text plus its sentinel, with all
     // codes shifted up by one: `text_len + 1` rows, `code_count + 1` codes.
+    // Byte storage is a view of the mapping.
     let storage = match packed {
         Some(packed) => packed,
-        None => StorageData::Bytes(view(section::OCC_BYTES)?),
+        None => {
+            let entry = reader.entry(section::OCC_BYTES)?;
+            let owner: Arc<dyn AsRef<[u8]> + Send + Sync> = buffer.clone();
+            let (offset, len) = (entry.offset as usize, entry.len as usize);
+            StorageData::Bytes(SharedBytes::from_owner(owner, offset, len))
+        }
     };
     let occ = OccTable::from_parts(text_len + 1, code_count + 1, rows, storage)
         .map_err(StoreError::Corrupt)?;
@@ -704,9 +612,31 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
     let sampled_rows = RankBitVec::from_words(sampled_bits, sampled_words);
     let fm = FmIndex::from_parts(text_len, code_count, occ, c_array, sampled_rows, samples)
         .map_err(StoreError::Corrupt)?;
+    // Shifted code 1, the separator, sits once between neighbouring records.
+    let separators = fm.c_array()[2] - fm.c_array()[1];
+    let boundaries = meta.record_count.saturating_sub(1);
+    if separators as u64 != boundaries {
+        return Err(corrupt(format!(
+            "the BWT holds {separators} separator codes, {} records need {boundaries}",
+            meta.record_count
+        )));
+    }
+
+    // --- The database, whose text the index spells on first read ----------
+    // An opened index keeps its file mapped while it lives, whatever its
+    // layout.  The DNA layout views no section of the mapping, so the
+    // producer holds it: `mapped` and the resident-page readouts then
+    // describe one mapping for both alphabets.
+    let index = Arc::new(TextIndex::from_parts(fm));
+    let walked = Arc::clone(&index);
+    let database = SequenceDatabase::from_derived(alphabet, names, starts, lengths, move || {
+        let _mapping = &buffer;
+        walked.fm_index().derive_text()
+    })
+    .map_err(StoreError::Corrupt)?;
     Ok(OpenedIndex {
         database: Arc::new(database),
-        index: Arc::new(TextIndex::from_parts(fm)),
+        index,
         mapped,
     })
 }
@@ -786,23 +716,22 @@ mod tests {
         let opened = open_index(&path).unwrap();
         #[cfg(unix)]
         assert!(opened.mapped);
-        // The database holds the one text, still a packed view of the
-        // mapping; the index holds none.  The first read unpacks it.
-        let text = opened.database.shared_text();
-        assert!(text.is_packed());
-        assert_eq!(opened.index.len(), text.len());
+        // Neither the database nor the index holds a text after open; the
+        // database's first read derives it from the index.
+        assert!(!opened.database.text_is_derived());
+        assert_eq!(opened.index.len(), opened.database.text_len());
         assert_eq!(opened.database.text(), database.text());
-        assert!(!text.is_packed());
+        assert!(opened.database.text_is_derived());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn round_trips_restore_the_text_byte_for_byte() {
-        // An empty record first and in the middle, and a record that ends
-        // on a word boundary: 32 letters for DNA, 12 for protein.
+        // An empty record first and in the middle, and records that end
+        // on and off a multiple of the sample rate.
         for alphabet in [Alphabet::Dna, Alphabet::Protein] {
-            let per_word = LetterPacking::new(alphabet).letters_per_word();
-            let lengths = [0, per_word, 0, 5, 2 * per_word + 1];
+            let rate = SA_SAMPLE_RATE;
+            let lengths = [0, rate, 0, 5, 2 * rate + 1];
             let database = SequenceDatabase::from_sequences(
                 alphabet,
                 lengths.iter().enumerate().map(|(r, &len)| {
@@ -817,7 +746,7 @@ mod tests {
             save_index(&path, &database, &index).unwrap();
             let saved = std::fs::read(&path).unwrap();
             let opened = open_index(&path).unwrap();
-            assert!(opened.database.shared_text().is_packed());
+            assert!(!opened.database.text_is_derived());
             assert_eq!(opened.database.record_lengths(), &lengths);
             assert_eq!(opened.database.record_starts(), database.record_starts());
             assert_eq!(opened.database.text_len(), database.text_len());
@@ -877,13 +806,13 @@ mod tests {
 
     #[test]
     fn rejects_wrong_version() {
-        // Version 1 stored the text as bytes: such a file is rebuilt, never
-        // read, and so is one from a future version.
+        // Versions 1 and 2 stored the text (as bytes, then packed): such a
+        // file is rebuilt, never read, and so is one from a future version.
         let path = temp_path("version");
         let database = sample_database();
         let index = build_index(&database);
         save_index(&path, &database, &index).unwrap();
-        for version in [1u32, 99] {
+        for version in [1u32, 2, 99] {
             let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
             file.seek(SeekFrom::Start(8)).unwrap();
             file.write_all(&version.to_le_bytes()).unwrap();
@@ -1057,58 +986,6 @@ mod tests {
         )
     }
 
-    /// Overwrite the `TEXT_PACKED` word `word` of the file image `bytes`
-    /// with `f(word)` and re-stamp the section's checksum.
-    fn rewrite_packed_word(bytes: &mut [u8], word: usize, f: impl FnOnce(u64) -> u64) {
-        let (slot, entry) = section_entry(bytes, section::TEXT_PACKED);
-        let at = entry.offset as usize + 8 * word;
-        let value = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        bytes[at..at + 8].copy_from_slice(&f(value).to_le_bytes());
-        restamp(bytes, slot, entry);
-    }
-
-    #[test]
-    fn out_of_range_text_letter_is_a_typed_corrupt_error() {
-        // A checksum-valid protein file with a packed field at or above
-        // sigma: it would unpack to a code at or above the code count, which
-        // the scoring scheme reads as a letter, so hits would be wrong
-        // rather than refused.  (A 2-bit DNA field cannot leave its range.)
-        let path = temp_path("text-letter-range");
-        let database = protein_database(&[30, 7]);
-        save_index(&path, &database, &build_index(&database)).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        rewrite_packed_word(&mut bytes, 0, |word| word | 0b11111 << 10);
-        assert_corrupt_from_open_and_verify(
-            &path,
-            &bytes,
-            "TEXT_PACKED letter 2 is field 31, not below sigma 20",
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn packed_text_length_must_match_the_record_table() {
-        // The table entry claims one word fewer than the record table's
-        // letters need (payload re-stamped over the shorter range).
-        let path = temp_path("text-packed-length");
-        let database = protein_database(&[30, 7]);
-        save_index(&path, &database, &build_index(&database)).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let (slot, entry) = section_entry(&bytes, section::TEXT_PACKED);
-        assert_eq!(entry.len, 8 * 4);
-        let shorter = TableEntry {
-            len: entry.len - 8,
-            ..entry
-        };
-        restamp(&mut bytes, slot, shorter);
-        assert_corrupt_from_open_and_verify(
-            &path,
-            &bytes,
-            "TEXT_PACKED is 24 bytes, the record table's 37 letters pack into 4 words",
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
     #[test]
     fn meta_text_len_must_match_the_record_table() {
         let path = temp_path("text-len");
@@ -1134,50 +1011,30 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_unused_bits_are_a_typed_corrupt_error() {
-        // DNA's last word holds 31 of 32 letters, so its top field is
-        // unused; protein's full words leave their top 4 bits unused.
-        let dna = sample_database();
-        let protein = protein_database(&[30, 7]);
-        for (database, word, bit) in [(dna, 0, 63), (protein, 0, 61)] {
-            let path = temp_path("unused-bits");
-            save_index(&path, &database, &build_index(&database)).unwrap();
-            let mut bytes = std::fs::read(&path).unwrap();
-            rewrite_packed_word(&mut bytes, word, |value| value | 1 << bit);
-            assert_corrupt_from_open_and_verify(
-                &path,
-                &bytes,
-                &format!("TEXT_PACKED word {word} sets bits past its last letter"),
-            );
-            std::fs::remove_file(&path).unwrap();
-        }
-    }
-
-    #[test]
-    fn text_rules_hold_across_read_pieces() {
-        // The pass reads `TEXT_PACKED` in READ_CHUNK pieces of whole words:
-        // a file whose letters span two pieces (an empty record among
-        // them) must pass, and a bad letter in the second piece must still
-        // be found.
-        let path = temp_path("text-pieces");
+    fn sections_that_span_read_pieces_round_trip_and_are_checksummed() {
+        // The pass reads each section in READ_CHUNK pieces: a protein file
+        // whose BWT bytes span three pieces (an empty record among them)
+        // must open to the same text, and a byte flipped in the second
+        // piece must still fail the section's checksum.
+        let path = temp_path("read-pieces");
         let database = protein_database(&[READ_CHUNK - 1, 0, READ_CHUNK + 4_464, 5]);
-        let per_piece = READ_CHUNK / 8;
         save_index(&path, &database, &build_index(&database)).unwrap();
-        let (_, entry) = section_entry(&std::fs::read(&path).unwrap(), section::TEXT_PACKED);
-        assert!(entry.len as usize > READ_CHUNK);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (_, entry) = section_entry(&bytes, section::OCC_BYTES);
+        assert!(entry.len as usize > 2 * READ_CHUNK);
         verify_index(&path).unwrap();
         let opened = open_index(&path).unwrap();
         assert_eq!(opened.database.record_count(), 4);
         assert_eq!(opened.database.text(), database.text());
 
-        let mut bytes = std::fs::read(&path).unwrap();
-        let word = per_piece + 100;
-        rewrite_packed_word(&mut bytes, word, |value| value | 0b10100 << 15);
-        assert_corrupt_from_open_and_verify(
-            &path,
-            &bytes,
-            &format!("TEXT_PACKED letter {} is field", word * 12 + 3),
-        );
+        bytes[entry.offset as usize + READ_CHUNK + 100] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        for result in [open_index(&path).err(), verify_index(&path).err()] {
+            assert!(
+                matches!(result, Some(StoreError::ChecksumMismatch(id)) if id == section::OCC_BYTES),
+                "{result:?}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1266,6 +1123,53 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_rows_past_the_table_are_a_typed_corrupt_error() {
+        // Every super-row count 0xFF..FF: summed into a row, the counts
+        // would overflow (a debug build panicked inside open's C-array
+        // check), so open refuses them before any rank reads them.
+        let path = temp_path("chk-supers");
+        let database = dna_database(71);
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&bytes, section::CHK_SUPERS);
+        bytes[entry.offset as usize..(entry.offset + entry.len) as usize].fill(0xFF);
+        restamp(&mut bytes, slot, entry);
+        assert_open_refuses(&path, &bytes, "above the table's length 72");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_second_separator_in_the_bwt_is_a_typed_corrupt_error() {
+        // One BWT letter of the last checkpoint block turned into the
+        // separator, with the C array re-counted: the code totals agree
+        // with the C array and the checkpoint rows, but a one-record text
+        // holds no separator, so its LF walk could not match the records.
+        let path = temp_path("second-separator");
+        let database = protein_database(&[300]);
+        save_index(&path, &database, &build_index(&database)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (slot, entry) = section_entry(&bytes, section::OCC_BYTES);
+        let at = (entry.offset + entry.len - 1) as usize;
+        let letter = bytes[at] as usize;
+        assert!(letter >= 2, "the last row holds a letter");
+        bytes[at] = 1;
+        restamp(&mut bytes, slot, entry);
+        let (slot, entry) = section_entry(&bytes, section::C_ARRAY);
+        for c in 2..=letter {
+            let at = entry.offset as usize + 8 * c;
+            let raised = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) + 1;
+            bytes[at..at + 8].copy_from_slice(&raised.to_le_bytes());
+        }
+        restamp(&mut bytes, slot, entry);
+        assert_open_refuses(
+            &path,
+            &bytes,
+            "the BWT holds 1 separator codes, 1 records need 0",
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn open_does_not_depend_on_the_table_order() {
         // Reverse the section table: the payloads stay where they are, so
         // the file must open to the same index.
@@ -1317,7 +1221,7 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let missing = StoreError::MissingSection(section::TEXT_PACKED);
+        let missing = StoreError::MissingSection(section::SAMPLES);
         assert!(missing.to_string().contains("missing section"));
         assert!(StoreError::BadMagic.to_string().contains("magic"));
     }

@@ -12,10 +12,9 @@
 //! # Safety audit
 //!
 //! * The store maps a file only after it has read every section once with
-//!   positioned reads and checked its checksum (and, for `TEXT_PACKED`,
-//!   every word).  Nothing reads through the mapping at open; the
-//!   `TEXT_PACKED` view faults its pages in when the text is first
-//!   unpacked, and the `OCC_BYTES` view when a query or a check reads it.
+//!   positioned reads and checked its checksum.  Nothing reads through the
+//!   mapping at open but the `OCC_BYTES` range check; that view faults its
+//!   pages in when a query or a check reads it.
 //! * The mapping is `PROT_READ` + `MAP_PRIVATE`: the kernel keeps the range
 //!   readable for the lifetime of the mapping, and nothing in the process
 //!   can write through it.  Pages the process never wrote *are* the page

@@ -220,6 +220,43 @@ impl FmIndex {
         base + steps
     }
 
+    /// The text this index was built from, in caller codes, spelled by
+    /// one LF walk of `text_len` steps.
+    ///
+    /// The index is the reversed text's, so row 0 (the empty suffix) holds
+    /// the text's first code in the BWT, and each LF step reads the next
+    /// one.  The walk counts no scans: it is not query work.  An opened
+    /// index keeps no text, and this is how its database derives it.
+    ///
+    /// Fails when the walk meets the sentinel before its last step or does
+    /// not end on it, or leaves the table: a corrupt index.
+    pub fn derive_text(&self) -> Result<Vec<u8>, String> {
+        let rows = self.text_len + 1;
+        let mut text = Vec::with_capacity(self.text_len);
+        let mut row = 0;
+        for step in 0..self.text_len {
+            if row >= rows {
+                return Err(format!("the LF walk left the {rows} rows at step {step}"));
+            }
+            let c = self.occ.get(row);
+            if c == 0 {
+                return Err(format!(
+                    "the LF walk met the sentinel at step {step} of {}",
+                    self.text_len
+                ));
+            }
+            text.push(c - 1);
+            row = self.c_array[c as usize] + self.occ.rank_unrecorded(c, row);
+        }
+        if row >= rows || self.occ.get(row) != 0 {
+            return Err(format!(
+                "the LF walk did not end on the sentinel after {} steps",
+                self.text_len
+            ));
+        }
+        Ok(text)
+    }
+
     /// Approximate index footprint in bytes (BWT + rank checkpoints +
     /// SA samples); used by the Figure 11 index-size experiment.
     pub fn size_in_bytes(&self) -> usize {
@@ -254,8 +291,9 @@ impl FmIndex {
     /// suffix array or the BWT (the `alae-store` open path).
     ///
     /// The occurrence table must cover `text_len + 1` rows of
-    /// `code_count + 1` shifted codes.  The C array must hold the prefix
-    /// sums of the table's code totals.  The samples must be the [`SA_SAMPLE_RATE`] sampling: row 0 marked with
+    /// `code_count + 1` shifted codes, one of them the sentinel.  The C
+    /// array must hold the prefix sums of the table's code totals.  The
+    /// samples must be the [`SA_SAMPLE_RATE`] sampling: row 0 marked with
     /// position `text_len`, one marked row per multiple of the rate up to
     /// `text_len` plus that one, and every sample such a position.  What
     /// these checks cannot see (which rows are marked, the checkpoint rows'
@@ -299,6 +337,9 @@ impl FmIndex {
         // One `rank_all` at the table's end yields every code's total.
         let mut totals = [0u32; MAX_CODE_COUNT + 1];
         occ.rank_all_unrecorded(rows, &mut totals[..code_count + 1]);
+        if totals[0] != 1 {
+            return Err(format!("the BWT holds {} sentinels, not 1", totals[0]));
+        }
         let mut below = 0usize;
         for (c, (&entry, &total)) in c_array.iter().zip(&totals).enumerate() {
             if entry != below {
@@ -620,6 +661,67 @@ mod tests {
         for row in 0..=100 {
             moved.locate(row);
         }
+    }
+
+    #[test]
+    fn derive_text_spells_the_built_text_and_counts_no_scan() {
+        let mut state = 5u64;
+        for (code_count, len) in [(5, 0), (5, 1), (5, 1_000), (21, 17), (21, 300)] {
+            // Code 0 included: records separated anywhere, back to back too.
+            let text: Vec<u8> = (0..len)
+                .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
+                .collect();
+            let fm = FmIndex::new_reversed(&text, code_count);
+            let (table, thread) = (fm.scan_snapshot(), crate::thread_scan_snapshot());
+            assert_eq!(fm.derive_text().unwrap(), text, "{code_count} codes, {len}");
+            assert_eq!(fm.scan_snapshot(), table);
+            assert_eq!(crate::thread_scan_snapshot(), thread);
+        }
+    }
+
+    #[test]
+    fn derive_text_refuses_a_bwt_that_spells_no_text() {
+        // Swapping two neighbouring, different BWT letters keeps every code
+        // total, so `from_parts` accepts the table, but it splits the LF
+        // cycle in two: the walk returns to the sentinel early.
+        let text: Vec<u8> = (0..300).map(|i| (i * 7 % 20) as u8 + 1).collect();
+        let fm = FmIndex::new_reversed(&text, 21);
+        let crate::StorageDataRef::Bytes(bwt) = fm.occ_table().storage_data() else {
+            panic!("21 codes are stored as bytes");
+        };
+        let bwt = bwt.to_vec();
+        let at = (1..bwt.len() - 1)
+            .find(|&row| bwt[row] != 0 && bwt[row + 1] != 0 && bwt[row] != bwt[row + 1])
+            .unwrap();
+        let with_bwt = |bwt: Vec<u8>| {
+            // The C array re-counted from the edited BWT.
+            let mut c_array = vec![0; 22];
+            for &code in &bwt {
+                for entry in &mut c_array[code as usize + 1..] {
+                    *entry += 1;
+                }
+            }
+            FmIndex::from_parts(
+                fm.text_len(),
+                fm.code_count(),
+                OccTable::new(bwt, 22),
+                c_array,
+                fm.sampled_rows().clone(),
+                fm.samples().to_vec(),
+            )
+        };
+        let mut swapped = bwt.clone();
+        swapped.swap(at, at + 1);
+        let refused = with_bwt(swapped).unwrap().derive_text();
+        assert!(
+            matches!(&refused, Err(why) if why.contains("met the sentinel at step")),
+            "{refused:?}"
+        );
+        // A second sentinel is refused when the index is assembled.
+        let mut two_sentinels = bwt;
+        two_sentinels[at] = 0;
+        let refused = with_bwt(two_sentinels).map(|_| ());
+        assert_eq!(refused, Err("the BWT holds 2 sentinels, not 1".into()));
     }
 
     #[test]

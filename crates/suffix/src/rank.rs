@@ -354,7 +354,8 @@ impl ExceptionList {
     }
 
     /// The sparse code stored at position `i`, if `i` is an exception slot.
-    #[inline]
+    /// Always inlined, as [`OccTable::get`] is.
+    #[inline(always)]
     fn code_at(&self, i: usize) -> Option<u8> {
         let (lo, cap) = {
             let block = i / BLOCK;
@@ -481,8 +482,8 @@ impl PackedDna {
         }
     }
 
-    /// Character at position `i`.
-    #[inline]
+    /// Character at position `i`.  Always inlined, as [`OccTable::get`] is.
+    #[inline(always)]
     fn get(&self, i: usize) -> u8 {
         if let Some(code) = self.exc.code_at(i) {
             return code;
@@ -575,7 +576,12 @@ impl OccTable {
     }
 
     /// Character at position `i`.
-    #[inline]
+    ///
+    /// Always inlined, with the packed layout's lookups under it:
+    /// `FmIndex::locate` reads one per LF step of every hit it resolves,
+    /// and with the text's LF walk as a second caller the inliner would
+    /// otherwise leave `locate` a call per step.
+    #[inline(always)]
     pub fn get(&self, i: usize) -> u8 {
         debug_assert!(i < self.len);
         match &self.storage {
@@ -589,6 +595,20 @@ impl OccTable {
     /// most `BLOCK` positions.
     #[inline]
     pub fn rank(&self, c: u8, i: usize) -> usize {
+        self.rank_counting::<true>(c, i)
+    }
+
+    /// [`OccTable::rank`] without counting the scan, for the LF walk that
+    /// derives an opened index's text, which is not query work.
+    #[inline]
+    pub(crate) fn rank_unrecorded(&self, c: u8, i: usize) -> usize {
+        self.rank_counting::<false>(c, i)
+    }
+
+    /// `Occ(c, i)`, counting the scan in the table's and the thread's
+    /// totals when `RECORD`.
+    #[inline]
+    fn rank_counting<const RECORD: bool>(&self, c: u8, i: usize) -> usize {
         debug_assert!(i <= self.len);
         debug_assert!((c as usize) < self.code_count);
         let block = i / BLOCK;
@@ -596,7 +616,9 @@ impl OccTable {
         let start = block * BLOCK;
         match &self.storage {
             OccStorage::Bytes(data) => {
-                self.scans.record(i - start);
+                if RECORD {
+                    self.scans.record(i - start);
+                }
                 base + swar::count_eq_bytes(&data[start..i], c)
             }
             OccStorage::Packed(packed) => {
@@ -605,7 +627,9 @@ impl OccTable {
                     // without touching the packed words.
                     base + packed.exc.count_code(block, i, c)
                 } else {
-                    self.scans.record((i - start).div_ceil(4));
+                    if RECORD {
+                        self.scans.record((i - start).div_ceil(4));
+                    }
                     let mut count = packed.count_pattern((c - packed.dense_base) as u64, start, i);
                     if c == packed.dense_base {
                         // Exception slots packed as pattern 0.
@@ -719,8 +743,11 @@ impl OccTable {
     /// Reassemble a table from serialized parts without recounting the data
     /// (the `alae-store` open path).  Derived quantities — the dense base,
     /// the per-block exception offsets — are reconstructed; the checkpoint
-    /// rows are validated for shape (content integrity is the store's
-    /// per-section checksums' job) and every stored code for range.
+    /// rows are validated for shape and range (no super-row count above the
+    /// table's length, no delta above what the 7 blocks before it in its
+    /// super-block can hold, so no row sum can overflow; content integrity
+    /// is the store's per-section checksums' job) and every stored code for
+    /// range.
     pub fn from_parts(
         len: usize,
         code_count: usize,
@@ -745,6 +772,18 @@ impl OccTable {
                 "checkpoint super rows hold {} entries, expected {}",
                 supers.len(),
                 super_count * code_count
+            ));
+        }
+        if let Some(&count) = supers.iter().find(|&&count| count > len as u64) {
+            return Err(format!(
+                "checkpoint super row holds count {count}, above the table's length {len}"
+            ));
+        }
+        let max_delta = (BLOCKS_PER_SUPER - 1) * BLOCK;
+        if let Some(&delta) = deltas.iter().find(|&&delta| delta as usize > max_delta) {
+            return Err(format!(
+                "checkpoint delta {delta} exceeds {max_delta}, the most a super-block's \
+                 earlier blocks hold"
             ));
         }
         let checkpoints = Checkpoints { supers, deltas };
@@ -1248,5 +1287,44 @@ mod tests {
             matches!(&refused, Err(why) if why.contains("at most 6 codes, got 7")),
             "{refused:?}"
         );
+    }
+
+    #[test]
+    fn from_parts_refuses_checkpoint_counts_no_table_can_hold() {
+        // 2,000 positions: two super rows and 16 blocks.  A super count
+        // above the length or a delta above 7 blocks' worth would let a
+        // row sum overflow; the largest legal values still reassemble.
+        let data: Vec<u8> = (0..2_000).map(|i| (i * 7 % 21) as u8).collect();
+        let table = OccTable::new(data, 21);
+        let reassembled = |edit: fn(&mut CheckpointRows)| {
+            let CheckpointRowsRef { supers, deltas } = table.checkpoint_rows();
+            let mut rows = CheckpointRows {
+                supers: supers.to_vec(),
+                deltas: deltas.to_vec(),
+            };
+            edit(&mut rows);
+            let StorageDataRef::Bytes(bytes) = table.storage_data() else {
+                panic!("21 codes are stored as bytes");
+            };
+            OccTable::from_parts(table.len(), 21, rows, StorageData::Bytes(bytes.clone()))
+        };
+        assert!(reassembled(|_| {}).is_ok());
+        assert!(reassembled(|rows| rows.supers[22] = 2_000).is_ok());
+        assert!(reassembled(|rows| rows.deltas[30] = 896).is_ok());
+        let refused = |edit: fn(&mut CheckpointRows), why: &str| {
+            let refused = reassembled(edit);
+            assert!(
+                matches!(&refused, Err(msg) if msg.contains(why)),
+                "{why}: {:?}",
+                refused.map(|_| ())
+            );
+        };
+        refused(|rows| rows.supers[22] = 2_001, "super row holds count 2001");
+        refused(
+            |rows| rows.supers.fill(u64::MAX),
+            "above the table's length",
+        );
+        refused(|rows| rows.deltas[30] = 897, "delta 897 exceeds 896");
+        refused(|rows| rows.deltas.fill(u16::MAX), "delta 65535");
     }
 }

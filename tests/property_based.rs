@@ -11,7 +11,7 @@ use alae::bioseq::hits::diff_hits;
 use alae::bioseq::{Alphabet, KarlinAltschul, ScoringScheme, Sequence, SequenceDatabase};
 use alae::bwtsw::{BwtswAligner, BwtswConfig};
 use alae::core::{AlaeAligner, AlaeConfig, FilterToggles, QGramIndex};
-use alae::search::{IndexedDatabase, SearchRequest, Searcher};
+use alae::search::{IndexBuilder, IndexedDatabase, SearchRequest, Searcher};
 use alae::suffix::rank::OccTable;
 use alae::suffix::sais::{reversed_suffix_array, suffix_array_naive};
 use alae::suffix::{CheckpointRows, ChildBuf, RankLayout, StorageData, TextIndex};
@@ -683,4 +683,64 @@ fn rank_layouts_agree_through_the_text_index() {
             );
         }
     }
+}
+
+/// Save → open of random DNA and protein databases of 1–5 records, with an
+/// empty record first, in the middle or last, text lengths that 16 (the
+/// suffix-array sample rate) divides and that it does not, and the empty
+/// database: the text an opened database derives from its index equals
+/// the built one byte for byte.
+#[test]
+fn opened_indexes_derive_the_built_text() {
+    let mut g = Gen::new(0x7e47);
+    let path = std::env::temp_dir().join(format!("alae-derived-text-{}.idx", std::process::id()));
+    let (mut divisible, mut not_divisible) = (0, 0);
+    let mut cases: Vec<SequenceDatabase> = [Alphabet::Dna, Alphabet::Protein]
+        .map(SequenceDatabase::new)
+        .into();
+    for case in 0..CASES {
+        let alphabet = [Alphabet::Dna, Alphabet::Protein][case % 2];
+        let records = g.range(1, 6);
+        let mut lengths: Vec<usize> = (0..records).map(|_| g.range(1, 150)).collect();
+        let empty = [0, records / 2, records - 1][case / 2 % 3];
+        lengths[empty] = 0;
+        if case % 4 < 2 {
+            // Pad another record (or this one, when it is the only one) so
+            // 16 divides the text length, separators included.
+            let text_len = lengths.iter().sum::<usize>() + records - 1;
+            lengths[(empty + 1) % records] += (16 - text_len % 16) % 16;
+        }
+        let sigma = alphabet.sigma() as u64;
+        cases.push(SequenceDatabase::from_sequences(
+            alphabet,
+            lengths.iter().map(|&len| {
+                let codes = (0..len).map(|_| (g.next() % sigma) as u8 + 1).collect();
+                Sequence::from_codes(alphabet, codes)
+            }),
+        ));
+    }
+    for database in cases {
+        let text_len = database.text_len();
+        if text_len.is_multiple_of(16) {
+            divisible += 1;
+        } else {
+            not_divisible += 1;
+        }
+        let built = IndexBuilder::new().index(database);
+        built.save(&path).expect("save");
+        let opened = IndexedDatabase::open(&path).expect("open");
+        assert!(!opened.database().text_is_derived());
+        assert_eq!(
+            opened.database().record_starts(),
+            built.database().record_starts()
+        );
+        assert!(
+            opened.database().text() == built.database().text(),
+            "{:?}, records {:?}",
+            built.alphabet(),
+            built.database().record_lengths()
+        );
+    }
+    assert!(divisible > 2 && not_divisible > 2);
+    std::fs::remove_file(&path).ok();
 }

@@ -3,7 +3,7 @@
 //! the suffix-array build entirely, and damaged files must be rejected
 //! with typed errors instead of garbage hits.
 
-use alae::bioseq::{Alphabet, ScoringScheme};
+use alae::bioseq::{Alphabet, ScoringScheme, Termination};
 use alae::search::{EngineKind, IndexBuilder, IndexedDatabase, SearchRequest, Searcher};
 use alae::store::StoreError;
 use alae::suffix::{suffix_array_build_count, RankLayout};
@@ -228,28 +228,29 @@ fn a_served_index_keeps_only_what_its_queries_read_resident() {
     }
 }
 
-/// An opened index holds its text as packed letters, in the database
-/// alone, and unpacks them only when an engine reads the text.  ALAE and
-/// BWT-SW find their hits and resolve them without reading it, and so do
-/// open, the facade's length check and every record-table probe on the
-/// way; Smith–Waterman then unpacks it once, for every clone of the
-/// handle, and its hits equal the in-memory database's.
+/// An opened index holds no text, and its database derives it only when
+/// an engine reads the text.  ALAE and BWT-SW find their hits and resolve
+/// them without reading it, and so do open, the facade's length check and
+/// every record-table probe on the way; Smith–Waterman then derives it
+/// once, for every clone of the handle, and its hits equal the in-memory
+/// database's.
 #[test]
-fn an_opened_text_is_unpacked_only_by_the_engines_that_read_it() {
+fn an_opened_text_is_derived_only_by_the_engines_that_read_it() {
     let (builder, built) = workload(Alphabet::Dna, 20_000, 0x1a2);
     let fresh = builder.index(built.database);
     let path = temp_path("lazy-text");
     fresh.save(&path).expect("save");
     let opened = IndexedDatabase::open(&path).expect("open");
-    let text = opened.database().shared_text();
+    let database = opened.database().clone();
     let _ = (
         format!("{opened:?}"),
         opened.clone(),
-        text.slice(10..20).len(),
+        database.locate(10),
+        database.text_len(),
     );
     assert!(
-        text.is_packed(),
-        "open, Debug, clone and slice must not unpack the text"
+        !database.text_is_derived(),
+        "open, Debug, clone and the record table must not derive the text"
     );
 
     let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12);
@@ -263,7 +264,10 @@ fn an_opened_text_is_unpacked_only_by_the_engines_that_read_it() {
         }
     }
     assert!(hits > 0, "the searches must resolve hits");
-    assert!(text.is_packed(), "ALAE and BWT-SW must not unpack the text");
+    assert!(
+        !database.text_is_derived(),
+        "ALAE and BWT-SW must not derive the text"
+    );
 
     let request = request.engine(EngineKind::SmithWaterman);
     let from_file = Searcher::new(opened.clone(), request);
@@ -271,8 +275,63 @@ fn an_opened_text_is_unpacked_only_by_the_engines_that_read_it() {
     for query in &built.queries {
         assert_eq!(from_file.search(query).hits, in_memory.search(query).hits);
     }
-    assert!(!text.is_packed(), "Smith-Waterman reads the text");
-    assert!(!opened.database().shared_text().is_packed());
+    assert!(database.text_is_derived(), "Smith-Waterman reads the text");
+    assert!(opened.database().text_is_derived());
+    fs::remove_file(&path).ok();
+}
+
+/// A checksum-valid protein file with two neighbouring BWT letters of one
+/// block swapped keeps every count: the checkpoint rows, the C array and
+/// the samples all agree, so it opens.  It is no text's BWT, though, so
+/// the LF walk that derives the text fails, and the first Smith–Waterman
+/// query ends `EnginePanicked` instead of answering from a wrong text.
+#[test]
+fn a_bwt_that_spells_no_text_fails_the_first_query_that_reads_it() {
+    use alae::store::format::{checksum, section, TableEntry, HEADER_LEN, TABLE_ENTRY_LEN};
+
+    let (builder, built) = workload(Alphabet::Protein, 3_000, 0x5a7);
+    let fresh = builder.index(built.database);
+    let path = temp_path("swapped-bwt");
+    fresh.save(&path).expect("save");
+    let mut bytes = fs::read(&path).expect("read back");
+    let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let (slot, entry) = (0..sections)
+        .map(|k| HEADER_LEN + k * TABLE_ENTRY_LEN)
+        .find_map(|at| {
+            TableEntry::from_bytes(&bytes[at..at + TABLE_ENTRY_LEN])
+                .filter(|entry| entry.id == section::OCC_BYTES)
+                .map(|entry| (at, entry))
+        })
+        .expect("OCC_BYTES entry");
+    let bwt = entry.offset as usize..(entry.offset + entry.len) as usize;
+    // Two different letters (neither the sentinel, code 0, nor a
+    // separator, code 1) next to each other inside one 128-row block.
+    let at = (bwt.start + 1..bwt.end - 1)
+        .find(|&at| {
+            let (a, b) = (bytes[at], bytes[at + 1]);
+            a > 1 && b > 1 && a != b && (at + 1 - bwt.start) % 128 != 0
+        })
+        .expect("two different neighbouring letters");
+    bytes.swap(at, at + 1);
+    let stamped = TableEntry {
+        checksum: checksum(&bytes[bwt]),
+        ..entry
+    };
+    bytes[slot..slot + TABLE_ENTRY_LEN].copy_from_slice(&stamped.to_bytes());
+    fs::write(&path, &bytes).expect("write the swapped file");
+
+    let opened = IndexedDatabase::open(&path).expect("the counts all agree, so it opens");
+    let request =
+        SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12).engine(EngineKind::SmithWaterman);
+    let responses = Searcher::new(opened, request).search_batch(&built.queries[..1], 1);
+    assert_eq!(responses.len(), 1);
+    assert_eq!(
+        responses[0].termination,
+        Termination::EnginePanicked,
+        "{} hits",
+        responses[0].hits.len()
+    );
+    assert!(responses[0].hits.is_empty());
     fs::remove_file(&path).ok();
 }
 
