@@ -4,7 +4,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------------
 //!      0     8  magic  b"ALAEIDX\0"
-//!      8     4  format version (u32 LE, currently 3)
+//!      8     4  format version (u32 LE, currently 4)
 //!     12     4  section count (u32 LE)
 //!     16  32*N  section table: { id: u32, _pad: u32, offset: u64,
 //!                                len: u64, checksum: u64 }  (all LE)
@@ -15,20 +15,23 @@
 //! Every payload is little-endian and covered by a [`checksum`] recorded
 //! in its table entry; readers verify all checksums before trusting a
 //! byte.  Multi-byte integer sections are plain dense arrays
-//! (`u16`/`u32`/`u64`), decoded into owned vectors as open reads them.
+//! (`u32`/`u64`), decoded into owned vectors as open reads them.
 //! The byte-layout BWT storage is *not* decoded: the reader checksums it
 //! as it reads it and then hands out a zero-copy view of the mapped file.
-//! The file holds no text: an opened database derives it from the
-//! FM-index.
+//! The file stores only what the BWT cannot give back: the BWT, the
+//! sampled-row bits and the packed suffix-array samples.  Open computes
+//! the checkpoint rows and the C array from the BWT, and an opened
+//! database derives its text from the FM-index.
 
 /// File magic.
 pub const MAGIC: [u8; 8] = *b"ALAEIDX\0";
 
 /// Current format version.  Version 1 stored the text one byte per code
 /// (section id 6) and checksummed byte by byte; version 2 stored its
-/// letters packed (section id 17).  Both are refused, and such a file is
-/// rebuilt.
-pub const VERSION: u32 = 3;
+/// letters packed (section id 17); version 3 stored the C array, the
+/// checkpoint rows and `u32` samples (ids 7, 9, 10 and 16).  All three are
+/// refused, and such a file is rebuilt.
+pub const VERSION: u32 = 4;
 
 /// Section payload alignment.
 pub const ALIGN: usize = 8;
@@ -42,8 +45,10 @@ pub const TABLE_ENTRY_LEN: usize = 32;
 /// Section identifiers.  Presence encodes shape: a file carries either
 /// `OCC_BYTES` or `OCC_WORDS` (+ exception lists), mirroring the in-memory
 /// storage enum.  Id 6 held the byte text of format version 1, id 8 the
-/// retired flat `u32` checkpoint rows and id 17 the packed letters of
-/// format version 2; none is ever reused.
+/// retired flat `u32` checkpoint rows, id 17 the packed letters of format
+/// version 2, and ids 7, 9, 10 and 16 the C array, the two-level
+/// checkpoint rows and the `u32` samples of version 3; none is ever
+/// reused.
 pub mod section {
     /// Scalar metadata (see [`super::Meta`]).
     pub const META: u32 = 1;
@@ -55,12 +60,6 @@ pub mod section {
     pub const STARTS: u32 = 4;
     /// `u64` per-record lengths.
     pub const LENGTHS: u32 = 5;
-    /// `u64` cumulative character counts (`C` array).
-    pub const C_ARRAY: u32 = 7;
-    /// Two-level checkpoints: `u64` superblock absolutes.
-    pub const CHK_SUPERS: u32 = 9;
-    /// Two-level checkpoints: `u16` per-block deltas.
-    pub const CHK_DELTAS: u32 = 10;
     /// Byte-layout BWT storage (zero-copy on open).
     pub const OCC_BYTES: u32 = 11;
     /// Bit-packed BWT storage words (`u64`).
@@ -71,23 +70,18 @@ pub mod section {
     pub const EXC_CODE: u32 = 14;
     /// Sampled-row bit vector words (`u64`).
     pub const SAMPLED_WORDS: u32 = 15;
-    /// Sampled suffix-array values (`u32`).
-    pub const SAMPLES: u32 = 16;
+    /// Packed suffix-array samples (`u64` words of fixed-width fields, see
+    /// `alae_suffix::PackedSamples`).
+    pub const PACKED_SAMPLES: u32 = 18;
 }
 
 /// Storage-kind tag stored in [`Meta`].  The builder writes packed DNA
-/// storage for DNA and byte storage for protein; open accepts byte storage
-/// for any code count.  Kind 2 named the retired nibble-packed words: it is
+/// storage for DNA and byte storage for protein, and open refuses any
+/// other pairing.  Kind 2 named the retired nibble-packed words: it is
 /// refused on open and never reused.
 pub mod storage_kind {
     pub const BYTES: u64 = 0;
     pub const PACKED_DNA: u64 = 1;
-}
-
-/// Checkpoint-kind tag stored in [`Meta`].  Two-level rows are the only
-/// kind; 0 (the retired flat `u32` rows) is rejected on open.
-pub mod checkpoint_kind {
-    pub const TWO_LEVEL: u64 = 1;
 }
 
 /// Alphabet tag stored in [`Meta`].
@@ -96,7 +90,7 @@ pub mod alphabet_tag {
     pub const PROTEIN: u64 = 1;
 }
 
-/// Decoded scalar metadata (the `META` section: eight `u64` values in this
+/// Decoded scalar metadata (the `META` section: seven `u64` values in this
 /// field order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Meta {
@@ -107,12 +101,11 @@ pub struct Meta {
     pub sample_rate: u64,
     pub sampled_bits: u64,
     pub storage_kind: u64,
-    pub checkpoint_kind: u64,
 }
 
 impl Meta {
     /// Number of `u64` fields.
-    pub const FIELDS: usize = 8;
+    pub const FIELDS: usize = 7;
 
     /// Serialize to the section payload.
     pub fn to_bytes(self) -> Vec<u8> {
@@ -124,7 +117,6 @@ impl Meta {
             self.sample_rate,
             self.sampled_bits,
             self.storage_kind,
-            self.checkpoint_kind,
         ];
         encode_u64s(&fields)
     }
@@ -147,7 +139,6 @@ impl Meta {
             sample_rate: fields[4],
             sampled_bits: fields[5],
             storage_kind: fields[6],
-            checkpoint_kind: fields[7],
         })
     }
 }
@@ -274,14 +265,6 @@ impl Checksum {
 // Little-endian array codecs
 // ---------------------------------------------------------------------------
 
-pub fn encode_u16s(values: &[u16]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 2);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
 pub fn encode_u32s(values: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 4);
     for v in values {
@@ -319,13 +302,6 @@ impl Word for u8 {
     const WIDTH: usize = 1;
     fn from_le(bytes: &[u8]) -> Self {
         bytes[0]
-    }
-}
-
-impl Word for u16 {
-    const WIDTH: usize = 2;
-    fn from_le(bytes: &[u8]) -> Self {
-        u16::from_le_bytes([bytes[0], bytes[1]])
     }
 }
 
@@ -374,8 +350,6 @@ mod tests {
 
     #[test]
     fn codecs_round_trip() {
-        let u16s = vec![0u16, 1, 0xffff, 513];
-        assert_eq!(decode::<u16>(&encode_u16s(&u16s)).unwrap(), u16s);
         let u32s = vec![0u32, 7, u32::MAX, 1 << 20];
         assert_eq!(decode::<u32>(&encode_u32s(&u32s)).unwrap(), u32s);
         let u64s = vec![0u64, u64::MAX, 42];
@@ -395,7 +369,6 @@ mod tests {
 
     #[test]
     fn codecs_reject_ragged_lengths() {
-        assert!(decode::<u16>(&[1]).is_none());
         assert!(decode::<u32>(&[1, 2, 3]).is_none());
         assert!(decode::<u64>(&[1, 2, 3, 4, 5, 6, 7]).is_none());
     }
@@ -410,7 +383,6 @@ mod tests {
             sample_rate: 16,
             sampled_bits: 123_458,
             storage_kind: storage_kind::BYTES,
-            checkpoint_kind: checkpoint_kind::TWO_LEVEL,
         };
         assert_eq!(Meta::from_bytes(&meta.to_bytes()).unwrap(), meta);
         assert!(Meta::from_bytes(&[0u8; 8]).is_none());
@@ -419,7 +391,7 @@ mod tests {
     #[test]
     fn table_entry_round_trips() {
         let entry = TableEntry {
-            id: section::SAMPLES,
+            id: section::PACKED_SAMPLES,
             offset: 4096,
             len: 999,
             checksum: 0xdead_beef_cafe_f00d,

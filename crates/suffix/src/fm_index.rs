@@ -11,6 +11,12 @@
 //! overwritten with the shifted BWT (four rows per `u32`) and shrunk to the
 //! BWT's size before the occurrence table is built from it, so no second
 //! buffer of `n` bytes is ever live next to the full array.
+//!
+//! Everything the BWT determines is computed from it, on the build and on
+//! the open path alike: the occurrence table's checkpoint rows
+//! ([`OccTable`]) and the C array (from the table's code totals).  Only
+//! the BWT, the sampled-row bits and the packed samples ([`PackedSamples`])
+//! are stored.
 
 use crate::bitvec::RankBitVec;
 use crate::rank::{OccTable, RankLayout, ScanSnapshot};
@@ -50,6 +56,120 @@ impl SaRange {
 /// meets a sampled row within this many LF steps.
 pub const SA_SAMPLE_RATE: usize = 16;
 
+/// The suffix-array samples of every sampled row but row 0, in row order,
+/// packed the same way in the build, the file and the resident index.
+///
+/// Each sample is a multiple of [`SA_SAMPLE_RATE`] below the text length,
+/// stored as `position / SA_SAMPLE_RATE` in a field of
+/// ⌈log₂(⌊`text_len` / 16⌋ + 1)⌉ bits: field `k` occupies bits
+/// `k·width .. (k+1)·width` of the little-endian `u64` words, and the
+/// last word's unused bits are zero.  Row 0's sample, the empty suffix at
+/// `text_len`, is implied and not stored.
+#[derive(Debug, Clone)]
+pub struct PackedSamples {
+    words: Vec<u64>,
+    /// Bits per field (0 for a text shorter than the rate).
+    width: usize,
+    /// Number of fields.
+    len: usize,
+}
+
+impl PackedSamples {
+    /// The field width and field count of a text of `text_len` characters.
+    fn shape(text_len: usize) -> (usize, usize) {
+        let width = (usize::BITS - (text_len / SA_SAMPLE_RATE).leading_zeros()) as usize;
+        (width, sample_count(text_len) - 1)
+    }
+
+    /// All-zero fields for the samples of a text of `text_len` characters.
+    fn zeroed(text_len: usize) -> Self {
+        let (width, len) = Self::shape(text_len);
+        Self {
+            words: vec![0; (len * width).div_ceil(64)],
+            width,
+            len,
+        }
+    }
+
+    /// Adopt the stored `words` of a text of `text_len` characters,
+    /// refusing words that are not that text's samples: a word count other
+    /// than its fields need, nonzero bits past the last field, or a field
+    /// whose position is not below `text_len`.
+    fn from_words(text_len: usize, words: Vec<u64>) -> Result<Self, String> {
+        let (width, len) = Self::shape(text_len);
+        let bits = len * width;
+        if words.len() != bits.div_ceil(64) {
+            return Err(format!(
+                "{} sample words, a text of {text_len} has {len} samples of {width} bits in {}",
+                words.len(),
+                bits.div_ceil(64)
+            ));
+        }
+        if !bits.is_multiple_of(64) && words.last().is_some_and(|&w| w >> (bits % 64) != 0) {
+            return Err(format!("the sample words hold bits past the {len} samples"));
+        }
+        let samples = Self { words, width, len };
+        if let Some(k) = (0..len).find(|&k| samples.position(k) >= text_len) {
+            return Err(format!(
+                "sample {k} holds position {}, not below the text length {text_len}",
+                samples.position(k)
+            ));
+        }
+        Ok(samples)
+    }
+
+    /// Store `position` (a multiple of the rate) as field `k`, which is
+    /// still zero.
+    fn set(&mut self, k: usize, position: usize) {
+        let value = (position / SA_SAMPLE_RATE) as u64;
+        if value == 0 {
+            return; // Also the only value a 0-bit field holds.
+        }
+        let (word, bit) = (k * self.width / 64, k * self.width % 64);
+        self.words[word] |= value << bit;
+        if bit + self.width > 64 {
+            self.words[word + 1] |= value >> (64 - bit);
+        }
+    }
+
+    /// The position stored in field `k`.  Always inlined: `locate` reads
+    /// one per hit.
+    #[inline(always)]
+    fn position(&self, k: usize) -> usize {
+        debug_assert!(k < self.len);
+        let (word, bit) = (k * self.width / 64, k * self.width % 64);
+        // Only 0-bit fields have no word under them, and they hold 0.
+        let Some(&low) = self.words.get(word) else {
+            return 0;
+        };
+        let mut value = low >> bit;
+        if bit + self.width > 64 {
+            value |= self.words[word + 1] << (64 - bit);
+        }
+        (value & ((1 << self.width) - 1)) as usize * SA_SAMPLE_RATE
+    }
+
+    /// The packed words (serialization support).
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Bits per field.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of stored samples.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no sample is stored (the empty text).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// The FM-index of a reversed code sequence (what [`crate::TextIndex`]
 /// searches).
 #[derive(Debug, Clone)]
@@ -61,12 +181,13 @@ pub struct FmIndex {
     /// Occurrence structure over the BWT of the *shifted* text.
     occ: OccTable,
     /// `c_array[c]` = number of BWT characters strictly smaller than shifted
-    /// code `c`.
+    /// code `c`, from the occurrence table's code totals.
     c_array: Vec<usize>,
     /// Marks rows whose suffix-array value is sampled.
     sampled_rows: RankBitVec,
-    /// Sampled suffix-array values, indexed by `sampled_rows.rank1(row)`.
-    samples: Vec<u32>,
+    /// Sampled suffix-array values of the marked rows after row 0, indexed
+    /// by `sampled_rows.rank1(row) - 1`.
+    samples: PackedSamples,
 }
 
 impl FmIndex {
@@ -86,22 +207,12 @@ impl FmIndex {
         let reversed = Reversed(text);
         let sa = suffix_array_of(&reversed);
         let (sampled_rows, samples) = sample_suffix_array(&sa);
-        let shifted_code_count = code_count + 1;
-        let mut counts = vec![0usize; shifted_code_count];
-        let shifted_bwt = shifted_bwt_in_place(&reversed, sa, &mut counts);
-        let occ = OccTable::new(shifted_bwt, shifted_code_count);
-        let mut c_array = vec![0usize; shifted_code_count];
-        let mut running = 0usize;
-        for c in 1..shifted_code_count {
-            running += counts[c - 1];
-            c_array[c] = running;
-        }
-
+        let occ = OccTable::new(shifted_bwt_in_place(&reversed, sa), code_count + 1);
         Self {
             text_len: text.len(),
             code_count,
+            c_array: c_array_of(&code_totals(&occ)[..=code_count]),
             occ,
-            c_array,
             sampled_rows,
             samples,
         }
@@ -216,7 +327,11 @@ impl FmIndex {
             row = self.lf(row);
             steps += 1;
         }
-        let base = self.samples[self.sampled_rows.rank1(row)] as usize;
+        // Row 0, the first marked row, holds the empty suffix.
+        let base = match self.sampled_rows.rank1(row) {
+            0 => self.text_len,
+            k => self.samples.position(k - 1),
+        };
         base + steps
     }
 
@@ -263,7 +378,7 @@ impl FmIndex {
         self.occ.size_in_bytes()
             + self.c_array.len() * std::mem::size_of::<usize>()
             + self.sampled_rows.size_in_bytes()
-            + self.samples.len() * std::mem::size_of::<u32>()
+            + self.samples.words.len() * std::mem::size_of::<u64>()
     }
 
     /// The occurrence table over the BWT of the shifted text (serialization
@@ -272,7 +387,8 @@ impl FmIndex {
         &self.occ
     }
 
-    /// The C array over shifted codes (serialization support).
+    /// The C array over shifted codes: `c_array()[c]` BWT characters are
+    /// below shifted code `c`.
     pub fn c_array(&self) -> &[usize] {
         &self.c_array
     }
@@ -282,8 +398,8 @@ impl FmIndex {
         &self.sampled_rows
     }
 
-    /// The sampled suffix-array values (serialization support).
-    pub fn samples(&self) -> &[u32] {
+    /// The packed suffix-array samples (serialization support).
+    pub fn samples(&self) -> &PackedSamples {
         &self.samples
     }
 
@@ -291,22 +407,20 @@ impl FmIndex {
     /// suffix array or the BWT (the `alae-store` open path).
     ///
     /// The occurrence table must cover `text_len + 1` rows of
-    /// `code_count + 1` shifted codes, one of them the sentinel.  The C
-    /// array must hold the prefix sums of the table's code totals.  The
-    /// samples must be the [`SA_SAMPLE_RATE`] sampling: row 0 marked with
-    /// position `text_len`, one marked row per multiple of the rate up to
-    /// `text_len` plus that one, and every sample such a position.  What
-    /// these checks cannot see (which rows are marked, the checkpoint rows'
-    /// content) is covered by the store's per-section checksums, and
-    /// [`FmIndex::locate`] panics rather than spin on a marker set that
-    /// leaves a row unsampled.
+    /// `code_count + 1` shifted codes, exactly one of them the sentinel;
+    /// the C array is computed from its code totals, as the build computes
+    /// it.  The samples must be the [`SA_SAMPLE_RATE`] sampling: row 0
+    /// marked, one marked row per multiple of the rate up to `text_len`
+    /// plus row 0, and `sample_words` those rows' packed samples (see
+    /// [`PackedSamples`]).  Which rows are marked is not checked (that
+    /// needs a walk of the whole BWT): [`FmIndex::locate`] panics rather
+    /// than spin on a marker set that leaves a row unsampled.
     pub fn from_parts(
         text_len: usize,
         code_count: usize,
         occ: OccTable,
-        c_array: Vec<usize>,
         sampled_rows: RankBitVec,
-        samples: Vec<u32>,
+        sample_words: Vec<u64>,
     ) -> Result<Self, String> {
         if !(1..=MAX_CODE_COUNT).contains(&code_count) {
             return Err(format!(
@@ -327,27 +441,9 @@ impl FmIndex {
                 code_count + 1
             ));
         }
-        if c_array.len() != code_count + 1 {
-            return Err(format!(
-                "C array holds {} entries, expected {}",
-                c_array.len(),
-                code_count + 1
-            ));
-        }
-        // One `rank_all` at the table's end yields every code's total.
-        let mut totals = [0u32; MAX_CODE_COUNT + 1];
-        occ.rank_all_unrecorded(rows, &mut totals[..code_count + 1]);
+        let totals = code_totals(&occ);
         if totals[0] != 1 {
             return Err(format!("the BWT holds {} sentinels, not 1", totals[0]));
-        }
-        let mut below = 0usize;
-        for (c, (&entry, &total)) in c_array.iter().zip(&totals).enumerate() {
-            if entry != below {
-                return Err(format!(
-                    "C array entry {c} is {entry}, the BWT holds {below} smaller codes"
-                ));
-            }
-            below += total as usize;
         }
         if sampled_rows.len() != rows {
             return Err(format!(
@@ -356,35 +452,44 @@ impl FmIndex {
             ));
         }
         let (marked, expected) = (sampled_rows.rank1(rows), sample_count(text_len));
-        if marked != expected || samples.len() != expected {
+        if marked != expected {
             return Err(format!(
-                "{marked} marked rows and {} samples, a text of {text_len} has {expected}",
-                samples.len()
+                "{marked} marked rows, a text of {text_len} has {expected}"
             ));
         }
-        if !sampled_rows.get(0) || samples[0] as usize != text_len {
-            return Err(format!(
-                "row 0 must be sampled with position {text_len}, the sentinel suffix"
-            ));
-        }
-        if let Some(&pos) = samples.iter().find(|&&pos| {
-            let pos = pos as usize;
-            pos > text_len || !(pos.is_multiple_of(SA_SAMPLE_RATE) || pos == text_len)
-        }) {
-            return Err(format!(
-                "sample {pos} is neither a multiple of {SA_SAMPLE_RATE} up to {text_len} \
-                 nor {text_len}"
-            ));
+        if !sampled_rows.get(0) {
+            return Err("row 0, the sentinel suffix, must be sampled".into());
         }
         Ok(Self {
             text_len,
             code_count,
+            c_array: c_array_of(&totals[..=code_count]),
             occ,
-            c_array,
             sampled_rows,
-            samples,
+            samples: PackedSamples::from_words(text_len, sample_words)?,
         })
     }
+}
+
+/// `Occ(c, rows)` for every shifted code `c` of `occ`: its code totals, in
+/// one `rank_all` at the table's end (counting no scan).
+fn code_totals(occ: &OccTable) -> [u32; MAX_CODE_COUNT + 1] {
+    let mut totals = [0u32; MAX_CODE_COUNT + 1];
+    occ.rank_all_unrecorded(occ.len(), &mut totals[..occ.code_count()]);
+    totals
+}
+
+/// The C array of the code totals `totals`: each code's count of smaller
+/// codes.
+fn c_array_of(totals: &[u32]) -> Vec<usize> {
+    totals
+        .iter()
+        .scan(0, |below, &total| {
+            let entry = *below;
+            *below += total as usize;
+            Some(entry)
+        })
+        .collect()
 }
 
 /// Number of sampled rows of a text of `text_len` characters: positions 0,
@@ -394,17 +499,20 @@ fn sample_count(text_len: usize) -> usize {
 }
 
 /// Mark the suffix-array rows whose text position is a multiple of
-/// [`SA_SAMPLE_RATE`], plus the sentinel suffix's row (so `locate` always
-/// terminates), and collect their positions in row order.  Both outputs are
-/// written straight from `sa`, each at its final size.
-fn sample_suffix_array(sa: &[u32]) -> (RankBitVec, Vec<u32>) {
-    let text_len = sa.len() - 1;
+/// [`SA_SAMPLE_RATE`], plus row 0, the sentinel suffix's (so `locate` always
+/// terminates), and pack the positions of the marked rows after row 0 in
+/// row order.  Both outputs are written straight from `sa`, each at its
+/// final size.
+fn sample_suffix_array(sa: &[u32]) -> (RankBitVec, PackedSamples) {
     let mut words = vec![0u64; sa.len().div_ceil(64)];
-    let mut samples = Vec::with_capacity(sample_count(text_len));
-    for (row, &pos) in sa.iter().enumerate() {
-        if (pos as usize).is_multiple_of(SA_SAMPLE_RATE) || pos as usize == text_len {
+    let mut samples = PackedSamples::zeroed(sa.len() - 1);
+    words[0] = 1;
+    let mut k = 0;
+    for (row, &pos) in sa.iter().enumerate().skip(1) {
+        if (pos as usize).is_multiple_of(SA_SAMPLE_RATE) {
             words[row / 64] |= 1 << (row % 64);
-            samples.push(pos);
+            samples.set(k, pos as usize);
+            k += 1;
         }
     }
     (RankBitVec::from_words(sa.len(), words), samples)
@@ -412,19 +520,18 @@ fn sample_suffix_array(sa: &[u32]) -> (RankBitVec, Vec<u32>) {
 
 /// Overwrite `sa` with the BWT of `text` (byte `text.at(p − 1)` for the
 /// suffix at `p`, 0 for the suffix at 0), four rows per `u32`, and return
-/// it as bytes; `counts[c]` gains the occurrences of each code `c`.
+/// it as bytes.
 ///
 /// Word k holds rows 4k..4k+3 and goes into slot k once row 4k+3 has been
 /// read; slot k's own row (k ≤ 4k) was read before that.  The vector then
 /// shrinks to its first ⌈rows / 4⌉ words before the bytes are copied out,
 /// so no second row-sized buffer is live next to the full suffix array.
-fn shifted_bwt_in_place(text: &Reversed, mut sa: Vec<u32>, counts: &mut [usize]) -> Vec<u8> {
+fn shifted_bwt_in_place(text: &Reversed, mut sa: Vec<u32>) -> Vec<u8> {
     let rows = sa.len();
     let mut word = 0u32;
     for row in 0..rows {
         let p = sa[row] as usize;
         let code = if p == 0 { 0 } else { text.at(p - 1) };
-        counts[code] += 1;
         word |= (code as u32) << (8 * (row % 4));
         if row % 4 == 3 || row + 1 == rows {
             sa[row / 4] = word;
@@ -577,33 +684,63 @@ mod tests {
     }
 
     /// `fm` reassembled through `from_parts` after `edit` has changed its
-    /// C array, sampled-row words and samples.
+    /// sampled-row words and packed sample words.
     fn reassembled(
         fm: &FmIndex,
-        edit: impl FnOnce(&mut Vec<usize>, &mut Vec<u64>, &mut Vec<u32>),
+        edit: impl FnOnce(&mut Vec<u64>, &mut Vec<u64>),
     ) -> Result<FmIndex, String> {
-        let mut c_array = fm.c_array().to_vec();
         let mut words = fm.sampled_rows().words().to_vec();
-        let mut samples = fm.samples().to_vec();
-        edit(&mut c_array, &mut words, &mut samples);
+        let mut samples = fm.samples().words().to_vec();
+        edit(&mut words, &mut samples);
         FmIndex::from_parts(
             fm.text_len(),
             fm.code_count(),
             fm.occ_table().clone(),
-            c_array,
             RankBitVec::from_words(fm.sampled_rows().len(), words),
             samples,
         )
     }
 
     #[test]
+    fn locate_matches_the_suffix_array_where_the_field_width_changes() {
+        // The width is ⌈log₂(⌊n/16⌋ + 1)⌉ bits: 0 below n = 16, and one
+        // more at every n = 16·2^k.  At each side of those steps, the built
+        // index and the one reassembled from its packed words locate every
+        // row at its suffix-array position.
+        let mut lengths = vec![0, 1, 15, 16, 17];
+        for k in [1, 2, 3, 6, 9] {
+            let step = 16 << k;
+            lengths.extend([step - 1, step, step + 1]);
+        }
+        let mut state = 16u64;
+        for n in lengths {
+            let text: Vec<u8> = (0..n)
+                .map(|_| (xorshift(&mut state) % 4) as u8 + 1)
+                .collect();
+            let sa = crate::sais::reversed_suffix_array(&text);
+            let built = FmIndex::new_reversed(&text, 5);
+            let width = (usize::BITS - (n / SA_SAMPLE_RATE).leading_zeros()) as usize;
+            assert_eq!(built.samples().width(), width, "n = {n}");
+            assert_eq!(built.samples().len(), sample_count(n) - 1, "n = {n}");
+            let opened = reassembled(&built, |_, _| {}).unwrap();
+            for (row, &pos) in sa.iter().enumerate() {
+                assert_eq!(built.locate(row), pos as usize, "n = {n}, row {row}");
+                assert_eq!(opened.locate(row), pos as usize, "n = {n}, row {row}");
+            }
+        }
+    }
+
+    #[test]
     fn from_parts_refuses_what_the_built_index_cannot_hold() {
-        // 100 letters: rows 0..=100, samples at 0, 16, …, 96 and 100.
+        // 100 letters: rows 0..=100, row 0 at 100 and seven stored samples,
+        // 0, 16, …, 96, each as position / 16 in a 3-bit field: 21 bits of
+        // one word.
         let text: Vec<u8> = (0..100).map(|i| (i * 7 % 4) as u8 + 1).collect();
         let fm = FmIndex::new_reversed(&text, 5);
-        assert_eq!(fm.samples().len(), 8);
-        reassembled(&fm, |_, _, _| {}).unwrap();
-        let refused = |edit: fn(&mut Vec<usize>, &mut Vec<u64>, &mut Vec<u32>), why: &str| {
+        assert_eq!((fm.samples().len(), fm.samples().width()), (7, 3));
+        assert_eq!(fm.samples().words().len(), 1);
+        reassembled(&fm, |_, _| {}).unwrap();
+        let refused = |edit: fn(&mut Vec<u64>, &mut Vec<u64>), why: &str| {
             let result = reassembled(&fm, edit);
             assert!(
                 matches!(&result, Err(msg) if msg.contains(why)),
@@ -611,34 +748,71 @@ mod tests {
                 result.map(|_| ())
             );
         };
-        // A C array off by one from the BWT's code totals.
-        refused(|c, _, _| c[3] += 1, "C array entry 3");
         // No sampled row at all: `locate` would never stop.
         refused(
-            |_, words, samples| {
-                words.fill(0);
-                samples.clear();
-            },
-            "0 marked rows and 0 samples",
+            |words, _| words.fill(0),
+            "0 marked rows, a text of 100 has 8",
         );
-        // One sample fewer than the rate-16 sampling holds.
+        // One marked row fewer than the rate-16 sampling holds.
         refused(
-            |_, words, samples| {
+            |words, _| {
                 let k = words.iter().rposition(|&word| word != 0).unwrap();
                 words[k] &= !(1 << (63 - words[k].leading_zeros()));
-                samples.pop();
             },
-            "7 marked rows and 7 samples",
+            "7 marked rows, a text of 100 has 8",
         );
-        // Row 0, the sentinel suffix, must carry position `text_len`.
-        refused(|_, _, samples| samples[0] = 96, "row 0 must be sampled");
-        // A sample that is no multiple of the rate.
+        // Row 0, the sentinel suffix, must be marked: its mark moved to
+        // row 1 keeps the count.
         refused(
-            |_, _, samples| {
-                let k = samples.iter().position(|&pos| pos == 16).unwrap();
-                samples[k] = 17;
+            |words, _| {
+                assert_eq!(words[0] & 3, 1, "row 1 is not sampled");
+                words[0] ^= 3;
             },
-            "sample 17",
+            "row 0, the sentinel suffix, must be sampled",
+        );
+        // A field holding 7, position 112, past the text.
+        refused(
+            |_, samples| samples[0] |= 7 << 6,
+            "holds position 112, not below the text length 100",
+        );
+        // A bit past the seventh field.
+        refused(
+            |_, samples| samples[0] |= 1 << 21,
+            "bits past the 7 samples",
+        );
+        // A word more or fewer than seven 3-bit fields need.
+        refused(
+            |_, samples| samples.push(0),
+            "2 sample words, a text of 100 has 7 samples of 3 bits in 1",
+        );
+        refused(|_, samples| samples.clear(), "0 sample words");
+    }
+
+    #[test]
+    fn a_text_of_a_multiple_of_the_rate_stores_no_sample_at_its_end() {
+        // At n = 96 position 96 is row 0's, implied: the six stored fields
+        // hold 0..=5, and a field holding 6 (position 96) is refused.
+        let text: Vec<u8> = (0..96).map(|i| (i * 5 % 4) as u8 + 1).collect();
+        let fm = FmIndex::new_reversed(&text, 5);
+        assert_eq!((fm.samples().len(), fm.samples().width()), (6, 3));
+        let mut stored: Vec<usize> = (0..6).map(|k| fm.samples().position(k)).collect();
+        stored.sort_unstable();
+        assert_eq!(stored, [0, 16, 32, 48, 64, 80]);
+        let k = (0..6).find(|&k| fm.samples().position(k) == 80).unwrap();
+        let refused = reassembled(&fm, |_, samples| samples[0] |= 1 << (3 * k + 1)).map(|_| ());
+        assert_eq!(
+            refused,
+            Err(format!(
+                "sample {k} holds position 112, not below the text length 96"
+            ))
+        );
+        let k = (0..6).find(|&k| fm.samples().position(k) == 64).unwrap();
+        let refused = reassembled(&fm, |_, samples| samples[0] |= 2 << (3 * k)).map(|_| ());
+        assert_eq!(
+            refused,
+            Err(format!(
+                "sample {k} holds position 96, not below the text length 96"
+            ))
         );
     }
 
@@ -653,7 +827,7 @@ mod tests {
         let fm = FmIndex::new_reversed(&text, 5);
         let row_of = |pos: usize| (0..=100).find(|&row| fm.locate(row) == pos).unwrap();
         let (from, to) = (row_of(32), row_of(70));
-        let moved = reassembled(&fm, |_, words, _| {
+        let moved = reassembled(&fm, |words, _| {
             words[from / 64] &= !(1 << (from % 64));
             words[to / 64] |= 1 << (to % 64);
         })
@@ -694,20 +868,12 @@ mod tests {
             .find(|&row| bwt[row] != 0 && bwt[row + 1] != 0 && bwt[row] != bwt[row + 1])
             .unwrap();
         let with_bwt = |bwt: Vec<u8>| {
-            // The C array re-counted from the edited BWT.
-            let mut c_array = vec![0; 22];
-            for &code in &bwt {
-                for entry in &mut c_array[code as usize + 1..] {
-                    *entry += 1;
-                }
-            }
             FmIndex::from_parts(
                 fm.text_len(),
                 fm.code_count(),
                 OccTable::new(bwt, 22),
-                c_array,
                 fm.sampled_rows().clone(),
-                fm.samples().to_vec(),
+                fm.samples().words().to_vec(),
             )
         };
         let mut swapped = bwt.clone();

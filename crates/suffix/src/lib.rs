@@ -39,11 +39,8 @@ pub mod sais;
 mod swar;
 pub mod trie;
 
-pub use fm_index::{FmIndex, SaRange, MAX_CODE_COUNT};
+pub use fm_index::{FmIndex, PackedSamples, SaRange, MAX_CODE_COUNT};
 pub use sais::suffix_array_build_count;
 
-pub use rank::{
-    thread_scan_snapshot, CheckpointRows, CheckpointRowsRef, RankLayout, ScanSnapshot, StorageData,
-    StorageDataRef,
-};
+pub use rank::{thread_scan_snapshot, RankLayout, ScanSnapshot, StorageData, StorageDataRef};
 pub use trie::{ChildBuf, SuffixTrieCursor, TextIndex, MAX_CHILDREN};

@@ -60,9 +60,11 @@
 //! the whole list, which matters for million-record databases with one
 //! separator per record.
 //!
-//! [`OccTable::from_parts`] also accepts byte storage for a code count
-//! [`OccTable::new`] would pack, so byte-layout DNA files written by earlier
-//! builds still open.
+//! The checkpoint rows are never stored or handed in: both constructors
+//! count them from the storage with the same in-block scan `rank_all` ends
+//! with, so a table [`OccTable::new`] builds and one
+//! [`OccTable::from_parts`] reassembles from the same storage hold the same
+//! rows.
 //!
 //! Every table counts the block scans and storage bytes it touches
 //! ([`OccTable::scan_snapshot`]); the engines surface the deltas in their
@@ -204,29 +206,40 @@ struct Checkpoints {
 }
 
 impl Checkpoints {
-    /// Build the rows for `data`; one row per block plus the final partial
-    /// row, so queries at `i == len` resolve without special cases.
-    fn build(data: &[u8], code_count: usize) -> Self {
-        let block_count = data.len() / BLOCK + 1;
-        let super_count = block_count.div_ceil(BLOCKS_PER_SUPER);
-        let mut supers = vec![0u64; super_count * code_count];
-        let mut deltas = vec![0u16; block_count * code_count];
-        let mut running = vec![0u32; code_count];
-        let mut super_base = vec![0u32; code_count];
+    /// Count the rows of `storage` (`len` characters): one row per block
+    /// plus the final partial row, so queries at `i == len` resolve without
+    /// special cases.  Each block is counted with [`OccStorage::count_into`],
+    /// the scan `rank_all` ends with.  Fails when the storage holds a code
+    /// at or above `code_count`: every scan indexes a `code_count`-sized row
+    /// by the code, so the first query would panic.
+    fn count(storage: &OccStorage, len: usize, code_count: usize) -> Result<Self, String> {
+        let block_count = len / BLOCK + 1;
+        let mut supers = Vec::with_capacity(block_count.div_ceil(BLOCKS_PER_SUPER) * code_count);
+        let mut deltas = Vec::with_capacity(block_count * code_count);
+        // One slot per byte value, so an out-of-range code is counted, not
+        // indexed past.
+        let mut running = [0u32; 256];
+        let mut super_base = [0u32; 256];
         for block in 0..block_count {
             if block.is_multiple_of(BLOCKS_PER_SUPER) {
-                let s = block / BLOCKS_PER_SUPER;
-                for (c, &count) in running.iter().enumerate() {
-                    supers[s * code_count + c] = count as u64;
-                }
-                super_base.copy_from_slice(&running);
+                supers.extend(running[..code_count].iter().map(|&count| count as u64));
+                super_base[..code_count].copy_from_slice(&running[..code_count]);
             }
-            for c in 0..code_count {
-                deltas[block * code_count + c] = (running[c] - super_base[c]) as u16;
-            }
-            count_block(data, block, &mut running);
+            deltas.extend(
+                running[..code_count]
+                    .iter()
+                    .zip(&super_base)
+                    .map(|(&count, &base)| (count - base) as u16),
+            );
+            storage.count_into(block, ((block + 1) * BLOCK).min(len), &mut running);
         }
-        Self { supers, deltas }
+        if let Some(above) = running[code_count..].iter().rposition(|&count| count > 0) {
+            return Err(format!(
+                "the BWT storage holds code {}, not below the code count {code_count}",
+                code_count + above
+            ));
+        }
+        Ok(Self { supers, deltas })
     }
 
     /// Absolute count of code `c` before `block`.
@@ -253,17 +266,6 @@ impl Checkpoints {
     fn size_in_bytes(&self) -> usize {
         self.supers.len() * std::mem::size_of::<u64>()
             + self.deltas.len() * std::mem::size_of::<u16>()
-    }
-}
-
-/// Add the histogram of checkpoint block `block` of `data` into `running`.
-fn count_block(data: &[u8], block: usize, running: &mut [u32]) {
-    let start = block * BLOCK;
-    let end = ((block + 1) * BLOCK).min(data.len());
-    if start < end {
-        for &c in &data[start..end] {
-            running[c as usize] += 1;
-        }
     }
 }
 
@@ -392,24 +394,38 @@ enum OccStorage {
     Packed(PackedDna),
 }
 
-/// Owned two-level checkpoint rows, as serialized by the `alae-store`
-/// crate.
-#[derive(Debug, Clone)]
-pub struct CheckpointRows {
-    /// Absolute counts every `BLOCKS_PER_SUPER` blocks.
-    pub supers: Vec<u64>,
-    /// Per-block counts since the enclosing super row.
-    pub deltas: Vec<u16>,
-}
-
-/// Borrowed view of the checkpoint rows (the save path's counterpart of
-/// [`CheckpointRows`]).
-#[derive(Debug, Clone, Copy)]
-pub struct CheckpointRowsRef<'a> {
-    /// Absolute counts every `BLOCKS_PER_SUPER` blocks.
-    pub supers: &'a [u64],
-    /// Per-block counts since the enclosing super row.
-    pub deltas: &'a [u16],
+impl OccStorage {
+    /// Add the occurrences of every code in positions `[block * BLOCK, i)`,
+    /// where `i` lies inside `block` or at its end, to `counts`, which is
+    /// indexed by code; returns the storage bytes the scan covered.  The
+    /// one in-block scan behind both `rank_all` and the checkpoint rows;
+    /// always inlined, so `rank_all` keeps it in its body.
+    #[inline(always)]
+    fn count_into(&self, block: usize, i: usize, counts: &mut [u32]) -> usize {
+        let start = block * BLOCK;
+        match self {
+            OccStorage::Bytes(data) => {
+                swar::byte_histogram(&data[start..i], counts);
+                i - start
+            }
+            OccStorage::Packed(packed) => {
+                let mut dense = [0u32; DENSE_CODES];
+                packed.count_all(start, i, &mut dense);
+                let (lo, hi) = packed.exc.block_range(block, i);
+                dense[0] -= (hi - lo) as u32; // Exception slots packed as 0.
+                for k in lo..hi {
+                    counts[packed.exc.code[k] as usize] += 1;
+                }
+                let dense_base = packed.dense_base as usize;
+                for (offset, &n) in dense.iter().enumerate() {
+                    if dense_base + offset < counts.len() {
+                        counts[dense_base + offset] += n;
+                    }
+                }
+                (i - start).div_ceil(4)
+            }
+        }
+    }
 }
 
 /// Owned storage payload, as serialized by the `alae-store` crate.  The
@@ -530,23 +546,32 @@ impl OccTable {
     /// Build the table for `data` where all codes are `< code_count`.
     /// Alphabets of at most 6 codes (DNA) are packed 2 bits per character;
     /// every larger one (protein) is stored one byte per character.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a code of `data` is not below `code_count`.
     pub fn new(data: Vec<u8>, code_count: usize) -> Self {
         assert!(code_count > 0);
-        debug_assert!(data.iter().all(|&c| (c as usize) < code_count));
-        let checkpoints = Checkpoints::build(&data, code_count);
         let len = data.len();
         let storage = if code_count <= PACKED_MAX_CODES {
             OccStorage::Packed(PackedDna::build(&data, code_count))
         } else {
             OccStorage::Bytes(SharedBytes::from_vec(data))
         };
-        Self {
+        Self::with_storage(len, code_count, storage).expect("every code is below code_count")
+    }
+
+    /// The table over `storage`, with its checkpoint rows counted from it:
+    /// the one path both [`OccTable::new`] and [`OccTable::from_parts`]
+    /// take.
+    fn with_storage(len: usize, code_count: usize, storage: OccStorage) -> Result<Self, String> {
+        Ok(Self {
             code_count,
             len,
-            checkpoints,
+            checkpoints: Checkpoints::count(&storage, len, code_count)?,
             storage,
             scans: ScanCounter::default(),
-        }
+        })
     }
 
     /// Length of the underlying sequence.
@@ -653,38 +678,16 @@ impl OccTable {
         self.scans.record(scanned);
     }
 
-    /// [`OccTable::rank_all`] without counting the scan, for the open
-    /// path's C-array check, which is not query work.  Returns the storage
-    /// bytes the scan covered.
+    /// [`OccTable::rank_all`] without counting the scan, for the code
+    /// totals the FM-index derives its C array from, which are not query
+    /// work.  Returns the storage bytes the scan covered.
     #[inline]
     pub(crate) fn rank_all_unrecorded(&self, i: usize, counts: &mut [u32]) -> usize {
         debug_assert!(i <= self.len);
         assert_eq!(counts.len(), self.code_count);
         let block = i / BLOCK;
         self.checkpoints.row_into(block, self.code_count, counts);
-        let start = block * BLOCK;
-        match &self.storage {
-            OccStorage::Bytes(data) => {
-                swar::byte_histogram(&data[start..i], counts);
-                i - start
-            }
-            OccStorage::Packed(packed) => {
-                let mut dense = [0u32; DENSE_CODES];
-                packed.count_all(start, i, &mut dense);
-                let (lo, hi) = packed.exc.block_range(block, i);
-                dense[0] -= (hi - lo) as u32; // Exception slots packed as 0.
-                for k in lo..hi {
-                    counts[packed.exc.code[k] as usize] += 1;
-                }
-                let dense_base = packed.dense_base as usize;
-                for (offset, &n) in dense.iter().enumerate() {
-                    if dense_base + offset < self.code_count {
-                        counts[dense_base + offset] += n;
-                    }
-                }
-                (i - start).div_ceil(4)
-            }
-        }
+        self.storage.count_into(block, i, counts)
     }
 
     /// Scan-work counters accumulated since construction.
@@ -720,14 +723,6 @@ impl OccTable {
         }
     }
 
-    /// Borrowed view of the checkpoint rows (serialization support).
-    pub fn checkpoint_rows(&self) -> CheckpointRowsRef<'_> {
-        CheckpointRowsRef {
-            supers: &self.checkpoints.supers,
-            deltas: &self.checkpoints.deltas,
-        }
-    }
-
     /// Borrowed view of the storage payload (serialization support).
     pub fn storage_data(&self) -> StorageDataRef<'_> {
         match &self.storage {
@@ -740,65 +735,28 @@ impl OccTable {
         }
     }
 
-    /// Reassemble a table from serialized parts without recounting the data
-    /// (the `alae-store` open path).  Derived quantities — the dense base,
-    /// the per-block exception offsets — are reconstructed; the checkpoint
-    /// rows are validated for shape and range (no super-row count above the
-    /// table's length, no delta above what the 7 blocks before it in its
-    /// super-block can hold, so no row sum can overflow; content integrity
-    /// is the store's per-section checksums' job) and every stored code for
-    /// range.
-    pub fn from_parts(
-        len: usize,
-        code_count: usize,
-        rows: CheckpointRows,
-        storage: StorageData,
-    ) -> Result<Self, String> {
+    /// Reassemble a table from its serialized storage (the `alae-store`
+    /// open path).  The storage must be the layout [`OccTable::new`] picks
+    /// for `code_count`: packed for at most 6 codes, bytes above that.
+    /// Derived quantities — the dense base, the per-block exception
+    /// offsets and the checkpoint rows — are computed as `new` computes
+    /// them, and every stored code is checked for range in the same pass.
+    pub fn from_parts(len: usize, code_count: usize, storage: StorageData) -> Result<Self, String> {
         if code_count == 0 {
             return Err("code_count must be positive".into());
         }
-        let block_count = len / BLOCK + 1;
-        let CheckpointRows { supers, deltas } = rows;
-        let super_count = block_count.div_ceil(BLOCKS_PER_SUPER);
-        if deltas.len() != block_count * code_count {
-            return Err(format!(
-                "checkpoint deltas hold {} entries, expected {}",
-                deltas.len(),
-                block_count * code_count
-            ));
-        }
-        if supers.len() != super_count * code_count {
-            return Err(format!(
-                "checkpoint super rows hold {} entries, expected {}",
-                supers.len(),
-                super_count * code_count
-            ));
-        }
-        if let Some(&count) = supers.iter().find(|&&count| count > len as u64) {
-            return Err(format!(
-                "checkpoint super row holds count {count}, above the table's length {len}"
-            ));
-        }
-        let max_delta = (BLOCKS_PER_SUPER - 1) * BLOCK;
-        if let Some(&delta) = deltas.iter().find(|&&delta| delta as usize > max_delta) {
-            return Err(format!(
-                "checkpoint delta {delta} exceeds {max_delta}, the most a super-block's \
-                 earlier blocks hold"
-            ));
-        }
-        let checkpoints = Checkpoints { supers, deltas };
         let storage = match storage {
             StorageData::Bytes(data) => {
+                if code_count <= PACKED_MAX_CODES {
+                    return Err(format!(
+                        "byte storage is for more than {PACKED_MAX_CODES} codes; {code_count} \
+                         codes are packed"
+                    ));
+                }
                 if data.len() != len {
                     return Err(format!(
                         "byte storage holds {} bytes, expected {len}",
                         data.len()
-                    ));
-                }
-                // Every scan indexes a code_count-sized row by the byte.
-                if let Some(&top) = data.iter().max().filter(|&&top| top as usize >= code_count) {
-                    return Err(format!(
-                        "byte storage holds code {top}, not below the code count {code_count}"
                     ));
                 }
                 OccStorage::Bytes(data)
@@ -829,13 +787,7 @@ impl OccTable {
                 })
             }
         };
-        Ok(Self {
-            code_count,
-            len,
-            checkpoints,
-            storage,
-            scans: ScanCounter::default(),
-        })
+        Self::with_storage(len, code_count, storage)
     }
 }
 
@@ -854,50 +806,13 @@ mod tests {
         *state
     }
 
-    /// Byte storage of `data` over the checkpoint rows of `table` (which
-    /// must have been built from `data`), reassembled by `from_parts`.  For
-    /// a DNA-sized code count this is the table `open` reads from a
-    /// byte-layout file.
-    fn byte_twin(table: &OccTable, data: &[u8]) -> OccTable {
-        let rows = table.checkpoint_rows();
-        OccTable::from_parts(
-            table.len(),
-            table.code_count(),
-            CheckpointRows {
-                supers: rows.supers.to_vec(),
-                deltas: rows.deltas.to_vec(),
-            },
-            StorageData::Bytes(SharedBytes::from_vec(data.to_vec())),
-        )
-        .unwrap()
-    }
-
-    /// Every table shape `data` can be queried through: the one `new`
-    /// builds, plus its byte twin when `new` packed it.
-    fn tables(data: &[u8], code_count: usize) -> Vec<OccTable> {
-        let built = OccTable::new(data.to_vec(), code_count);
-        match built.layout() {
-            RankLayout::PackedDna => {
-                let twin = byte_twin(&built, data);
-                vec![built, twin]
-            }
-            RankLayout::Bytes => vec![built],
-        }
-    }
-
     #[test]
     fn rank_matches_naive_on_small_input() {
         let data = vec![1u8, 2, 1, 3, 0, 1, 2, 2, 3, 1];
-        for table in tables(&data, 4) {
-            let layout = table.layout();
-            for c in 0..4u8 {
-                for i in 0..=data.len() {
-                    assert_eq!(
-                        table.rank(c, i),
-                        naive_rank(&data, c, i),
-                        "layout {layout:?} c={c} i={i}"
-                    );
-                }
+        let table = OccTable::new(data.clone(), 4);
+        for c in 0..4u8 {
+            for i in 0..=data.len() {
+                assert_eq!(table.rank(c, i), naive_rank(&data, c, i), "c={c} i={i}");
             }
         }
     }
@@ -908,25 +823,15 @@ mod tests {
         let data: Vec<u8> = (0..BLOCK * 3 + 17)
             .map(|_| (xorshift(&mut state) % 5) as u8)
             .collect();
-        for table in tables(&data, 5) {
-            let layout = table.layout();
-            for c in 0..5u8 {
-                for i in (0..=data.len()).step_by(7) {
-                    assert_eq!(
-                        table.rank(c, i),
-                        naive_rank(&data, c, i),
-                        "layout {layout:?}"
-                    );
-                }
-                // Exactly at the boundaries.
-                for block in 0..=3 {
-                    let i = (block * BLOCK).min(data.len());
-                    assert_eq!(
-                        table.rank(c, i),
-                        naive_rank(&data, c, i),
-                        "layout {layout:?}"
-                    );
-                }
+        let table = OccTable::new(data.clone(), 5);
+        for c in 0..5u8 {
+            for i in (0..=data.len()).step_by(7) {
+                assert_eq!(table.rank(c, i), naive_rank(&data, c, i), "c={c} i={i}");
+            }
+            // Exactly at the boundaries.
+            for block in 0..=3 {
+                let i = (block * BLOCK).min(data.len());
+                assert_eq!(table.rank(c, i), naive_rank(&data, c, i), "c={c} i={i}");
             }
         }
     }
@@ -934,31 +839,21 @@ mod tests {
     #[test]
     fn rank_matches_naive_across_superblock_boundaries() {
         // Long enough to cross two super-block boundaries with a partial
-        // tail, so the u64 + u16 reconstruction is exercised end-to-end in
-        // both storage layouts.
+        // tail, so the u64 + u16 reconstruction is exercised end-to-end on
+        // the packed layout.
         let mut state = 13u64;
         let data: Vec<u8> = (0..SUPER_SPAN * 2 + 3 * BLOCK + 41)
             .map(|_| (xorshift(&mut state) % 6) as u8)
             .collect();
-        for table in tables(&data, 6) {
-            let layout = table.layout();
-            for c in 0..6u8 {
-                for i in (0..=data.len()).step_by(97) {
-                    assert_eq!(
-                        table.rank(c, i),
-                        naive_rank(&data, c, i),
-                        "{layout:?} c={c} i={i}"
-                    );
-                }
-                for s in 0..=2 {
-                    for b in 0..BLOCKS_PER_SUPER {
-                        let i = (s * SUPER_SPAN + b * BLOCK).min(data.len());
-                        assert_eq!(
-                            table.rank(c, i),
-                            naive_rank(&data, c, i),
-                            "{layout:?} c={c} i={i}"
-                        );
-                    }
+        let table = OccTable::new(data.clone(), 6);
+        for c in 0..6u8 {
+            for i in (0..=data.len()).step_by(97) {
+                assert_eq!(table.rank(c, i), naive_rank(&data, c, i), "c={c} i={i}");
+            }
+            for s in 0..=2 {
+                for b in 0..BLOCKS_PER_SUPER {
+                    let i = (s * SUPER_SPAN + b * BLOCK).min(data.len());
+                    assert_eq!(table.rank(c, i), naive_rank(&data, c, i), "c={c} i={i}");
                 }
             }
         }
@@ -987,29 +882,25 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_bytes_layouts_agree() {
+    fn packed_layout_matches_naive_for_every_code_count_it_holds() {
         let mut state = 4242u64;
         for code_count in [1usize, 2, 4, 5, 6] {
             let data: Vec<u8> = (0..BLOCK * 2 + 93)
                 .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
                 .collect();
             let packed = OccTable::new(data.clone(), code_count);
-            let bytes = byte_twin(&packed, &data);
-            assert_eq!(bytes.layout(), RankLayout::Bytes);
             assert_eq!(packed.layout(), RankLayout::PackedDna);
-            let mut counts_b = vec![0u32; code_count];
-            let mut counts_p = vec![0u32; code_count];
+            let mut counts = vec![0u32; code_count];
             for i in (0..=data.len()).step_by(11) {
-                bytes.rank_all(i, &mut counts_b);
-                packed.rank_all(i, &mut counts_p);
-                assert_eq!(counts_b, counts_p, "i={i} code_count={code_count}");
+                packed.rank_all(i, &mut counts);
                 for c in 0..code_count as u8 {
-                    assert_eq!(bytes.rank(c, i), packed.rank(c, i), "c={c} i={i}");
+                    let expected = naive_rank(&data, c, i);
+                    assert_eq!(counts[c as usize] as usize, expected, "c={c} i={i}");
+                    assert_eq!(packed.rank(c, i), expected, "c={c} i={i}");
                 }
             }
             for (i, &expected) in data.iter().enumerate() {
-                assert_eq!(bytes.get(i), packed.get(i), "i={i}");
-                assert_eq!(bytes.get(i), expected);
+                assert_eq!(packed.get(i), expected, "i={i}");
             }
         }
     }
@@ -1071,26 +962,25 @@ mod tests {
             data[37] = 1;
             data[BLOCK] = 1;
             data[BLOCK + 1] = 1;
-            for table in tables(&data, code_count) {
-                let layout = table.layout();
-                let exceptions = if layout == RankLayout::PackedDna {
-                    4
-                } else {
-                    0
-                };
-                assert_eq!(table.exception_count(), exceptions, "layout {layout:?}");
-                for c in 0..code_count as u8 {
-                    for i in (0..=data.len()).step_by(3) {
-                        assert_eq!(
-                            table.rank(c, i),
-                            naive_rank(&data, c, i),
-                            "layout {layout:?} c={c} i={i}"
-                        );
-                    }
+            let table = OccTable::new(data.clone(), code_count);
+            let layout = table.layout();
+            let exceptions = if layout == RankLayout::PackedDna {
+                4
+            } else {
+                0
+            };
+            assert_eq!(table.exception_count(), exceptions, "layout {layout:?}");
+            for c in 0..code_count as u8 {
+                for i in (0..=data.len()).step_by(3) {
+                    assert_eq!(
+                        table.rank(c, i),
+                        naive_rank(&data, c, i),
+                        "layout {layout:?} c={c} i={i}"
+                    );
                 }
-                for (i, &c) in data.iter().enumerate() {
-                    assert_eq!(table.get(i), c);
-                }
+            }
+            for (i, &c) in data.iter().enumerate() {
+                assert_eq!(table.get(i), c);
             }
         }
     }
@@ -1111,23 +1001,21 @@ mod tests {
                 }
             })
             .collect();
-        for table in tables(&data, code_count) {
-            let layout = table.layout();
-            let mut counts = vec![0u32; code_count];
-            for i in (0..=data.len()).step_by(5) {
-                table.rank_all(i, &mut counts);
-                for c in 0..code_count as u8 {
-                    assert_eq!(
-                        counts[c as usize] as usize,
-                        naive_rank(&data, c, i),
-                        "layout {layout:?} c={c} i={i}"
-                    );
-                    assert_eq!(table.rank(c, i), naive_rank(&data, c, i));
-                }
+        let table = OccTable::new(data.clone(), code_count);
+        let mut counts = vec![0u32; code_count];
+        for i in (0..=data.len()).step_by(5) {
+            table.rank_all(i, &mut counts);
+            for c in 0..code_count as u8 {
+                assert_eq!(
+                    counts[c as usize] as usize,
+                    naive_rank(&data, c, i),
+                    "c={c} i={i}"
+                );
+                assert_eq!(table.rank(c, i), naive_rank(&data, c, i));
             }
-            for (i, &c) in data.iter().enumerate() {
-                assert_eq!(table.get(i), c, "layout {layout:?} i={i}");
-            }
+        }
+        for (i, &c) in data.iter().enumerate() {
+            assert_eq!(table.get(i), c, "i={i}");
         }
     }
 
@@ -1176,14 +1064,13 @@ mod tests {
 
     #[test]
     fn empty_sequence() {
-        for table in tables(&[], 3) {
-            assert!(table.is_empty());
-            assert_eq!(table.rank(0, 0), 0);
-            assert_eq!(table.len(), 0);
-            let mut counts = [0u32; 3];
-            table.rank_all(0, &mut counts);
-            assert_eq!(counts, [0, 0, 0]);
-        }
+        let table = OccTable::new(Vec::new(), 3);
+        assert!(table.is_empty());
+        assert_eq!(table.rank(0, 0), 0);
+        assert_eq!(table.len(), 0);
+        let mut counts = [0u32; 3];
+        table.rank_all(0, &mut counts);
+        assert_eq!(counts, [0, 0, 0]);
     }
 
     #[test]
@@ -1199,9 +1086,13 @@ mod tests {
     fn size_accounting_is_positive() {
         let data = vec![1u8; 1000];
         let packed = OccTable::new(data.clone(), 2);
-        let bytes = byte_twin(&packed, &data);
-        assert!(bytes.size_in_bytes() >= 1000);
-        // The packed layout stores the same data in a fraction of the space.
+        let bytes = OccTable::new(data, 7);
+        assert_eq!(bytes.storage_bytes(), 1000);
+        // The packed layout stores the same data in a quarter of the space.
+        assert_eq!(
+            packed.storage_bytes(),
+            1000usize.div_ceil(CHARS_PER_WORD) * 8 + 4 * 8
+        );
         assert!(packed.size_in_bytes() < bytes.size_in_bytes());
     }
 
@@ -1234,22 +1125,77 @@ mod tests {
             for data in
                 random_and_separator_heavy_texts(code_count, SUPER_SPAN + 2 * BLOCK + 37, 0xA1AE)
             {
-                for table in tables(&data, code_count) {
-                    let layout = table.layout();
-                    let mut counts = vec![0u32; code_count];
-                    for i in (0..=data.len()).step_by(7) {
-                        table.rank_all(i, &mut counts);
-                        for c in 0..code_count as u8 {
-                            let expected = naive_rank(&data, c, i);
-                            assert_eq!(
-                                counts[c as usize] as usize, expected,
-                                "rank_all {layout:?} c={c} i={i}"
-                            );
-                            assert_eq!(table.rank(c, i), expected, "rank {layout:?} c={c} i={i}");
-                        }
+                let table = OccTable::new(data.clone(), code_count);
+                let layout = table.layout();
+                let mut counts = vec![0u32; code_count];
+                for i in (0..=data.len()).step_by(7) {
+                    table.rank_all(i, &mut counts);
+                    for c in 0..code_count as u8 {
+                        let expected = naive_rank(&data, c, i);
+                        assert_eq!(
+                            counts[c as usize] as usize, expected,
+                            "rank_all {layout:?} c={c} i={i}"
+                        );
+                        assert_eq!(table.rank(c, i), expected, "rank {layout:?} c={c} i={i}");
                     }
-                    for (i, &expected) in data.iter().enumerate() {
-                        assert_eq!(table.get(i), expected);
+                }
+                for (i, &expected) in data.iter().enumerate() {
+                    assert_eq!(table.get(i), expected);
+                }
+            }
+        }
+    }
+
+    /// `table` reassembled from its own storage, as open reassembles it.
+    fn reassembled(table: &OccTable) -> Result<OccTable, String> {
+        let storage = match table.storage_data() {
+            StorageDataRef::Bytes(data) => StorageData::Bytes(data.clone()),
+            StorageDataRef::PackedDna {
+                words,
+                exc_pos,
+                exc_code,
+            } => StorageData::PackedDna {
+                words: words.to_vec(),
+                exc_pos: exc_pos.to_vec(),
+                exc_code: exc_code.to_vec(),
+            },
+        };
+        OccTable::from_parts(table.len(), table.code_count(), storage)
+    }
+
+    #[test]
+    fn from_parts_counts_the_rows_new_counts() {
+        // Lengths on and off block and super-block boundaries, on both
+        // layouts, with separator-heavy data among them: the rows a
+        // reassembled table counts are the built table's, entry for entry.
+        let mut state = 2024u64;
+        for code_count in [2usize, 6, 7, 22] {
+            for len in [
+                0,
+                1,
+                BLOCK - 1,
+                BLOCK,
+                SUPER_SPAN,
+                SUPER_SPAN + 1,
+                3 * SUPER_SPAN + 77,
+            ] {
+                for data in random_and_separator_heavy_texts(code_count, len, xorshift(&mut state))
+                {
+                    let built = OccTable::new(data.clone(), code_count);
+                    let opened = reassembled(&built).unwrap();
+                    assert_eq!(opened.layout(), built.layout());
+                    assert_eq!(opened.checkpoints.supers, built.checkpoints.supers);
+                    assert_eq!(opened.checkpoints.deltas, built.checkpoints.deltas);
+                    let mut counts = vec![0u32; code_count];
+                    for i in (0..=len).step_by(BLOCK / 4) {
+                        opened.rank_all(i, &mut counts);
+                        for c in 0..code_count as u8 {
+                            assert_eq!(
+                                counts[c as usize] as usize,
+                                naive_rank(&data, c, i),
+                                "{code_count} codes, len {len}, c={c} i={i}"
+                            );
+                        }
                     }
                 }
             }
@@ -1257,9 +1203,15 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_refuses_packed_storage_for_seven_codes() {
-        // Checkpoint rows shaped for 7 codes, so only the packed layout's
-        // code-count limit can refuse the parts.
+    fn from_parts_refuses_storage_new_would_not_build() {
+        let refused = |result: Result<OccTable, String>, why: &str| {
+            assert!(
+                matches!(&result, Err(msg) if msg.contains(why)),
+                "{why}: {:?}",
+                result.map(|_| ())
+            );
+        };
+        // Packed storage for 7 codes: the packed layout holds at most 6.
         let packed = OccTable::new(vec![0u8; 10], 6);
         let StorageDataRef::PackedDna {
             words,
@@ -1269,62 +1221,41 @@ mod tests {
         else {
             panic!("6 codes are packed");
         };
-        let blocks = packed.len() / BLOCK + 1;
-        let refused = OccTable::from_parts(
-            packed.len(),
-            7,
-            CheckpointRows {
-                supers: vec![0; blocks.div_ceil(BLOCKS_PER_SUPER) * 7],
-                deltas: vec![0; blocks * 7],
-            },
-            StorageData::PackedDna {
-                words: words.to_vec(),
-                exc_pos: exc_pos.to_vec(),
-                exc_code: exc_code.to_vec(),
-            },
-        );
-        assert!(
-            matches!(&refused, Err(why) if why.contains("at most 6 codes, got 7")),
-            "{refused:?}"
-        );
-    }
-
-    #[test]
-    fn from_parts_refuses_checkpoint_counts_no_table_can_hold() {
-        // 2,000 positions: two super rows and 16 blocks.  A super count
-        // above the length or a delta above 7 blocks' worth would let a
-        // row sum overflow; the largest legal values still reassemble.
-        let data: Vec<u8> = (0..2_000).map(|i| (i * 7 % 21) as u8).collect();
-        let table = OccTable::new(data, 21);
-        let reassembled = |edit: fn(&mut CheckpointRows)| {
-            let CheckpointRowsRef { supers, deltas } = table.checkpoint_rows();
-            let mut rows = CheckpointRows {
-                supers: supers.to_vec(),
-                deltas: deltas.to_vec(),
-            };
-            edit(&mut rows);
-            let StorageDataRef::Bytes(bytes) = table.storage_data() else {
-                panic!("21 codes are stored as bytes");
-            };
-            OccTable::from_parts(table.len(), 21, rows, StorageData::Bytes(bytes.clone()))
+        let as_seven = StorageData::PackedDna {
+            words: words.to_vec(),
+            exc_pos: exc_pos.to_vec(),
+            exc_code: exc_code.to_vec(),
         };
-        assert!(reassembled(|_| {}).is_ok());
-        assert!(reassembled(|rows| rows.supers[22] = 2_000).is_ok());
-        assert!(reassembled(|rows| rows.deltas[30] = 896).is_ok());
-        let refused = |edit: fn(&mut CheckpointRows), why: &str| {
-            let refused = reassembled(edit);
-            assert!(
-                matches!(&refused, Err(msg) if msg.contains(why)),
-                "{why}: {:?}",
-                refused.map(|_| ())
-            );
-        };
-        refused(|rows| rows.supers[22] = 2_001, "super row holds count 2001");
         refused(
-            |rows| rows.supers.fill(u64::MAX),
-            "above the table's length",
+            OccTable::from_parts(10, 7, as_seven),
+            "at most 6 codes, got 7",
         );
-        refused(|rows| rows.deltas[30] = 897, "delta 897 exceeds 896");
-        refused(|rows| rows.deltas.fill(u16::MAX), "delta 65535");
+        // Byte storage for 6 codes: `new` packs them, and so every file does.
+        let bytes = StorageData::Bytes(SharedBytes::from_vec(vec![5u8; 300]));
+        refused(
+            OccTable::from_parts(300, 6, bytes),
+            "byte storage is for more than 6 codes; 6 codes are packed",
+        );
+        // A byte at or above the code count, anywhere in the storage.
+        for at in [0, 127, 128, 299] {
+            let mut data: Vec<u8> = (0..300).map(|i| (i * 7 % 21) as u8).collect();
+            data[at] = 0xFF;
+            let bytes = StorageData::Bytes(SharedBytes::from_vec(data));
+            refused(OccTable::from_parts(300, 21, bytes), "holds code 255");
+        }
+        // A packed pattern above the code count: pattern 3 with 3 codes.
+        let three = OccTable::new(vec![2u8; 40], 3);
+        let StorageDataRef::PackedDna { words, .. } = three.storage_data() else {
+            panic!("3 codes are packed");
+        };
+        let mut words = words.to_vec();
+        words[1] |= 3 << 6;
+        let storage = StorageData::PackedDna {
+            words,
+            exc_pos: Vec::new(),
+            exc_code: Vec::new(),
+        };
+        refused(OccTable::from_parts(40, 3, storage), "holds code 3");
+        assert!(reassembled(&three).is_ok());
     }
 }

@@ -14,10 +14,8 @@ use alae::core::{AlaeAligner, AlaeConfig, FilterToggles, QGramIndex};
 use alae::search::{IndexBuilder, IndexedDatabase, SearchRequest, Searcher};
 use alae::suffix::rank::OccTable;
 use alae::suffix::sais::{reversed_suffix_array, suffix_array_naive};
-use alae::suffix::{CheckpointRows, ChildBuf, RankLayout, StorageData, TextIndex};
-
-mod common;
-use common::byte_twin;
+use alae::suffix::{ChildBuf, RankLayout, TextIndex};
+use std::collections::HashMap;
 
 /// Deterministic case generator (xorshift64*).
 struct Gen(u64);
@@ -368,17 +366,45 @@ fn bwtsw_equals_oracle_on_random_instances() {
     }
 }
 
+/// How often each substring of `text` of 1 to `max_len` codes occurs: the
+/// naive count trie expansions are checked against.
+fn substring_counts(text: &[u8], max_len: usize) -> HashMap<&[u8], usize> {
+    let mut counts = HashMap::new();
+    for len in 1..=max_len {
+        for window in text.windows(len) {
+            *counts.entry(window).or_insert(0) += 1;
+        }
+    }
+    counts
+}
+
+/// The `(edge label, occurrence count)` pairs a naive count gives the trie
+/// node of `pattern`: every letter `c` (separators excluded) with
+/// `pattern·c` in the text.
+fn naive_children(
+    counts: &HashMap<&[u8], usize>,
+    pattern: &[u8],
+    code_count: usize,
+) -> Vec<(u8, usize)> {
+    (1..code_count as u8)
+        .filter_map(|c| {
+            let child = [pattern, &[c]].concat();
+            counts.get(child.as_slice()).map(|&n| (c, n))
+        })
+        .collect()
+}
+
 #[test]
 fn extend_all_agrees_with_extend_left_on_random_dfs() {
     // Tentpole invariant: for every trie node reached by a random DFS, the
     // single-scan `extend_all` fan-out reports exactly the ranges the σ
-    // per-character `extend_left` steps report — on both rank layouts (DNA
-    // packed, and its byte twin) and on a protein-sized alphabet.
+    // per-character `extend_left` steps report, with the occurrence counts
+    // a naive count of the text gives — on the DNA packed layout and on a
+    // protein-sized alphabet's byte layout.
     let mut g = Gen::new(0x5eed_000a);
     for case in 0..24 {
         let (code_count, layout) = match case % 3 {
-            0 => (5usize, RankLayout::PackedDna),
-            1 => (5usize, RankLayout::Bytes),
+            0 | 1 => (5usize, RankLayout::PackedDna),
             _ => (21usize, RankLayout::Bytes),
         };
         let sigma = code_count - 1;
@@ -386,15 +412,13 @@ fn extend_all_agrees_with_extend_left_on_random_dfs() {
         let text: Vec<u8> = (0..len)
             .map(|_| (g.next() % sigma as u64) as u8 + 1)
             .collect();
-        let mut index = TextIndex::new(&text, code_count);
-        if index.rank_layout() != layout {
-            index = byte_twin(&index);
-        }
+        let counts = substring_counts(&text, 5);
+        let index = TextIndex::new(&text, code_count);
         assert_eq!(index.rank_layout(), layout, "case {case}");
         let mut buf = ChildBuf::new();
-        let mut stack = vec![index.root()];
+        let mut stack = vec![(index.root(), Vec::new())];
         let mut visited = 0usize;
-        while let Some(cursor) = stack.pop() {
+        while let Some((cursor, pattern)) = stack.pop() {
             if cursor.depth >= 5 || visited >= 500 {
                 continue;
             }
@@ -408,10 +432,19 @@ fn extend_all_agrees_with_extend_left_on_random_dfs() {
                 }
             }
             assert_eq!(buf.as_slice(), expected.as_slice(), "case {case}");
+            let found: Vec<(u8, usize)> = buf
+                .iter()
+                .map(|&(c, child)| (c, child.occurrence_count()))
+                .collect();
+            assert_eq!(
+                found,
+                naive_children(&counts, &pattern, code_count),
+                "case {case}"
+            );
             // Randomly descend into a few children to diversify ranges.
-            for &(_, child) in buf.as_slice() {
+            for &(c, child) in buf.as_slice() {
                 if g.next().is_multiple_of(2) {
-                    stack.push(child);
+                    stack.push((child, [pattern.as_slice(), &[c]].concat()));
                 }
             }
         }
@@ -419,9 +452,9 @@ fn extend_all_agrees_with_extend_left_on_random_dfs() {
 }
 
 #[test]
-fn packed_and_generic_rank_paths_agree_on_random_texts() {
-    // The 2-bit-packed popcount path and the generic SWAR path must compute
-    // identical ranks — including sentinel/separator exception codes.
+fn packed_rank_path_matches_naive_counts_on_random_texts() {
+    // The 2-bit-packed popcount path must compute exact ranks, including
+    // for the sentinel/separator exception codes, on texts of 2 to 6 codes.
     let mut g = Gen::new(0x5eed_000b);
     for case in 0..32 {
         let code_count = g.range(2, 7);
@@ -441,34 +474,21 @@ fn packed_and_generic_rank_paths_agree_on_random_texts() {
             .collect();
         let packed = OccTable::new(data.clone(), code_count);
         assert_eq!(packed.layout(), RankLayout::PackedDna, "case {case}");
-        let rows = packed.checkpoint_rows();
-        let bytes = OccTable::from_parts(
-            len,
-            code_count,
-            CheckpointRows {
-                supers: rows.supers.to_vec(),
-                deltas: rows.deltas.to_vec(),
-            },
-            StorageData::Bytes(data.clone().into()),
-        )
-        .unwrap();
-        let mut counts_b = vec![0u32; code_count];
-        let mut counts_p = vec![0u32; code_count];
+        let mut counts = vec![0u32; code_count];
         for _ in 0..40 {
             let i = g.range(0, len + 1);
-            bytes.rank_all(i, &mut counts_b);
-            packed.rank_all(i, &mut counts_p);
-            assert_eq!(counts_b, counts_p, "case {case} i={i}");
+            packed.rank_all(i, &mut counts);
             for c in 0..code_count as u8 {
+                let naive = data[..i].iter().filter(|&&b| b == c).count();
                 assert_eq!(
-                    bytes.rank(c, i),
-                    packed.rank(c, i),
+                    counts[c as usize] as usize, naive,
                     "case {case} c={c} i={i}"
                 );
+                assert_eq!(packed.rank(c, i), naive, "case {case} c={c} i={i}");
             }
         }
-        for i in 0..len {
-            assert_eq!(bytes.get(i), packed.get(i), "case {case} i={i}");
+        for (i, &c) in data.iter().enumerate() {
+            assert_eq!(packed.get(i), c, "case {case} i={i}");
         }
     }
 }
@@ -541,7 +561,7 @@ fn trie_expansion_performs_two_block_scans_per_node() {
     let mut g = Gen::new(0x5eed_000c);
     for (code_count, layout) in [
         (5usize, RankLayout::PackedDna),
-        (5, RankLayout::Bytes),
+        (5, RankLayout::PackedDna),
         (16, RankLayout::Bytes),
         (21, RankLayout::Bytes),
     ] {
@@ -549,10 +569,7 @@ fn trie_expansion_performs_two_block_scans_per_node() {
         let text: Vec<u8> = (0..300)
             .map(|_| (g.next() % sigma as u64) as u8 + 1)
             .collect();
-        let mut index = TextIndex::new(&text, code_count);
-        if index.rank_layout() != layout {
-            index = byte_twin(&index);
-        }
+        let index = TextIndex::new(&text, code_count);
         assert_eq!(index.rank_layout(), layout);
         let mut buf = ChildBuf::new();
         let mut nodes = 0u64;
@@ -630,10 +647,11 @@ fn alae_counters_are_internally_consistent() {
 #[test]
 fn rank_layouts_agree_through_the_text_index() {
     // Layout choice must be invisible end-to-end: over random and
-    // separator-heavy texts, the index `new` builds and its byte twin (for
-    // DNA, what a byte-layout file opens as) report identical trie
-    // expansions, identical occurrence sets, and the same two block scans
-    // per expansion (the numbers BENCH_rank.json gates).
+    // separator-heavy texts, the index `new` builds in either layout (DNA
+    // packed, a protein-sized alphabet in bytes) expands every trie node to
+    // the children and occurrence counts a naive count of the text gives,
+    // locates a sampled substring where a naive search does, and pays two
+    // block scans per expansion (the numbers BENCH_rank.json gates).
     let mut g = Gen::new(0x5eed_51f0);
     for (code_count, layout) in [(5usize, RankLayout::PackedDna), (17, RankLayout::Bytes)] {
         for separator_heavy in [false, true] {
@@ -646,41 +664,45 @@ fn rank_layouts_agree_through_the_text_index() {
                     text.push((g.next() % (code_count as u64 - 1)) as u8 + 1);
                 }
             }
-            let packed = TextIndex::new(&text, code_count);
-            let reference = byte_twin(&packed);
-            assert_eq!(packed.rank_layout(), layout);
-            assert_eq!(reference.rank_layout(), RankLayout::Bytes);
-            // DFS over the top of the trie: identical children at every
-            // node (ranges and labels), so identical walks everywhere.
-            let mut buf_ref = ChildBuf::new();
-            let mut buf_packed = ChildBuf::new();
-            let mut stack = vec![reference.root()];
+            let counts = substring_counts(&text, 4);
+            let index = TextIndex::new(&text, code_count);
+            assert_eq!(index.rank_layout(), layout);
+            // DFS over the top of the trie.
+            let mut buf = ChildBuf::new();
+            let mut stack = vec![(index.root(), Vec::new())];
             let mut nodes = 0;
-            while let Some(cursor) = stack.pop() {
-                reference.children_into(cursor, &mut buf_ref);
-                packed.children_into(cursor, &mut buf_packed);
+            let before = index.scan_snapshot();
+            while let Some((cursor, pattern)) = stack.pop() {
+                index.children_into(cursor, &mut buf);
+                let found: Vec<(u8, usize)> = buf
+                    .iter()
+                    .map(|&(c, child)| (c, child.occurrence_count()))
+                    .collect();
                 assert_eq!(
-                    buf_ref.as_slice(),
-                    buf_packed.as_slice(),
+                    found,
+                    naive_children(&counts, &pattern, code_count),
                     "layout {layout:?} separators {separator_heavy}"
                 );
                 nodes += 1;
                 if cursor.depth < 3 {
-                    stack.extend(buf_ref.iter().map(|&(_, child)| child));
+                    stack.extend(
+                        buf.iter()
+                            .map(|&(c, child)| (child, [pattern.as_slice(), &[c]].concat())),
+                    );
                 }
             }
             assert!(nodes > 1);
             assert_eq!(
-                reference.scan_snapshot().block_scans,
-                packed.scan_snapshot().block_scans
+                index.scan_snapshot().since(&before).block_scans,
+                2 * nodes as u64
             );
-            // Identical occurrence sets for a sampled substring.
+            // The occurrence set of a sampled substring.
             let start = g.range(0, text.len() - 8);
             let pattern = text[start..start + 6].to_vec();
-            assert_eq!(
-                reference.find_occurrences(&pattern),
-                packed.find_occurrences(&pattern)
-            );
+            let expected: Vec<usize> = (0..=text.len() - pattern.len())
+                .filter(|&i| text[i..].starts_with(&pattern))
+                .collect();
+            assert_eq!(index.find_occurrences(&pattern), expected);
         }
     }
 }

@@ -10,10 +10,6 @@ use alae::suffix::{suffix_array_build_count, RankLayout};
 use alae::workload::{MutationProfile, QuerySpec, TextSpec, WorkloadBuilder};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Arc;
-
-mod common;
-use common::byte_twin;
 
 /// Run one search on a dedicated thread so per-thread scratch pools start
 /// cold (see `open_matches_fresh_build_for_all_engines`).
@@ -60,24 +56,18 @@ fn workload(
 }
 
 /// Save → open → search must be hit- and counter-identical to the fresh
-/// build for all four engines, across alphabets and storage layouts.  The
-/// `dna-bytes` case is the byte-layout twin of a DNA index: the file it
-/// saves has the shape of a byte-layout DNA file from earlier builds, which
-/// must still open hit-identical.
+/// build for all four engines, across alphabets and storage layouts, on
+/// two DNA workloads and a protein one.
 #[test]
 fn open_matches_fresh_build_for_all_engines() {
     let cases = [
-        (Alphabet::Dna, RankLayout::Bytes, "dna-bytes"),
-        (Alphabet::Dna, RankLayout::PackedDna, "dna-packed"),
-        (Alphabet::Protein, RankLayout::Bytes, "protein-bytes"),
+        (Alphabet::Dna, RankLayout::PackedDna, "dna-a", 0x5eed + 9),
+        (Alphabet::Dna, RankLayout::PackedDna, "dna-b", 0x5eed + 10),
+        (Alphabet::Protein, RankLayout::Bytes, "protein", 0x5eed + 13),
     ];
-    for (alphabet, layout, name) in cases {
-        let (builder, built) = workload(alphabet, 4_000, 0x5eed + name.len() as u64);
-        let database = Arc::new(built.database);
-        let mut fresh = builder.index_shared(Arc::clone(&database));
-        if fresh.index().rank_layout() != layout {
-            fresh = IndexedDatabase::from_parts(database, Arc::new(byte_twin(fresh.index())));
-        }
+    for (alphabet, layout, name, seed) in cases {
+        let (builder, built) = workload(alphabet, 4_000, seed);
+        let fresh = builder.index(built.database);
         assert_eq!(fresh.index().rank_layout(), layout, "{name}");
 
         let path = temp_path(name);
@@ -116,6 +106,46 @@ fn open_matches_fresh_build_for_all_engines() {
                      reopened index is not structurally identical"
                 );
             }
+        }
+        fs::remove_file(&path).ok();
+    }
+}
+
+/// Open counts the checkpoint rows and the C array from the stored BWT
+/// with the code the build runs, so an opened index ranks exactly as the
+/// built one at every row.  Format 3 stored the rows, and open never
+/// checked them: one `CHK_DELTAS` entry raised by one in a checksum-valid
+/// 5,000-letter DNA file gave wrong hits without an error.
+#[test]
+fn an_opened_index_ranks_every_row_as_the_built_one() {
+    for (alphabet, spec) in [
+        (Alphabet::Dna, TextSpec::dna(5_000, 3)),
+        (Alphabet::Protein, TextSpec::protein(5_000, 3)),
+    ] {
+        let built = WorkloadBuilder::new(
+            spec,
+            QuerySpec {
+                count: 1,
+                length: 24,
+                mutation: MutationProfile::HOMOLOGOUS,
+                seed: 4,
+            },
+        )
+        .build();
+        let fresh = IndexBuilder::new().index(built.database);
+        let path = temp_path(&format!("ranks-{alphabet:?}"));
+        fresh.save(&path).expect("save");
+        let opened = IndexedDatabase::open(&path).expect("open");
+        let (fresh, opened) = (fresh.index().fm_index(), opened.index().fm_index());
+        assert_eq!(fresh.c_array(), opened.c_array(), "{alphabet:?}");
+        let (fresh, opened) = (fresh.occ_table(), opened.occ_table());
+        assert_eq!(opened.len(), 5_001);
+        let mut fresh_counts = vec![0u32; fresh.code_count()];
+        let mut opened_counts = vec![0u32; opened.code_count()];
+        for row in 0..=opened.len() {
+            fresh.rank_all(row, &mut fresh_counts);
+            opened.rank_all(row, &mut opened_counts);
+            assert_eq!(fresh_counts, opened_counts, "{alphabet:?}, row {row}");
         }
         fs::remove_file(&path).ok();
     }
@@ -281,8 +311,8 @@ fn an_opened_text_is_derived_only_by_the_engines_that_read_it() {
 }
 
 /// A checksum-valid protein file with two neighbouring BWT letters of one
-/// block swapped keeps every count: the checkpoint rows, the C array and
-/// the samples all agree, so it opens.  It is no text's BWT, though, so
+/// block swapped keeps every count: the checkpoint rows and the C array
+/// open counts from it, and the samples, all agree, so it opens.  It is no text's BWT, though, so
 /// the LF walk that derives the text fails, and the first Smith–Waterman
 /// query ends `EnginePanicked` instead of answering from a wrong text.
 #[test]
